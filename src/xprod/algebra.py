@@ -28,6 +28,7 @@ from .exactla import (
     basis_vector,
     compose,
     flip,
+    from_rows,
     identity,
     invert,
     is_zero_vec,
@@ -67,13 +68,8 @@ class FinAlgebra:
     @cached_property
     def _sparse_columns(self):
         # _sparse_columns[i][j] = nonzero (k, c_ij^k) pairs of e_i * e_j
-        cols = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                row.append(self.mul.column_items(self.mul.domain.index((i, j))))
-            cols.append(tuple(row))
-        return tuple(cols)
+        n = self.dim
+        return tuple(self.mul.cols[i * n:(i + 1) * n] for i in range(n))
 
     def basis_product(self, i: int, j: int) -> tuple:
         return self.mul.column(self.mul.domain.index((i, j)))
@@ -132,23 +128,40 @@ def new_algebra(field: Field, dim: int, mul: TensorMap, unit,
 
 
 def associativity_witness(alg: FinAlgebra):
-    """Smallest basis triple (i, j, k) where (e_i e_j) e_k != e_i (e_j e_k)."""
+    """Smallest basis triple (i, j, k) where (e_i e_j) e_k != e_i (e_j e_k).
+
+    Both sides are accumulated as sparse dicts; dense vectors are built only
+    for the witness.
+    """
     f = alg.field
+    add, mul, is_zero = f.add, f.mul, f.is_zero
     n = alg.dim
     cols = alg._sparse_columns
+
+    def dense(acc):
+        out = list(vzero(f, n))
+        for m, x in acc.items():
+            out[m] = x
+        return tuple(out)
+
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                left = list(vzero(f, n))
+                left: dict = {}
                 for l, c in cols[i][j]:
                     for m, d in cols[l][k]:
-                        left[m] = f.add(left[m], f.mul(c, d))
-                right = list(vzero(f, n))
+                        t = mul(c, d)
+                        left[m] = add(left[m], t) if m in left else t
+                right: dict = {}
                 for l, c in cols[j][k]:
                     for m, d in cols[i][l]:
-                        right[m] = f.add(right[m], f.mul(c, d))
+                        t = mul(c, d)
+                        right[m] = add(right[m], t) if m in right else t
                 if left != right:
-                    return (i, j, k), tuple(left), tuple(right)
+                    left = {m: x for m, x in left.items() if not is_zero(x)}
+                    right = {m: x for m, x in right.items() if not is_zero(x)}
+                    if left != right:
+                        return (i, j, k), dense(left), dense(right)
     return None
 
 
@@ -167,7 +180,7 @@ def unit_witness(alg: FinAlgebra):
 
 def scalar_algebra(field: Field) -> FinAlgebra:
     """The ground field as a one-dimensional algebra."""
-    mul = TensorMap(field, shape(1, 1), shape(1), ((field.one,),))
+    mul = TensorMap(field, shape(1, 1), shape(1), (((0, field.one),),))
     return new_algebra(field, 1, mul, (field.one,))
 
 
@@ -222,7 +235,7 @@ def conjugate_algebra(alg: FinAlgebra, g: TensorMap, validate: bool = True) -> F
     if g.domain.total != alg.dim or g.codomain.total != alg.dim:
         raise ShapeMismatch("transport map must be an endomorphism of the algebra space")
     f = alg.field
-    ginv = TensorMap(f, g.codomain, g.domain, invert(f, g.rows))
+    ginv = from_rows(f, g.codomain, g.domain, invert(f, g.rows))
     n = alg.dim
     mul = compose(
         g.reshaped(domain=shape(n), codomain=shape(n)),
@@ -236,7 +249,7 @@ def conjugate_algebra(alg: FinAlgebra, g: TensorMap, validate: bool = True) -> F
 def same_algebra(a: FinAlgebra, b: FinAlgebra) -> bool:
     """Exact equality of structure constants, units and fields."""
     return (a.field == b.field and a.dim == b.dim
-            and a.mul.rows == b.mul.rows and a.unit == b.unit)
+            and a.mul.cols == b.mul.cols and a.unit == b.unit)
 
 
 @dataclass(frozen=True)
@@ -263,8 +276,8 @@ def new_coalgebra(field: Field, dim: int, comul: TensorMap, counit: TensorMap,
     ident = identity(field, shape(dim))
     left = compose(tensor(comul, ident), comul)
     right = compose(tensor(ident, comul), comul)
-    if left.rows != right.rows:
-        col = next(j for j in range(dim) if left.column(j) != right.column(j))
+    if left.cols != right.cols:
+        col = next(j for j in range(dim) if left.cols[j] != right.cols[j])
         raise NotCoassociative(col)
     lcounit = compose(tensor(counit, ident), comul)
     rcounit = compose(tensor(ident, counit), comul)
@@ -284,9 +297,7 @@ def new_coalgebra(field: Field, dim: int, comul: TensorMap, counit: TensorMap,
 def grouplike_coalgebra(field: Field, dim: int, unit_index: int = 0) -> Coalgebra:
     """Coalgebra with a basis of grouplikes: comul(g) = g (x) g, counit(g) = 1."""
     h = shape(dim)
-    comul_cols = [basis_vector(field, dim * dim, shape(dim, dim).index((i, i)))
-                  for i in range(dim)]
     comul = TensorMap(field, h, shape(dim, dim),
-                      tuple(tuple(c[r] for c in comul_cols) for r in range(dim * dim)))
-    counit = TensorMap(field, h, shape(1), ((field.one,) * dim,))
+                      tuple(((i * dim + i, field.one),) for i in range(dim)))
+    counit = TensorMap(field, h, shape(1), (((0, field.one),),) * dim)
     return new_coalgebra(field, dim, comul, counit, basis_vector(field, dim, unit_index))

@@ -76,6 +76,7 @@ from .exactla import (
     TensorShape,
     flip,
     from_columns,
+    from_rows,
     shape,
 )
 from .report import ConditionResult, Report, Witness, merge
@@ -158,6 +159,10 @@ def _expect(cond, path, message):
 
 
 def _parse_scalar(field, value, path):
+    # scalars are strings or plain integers; a JSON float or boolean would
+    # otherwise be truncated or read as 0/1
+    _expect(not isinstance(value, (bool, float)), path,
+            f"bad scalar {value!r}: expected a string or an integer")
     try:
         return field.parse(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -270,10 +275,10 @@ def parse_document(text: str) -> Document:
         dim = spec["dim"]
         _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim",
                 "dimension must be a positive integer")
-        comul = TensorMap(field, shape(dim), shape(dim, dim),
+        comul = from_rows(field, shape(dim), shape(dim, dim),
                           _parse_matrix(field, spec["comul"], dim * dim, dim,
                                         f"{path}.comul"))
-        counit = TensorMap(field, shape(dim), shape(1),
+        counit = from_rows(field, shape(dim), shape(1),
                            _parse_matrix(field, spec["counit"], 1, dim,
                                          f"{path}.counit"))
         unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
@@ -307,7 +312,7 @@ def parse_document(text: str) -> Document:
         cod_names, cod = resolve_dims("codomain")
         rows = _parse_matrix(field, spec["matrix"], cod.total, dom.total,
                              f"{path}.matrix")
-        maps[name] = TensorMap(field, dom, cod, rows)
+        maps[name] = from_rows(field, dom, cod, rows)
         map_shapes[name] = (list(dom_names), list(cod_names))
 
     def resolve(kind, table, ref, path):
@@ -610,8 +615,8 @@ def _run_extract(doc, name, entry):
         built = build_twosided(entry)
         got = extract(built, entry.A, entry.V, entry.C)
         entries = tuple(
-            ConditionResult(f"roundtrip-{label}", getattr(got, label).rows ==
-                            getattr(entry, label).rows)
+            ConditionResult(f"roundtrip-{label}", getattr(got, label).cols ==
+                            getattr(entry, label).cols)
             for label in ("R1", "R2", "R3", "E"))
         return Report(entries), {"maps": _maps_obj(field, got)}
     if isinstance(entry, ExtractionEntry):
@@ -649,8 +654,8 @@ def _run_transport(doc, name, entry):
     f = doc.field
     outputs = {}
     reports = []
-    r1_is_flip = entry.R1.rows == flip(f, entry.V.dim, entry.A.dim).rows
-    r3_is_flip = entry.R3.rows == flip(f, entry.C.dim, entry.A.dim).rows
+    r1_is_flip = entry.R1.cols == flip(f, entry.V.dim, entry.A.dim).cols
+    r3_is_flip = entry.R3.cols == flip(f, entry.C.dim, entry.A.dim).cols
     if r1_is_flip:
         _, rep = remark1_transport(entry)
         reports.append(_prefixed("remark1", rep))

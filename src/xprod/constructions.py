@@ -87,7 +87,7 @@ def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
     rhs = compose(tensor(r1, idc), tensor(idb, r3), tensor(r2, ida))
     witness = None
     for j in range(lhs.domain.total):
-        if lhs.column(j) != rhs.column(j):
+        if lhs.cols[j] != rhs.cols[j]:
             witness = Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j),
                               "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)")
             break
@@ -199,7 +199,7 @@ def ma_build(d: MaData) -> TwoSidedData:
 # -- remark transports --------------------------------------------------------
 
 def _require_flip(m: TensorMap, d1: int, d2: int, name: str):
-    if m.rows != flip(m.field, d1, d2).rows:
+    if m.cols != flip(m.field, d1, d2).cols:
         raise PreconditionFail(f"{name} is not the flip map")
 
 

@@ -19,6 +19,7 @@ from .exactla import (
     TensorMap,
     basis_vector,
     compose,
+    from_columns,
     identity,
     shape,
     tensor,
@@ -33,11 +34,9 @@ def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
     if lhs.domain.total != rhs.domain.total or lhs.codomain.total != rhs.codomain.total:
         raise ShapeMismatch(f"{name}: sides have different shapes")
     for j in range(lhs.domain.total):
-        lcol = lhs.column(j)
-        rcol = rhs.column(j)
-        if lcol != rcol:
-            return ConditionResult(
-                name, False, Witness(lhs.domain.multi(j), lcol, rcol, identity_text))
+        if lhs.cols[j] != rhs.cols[j]:
+            return ConditionResult(name, False, Witness(
+                lhs.domain.multi(j), lhs.column(j), rhs.column(j), identity_text))
     return ConditionResult(name, True)
 
 
@@ -296,8 +295,7 @@ def lift_twisting_to_brzezinski(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> B
     for j in range(b.dim):
         for jp in range(b.dim):
             cols.append(tensor_vec(f, a.unit, b.basis_product(j, jp)))
-    sigma = TensorMap(f, shape(b.dim, b.dim), shape(a.dim, b.dim),
-                      tuple(tuple(c[i] for c in cols) for i in range(a.dim * b.dim)))
+    sigma = from_columns(f, shape(b.dim, b.dim), shape(a.dim, b.dim), cols)
     return BrzData(a, b.as_pointed(), r, sigma)
 
 
@@ -308,6 +306,5 @@ def lift_twisting_to_mirror(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> Mirro
     for i in range(a.dim):
         for ip in range(a.dim):
             cols.append(tensor_vec(f, a.basis_product(i, ip), b.unit))
-    nu = TensorMap(f, shape(a.dim, a.dim), shape(a.dim, b.dim),
-                   tuple(tuple(c[i] for c in cols) for i in range(a.dim * b.dim)))
+    nu = from_columns(f, shape(a.dim, a.dim), shape(a.dim, b.dim), cols)
     return MirrorData(a.as_pointed(), b, r, nu)

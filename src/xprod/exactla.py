@@ -1,4 +1,4 @@
-"""Exact scalars and dense multilinear algebra over Q and prime fields.
+"""Exact scalars and sparse multilinear algebra over Q and prime fields.
 
 Scalars are plain values: ``fractions.Fraction`` over the rationals (always
 reduced, positive denominator) and ``int`` residues in ``[0, p)`` over a prime
@@ -9,9 +9,10 @@ Tensor conventions used everywhere in the package:
 
 * a :class:`TensorShape` is an ordered list of factor dimensions;
 * multi-indices flatten row-major, leftmost factor most significant;
-* a :class:`TensorMap` stores a dense ``codomain-total x domain-total``
-  matrix, so ``tensor`` is the Kronecker product and factor order is never
-  ambiguous.
+* a :class:`TensorMap` stores the nonzero entries of each column of its
+  ``codomain-total x domain-total`` matrix, rows increasing, so equal maps
+  have equal columns; ``compose`` and ``tensor`` (the Kronecker product)
+  only ever multiply nonzeros, and an identity factor costs its dimension.
 """
 
 from __future__ import annotations
@@ -284,17 +285,7 @@ def is_zero_vec(field: Field, v) -> bool:
     return all(field.is_zero(a) for a in v)
 
 
-# -- matrices (tuples of row tuples) ---------------------------------------
-
-def matmul(field: Field, a, b) -> tuple:
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out.append(tuple(
-            _dot(field, row, col) for col in bt
-        ))
-    return tuple(out)
-
+# -- dense matrices (tuples of row tuples) ---------------------------------
 
 def _dot(field: Field, u, v):
     s = field.zero
@@ -302,10 +293,6 @@ def _dot(field: Field, u, v):
         if not field.is_zero(x) and not field.is_zero(y):
             s = field.add(s, field.mul(x, y))
     return s
-
-
-def identity_rows(field: Field, n: int) -> tuple:
-    return tuple(basis_vector(field, n, i) for i in range(n))
 
 
 def invert(field: Field, rows) -> tuple:
@@ -374,39 +361,53 @@ def greedy_basis_completion(field: Field, seeds, n: int) -> tuple[tuple, tuple[i
 
 @dataclass(frozen=True)
 class TensorMap:
-    """Linear map between tensor products, stored as a dense exact matrix.
+    """Linear map between tensor products, stored as sparse exact columns.
 
-    ``rows`` has one row per codomain coordinate and one column per domain
-    coordinate, both flattened row-major.
+    ``cols`` has one entry per domain coordinate (flattened row-major): the
+    nonzero ``(row, value)`` pairs of that column, rows increasing.  The form
+    is canonical, so two maps of one shape are equal exactly when their
+    ``cols`` are equal.  ``rows`` is the dense matrix, built on demand.
     """
 
     field: Field
     domain: TensorShape
     codomain: TensorShape
-    rows: tuple[tuple, ...]
+    cols: tuple[tuple[tuple[int, object], ...], ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.codomain.total:
+        if len(self.cols) != self.domain.total:
             raise ShapeMismatch(
-                f"matrix has {len(self.rows)} rows, codomain total is {self.codomain.total}")
-        for r in self.rows:
-            if len(r) != self.domain.total:
-                raise ShapeMismatch(
-                    f"matrix row length {len(r)}, domain total is {self.domain.total}")
+                f"map has {len(self.cols)} columns, domain total is {self.domain.total}")
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*map(self.column, range(self.domain.total))))
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.domain.total:
             raise ShapeMismatch(
                 f"vector length {len(vec)}, domain total is {self.domain.total}")
-        return tuple(_dot(self.field, row, vec) for row in self.rows)
+        f = self.field
+        out = list(vzero(f, self.codomain.total))
+        for x, col in zip(vec, self.cols):
+            if not f.is_zero(x):
+                for i, y in col:
+                    out[i] = f.add(out[i], f.mul(x, y))
+        return tuple(out)
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        out = list(vzero(self.field, self.codomain.total))
+        for i, x in self.cols[j]:
+            out[i] = x
+        return tuple(out)
 
-    def column_items(self, j: int) -> tuple:
-        """Nonzero (row, value) pairs of column j."""
-        f = self.field
-        return tuple((i, row[j]) for i, row in enumerate(self.rows) if not f.is_zero(row[j]))
+    @cached_property
+    def multi_columns(self) -> dict:
+        """Column nonzeros keyed by domain multi-index, with codomain
+        multi-indices for rows: the form the elementwise chains apply."""
+        rows = tuple(itertools.product(*(range(d) for d in self.codomain.dims)))
+        keys = itertools.product(*(range(d) for d in self.domain.dims))
+        return {key: tuple((rows[i], x) for i, x in col) for key, col in zip(keys, self.cols)}
 
     def reshaped(self, domain: TensorShape | None = None,
                  codomain: TensorShape | None = None) -> "TensorMap":
@@ -415,40 +416,74 @@ class TensorMap:
         codomain = codomain if codomain is not None else self.codomain
         if domain.total != self.domain.total or codomain.total != self.codomain.total:
             raise ShapeMismatch("reshape must preserve total dimensions")
-        return TensorMap(self.field, domain, codomain, self.rows)
-
-    def same_matrix(self, other: "TensorMap") -> bool:
-        return self.field == other.field and self.rows == other.rows
+        return TensorMap(self.field, domain, codomain, self.cols)
 
 
 def from_columns(field: Field, domain: TensorShape, codomain: TensorShape,
                  columns) -> TensorMap:
-    rows = tuple(tuple(col[i] for col in columns) for i in range(codomain.total))
-    return TensorMap(field, domain, codomain, rows)
+    """The map whose column j is the dense coordinate vector columns[j]."""
+    columns = tuple(columns)
+    for col in columns:
+        if len(col) != codomain.total:
+            raise ShapeMismatch(
+                f"column length {len(col)}, codomain total is {codomain.total}")
+    return TensorMap(field, domain, codomain, tuple(
+        tuple((i, x) for i, x in enumerate(col) if not field.is_zero(x)) for col in columns))
+
+
+def from_rows(field: Field, domain: TensorShape, codomain: TensorShape, rows) -> TensorMap:
+    """The map with the given dense matrix, one row per codomain coordinate."""
+    if len(rows) != codomain.total:
+        raise ShapeMismatch(
+            f"matrix has {len(rows)} rows, codomain total is {codomain.total}")
+    for r in rows:
+        if len(r) != domain.total:
+            raise ShapeMismatch(
+                f"matrix row length {len(r)}, domain total is {domain.total}")
+    return from_columns(field, domain, codomain, tuple(zip(*rows)))
 
 
 def identity(field: Field, shp: TensorShape) -> TensorMap:
-    return TensorMap(field, shp, shp, identity_rows(field, shp.total))
+    one = field.one
+    return TensorMap(field, shp, shp, tuple(((i, one),) for i in range(shp.total)))
 
 
 def zero_map(field: Field, domain: TensorShape, codomain: TensorShape) -> TensorMap:
-    row = vzero(field, domain.total)
-    return TensorMap(field, domain, codomain, tuple(row for _ in range(codomain.total)))
+    return TensorMap(field, domain, codomain, ((),) * domain.total)
+
+
+def _compose2(g: TensorMap, f: TensorMap) -> TensorMap:
+    """g o f: column j is the combination of g's columns that f's column j names."""
+    fld = g.field
+    add, mul, is_zero, one = fld.add, fld.mul, fld.is_zero, fld.one
+    gcols = g.cols
+    cols = []
+    for fcol in f.cols:
+        if len(fcol) == 1 and fcol[0][1] == one:
+            cols.append(gcols[fcol[0][0]])
+            continue
+        acc: dict = {}
+        for k, x in fcol:
+            for i, y in gcols[k]:
+                t = y if x == one else mul(x, y)
+                acc[i] = add(acc[i], t) if i in acc else t
+        cols.append(tuple((i, acc[i]) for i in sorted(acc) if not is_zero(acc[i])))
+    return TensorMap(fld, f.domain, g.codomain, tuple(cols))
 
 
 def compose(*maps: TensorMap) -> TensorMap:
     """Composite g o f o ...; the rightmost map is applied first."""
     if not maps:
         raise ShapeMismatch("compose needs at least one map")
-    out = maps[0]
-    for f in maps[1:]:
-        if out.field != f.field:
+    for g, f in zip(maps, maps[1:]):
+        if g.field != f.field:
             raise FieldMismatch("composing maps over different fields")
-        if out.domain.total != f.codomain.total:
+        if g.domain.total != f.codomain.total:
             raise ShapeMismatch(
-                f"compose: domain total {out.domain.total} != codomain total {f.codomain.total}")
-        out = TensorMap(out.field, f.domain, out.codomain,
-                        matmul(out.field, out.rows, f.rows))
+                f"compose: domain total {g.domain.total} != codomain total {f.codomain.total}")
+    out = maps[-1]
+    for g in reversed(maps[:-1]):
+        out = _compose2(g, out)
     return out
 
 
@@ -461,38 +496,30 @@ def tensor(*maps: TensorMap) -> TensorMap:
         if out.field != g.field:
             raise FieldMismatch("tensoring maps over different fields")
         field = out.field
-        rows = []
-        for rf in out.rows:
-            for rg in g.rows:
-                rows.append(tuple(field.mul(a, b) for a in rf for b in rg))
+        mul, one = field.mul, field.one
+        p = g.codomain.total
+        cols = []
+        for fcol in out.cols:
+            for gcol in g.cols:
+                cols.append(tuple(
+                    (r * p + s, b if a == one else a if b == one else mul(a, b))
+                    for r, a in fcol for s, b in gcol))
         out = TensorMap(field, out.domain.concat(g.domain),
-                        out.codomain.concat(g.codomain), tuple(rows))
+                        out.codomain.concat(g.codomain), tuple(cols))
     return out
 
 
 def flip(field: Field, d1: int, d2: int) -> TensorMap:
     """The map sending a basis vector e_(i,j) to e_(j,i)."""
-    dom = shape(d1, d2)
-    cod = shape(d2, d1)
-    columns = []
-    for i in range(d1):
-        for j in range(d2):
-            columns.append(basis_vector(field, cod.total, cod.index((j, i))))
-    return from_columns(field, dom, cod, columns)
+    return graded_flip(field, d1, d2, (0,) * d1, (0,) * d2)
 
 
 def graded_flip(field: Field, d1: int, d2: int, deg1, deg2) -> TensorMap:
     """Sign-twisted flip: e_(i,j) goes to (-1)^(deg1[i]*deg2[j]) e_(j,i)."""
-    dom = shape(d1, d2)
-    cod = shape(d2, d1)
     minus_one = field.neg(field.one)
-    columns = []
-    for i in range(d1):
-        for j in range(d2):
-            col = list(vzero(field, cod.total))
-            col[cod.index((j, i))] = minus_one if deg1[i] and deg2[j] else field.one
-            columns.append(tuple(col))
-    return from_columns(field, dom, cod, columns)
+    cols = tuple(((j * d1 + i, minus_one if deg1[i] and deg2[j] else field.one),)
+                 for i in range(d1) for j in range(d2))
+    return TensorMap(field, shape(d1, d2), shape(d2, d1), cols)
 
 
 def permute_factors(field: Field, dims, perm) -> TensorMap:
@@ -503,11 +530,9 @@ def permute_factors(field: Field, dims, perm) -> TensorMap:
         raise ShapeMismatch(f"{perm} is not a permutation of the factors")
     dom = TensorShape(dims)
     cod = TensorShape(tuple(dims[p] for p in perm))
-    columns = []
-    for multi in itertools.product(*(range(d) for d in dims)):
-        target = tuple(multi[p] for p in perm)
-        columns.append(basis_vector(field, cod.total, cod.index(target)))
-    return from_columns(field, dom, cod, columns)
+    cols = tuple(((cod.index(tuple(multi[p] for p in perm)), field.one),)
+                 for multi in itertools.product(*(range(d) for d in dims)))
+    return TensorMap(field, dom, cod, cols)
 
 
 def vector_map(field: Field, vec) -> TensorMap:

@@ -137,13 +137,13 @@ def searched_f2_fixtures():
 def primitive_coalgebra(field):
     """dim 2: comul(1) = 1 (x) 1, comul(x) = x (x) 1 + 1 (x) x, counit = (1, 0)."""
     from xprod import new_coalgebra
-    from xprod.exactla import TensorMap, basis_vector
+    from xprod.exactla import basis_vector, from_rows
 
     e00 = basis_vector(field, 4, 0)
     mixed = tuple(field.add(a, b) for a, b in zip(basis_vector(field, 4, 1),
                                                   basis_vector(field, 4, 2)))
     comul = from_columns(field, shape(2), shape(2, 2), [e00, mixed])
-    counit = TensorMap(field, shape(2), shape(1), ((field.one, field.zero),))
+    counit = from_rows(field, shape(2), shape(1), ((field.one, field.zero),))
     return new_coalgebra(field, 2, comul, counit, basis_vector(field, 2, 0))
 
 

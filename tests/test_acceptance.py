@@ -42,7 +42,7 @@ from xprod.algebra import associativity_witness, unit_witness
 from xprod.cli import main
 from xprod.constructions import product_connector
 from xprod.errors import PremiseFail, SplitFail
-from xprod.exactla import TensorMap, basis_vector, from_columns, shape, tensor_vec
+from xprod.exactla import basis_vector, from_columns, from_rows, shape, tensor_vec
 
 CORPUS = dict(corpus())
 
@@ -77,7 +77,7 @@ def test_criterion_2_converse_round_trip():
     m = build_twosided(base)
     rows = [list(r) for r in identity(Q, shape(8)).rows]
     rows[1][6] = Q.one
-    g = TensorMap(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
+    g = from_rows(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
     bad = conjugate_algebra(m, g)
     with pytest.raises(SplitFail) as exc:
         extract(bad, base.A, base.V, base.C)
@@ -195,7 +195,7 @@ def test_criterion_5_universal_property():
 def mutate(m, row, col):
     rows = [list(r) for r in m.rows]
     rows[row][col] = m.field.add(rows[row][col], m.field.one)
-    return TensorMap(m.field, m.domain, m.codomain, tuple(tuple(r) for r in rows))
+    return from_rows(m.field, m.domain, m.codomain, tuple(tuple(r) for r in rows))
 
 
 MUTATIONS = (

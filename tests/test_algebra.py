@@ -13,9 +13,12 @@ from fixtures import (
     dual_numbers,
     group_algebra_z2,
     quadratic_algebra,
+    truncated_polynomials3,
+    twosided_flip_trivial,
     upper_triangular2,
 )
 from xprod import (
+    build_twosided,
     conjugate_algebra,
     grouplike_coalgebra,
     is_algebra_map,
@@ -25,7 +28,7 @@ from xprod import (
     same_algebra,
     scalar_algebra,
 )
-from xprod.algebra import PointedSpace, algebra_mul
+from xprod.algebra import PointedSpace, algebra_mul, associativity_witness
 from xprod.errors import (
     CounitFail,
     NotAssociative,
@@ -35,9 +38,9 @@ from xprod.errors import (
     UnitNotGrouplike,
 )
 from xprod.exactla import (
-    TensorMap,
     basis_vector,
     from_columns,
+    from_rows,
     permute_factors,
     shape,
     tensor_vec,
@@ -45,22 +48,28 @@ from xprod.exactla import (
 
 
 def oracle_associativity_witness(table, field):
-    """Independent brute force over all basis triples on a raw c[i][j] table."""
+    """Independent brute force over all basis triples on a raw c[i][j] table:
+    the first failing triple with both sides as dense vectors, or None."""
     n = len(table)
 
     def mul(x, y):
         out = [field.zero] * n
         for i in range(n):
+            if field.is_zero(x[i]):
+                continue
             for j in range(n):
                 c = field.mul(x[i], y[j])
+                if field.is_zero(c):
+                    continue
                 for k in range(n):
                     out[k] = field.add(out[k], field.mul(c, table[i][j][k]))
         return tuple(out)
 
     for i, j, k in product(range(n), repeat=3):
         ei, ej, ek = (basis_vector(field, n, t) for t in (i, j, k))
-        if mul(mul(ei, ej), ek) != mul(ei, mul(ej, ek)):
-            return (i, j, k)
+        left, right = mul(mul(ei, ej), ek), mul(ei, mul(ej, ek))
+        if left != right:
+            return (i, j, k), left, right
     return None
 
 
@@ -95,8 +104,40 @@ def test_nonassociative_table_rejected_with_oracle_witness():
     assert expected is not None
     with pytest.raises(NotAssociative) as exc:
         algebra_from_table(Q, table, (Q.one, Q.zero, Q.zero))
-    assert exc.value.witness == expected
-    assert exc.value.left != exc.value.right
+    assert (exc.value.witness, exc.value.left, exc.value.right) == expected
+
+
+def test_cancelling_triple_is_not_a_witness():
+    # e0 is the unit; e1 e1 = e2 + e3, e2 e1 = e2, e3 e1 = -e2, other products
+    # of e1, e2, e3 vanish.  At (1, 1, 1) the left side e2 e1 + e3 e1 cancels
+    # to zero and equals the right side, so the first failure is (2, 1, 1).
+    o, z, m = Q.one, Q.zero, Q.neg(Q.one)
+    e = [basis_vector(Q, 4, t) for t in range(4)]
+    zero = (z,) * 4
+    table = [[e[j] for j in range(4)]] + [[e[i]] + [zero] * 3 for i in range(1, 4)]
+    table[1][1] = (z, z, o, o)
+    table[2][1] = e[2]
+    table[3][1] = (z, z, m, z)
+    assert oracle_associativity_witness(table, Q) == ((2, 1, 1), e[2], zero)
+    alg = algebra_from_table(Q, table, e[0], validate=False)
+    assert associativity_witness(alg) == ((2, 1, 1), e[2], zero)
+
+
+def test_broken_n27_product_gives_smallest_witness_and_dense_vectors():
+    t3 = truncated_polynomials3(Q)
+    m = build_twosided(twosided_flip_trivial(t3, t3, t3))
+    # (1⊗1⊗t)(1⊗1⊗t) = 1⊗1⊗t² becomes 1⊗1⊗t² + 1/2 (1⊗t⊗1) - 1⊗t²⊗1
+    rows = [list(r) for r in m.mul.rows]
+    col = m.mul.domain.index((1, 1))
+    rows[3][col] = Fraction(1, 2)
+    rows[6][col] = Fraction(-1)
+    mul = from_rows(Q, m.mul.domain, m.mul.codomain, tuple(tuple(r) for r in rows))
+    table = [[mul.column(i * 27 + j) for j in range(27)] for i in range(27)]
+    want = oracle_associativity_witness(table, Q)
+    assert want is not None
+    with pytest.raises(NotAssociative) as exc:
+        new_algebra(Q, 27, mul, m.unit)
+    assert (exc.value.witness, exc.value.left, exc.value.right) == want
 
 
 def test_zero_unit_rejected():
@@ -115,7 +156,7 @@ def test_algebra_mul_matches_contraction_oracle():
     n = 3
     rows = tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                        for _ in range(n * n)) for _ in range(n))
-    mul = TensorMap(f, shape(n, n), shape(n), rows)
+    mul = from_rows(f, shape(n, n), shape(n), rows)
     alg = new_algebra(f, n, mul, basis_vector(f, n, 0), validate=False)
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
@@ -160,10 +201,10 @@ def test_ordinary_tensor_structure_constants_entrywise_oracle():
 
 def test_is_algebra_map_identity_and_zero():
     d = dual_numbers(Q)
-    ident = TensorMap(Q, shape(2), shape(2),
+    ident = from_rows(Q, shape(2), shape(2),
                       tuple(basis_vector(Q, 2, i) for i in range(2)))
     assert is_algebra_map(ident, d, d).all_pass
-    zero = TensorMap(Q, shape(2), shape(2), ((Q.zero,) * 2,) * 2)
+    zero = from_rows(Q, shape(2), shape(2), ((Q.zero,) * 2,) * 2)
     rep = is_algebra_map(zero, d, d)
     assert not rep.all_pass
     assert not rep.get("unit").passed
@@ -242,7 +283,7 @@ def test_non_coassociative_rejected():
     col1 = tuple(f.add(a, b) for a, b in zip(basis_vector(f, 4, 3),
                                              basis_vector(f, 4, 1)))
     comul = from_columns(f, shape(2), shape(2, 2), [basis_vector(f, 4, 0), col1])
-    counit = TensorMap(f, shape(2), shape(1), ((f.one, f.one),))
+    counit = from_rows(f, shape(2), shape(1), ((f.one, f.one),))
     with pytest.raises(NotCoassociative):
         new_coalgebra(f, 2, comul, counit, (f.one, f.zero))
 
@@ -250,6 +291,6 @@ def test_non_coassociative_rejected():
 def test_counit_failure_rejected():
     f = Q
     h = grouplike_coalgebra(f, 2)
-    bad_counit = TensorMap(f, shape(2), shape(1), ((f.one, f.zero),))
+    bad_counit = from_rows(f, shape(2), shape(1), ((f.one, f.zero),))
     with pytest.raises(CounitFail):
         new_coalgebra(f, 2, h.comul, bad_counit, h.unit)

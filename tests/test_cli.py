@@ -81,6 +81,25 @@ def test_non_prime_modulus_rejected(tmp_path):
     assert "prime" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("field_obj, bad", [
+    ({"kind": "prime", "p": 5}, 2.7),
+    ({"kind": "rationals"}, 0.1),
+    ({"kind": "prime", "p": 5}, True),
+    ({"kind": "rationals"}, False),
+])
+def test_float_or_boolean_scalar_is_input_error(tmp_path, field_obj, bad):
+    # JSON floats and booleans are not scalars; they must not be truncated
+    # to an integer or read as 0/1
+    obj = json.loads(json.dumps(MINIMAL))
+    obj["field"] = field_obj
+    obj["spaces"] = {"V": {"dim": 2, "unit": ["1", bad]}}
+    rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "DocumentError"
+    assert rep["error"]["message"].startswith("$.spaces.V.unit[1]: bad scalar")
+
+
 def test_bad_json_is_input_error(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{ not json", encoding="utf-8")
@@ -339,12 +358,12 @@ def test_extraction_dataset_via_cli(tmp_path):
 
 def test_extraction_dataset_split_failure_via_cli(tmp_path):
     from xprod import build_twosided, conjugate_algebra, identity
-    from xprod.exactla import TensorMap, shape
+    from xprod.exactla import from_rows, shape
     data = CORPUS["q-dual-graded-super"]
     m = build_twosided(data)
     rows = [list(r) for r in identity(Q, shape(8)).rows]
     rows[1][6] = Q.one
-    g = TensorMap(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
+    g = from_rows(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
     bad = conjugate_algebra(m, g)
     obj = json.loads(json.dumps(twosided_doc(data, Q)))
     obj["algebras"]["M"] = fmt_alg(Q, bad)

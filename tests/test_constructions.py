@@ -39,9 +39,9 @@ from xprod.errors import (
     SearchSpaceTooLarge,
 )
 from xprod.exactla import (
-    TensorMap,
     basis_vector,
     from_columns,
+    from_rows,
     permute_factors,
     shape,
     tensor_vec,
@@ -445,7 +445,7 @@ def test_permutation_transport_preserves_associativity_both_ways():
     # a non-associative table stays non-associative after transport
     rows = [list(r) for r in m.mul.rows]
     rows[0][9] = Q.add(rows[0][9], Q.one)
-    broken = new_algebra(Q, 8, TensorMap(Q, shape(8, 8), shape(8),
+    broken = new_algebra(Q, 8, from_rows(Q, shape(8, 8), shape(8),
                                          tuple(tuple(r) for r in rows)),
                          m.unit, validate=False)
     assert associativity_witness(broken) is not None

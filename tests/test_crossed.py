@@ -26,9 +26,9 @@ from xprod import (
 from xprod.algebra import PointedSpace
 from xprod.errors import AxiomFailure
 from xprod.exactla import (
-    TensorMap,
     basis_vector,
     from_columns,
+    from_rows,
     shape,
     tensor_vec,
     vscale,
@@ -103,7 +103,7 @@ def test_scaled_unit_fails_with_witness():
     base = flip(Q, 2, 2)
     rows = [list(r) for r in base.rows]
     rows[0][0] = Q.add(Q.one, Q.one)  # R(1_B (x) 1_A) = 2 (1_A (x) 1_B)
-    bad = TensorMap(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
+    bad = from_rows(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
     rep = check_twisting(bad, d, d)
     assert not rep.all_pass
     entry = rep.get("twisting-unit-left")
@@ -143,7 +143,7 @@ def test_build_ttp_rejects_non_twisting():
     base = flip(Q, 2, 2)
     rows = [list(r) for r in base.rows]
     rows[0][0] = Q.add(Q.one, Q.one)
-    bad = TensorMap(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
+    bad = from_rows(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
     with pytest.raises(AxiomFailure):
         build_ttp(d, d, bad)
 
@@ -164,7 +164,7 @@ def test_brzezinski_broken_sigma_unit():
     rows = [list(r) for r in data.sigma.rows]
     rows[0][1] = Q.add(rows[0][1], Q.one)  # sigma(1_V (x) x) picks up 1_A (x) 1_V
     bad = BrzData(data.A, data.V, data.R,
-                  TensorMap(Q, data.sigma.domain, data.sigma.codomain,
+                  from_rows(Q, data.sigma.domain, data.sigma.codomain,
                             tuple(tuple(r) for r in rows)))
     rep = check_brzezinski(bad)
     assert not rep.get("brz2").passed
@@ -314,7 +314,7 @@ def test_failing_witness_reproduces_inequality():
     base = graded_flip(Q, 2, 2, (0, 1), (0, 1))
     rows = [list(r) for r in base.rows]
     rows[1][3] = Q.one  # R(x (x) x) gains a 1 (x) x component
-    bad = TensorMap(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
+    bad = from_rows(Q, base.domain, base.codomain, tuple(tuple(r) for r in rows))
     rep = check_twisting(bad, d, d)
     failed = [e for e in rep.entries if not e.passed]
     assert failed

@@ -11,13 +11,13 @@ from xprod.errors import ShapeMismatch
 from xprod.exactla import (
     PrimeField,
     RATIONALS,
-    TensorMap,
     TensorShape,
     basis_vector,
     compose,
     flat_index,
     flip,
     from_columns,
+    from_rows,
     graded_flip,
     identity,
     invert,
@@ -128,11 +128,13 @@ def test_compose_identity_and_flip():
     assert compose(flip(Q, 2, 3), flip(Q, 3, 2)).rows == identity(Q, shape(3, 2)).rows
 
 
-def _matmul_oracle(a, b):
-    # plain nested loops, independent of the library's matmul
+def _matmul_oracle(a, b, reduce=None):
+    # plain nested loops over dense rows, independent of the library's compose;
+    # reduce maps each plain integer entry into a prime field
     n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
-                       for j in range(m)) for i in range(n))
+    out = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                      for j in range(m)) for i in range(n))
+    return out if reduce is None else tuple(tuple(reduce(x) for x in row) for row in out)
 
 
 def test_graded_flip_squares_to_identity_via_direct_multiply():
@@ -151,7 +153,7 @@ def test_compose_is_associative(n0, n1, n2, n3, data):
             st.lists(st.integers(0, 4), min_size=dom, max_size=dom),
             min_size=cod, max_size=cod))
         rows = tuple(tuple(F5.from_int(x) for x in row) for row in entries)
-        return TensorMap(F5, shape(dom), shape(cod), rows)
+        return from_rows(F5, shape(dom), shape(cod), rows)
 
     a = rand_map(n0, n1)
     b = rand_map(n1, n2)
@@ -168,9 +170,9 @@ def test_tensor_identities_and_convention():
 
 
 def test_tensor_entries_match_product_oracle():
-    f = TensorMap(Q, shape(2), shape(3), tuple(
+    f = from_rows(Q, shape(2), shape(3), tuple(
         tuple(Fraction(3 * i + j + 1, 2) for j in range(2)) for i in range(3)))
-    g = TensorMap(Q, shape(3), shape(2), tuple(
+    g = from_rows(Q, shape(3), shape(2), tuple(
         tuple(Fraction(i - j, 3) for j in range(3)) for i in range(2)))
     t = tensor(f, g)
     for i_f in range(3):
@@ -247,3 +249,63 @@ def test_from_columns_round_trip():
     m = from_columns(Q, shape(6), shape(4), cols)
     for j in range(6):
         assert m.column(j) == cols[j]
+
+
+# -- canonical sparse columns ---------------------------------------------------
+
+def _kron_oracle(a, b, reduce=None):
+    # plain Kronecker product of dense row tuples, row-major
+    out = tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+    return out if reduce is None else tuple(tuple(reduce(x) for x in row) for row in out)
+
+
+def _assert_canonical(m):
+    for col in m.cols:
+        assert [i for i, _ in col] == sorted({i for i, _ in col})
+        assert all(0 <= i < m.codomain.total and not m.field.is_zero(x) for i, x in col)
+
+
+@given(st.sampled_from(["Q", "F5"]), st.integers(1, 3), st.integers(2, 3),
+       st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_columns_match_dense_oracles_with_cancellation(which, n0, n1, n2, data):
+    field = Q if which == "Q" else F5
+    reduce = None if which == "Q" else (lambda x: int(x) % 5)
+    entry = st.integers(-2, 2).map(field.from_int)
+
+    def rand_rows(dom, cod):
+        return [data.draw(st.lists(entry, min_size=dom, max_size=dom)) for _ in range(cod)]
+
+    # g has two equal columns and f an extra column x*(e_0 - e_1), so that
+    # column of g o f is a sum of nonzero products that cancels to zero
+    g_rows = rand_rows(n1, n2)
+    g_rows[0][0] = field.one
+    for row in g_rows:
+        row[1] = row[0]
+    f_rows = rand_rows(n0, n1)
+    x = data.draw(st.integers(1, 4).map(field.from_int))
+    for r, row in enumerate(f_rows):
+        row.append(x if r == 0 else field.neg(x) if r == 1 else field.zero)
+    g_rows = tuple(tuple(r) for r in g_rows)
+    f_rows = tuple(tuple(r) for r in f_rows)
+    g = from_rows(field, shape(n1), shape(n2), g_rows)
+    f = from_rows(field, shape(n0 + 1), shape(n1), f_rows)
+
+    gf = compose(g, f)
+    _assert_canonical(gf)
+    assert gf.cols[n0] == ()
+    assert gf.rows == _matmul_oracle(g_rows, f_rows, reduce)
+    t = tensor(g, f)
+    _assert_canonical(t)
+    assert t.rows == _kron_oracle(g_rows, f_rows, reduce)
+    vec = tuple(data.draw(st.lists(entry, min_size=n0 + 1, max_size=n0 + 1)))
+    want = _matmul_oracle(gf.rows, tuple((v,) for v in vec), reduce)
+    assert gf.apply(vec) == tuple(row[0] for row in want)
+
+    # equal columns exactly when equal dense matrices, on a rebuilt copy and
+    # on a random map of the same shape
+    same = from_rows(field, gf.domain, gf.codomain, gf.rows)
+    other = from_rows(field, gf.domain, gf.codomain, tuple(map(tuple, rand_rows(n0 + 1, n2))))
+    for b in (same, other, compose(identity(field, shape(n2)), gf)):
+        assert (gf.cols == b.cols) == (gf.rows == b.rows)
+    assert gf.cols == same.cols

@@ -12,6 +12,7 @@ from fixtures import (
     corpus,
     dual_numbers,
     group_algebra_z2,
+    truncated_polynomials3,
     twosided_flip_trivial,
 )
 from xprod import (
@@ -26,6 +27,7 @@ from xprod import (
     flip,
     identity,
     is_algebra_map,
+    ordinary_tensor,
     permute_factors,
     presentations_agree,
     universal_map,
@@ -39,9 +41,9 @@ from xprod.errors import (
     UnitMismatch,
 )
 from xprod.exactla import (
-    TensorMap,
     basis_vector,
     from_columns,
+    from_rows,
     shape,
     tensor_vec,
     vscale,
@@ -242,6 +244,19 @@ def test_presentations_agree_on_fixtures():
         assert rep.all_pass, name
 
 
+def test_cubic_truncated_triple_n27_checks_builds_and_agrees():
+    # N = 27 with every cross-check on: the composite form of each condition,
+    # the composite product route, and both presentations
+    t3 = truncated_polynomials3(Q)
+    d = twosided_flip_trivial(t3, t3, t3)
+    assert check_twosided(d, cross_validate=True).all_pass
+    m = build_twosided(d)
+    want = ordinary_tensor(ordinary_tensor(t3, t3), t3)
+    assert m.dim == 27
+    assert m.mul.rows == want.mul.rows and m.unit == want.unit
+    assert presentations_agree(d).all_pass
+
+
 def test_dim1_v_degenerates_to_ttp():
     d = CORPUS["q-ut2-pointed-line"]
     m = build_twosided(d)
@@ -300,7 +315,7 @@ def corrupted_algebra():
     m = build_twosided(d)
     rows = [list(r) for r in identity(Q, shape(8)).rows]
     rows[1][6] = Q.one  # e_(1,1,0) also feeds e_(0,0,1)
-    g = TensorMap(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
+    g = from_rows(Q, shape(8), shape(8), tuple(tuple(r) for r in rows))
     return d, conjugate_algebra(m, g)
 
 
@@ -431,7 +446,7 @@ def test_random_single_entry_mutation_sound_or_witnessed(map_name, data):
     col = data.draw(st.integers(0, m.domain.total - 1))
     rows = [list(r) for r in m.rows]
     rows[row][col] = m.field.add(rows[row][col], m.field.one)
-    parts[map_name] = TensorMap(m.field, m.domain, m.codomain,
+    parts[map_name] = from_rows(m.field, m.domain, m.codomain,
                                 tuple(tuple(r) for r in rows))
     mutant = TwoSidedData(base.A, base.V, base.C, parts["R1"], parts["R2"],
                           parts["R3"], parts["E"])
