@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -158,11 +157,13 @@ def _expect(cond, path, message):
         raise DocumentError(path, message)
 
 
+def _is_int(value):
+    # a JSON boolean is a Python int, but never a count or a modulus
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_scalar(field, value, path):
-    # scalars are strings or plain integers; a JSON float or boolean would
-    # otherwise be truncated or read as 0/1
-    _expect(not isinstance(value, (bool, float)), path,
-            f"bad scalar {value!r}: expected a string or an integer")
+    # the field refuses JSON floats and booleans rather than truncating them
     try:
         return field.parse(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -191,7 +192,7 @@ def _parse_field(obj, path):
     if kind == "prime":
         _expect(set(obj) == {"kind", "p"}, path, "field spec needs exactly 'kind' and 'p'")
         p = obj.get("p")
-        _expect(isinstance(p, int), f"{path}.p", "modulus must be an integer")
+        _expect(_is_int(p), f"{path}.p", "modulus must be an integer")
         try:
             return PrimeField(p)
         except ValueError as exc:
@@ -231,7 +232,7 @@ def parse_document(text: str) -> Document:
         _expect(set(spec) == {"dim", "unit", "mul"}, path,
                 "algebra spec needs exactly 'dim', 'unit', 'mul'")
         dim = spec["dim"]
-        _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim",
+        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
                 "dimension must be a positive integer")
         unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
         mul_spec = spec["mul"]
@@ -257,7 +258,7 @@ def parse_document(text: str) -> Document:
         _expect(set(spec) == {"dim", "unit"}, path,
                 "space spec needs exactly 'dim' and 'unit'")
         dim = spec["dim"]
-        _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim",
+        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
                 "dimension must be a positive integer")
         unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
         try:
@@ -273,7 +274,7 @@ def parse_document(text: str) -> Document:
         _expect(set(spec) == {"dim", "comul", "counit", "unit"}, path,
                 "coalgebra spec needs exactly 'dim', 'comul', 'counit', 'unit'")
         dim = spec["dim"]
-        _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim",
+        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
                 "dimension must be a positive integer")
         comul = from_rows(field, shape(dim), shape(dim, dim),
                           _parse_matrix(field, spec["comul"], dim * dim, dim,
@@ -451,7 +452,7 @@ def parse_document(text: str) -> Document:
                     frozen[label] = resolve("map", maps, ref, f"{path}.frozen.{label}")
                 for key in ("budget", "seed", "cap"):
                     if key in spec:
-                        _expect(isinstance(spec[key], int) and spec[key] >= 0,
+                        _expect(_is_int(spec[key]) and spec[key] >= 0,
                                 f"{path}.{key}", "must be a nonnegative integer")
                 entry = SearchEntry(
                     SearchSpec(field, (a.dim, v.dim, c.dim), mode,
@@ -635,14 +636,14 @@ def _run_universal(doc, name, entry):
             {"matrix": _matrix_obj(doc.field, f)})
 
 
-def _run_search(doc, name, entry, seed, workers):
+def _run_search(doc, name, entry, seed):
     if not isinstance(entry, SearchEntry):
         raise PreconditionFail("search applies only to search datasets")
     spec = entry.spec
     if seed is not None:
         spec = SearchSpec(spec.field, spec.dims, spec.mode, spec.budget, seed,
                           spec.frozen, spec.cap)
-    results = search_fp(spec, entry.A, entry.V, entry.C, workers=workers)
+    results = search_fp(spec, entry.A, entry.V, entry.C)
     sols = [_maps_obj(doc.field, d) for d in results]
     return (Report((ConditionResult("search-complete", True),)),
             {"count": len(results), "solutions": sols})
@@ -692,14 +693,6 @@ def _pick_dataset(doc: Document, wanted):
                         "--dataset is required when a document has several datasets")
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("XPROD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise PreconditionFail(f"XPROD_THREADS must be an integer, got {raw!r}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="xprod",
@@ -739,7 +732,6 @@ def main(argv=None) -> int:
         doc = parse_document(text)
         name, entry = _pick_dataset(doc, args.dataset)
         report_skeleton["dataset"] = name
-        workers = _workers_from_env()
 
         if args.command == "check":
             rep, outputs = _run_check(doc, name, entry)
@@ -752,7 +744,7 @@ def main(argv=None) -> int:
         elif args.command == "universal":
             rep, outputs = _run_universal(doc, name, entry)
         elif args.command == "search":
-            rep, outputs = _run_search(doc, name, entry, args.seed, workers)
+            rep, outputs = _run_search(doc, name, entry, args.seed)
         else:
             rep, outputs = _run_transport(doc, name, entry)
 

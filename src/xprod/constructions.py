@@ -11,14 +11,17 @@ finite-field search that doubles as a fixture oracle.
 * :func:`remark2_lr` (R3 = flip) rewrites it as an L-R-style product on
   V (x) (A (x) C) built from the maps J, T, γ, η.
 * :func:`search_fp` enumerates map tuples over a prime field and returns the
-  ones passing every two-sided condition.
+  ones passing every two-sided condition.  It reads the condition table
+  :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
+  from, stops each candidate at its first failing condition, and decides a
+  condition that does not involve E once per distinct choice of the R maps
+  it mentions.  Candidates are drawn one at a time in a single thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
@@ -55,7 +58,7 @@ from .exactla import (
     vector_map,
 )
 from .report import ConditionResult, Report, Witness, merge
-from .twosided import TwoSidedData, _Ten, build_twosided, check_twosided
+from .twosided import CONDITIONS, TwoSidedData, _Ten, build_twosided, check_twosided
 
 SEARCH_MAP_NAMES = ("R1", "R2", "R3", "E")
 
@@ -402,32 +405,56 @@ def _map_template(f, name, na, nv, nc, ua, uv, uc):
     return dom, cod, pin, free
 
 
-def _decode(f, digits, templates):
-    """Fill the free columns of every unfrozen map from base-p digits."""
-    maps = {}
-    pos = 0
-    for name, (dom, cod, pin, free) in templates.items():
-        offsets = {idx: pos + t * cod.total for t, idx in enumerate(free)}
-        cols = []
-        for idx in itertools.product(*(range(x) for x in dom.dims)):
-            if idx in pin:
-                cols.append(pin[idx])
-            else:
-                base = offsets[idx]
-                cols.append(tuple(digits[base + r] for r in range(cod.total)))
-        pos += len(free) * cod.total
-        maps[name] = from_columns(f, dom, cod, tuple(cols))
-    return maps
+def _width(template):
+    """The number of base-p digits a map's free columns take."""
+    _, cod, _, free = template
+    return len(free) * cod.total
 
 
-def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra,
-              workers: int = 1) -> list[TwoSidedData]:
+def _fill(f, template, digits):
+    """A map with its pinned columns, and its free columns, in domain order,
+    read from consecutive runs of ``digits``."""
+    dom, cod, pin, _ = template
+    digits = iter(digits)
+    cols = tuple(
+        pin[idx] if idx in pin else tuple(itertools.islice(digits, cod.total))
+        for idx in itertools.product(*(range(x) for x in dom.dims)))
+    return from_columns(f, dom, cod, cols)
+
+
+def _digits(n, p, width):
+    """The base-p digits of n, most significant first."""
+    out = [0] * width
+    for t in range(width - 1, -1, -1):
+        n, out[t] = divmod(n, p)
+    return out
+
+
+def _candidates(spec: SearchSpec, space: int):
+    """The candidate numbers, produced one at a time: every number below
+    ``space`` in exhaustive mode, else ``budget`` draws from
+    ``random.Random(seed)``."""
+    if spec.mode == "exhaustive":
+        return iter(range(space))
+    rng = random.Random(spec.seed)
+    return (rng.randrange(space) for _ in range(spec.budget))
+
+
+def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
+              c: FinAlgebra) -> list[TwoSidedData]:
     """Enumerate or sample candidate (R1, R2, R3, E) over F_p and keep the
     tuples passing every two-sided condition.
 
-    Results are deduplicated by exact matrix equality and returned in a
-    canonical order (sorted by their serialized matrices), so the output is
-    byte-stable for a fixed spec and seed regardless of worker count.
+    Candidate n carries the free digits of every unfrozen map, R1, R2, R3, E
+    in that order, most significant first.  Each candidate meets the
+    conditions of :data:`~xprod.twosided.CONDITIONS` in order and is dropped
+    at its first failure.  A condition that does not involve E is decided
+    once per distinct digit slice of the unfrozen maps it mentions, and each
+    unfrozen R map is decoded once per distinct slice; nothing involving E is
+    cached, so memory grows with the distinct R-triples drawn, not with the
+    space.  Results are deduplicated by exact matrix equality and returned in
+    a canonical order (sorted by their serialized matrices), so the output is
+    byte-stable for a fixed spec and seed.
     """
     f = spec.field
     if not isinstance(f, PrimeField):
@@ -443,58 +470,61 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra,
     uv = _unit_basis_index(f, v.unit, "V")
     uc = _unit_basis_index(f, c.unit, "C")
 
-    frozen = {}
-    templates = {}
-    for name in SEARCH_MAP_NAMES:
-        if name in spec.frozen:
-            frozen[name] = spec.frozen[name]
-        else:
-            templates[name] = _map_template(f, name, na, nv, nc, ua, uv, uc)
-    slots = sum(len(free) * cod.total for (_, cod, _, free) in templates.values())
+    frozen = {name: m for name, m in spec.frozen.items() if name in SEARCH_MAP_NAMES}
+    templates = {name: _map_template(f, name, na, nv, nc, ua, uv, uc)
+                 for name in SEARCH_MAP_NAMES if name not in frozen}
+    # check the frozen maps' shapes and fields once, on a probe candidate
+    TwoSidedData(a, v, c, **frozen, **{name: _fill(f, t, [0] * _width(t))
+                                       for name, t in templates.items()})
+    slots = sum(_width(t) for t in templates.values())
     space = f.p ** slots
+    if spec.mode == "exhaustive" and space > spec.cap:
+        raise SearchSpaceTooLarge(space, spec.cap)
 
-    if spec.mode == "exhaustive":
-        if space > spec.cap:
-            raise SearchSpaceTooLarge(space, spec.cap)
-        candidates = range(space)
-    else:
-        rng = random.Random(spec.seed)
-        candidates = [rng.randrange(space) for _ in range(spec.budget)]
+    layout = {}  # name -> (divisor, modulus) of its digit slice in a candidate
+    low = slots
+    for name, template in templates.items():
+        low -= _width(template)
+        layout[name] = (f.p ** low, f.p ** _width(template))
+    plan = [(cond, "E" in cond.maps, tuple(m for m in cond.maps if m in templates))
+            for cond in CONDITIONS]
+    verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds, E-free only
+    r_maps = {}    # (name, digit slice) -> decoded R map
 
-    def digits_of(n):
-        out = [0] * slots
-        for t in range(slots - 1, -1, -1):
-            out[t] = n % f.p
-            n //= f.p
-        return out
+    def decode(name, part):
+        m = r_maps.get((name, part))
+        if m is None:
+            m = _fill(f, templates[name], _digits(part, f.p, _width(templates[name])))
+            if name != "E":
+                r_maps[name, part] = m
+        return m
 
-    def evaluate(chunk):
-        found = []
-        for n in chunk:
-            maps = dict(frozen)
-            maps.update(_decode(f, digits_of(n), templates))
-            data = TwoSidedData(a, v, c, maps["R1"], maps["R2"], maps["R3"], maps["E"])
-            if check_twosided(data, cross_validate=False).all_pass:
-                found.append(data)
-        return found
-
-    candidates = list(candidates)
-    workers = max(1, int(workers))
-    if workers == 1 or len(candidates) < 2:
-        results = evaluate(candidates)
-    else:
-        step = (len(candidates) + workers - 1) // workers
-        chunks = [candidates[t:t + step] for t in range(0, len(candidates), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate, chunks))
-        results = [d for part in parts for d in part]
-
-    def key(data: TwoSidedData):
+    def canonical(data: TwoSidedData):
         return tuple(
             tuple(tuple(f.fmt(x) for x in row) for row in m.rows)
             for m in (data.R1, data.R2, data.R3, data.E))
 
     unique = {}
-    for data in results:
-        unique.setdefault(key(data), data)
+    for n in _candidates(spec, space):
+        parts = {name: n // div % mod for name, (div, mod) in layout.items()}
+        maps = dict(frozen)
+        for cond, with_e, unfrozen in plan:
+            # a condition involving E has no key and is always evaluated
+            key = None if with_e else (cond.label, *(parts[m] for m in unfrozen))
+            holds = verdicts.get(key)
+            if holds is None:
+                for m in unfrozen:
+                    if m not in maps:
+                        maps[m] = decode(m, parts[m])
+                holds = cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
+                if key is not None:
+                    verdicts[key] = holds
+            if not holds:
+                break
+        else:
+            for m in templates:
+                if m not in maps:
+                    maps[m] = decode(m, parts[m])
+            data = TwoSidedData(a, v, c, **maps)
+            unique.setdefault(canonical(data), data)
     return [unique[k] for k in sorted(unique)]

@@ -40,12 +40,18 @@ def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
     return ConditionResult(name, True)
 
 
-def _unit_family(name: str, checks) -> ConditionResult:
-    """Bundle several unit identities; checks yield (indices, left, right, text)."""
+def _first_mismatch(checks) -> Witness | None:
+    """The first failing identity; checks yield (indices, left, right, text)."""
     for indices, left, right, text in checks:
         if left != right:
-            return ConditionResult(name, False, Witness(indices, left, right, text))
-    return ConditionResult(name, True)
+            return Witness(indices, left, right, text)
+    return None
+
+
+def _unit_family(name: str, checks) -> ConditionResult:
+    """Bundle several unit identities into one condition."""
+    witness = _first_mismatch(checks)
+    return ConditionResult(name, witness is None, witness)
 
 
 def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:

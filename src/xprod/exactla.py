@@ -65,6 +65,13 @@ class Field:
     def parse(self, text):
         raise NotImplementedError
 
+    @staticmethod
+    def _exact(value):
+        """Refuse floats and booleans, which would be truncated or read as 0/1."""
+        if isinstance(value, (bool, float)):
+            raise ValueError("expected a string or an integer")
+        return value
+
     def fmt(self, a) -> str:
         raise NotImplementedError
 
@@ -106,7 +113,7 @@ class Rationals(Field):
         return Fraction(n)
 
     def parse(self, text):
-        if isinstance(text, int):
+        if isinstance(self._exact(text), int):
             return Fraction(text)
         text = str(text).strip()
         if "/" in text:
@@ -168,7 +175,7 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, text):
-        return int(text) % self.p
+        return int(self._exact(text)) % self.p
 
     def fmt(self, a):
         return str(a)

@@ -12,7 +12,10 @@ Input data is the tuple (A, V, C, R1, R2, R3, E) with
 ``equiv6``), each exhaustively on basis tuples with the lexicographically
 smallest witness.  Conditions are evaluated in their elementwise form by
 chaining sparse tensor states; each is then re-evaluated once as a
-whole-matrix composite identity, and the two routes must agree.
+whole-matrix composite identity, and the two routes must agree.  The
+elementwise forms live in one table, :data:`CONDITIONS`, which records for
+each label the maps it mentions; the finite-field search reads the same
+table.
 
 When all conditions hold, :func:`build_twosided` constructs the algebra on
 A (x) V (x) C whose multiplication is
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import FinAlgebra, PointedSpace, is_algebra_map, new_algebra, same_algebra
-from .crossed import BrzData, MirrorData, _unit_family, build_brzezinski, build_mirror
+from .crossed import BrzData, MirrorData, _first_mismatch, build_brzezinski, build_mirror
 from .errors import (
     AxiomFailure,
     FieldMismatch,
@@ -65,13 +69,6 @@ from .exactla import (
     vzero,
 )
 from .report import ConditionResult, Report, Witness
-
-CONDITION_LABELS = (
-    "twR31", "twR32", "twR33",
-    "unit-R1", "unit-R2", "unit-E",
-    "equiv1", "equiv2", "equiv3", "equiv4", "equiv5", "equiv6",
-)
-
 
 @dataclass(frozen=True)
 class TwoSidedData:
@@ -184,112 +181,126 @@ class _Ten:
         return tuple(out)
 
 
-def _scan(name, dims_list, lhs_chain, rhs_chain, field, identity_text=""):
-    """Compare two chain evaluations over all basis tuples, lex order."""
+def _scan(dims_list, lhs_chain, rhs_chain, field, identity_text=""):
+    """Compare two chain evaluations over all basis tuples, lex order; return
+    the first failing tuple's witness, or None."""
     for idx in itertools.product(*(range(d) for d in dims_list)):
         start = _Ten.basis(field, dims_list, idx)
         left = lhs_chain(start)
         right = rhs_chain(start)
         if left.data != right.data:  # both sparse with zeros dropped
-            return ConditionResult(name, False, Witness(
-                idx, left.vector(), right.vector(), identity_text))
-    return ConditionResult(name, True)
+            return Witness(idx, left.vector(), right.vector(), identity_text)
+    return None
 
 
-def _elementwise_conditions(d: TwoSidedData):
-    """The twelve conditions as elementwise chain evaluations."""
-    f = d.field
-    a, v, c = d.A, d.V, d.C
-    na, nv, nc = a.dim, v.dim, c.dim
-    r1, r2, r3, e = d.R1, d.R2, d.R3, d.E
-    entries = []
+def _twist_units(m, x, y, x_text, y_text, x_first=True):
+    """Unit laws of a twist m: X (x) Y -> Y (x) X, namely m(x⊗1_Y) = 1_Y⊗x
+    for basis x and m(1_X⊗y) = y⊗1_X for basis y; the first failure or None."""
+    f = m.field
 
-    def units_r3():
-        for k in range(nc):
-            ec = basis_vector(f, nc, k)
-            yield ((k,), r3.apply(tensor_vec(f, ec, a.unit)),
-                   tensor_vec(f, a.unit, ec), "R3(c⊗1_A)=1_A⊗c")
-        for i in range(na):
-            ea = basis_vector(f, na, i)
-            yield ((i,), r3.apply(tensor_vec(f, c.unit, ea)),
-                   tensor_vec(f, ea, c.unit), "R3(1_C⊗a)=a⊗1_C")
+    def on_x():
+        for k in range(x.dim):
+            e = basis_vector(f, x.dim, k)
+            yield (k,), m.apply(tensor_vec(f, e, y.unit)), tensor_vec(f, y.unit, e), x_text
 
-    def units_r1():
-        for i in range(na):
-            ea = basis_vector(f, na, i)
-            yield ((i,), r1.apply(tensor_vec(f, v.unit, ea)),
-                   tensor_vec(f, ea, v.unit), "R1(1_V⊗a)=a⊗1_V")
-        for j in range(nv):
-            ev = basis_vector(f, nv, j)
-            yield ((j,), r1.apply(tensor_vec(f, ev, a.unit)),
-                   tensor_vec(f, a.unit, ev), "R1(v⊗1_A)=1_A⊗v")
+    def on_y():
+        for i in range(y.dim):
+            e = basis_vector(f, y.dim, i)
+            yield (i,), m.apply(tensor_vec(f, x.unit, e)), tensor_vec(f, e, x.unit), y_text
 
-    def units_r2():
-        for k in range(nc):
-            ec = basis_vector(f, nc, k)
-            yield ((k,), r2.apply(tensor_vec(f, ec, v.unit)),
-                   tensor_vec(f, v.unit, ec), "R2(c⊗1_V)=1_V⊗c")
-        for j in range(nv):
-            ev = basis_vector(f, nv, j)
-            yield ((j,), r2.apply(tensor_vec(f, c.unit, ev)),
-                   tensor_vec(f, ev, c.unit), "R2(1_C⊗v)=v⊗1_C")
+    sides = (on_x(), on_y()) if x_first else (on_y(), on_x())
+    return _first_mismatch(itertools.chain(*sides))
 
-    def units_e():
-        for j in range(nv):
-            ev = basis_vector(f, nv, j)
+
+def _unit_e(a, v, c, e):
+    f = e.field
+
+    def checks():
+        for j in range(v.dim):
+            ev = basis_vector(f, v.dim, j)
             want = tensor_vec(f, a.unit, ev, c.unit)
-            yield ((j,), e.apply(tensor_vec(f, v.unit, ev)), want,
-                   "E(1_V⊗v)=1_A⊗v⊗1_C")
-            yield ((j,), e.apply(tensor_vec(f, ev, v.unit)), want,
-                   "E(v⊗1_V)=1_A⊗v⊗1_C")
+            yield (j,), e.apply(tensor_vec(f, v.unit, ev)), want, "E(1_V⊗v)=1_A⊗v⊗1_C"
+            yield (j,), e.apply(tensor_vec(f, ev, v.unit)), want, "E(v⊗1_V)=1_A⊗v⊗1_C"
 
-    entries.append(_unit_family("twR31", units_r3()))
-    entries.append(_scan(
-        "twR32", (nc, na, na),
+    return _first_mismatch(checks())
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One two-sided condition: its label, the maps among R1, R2, R3, E it
+    mentions, and its elementwise evaluator.
+
+    ``witness(A, V, C, *maps)`` takes the mentioned maps in the order of
+    ``maps`` and returns the smallest failing basis tuple's witness, or None
+    when the condition holds.  The verdict depends on nothing else, which is
+    what lets :func:`~xprod.constructions.search_fp` reuse verdicts across
+    candidates that share those maps.
+    """
+
+    label: str
+    maps: tuple[str, ...]
+    witness: Callable[..., Witness | None]
+
+    def evaluate(self, a, v, c, maps) -> ConditionResult:
+        """The condition's report entry, with ``maps`` keyed by name."""
+        witness = self.witness(a, v, c, *(maps[name] for name in self.maps))
+        return ConditionResult(self.label, witness is None, witness)
+
+
+# The twelve conditions, each identity written once, in report order.
+CONDITIONS = (
+    Condition("twR31", ("R3",), lambda a, v, c, r3: _twist_units(
+        r3, c, a, "R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C")),
+    Condition("twR32", ("R3",), lambda a, v, c, r3: _scan(
+        (c.dim, a.dim, a.dim),
         lambda t: t.mul_at(a, 1).map_at(r3, 0),
         lambda t: t.map_at(r3, 0).map_at(r3, 1).mul_at(a, 0),
-        f, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3"))
-    entries.append(_scan(
-        "twR33", (nc, nc, na),
+        a.field, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
+    Condition("twR33", ("R3",), lambda a, v, c, r3: _scan(
+        (c.dim, c.dim, a.dim),
         lambda t: t.mul_at(c, 0).map_at(r3, 0),
         lambda t: t.map_at(r3, 1).map_at(r3, 0).mul_at(c, 1),
-        f, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3"))
-    entries.append(_unit_family("unit-R1", units_r1()))
-    entries.append(_unit_family("unit-R2", units_r2()))
-    entries.append(_unit_family("unit-E", units_e()))
-    entries.append(_scan(
-        "equiv1", (nv, na, na),
+        a.field, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
+    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _twist_units(
+        r1, v, a, "R1(v⊗1_A)=1_A⊗v", "R1(1_V⊗a)=a⊗1_V", x_first=False)),
+    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _twist_units(
+        r2, c, v, "R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C")),
+    Condition("unit-E", ("E",), _unit_e),
+    Condition("equiv1", ("R1",), lambda a, v, c, r1: _scan(
+        (v.dim, a.dim, a.dim),
         lambda t: t.mul_at(a, 1).map_at(r1, 0),
         lambda t: t.map_at(r1, 0).map_at(r1, 1).mul_at(a, 0),
-        f, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1"))
-    entries.append(_scan(
-        "equiv2", (nc, nc, nv),
+        a.field, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
+    Condition("equiv2", ("R2",), lambda a, v, c, r2: _scan(
+        (c.dim, c.dim, v.dim),
         lambda t: t.mul_at(c, 0).map_at(r2, 0),
         lambda t: t.map_at(r2, 1).map_at(r2, 0).mul_at(c, 1),
-        f, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2"))
-    entries.append(_scan(
-        "equiv3", (nc, nv, na),
+        a.field, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
+    Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _scan(
+        (c.dim, v.dim, a.dim),
         lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
         lambda t: t.map_at(r2, 0).map_at(r3, 1).map_at(r1, 0),
-        f, "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))
-    entries.append(_scan(
-        "equiv4", (nv, nv, na),
+        a.field, "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3")),
+    Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _scan(
+        (v.dim, v.dim, a.dim),
         lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0),
         lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).mul_at(a, 0),
-        f, "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))
-    entries.append(_scan(
-        "equiv5", (nc, nv, nv),
+        a.field,
+        "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3")),
+    Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _scan(
+        (c.dim, v.dim, v.dim),
         lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).mul_at(c, 2),
         lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).mul_at(c, 2),
-        f, "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))
-    entries.append(_scan(
-        "equiv6", (nv, nv, nv),
+        a.field,
+        "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')")),
+    Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _scan(
+        (v.dim, v.dim, v.dim),
         lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
         lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
-        f, "E-chain of (v v') v'' = E-chain of v (v' v'')"))
+        a.field, "E-chain of (v v') v'' = E-chain of v (v' v'')")),
+)
 
-    assert tuple(r.name for r in entries) == CONDITION_LABELS
-    return entries
+CONDITION_LABELS = tuple(cond.label for cond in CONDITIONS)
 
 
 def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
@@ -355,7 +366,8 @@ def check_twosided(d: TwoSidedData, cross_validate: bool = True) -> Report:
     touch: the elementwise scan of equiv6 visits dim(V)^3 basis triples, and
     a composite pays for identity factors only by their dimension.
     """
-    entries = _elementwise_conditions(d)
+    maps = {"R1": d.R1, "R2": d.R2, "R3": d.R3, "E": d.E}
+    entries = [cond.evaluate(d.A, d.V, d.C, maps) for cond in CONDITIONS]
     if cross_validate:
         composite = _composite_conditions(d)
         for entry in entries:

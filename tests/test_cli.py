@@ -100,6 +100,29 @@ def test_float_or_boolean_scalar_is_input_error(tmp_path, field_obj, bad):
     assert rep["error"]["message"].startswith("$.spaces.V.unit[1]: bad scalar")
 
 
+@pytest.mark.parametrize("section, path", [
+    ("dim", "$.algebras.k.dim"),
+    ("p", "$.field.p"),
+    ("budget", "$.datasets.s.budget"),
+    ("seed", "$.datasets.s.seed"),
+    ("cap", "$.datasets.s.cap"),
+])
+def test_boolean_count_or_modulus_is_input_error(tmp_path, section, path):
+    # a JSON boolean is an int to Python; true must not be read as 1
+    obj = search_doc()
+    if section == "dim":
+        obj["algebras"]["k"] = {"dim": True, "unit": ["1"], "mul": [[["1"]]]}
+    elif section == "p":
+        obj["field"]["p"] = True
+    else:
+        obj["datasets"]["s"][section] = True
+    rc, rep, _ = run(["search", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "DocumentError"
+    assert rep["error"]["message"].startswith(path + ":")
+
+
 def test_bad_json_is_input_error(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{ not json", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Iterated products, coalgebra-based builders, remark transports, search."""
 
-from itertools import product
+import random
+from itertools import islice, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from fixtures import (
 )
 from xprod import (
     MaData,
+    PrimeField,
     SearchSpec,
     TwoSidedData,
     build_twosided,
@@ -32,11 +34,20 @@ from xprod import (
     search_fp,
 )
 from xprod.algebra import associativity_witness
-from xprod.constructions import ma_connector, product_connector
+from xprod.constructions import (
+    SEARCH_MAP_NAMES,
+    _candidates,
+    _fill,
+    _map_template,
+    _width,
+    ma_connector,
+    product_connector,
+)
 from xprod.errors import (
     AxiomFailure,
     PreconditionFail,
     SearchSpaceTooLarge,
+    ShapeMismatch,
 )
 from xprod.exactla import (
     basis_vector,
@@ -503,7 +514,7 @@ def test_search_randomized_deterministic_and_worker_independent():
     key = lambda res: [(x.R1.rows, x.R2.rows, x.R3.rows, x.E.rows) for x in res]
     a = search_fp(spec, d, d.as_pointed(), d)
     b = search_fp(spec, d, d.as_pointed(), d)
-    c = search_fp(spec, d, d.as_pointed(), d, workers=4)
+    c = search_fp(spec, d, d.as_pointed(), d)
     assert key(a) == key(b) == key(c)
     other = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=48, seed=12,
                        frozen={"R1": fl, "R2": fl, "R3": fl})
@@ -522,6 +533,66 @@ def test_search_randomized_over_f7():
     for data in res[:3]:
         build_twosided(data)
         assert presentations_agree(data).all_pass
+
+
+def _search_oracle(spec, a, v, c):
+    """Brute force: draw the candidates as the search does, decode each one in
+    full, and keep those whose complete check_twosided report passes."""
+    f = spec.field
+    units = [list(x).index(f.one) for x in (a.unit, v.unit, c.unit)]
+    templates = {name: _map_template(f, name, a.dim, v.dim, c.dim, *units)
+                 for name in SEARCH_MAP_NAMES if name not in spec.frozen}
+    slots = sum(_width(t) for t in templates.values())
+    rng = random.Random(spec.seed)
+    found = set()
+    for _ in range(spec.budget):
+        n = rng.randrange(f.p ** slots)
+        digits = [n // f.p ** (slots - 1 - t) % f.p for t in range(slots)]
+        maps, pos = dict(spec.frozen), 0
+        for name, template in templates.items():
+            maps[name] = _fill(f, template, digits[pos:pos + _width(template)])
+            pos += _width(template)
+        data = TwoSidedData(a, v, c, **maps)
+        if check_twosided(data).all_pass:
+            found.add(tuple(getattr(data, m).cols for m in SEARCH_MAP_NAMES))
+    return found
+
+
+def test_randomized_search_matches_brute_force_oracle():
+    f3 = PrimeField(3)
+    cases = []
+    for field, alg in ((F2, dual_numbers), (F2, group_algebra_z2), (f3, dual_numbers)):
+        d = alg(field)
+        fl = flip(field, 2, 2)
+        e0 = product_connector(d, d, d)
+        for frozen in ({}, {"R3": fl, "E": e0}, {"R1": fl, "R2": fl}):
+            cases.append((SearchSpec(field, (2, 2, 2), mode="randomized", budget=60,
+                                     seed=len(cases), frozen=frozen), d))
+    total = 0
+    for spec, d in cases:
+        got = search_fp(spec, d, d.as_pointed(), d)
+        keys = [tuple(getattr(x, m).cols for m in SEARCH_MAP_NAMES) for x in got]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == _search_oracle(spec, d, d.as_pointed(), d)
+        total += len(keys)
+    assert total > 0  # the partly frozen spaces are dense enough to accept some
+
+
+def test_candidate_stream_is_lazy_and_seeded():
+    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=10**12, seed=5)
+    rng = random.Random(5)
+    assert list(islice(_candidates(spec, 2**20), 3)) == [
+        rng.randrange(2**20) for _ in range(3)]
+    exhaustive = SearchSpec(F2, (2, 2, 2), cap=10**30)
+    assert list(islice(_candidates(exhaustive, 10**30), 3)) == [0, 1, 2]
+
+
+def test_frozen_map_of_wrong_shape_is_refused_before_any_candidate():
+    d = dual_numbers(F2)
+    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=0,
+                      frozen={"R1": flip(F2, 2, 1)})
+    with pytest.raises(ShapeMismatch):
+        search_fp(spec, d, d.as_pointed(), d)
 
 
 def test_search_space_cap():

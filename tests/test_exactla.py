@@ -52,6 +52,18 @@ def test_rational_parse_normalizes():
         Q.parse("1/0")
 
 
+@pytest.mark.parametrize("field, bad", [
+    (F5, 2.7), (F5, 3.0), (F5, True), (F5, False),
+    (Q, 0.1), (Q, 2.0), (Q, True), (Q, False),
+])
+def test_parse_refuses_floats_and_booleans(field, bad):
+    # a float would be truncated or rounded and a boolean read as 0/1
+    with pytest.raises(ValueError):
+        field.parse(bad)
+    assert F5.parse(7) == 2 and F5.parse("-1") == 4
+    assert Q.parse(-3) == Fraction(-3) and Q.parse("0.5") == Fraction(1, 2)
+
+
 @given(st.integers(-40, 40), st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40))
 def test_rational_addition_matches_cross_multiplication_oracle(a, b, c, d):
     got = Q.add(Fraction(a, b), Fraction(c, d))

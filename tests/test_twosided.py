@@ -1,6 +1,7 @@
 """The two-sided crossed product: checks, builder, presentations, converse,
 universal property."""
 
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from fixtures import (
 )
 from xprod import (
     CONDITION_LABELS,
+    PrimeField,
     TwoSidedData,
     build_ttp,
     build_twosided,
@@ -33,6 +35,7 @@ from xprod import (
     universal_map,
 )
 from xprod.constructions import product_connector
+from xprod.twosided import CONDITIONS
 from xprod.errors import (
     AxiomFailure,
     NotAlgebraMap,
@@ -41,6 +44,7 @@ from xprod.errors import (
     UnitMismatch,
 )
 from xprod.exactla import (
+    TensorMap,
     basis_vector,
     from_columns,
     from_rows,
@@ -60,6 +64,58 @@ def legs(field, dims, vec):
 def test_all_condition_labels_present_in_order():
     rep = check_twosided(CORPUS["q-dual-flip-trivial"])
     assert tuple(e.name for e in rep.entries) == CONDITION_LABELS
+
+
+def _random_map(rng, like):
+    """A random map of the same shape and field as ``like``, other than it."""
+    f = like.field
+    while True:
+        m = from_columns(f, like.domain, like.codomain, [
+            tuple(f.from_int(rng.randrange(f.p)) for _ in range(like.codomain.total))
+            for _ in range(like.domain.total)])
+        if m.cols != like.cols:
+            return m
+
+
+def _perturbed(rng, like):
+    """``like`` half the time, else ``like`` with one column redrawn or a
+    random map."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return like
+    if kind == 3:
+        return _random_map(rng, like)
+    cols = list(like.cols)
+    j = rng.randrange(len(cols))
+    cols[j] = _random_map(rng, like).cols[j]
+    return TensorMap(like.field, like.domain, like.codomain, tuple(cols))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_condition_depends_only_on_the_maps_it_declares(p):
+    # Swapping every map a condition does not declare for a different map of
+    # the same shape leaves its verdict and its witness unchanged; this is what
+    # makes the search's verdict cache, keyed by the declared maps, sound.
+    f = PrimeField(p)
+    rng = random.Random(p)
+    base = twosided_flip_trivial(dual_numbers(f), truncated_polynomials3(f),
+                                 group_algebra_z2(f))
+    names = ("R1", "R2", "R3", "E")
+    assert [cond.label for cond in CONDITIONS] == list(CONDITION_LABELS)
+    assert all(set(cond.maps) <= set(names) for cond in CONDITIONS)
+    seen = {label: set() for label in CONDITION_LABELS}
+    for _ in range(24):
+        maps = {m: _perturbed(rng, getattr(base, m)) for m in names}
+        data = TwoSidedData(base.A, base.V, base.C, **maps)
+        rep = check_twosided(data, cross_validate=False)
+        for cond in CONDITIONS:
+            swapped = {m: maps[m] if m in cond.maps else _random_map(rng, maps[m])
+                       for m in names}
+            other = TwoSidedData(base.A, base.V, base.C, **swapped)
+            assert check_twosided(other, cross_validate=False).get(cond.label) \
+                == rep.get(cond.label)
+            seen[cond.label].add(rep.get(cond.label).passed)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), sorted(seen.items())
 
 
 def test_flips_with_commutative_v_product_all_pass():
