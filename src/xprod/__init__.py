@@ -5,7 +5,6 @@ from .algebra import (
     Coalgebra,
     FinAlgebra,
     PointedSpace,
-    algebra_mul,
     conjugate_algebra,
     grouplike_coalgebra,
     is_algebra_map,

@@ -95,10 +95,6 @@ class FinAlgebra:
         return PointedSpace(self.field, self.dim, self.unit)
 
 
-def algebra_mul(a: FinAlgebra, x, y) -> tuple:
-    return a.mul_vec(x, y)
-
-
 def new_algebra(field: Field, dim: int, mul: TensorMap, unit,
                 validate: bool = True) -> FinAlgebra:
     """Build a validated algebra; rejects bad input with a smallest witness.

@@ -10,7 +10,8 @@ over flat indices.
 
 Reports are canonical JSON: sorted keys, normalized scalars, LF endings, no
 timestamps, so output bytes depend only on the input document and seed.
-Exit codes: 0 all conditions pass, 1 axiom failure, 2 input error.
+Exit codes: 0 all conditions pass, 1 axiom failure, 2 input error, 3 internal
+error (two internal routes disagreed).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .algebra import (
     FinAlgebra,
@@ -29,10 +31,10 @@ from .algebra import (
 from .constructions import (
     MaData,
     SearchSpec,
-    braid_report,
+    iterated_report,
     iterated_ttp,
     ma_build,
-    ma_connector,
+    ma_twosided,
     remark1_transport,
     remark2_lr,
     search_fp,
@@ -54,13 +56,16 @@ from .errors import (
     AxiomFailure,
     DocumentError,
     FieldMismatch,
+    InternalCheckError,
     NotAlgebraMap,
+    NotAlgebraMapResult,
     NotAssociative,
     NotCoassociative,
     CounitFail,
     NotUnital,
     PreconditionFail,
     PremiseFail,
+    RoundTripMismatch,
     SearchSpaceTooLarge,
     ShapeMismatch,
     SplitFail,
@@ -89,56 +94,19 @@ from .twosided import (
     universal_map,
 )
 
-INPUT_ERRORS = (DocumentError, ShapeMismatch, FieldMismatch, PreconditionFail,
-                SearchSpaceTooLarge, ValueError)
-AXIOM_ERRORS = (AxiomFailure, SplitFail, NotAlgebraMap, UnitMismatch, PremiseFail,
-                NotAssociative, NotUnital, NotCoassociative, CounitFail,
-                UnitNotGrouplike)
+# exit code of each error class; the report status of each nonzero code
+_EXIT_CODES = {
+    AxiomFailure: 1, SplitFail: 1, NotAlgebraMap: 1, UnitMismatch: 1, PremiseFail: 1,
+    NotAssociative: 1, NotUnital: 1, NotCoassociative: 1, CounitFail: 1,
+    UnitNotGrouplike: 1,
+    DocumentError: 2, ShapeMismatch: 2, FieldMismatch: 2, PreconditionFail: 2,
+    SearchSpaceTooLarge: 2, ValueError: 2,
+    InternalCheckError: 3, RoundTripMismatch: 3, NotAlgebraMapResult: 3,
+}
+_STATUS = {1: "fail", 2: "error", 3: "internal-error"}
 
 
 # -- document model -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class TtpEntry:
-    A: FinAlgebra
-    B: FinAlgebra
-    R: TensorMap
-
-
-@dataclass(frozen=True)
-class IterEntry:
-    A: FinAlgebra
-    B: FinAlgebra
-    C: FinAlgebra
-    R1: TensorMap
-    R2: TensorMap
-    R3: TensorMap
-
-
-@dataclass(frozen=True)
-class ExtractionEntry:
-    M: FinAlgebra
-    A: FinAlgebra
-    V: PointedSpace
-    C: FinAlgebra
-
-
-@dataclass(frozen=True)
-class UniversalEntry:
-    data: TwoSidedData
-    X: FinAlgebra
-    fA: TensorMap
-    fV: TensorMap
-    fC: TensorMap
-
-
-@dataclass(frozen=True)
-class SearchEntry:
-    spec: SearchSpec
-    A: FinAlgebra
-    V: PointedSpace
-    C: FinAlgebra
-
 
 @dataclass
 class Document:
@@ -148,7 +116,7 @@ class Document:
     coalgebras: dict
     maps: dict
     map_domains: dict   # map name -> (domain names, codomain names)
-    datasets: dict      # name -> resolved entry object
+    datasets: dict      # name -> (type, resolved entry)
     raw_datasets: dict  # name -> normalized reference dict, for echoing
 
 
@@ -198,6 +166,110 @@ def _parse_field(obj, path):
         except ValueError as exc:
             raise DocumentError(f"{path}.p", str(exc)) from exc
     raise DocumentError(f"{path}.kind", f"unknown field kind {kind!r}")
+
+
+# -- dataset types ------------------------------------------------------------
+#
+# Every dataset type is declared once here: its references in resolution order,
+# each naming an algebra, a pointed space (an algebra name gives its unit), a
+# coalgebra, a map or an earlier twosided dataset; the function that turns the
+# resolved references into the entry, raising on bad shapes; and its check and
+# build.  The twosided, brzezinski, mirror and ma entries are the library's data
+# classes, the others the dict of resolved references.  Library functions are
+# named inside lambdas so that they are looked up when called: a function
+# rebound on this module after import, as the benchmark's span tracer does, is
+# then the one that runs.
+
+@dataclass(frozen=True)
+class _DatasetType:
+    keys: tuple                   # (key, reference kind), in resolution order
+    make: Callable                # (refs, spec, path, resolve) -> entry
+    check: Optional[Callable] = None
+    build: Optional[Callable] = None
+    options: tuple = ()           # keys that may be left out
+
+
+def _ttp_entry(refs, *_):
+    a, b, r = refs["A"], refs["B"], refs["R"]
+    if r.domain.dims != (b.dim, a.dim) or r.codomain.dims != (a.dim, b.dim):
+        raise ShapeMismatch("R must map [B,A] to [A,B]")
+    return refs
+
+
+def _iterated_entry(refs, *_):
+    for label, x, y in (("R1", "A", "B"), ("R2", "B", "C"), ("R3", "A", "C")):
+        dom, cod = (refs[y].dim, refs[x].dim), (refs[x].dim, refs[y].dim)
+        if refs[label].domain.dims != dom or refs[label].codomain.dims != cod:
+            raise ShapeMismatch(f"{label} must map {list(dom)} to {list(cod)}")
+    return refs
+
+
+def _extraction_entry(refs, *_):
+    if refs["M"].dim != refs["A"].dim * refs["V"].dim * refs["C"].dim:
+        raise ShapeMismatch("M dimension does not factor as dim A * dim V * dim C")
+    return refs
+
+
+def _universal_entry(refs, *_):
+    d, x = refs["data"], refs["X"]
+    for label, src in (("fA", d.A.dim), ("fV", d.V.dim), ("fC", d.C.dim)):
+        if refs[label].domain.total != src or refs[label].codomain.total != x.dim:
+            raise ShapeMismatch(f"{label} must map [{src}] to [{x.dim}]")
+    return refs
+
+
+def _search_entry(refs, spec, path, resolve):
+    mode = spec.get("mode", "exhaustive")
+    _expect(mode in ("exhaustive", "randomized"), f"{path}.mode",
+            f"unknown search mode {mode!r}")
+    frozen_spec = spec.get("frozen", {})
+    _expect(isinstance(frozen_spec, dict), f"{path}.frozen",
+            "frozen must map labels to map names")
+    frozen = {}
+    for label, ref in frozen_spec.items():
+        _expect(label in ("R1", "R2", "R3", "E"), f"{path}.frozen.{label}",
+                "frozen labels must be among R1, R2, R3, E")
+        frozen[label] = resolve("map", ref, f"{path}.frozen.{label}")
+    counts = {key: spec[key] for key in ("budget", "seed", "cap") if key in spec}
+    for key, value in counts.items():
+        _expect(_is_int(value) and value >= 0, f"{path}.{key}",
+                "must be a nonnegative integer")
+    a, v, c = refs["A"], refs["V"], refs["C"]
+    return dict(refs, spec=SearchSpec(a.field, (a.dim, v.dim, c.dim), mode,
+                                      frozen=frozen, **counts))
+
+
+_T = _DatasetType
+_AVC = (("A", "algebra"), ("V", "space"), ("C", "algebra"))
+DATASET_TYPES = {
+    "twosided": _T(_AVC + (("R1", "map"), ("R2", "map"), ("R3", "map"), ("E", "map")),
+                   lambda refs, *_: TwoSidedData(**refs),
+                   lambda e: check_twosided(e), lambda e: build_twosided(e)),
+    "brzezinski": _T((("A", "algebra"), ("V", "space"), ("R", "map"), ("sigma", "map")),
+                     lambda refs, *_: _brz_shapes(BrzData(**refs)),
+                     lambda e: check_brzezinski(e), lambda e: build_brzezinski(e)),
+    "mirror": _T((("W", "space"), ("B", "algebra"), ("P", "map"), ("nu", "map")),
+                 lambda refs, *_: _mirror_shapes(MirrorData(**refs)),
+                 lambda e: check_mirror(e), lambda e: build_mirror(e)),
+    "ttp": _T((("A", "algebra"), ("B", "algebra"), ("R", "map")), _ttp_entry,
+              lambda e: check_twisting(e["R"], e["A"], e["B"]),
+              lambda e: build_ttp(e["A"], e["B"], e["R"])),
+    "iterated": _T((("A", "algebra"), ("B", "algebra"), ("C", "algebra"),
+                    ("R1", "map"), ("R2", "map"), ("R3", "map")), _iterated_entry,
+                   lambda e: iterated_report(e["A"], e["B"], e["C"],
+                                             e["R1"], e["R2"], e["R3"]),
+                   lambda e: iterated_ttp(e["A"], e["B"], e["C"],
+                                          e["R1"], e["R2"], e["R3"])),
+    "ma": _T((("H", "coalgebra"), ("A", "algebra"), ("B", "algebra"), ("G", "map"),
+              ("R", "map"), ("T", "map"), ("tau", "map")),
+             lambda refs, *_: MaData(**refs),
+             lambda e: check_twosided(ma_twosided(e)),
+             lambda e: build_twosided(ma_build(e))),
+    "extraction": _T((("M", "algebra"),) + _AVC, _extraction_entry),
+    "universal": _T((("data", "dataset"), ("X", "algebra"), ("fA", "map"),
+                     ("fV", "map"), ("fC", "map")), _universal_entry),
+    "search": _T(_AVC, _search_entry, options=("mode", "budget", "seed", "cap", "frozen")),
+}
 
 
 def parse_document(text: str) -> Document:
@@ -304,7 +376,7 @@ def parse_document(text: str) -> Document:
                     "expected a nonempty list of space names")
             dims = []
             for t, ref in enumerate(names):
-                _expect(ref in dims_ns, f"{path}.{key}[{t}]",
+                _expect(isinstance(ref, str) and ref in dims_ns, f"{path}.{key}[{t}]",
                         f"unresolved reference {ref!r}")
                 dims.append(dims_ns[ref])
             return tuple(names), TensorShape(tuple(dims))
@@ -316,17 +388,18 @@ def parse_document(text: str) -> Document:
         maps[name] = from_rows(field, dom, cod, rows)
         map_shapes[name] = (list(dom_names), list(cod_names))
 
-    def resolve(kind, table, ref, path):
+    def resolve(kind, ref, path):
+        if kind == "dataset":
+            _expect(isinstance(ref, str) and datasets.get(ref, (None,))[0] == "twosided",
+                    path, f"{ref!r} must name an earlier twosided dataset")
+            return datasets[ref][1]
+        if kind == "space" and isinstance(ref, str) and ref in algebras:
+            return algebras[ref].as_pointed()
+        table = {"algebra": algebras, "space": spaces, "coalgebra": coalgebras,
+                 "map": maps}[kind]
         _expect(isinstance(ref, str) and ref in table, path,
                 f"unresolved {kind} reference {ref!r}")
         return table[ref]
-
-    def resolve_pointed(ref, path):
-        if isinstance(ref, str) and ref in spaces:
-            return spaces[ref]
-        if isinstance(ref, str) and ref in algebras:
-            return algebras[ref].as_pointed()
-        raise DocumentError(path, f"unresolved space reference {ref!r}")
 
     datasets = {}
     raw_datasets = {}
@@ -334,136 +407,20 @@ def parse_document(text: str) -> Document:
         path = f"$.datasets.{name}"
         _expect(isinstance(spec, dict), path, "dataset spec must be an object")
         kind = spec.get("type")
+        dtype = DATASET_TYPES.get(kind) if isinstance(kind, str) else None
+        if dtype is None:
+            raise DocumentError(f"{path}.type", f"unknown dataset type {kind!r}")
+        keys = [key for key, _ in dtype.keys]
+        required = {"type", *keys}
+        _expect(required <= set(spec) <= required | set(dtype.options), path,
+                f"{kind} dataset needs {', '.join(keys)}"
+                + (" and search options" if dtype.options else ""))
         try:
-            if kind == "twosided":
-                _expect(set(spec) == {"type", "A", "V", "C", "R1", "R2", "R3", "E"},
-                        path, "twosided dataset needs A, V, C, R1, R2, R3, E")
-                entry = TwoSidedData(
-                    resolve("algebra", algebras, spec["A"], f"{path}.A"),
-                    resolve_pointed(spec["V"], f"{path}.V"),
-                    resolve("algebra", algebras, spec["C"], f"{path}.C"),
-                    resolve("map", maps, spec["R1"], f"{path}.R1"),
-                    resolve("map", maps, spec["R2"], f"{path}.R2"),
-                    resolve("map", maps, spec["R3"], f"{path}.R3"),
-                    resolve("map", maps, spec["E"], f"{path}.E"),
-                )
-            elif kind == "brzezinski":
-                _expect(set(spec) == {"type", "A", "V", "R", "sigma"}, path,
-                        "brzezinski dataset needs A, V, R, sigma")
-                entry = BrzData(
-                    resolve("algebra", algebras, spec["A"], f"{path}.A"),
-                    resolve_pointed(spec["V"], f"{path}.V"),
-                    resolve("map", maps, spec["R"], f"{path}.R"),
-                    resolve("map", maps, spec["sigma"], f"{path}.sigma"),
-                )
-                _brz_shapes(entry)
-            elif kind == "mirror":
-                _expect(set(spec) == {"type", "W", "B", "P", "nu"}, path,
-                        "mirror dataset needs W, B, P, nu")
-                entry = MirrorData(
-                    resolve_pointed(spec["W"], f"{path}.W"),
-                    resolve("algebra", algebras, spec["B"], f"{path}.B"),
-                    resolve("map", maps, spec["P"], f"{path}.P"),
-                    resolve("map", maps, spec["nu"], f"{path}.nu"),
-                )
-                _mirror_shapes(entry)
-            elif kind == "ttp":
-                _expect(set(spec) == {"type", "A", "B", "R"}, path,
-                        "ttp dataset needs A, B, R")
-                a = resolve("algebra", algebras, spec["A"], f"{path}.A")
-                b = resolve("algebra", algebras, spec["B"], f"{path}.B")
-                r = resolve("map", maps, spec["R"], f"{path}.R")
-                if r.domain.dims != (b.dim, a.dim) or r.codomain.dims != (a.dim, b.dim):
-                    raise ShapeMismatch("R must map [B,A] to [A,B]")
-                entry = TtpEntry(a, b, r)
-            elif kind == "iterated":
-                _expect(set(spec) == {"type", "A", "B", "C", "R1", "R2", "R3"}, path,
-                        "iterated dataset needs A, B, C, R1, R2, R3")
-                a = resolve("algebra", algebras, spec["A"], f"{path}.A")
-                b = resolve("algebra", algebras, spec["B"], f"{path}.B")
-                c = resolve("algebra", algebras, spec["C"], f"{path}.C")
-                r1 = resolve("map", maps, spec["R1"], f"{path}.R1")
-                r2 = resolve("map", maps, spec["R2"], f"{path}.R2")
-                r3 = resolve("map", maps, spec["R3"], f"{path}.R3")
-                for mname, m, dd, cc in (("R1", r1, (b.dim, a.dim), (a.dim, b.dim)),
-                                         ("R2", r2, (c.dim, b.dim), (b.dim, c.dim)),
-                                         ("R3", r3, (c.dim, a.dim), (a.dim, c.dim))):
-                    if m.domain.dims != dd or m.codomain.dims != cc:
-                        raise ShapeMismatch(f"{mname} must map {list(dd)} to {list(cc)}")
-                entry = IterEntry(a, b, c, r1, r2, r3)
-            elif kind == "ma":
-                _expect(set(spec) == {"type", "H", "A", "B", "G", "R", "T", "tau"},
-                        path, "ma dataset needs H, A, B, G, R, T, tau")
-                entry = MaData(
-                    resolve("coalgebra", coalgebras, spec["H"], f"{path}.H"),
-                    resolve("algebra", algebras, spec["A"], f"{path}.A"),
-                    resolve("algebra", algebras, spec["B"], f"{path}.B"),
-                    resolve("map", maps, spec["G"], f"{path}.G"),
-                    resolve("map", maps, spec["R"], f"{path}.R"),
-                    resolve("map", maps, spec["T"], f"{path}.T"),
-                    resolve("map", maps, spec["tau"], f"{path}.tau"),
-                )
-            elif kind == "extraction":
-                _expect(set(spec) == {"type", "M", "A", "V", "C"}, path,
-                        "extraction dataset needs M, A, V, C")
-                m = resolve("algebra", algebras, spec["M"], f"{path}.M")
-                a = resolve("algebra", algebras, spec["A"], f"{path}.A")
-                v = resolve_pointed(spec["V"], f"{path}.V")
-                c = resolve("algebra", algebras, spec["C"], f"{path}.C")
-                if m.dim != a.dim * v.dim * c.dim:
-                    raise ShapeMismatch(
-                        "M dimension does not factor as dim A * dim V * dim C")
-                entry = ExtractionEntry(m, a, v, c)
-            elif kind == "universal":
-                _expect(set(spec) == {"type", "data", "X", "fA", "fV", "fC"}, path,
-                        "universal dataset needs data, X, fA, fV, fC")
-                inner = spec["data"]
-                _expect(inner in datasets and isinstance(datasets[inner], TwoSidedData),
-                        f"{path}.data",
-                        f"{inner!r} must name an earlier twosided dataset")
-                d = datasets[inner]
-                x = resolve("algebra", algebras, spec["X"], f"{path}.X")
-                fa = resolve("map", maps, spec["fA"], f"{path}.fA")
-                fv = resolve("map", maps, spec["fV"], f"{path}.fV")
-                fc = resolve("map", maps, spec["fC"], f"{path}.fC")
-                for mname, m, src in (("fA", fa, d.A.dim), ("fV", fv, d.V.dim),
-                                      ("fC", fc, d.C.dim)):
-                    if m.domain.total != src or m.codomain.total != x.dim:
-                        raise ShapeMismatch(f"{mname} must map [{src}] to [{x.dim}]")
-                entry = UniversalEntry(d, x, fa, fv, fc)
-            elif kind == "search":
-                allowed = {"type", "A", "V", "C", "mode", "budget", "seed", "cap",
-                           "frozen"}
-                _expect(set(spec) <= allowed and {"type", "A", "V", "C"} <= set(spec),
-                        path, "search dataset needs A, V, C and search options")
-                a = resolve("algebra", algebras, spec["A"], f"{path}.A")
-                v = resolve_pointed(spec["V"], f"{path}.V")
-                c = resolve("algebra", algebras, spec["C"], f"{path}.C")
-                mode = spec.get("mode", "exhaustive")
-                _expect(mode in ("exhaustive", "randomized"), f"{path}.mode",
-                        f"unknown search mode {mode!r}")
-                frozen_spec = spec.get("frozen", {})
-                _expect(isinstance(frozen_spec, dict), f"{path}.frozen",
-                        "frozen must map labels to map names")
-                frozen = {}
-                for label, ref in frozen_spec.items():
-                    _expect(label in ("R1", "R2", "R3", "E"), f"{path}.frozen.{label}",
-                            "frozen labels must be among R1, R2, R3, E")
-                    frozen[label] = resolve("map", maps, ref, f"{path}.frozen.{label}")
-                for key in ("budget", "seed", "cap"):
-                    if key in spec:
-                        _expect(_is_int(spec[key]) and spec[key] >= 0,
-                                f"{path}.{key}", "must be a nonnegative integer")
-                entry = SearchEntry(
-                    SearchSpec(field, (a.dim, v.dim, c.dim), mode,
-                               spec.get("budget", 256), spec.get("seed", 0), frozen,
-                               spec.get("cap", 1 << 16)),
-                    a, v, c)
-            else:
-                raise DocumentError(f"{path}.type", f"unknown dataset type {kind!r}")
+            refs = {key: resolve(ref_kind, spec[key], f"{path}.{key}")
+                    for key, ref_kind in dtype.keys}
+            datasets[name] = (kind, dtype.make(refs, spec, path, resolve))
         except (ShapeMismatch, FieldMismatch) as exc:
             raise DocumentError(path, str(exc)) from exc
-        datasets[name] = entry
         raw_datasets[name] = dict(spec)
 
     return Document(field, algebras, spaces, coalgebras, maps, map_shapes,
@@ -537,71 +494,47 @@ def _algebra_obj(field, alg: FinAlgebra):
 
 
 # -- command handlers ---------------------------------------------------------
+#
+# Each handler takes (document, dataset name, dataset type, entry, parsed
+# arguments) and returns the report and its outputs.
 
-def _run_check(doc, name, entry):
-    if isinstance(entry, TwoSidedData):
-        return check_twosided(entry), {}
-    if isinstance(entry, BrzData):
-        return check_brzezinski(entry), {}
-    if isinstance(entry, MirrorData):
-        return check_mirror(entry), {}
-    if isinstance(entry, TtpEntry):
-        return check_twisting(entry.R, entry.A, entry.B), {}
-    if isinstance(entry, IterEntry):
-        return merge(
-            _prefixed("R1", check_twisting(entry.R1, entry.A, entry.B)),
-            _prefixed("R2", check_twisting(entry.R2, entry.B, entry.C)),
-            _prefixed("R3", check_twisting(entry.R3, entry.A, entry.C)),
-            braid_report(entry.R1, entry.R2, entry.R3, entry.A, entry.B, entry.C),
-        ), {}
-    if isinstance(entry, MaData):
-        data = TwoSidedData(
-            entry.A, PointedSpace(entry.H.field, entry.H.dim, entry.H.unit), entry.B,
-            entry.R, entry.T, flip(entry.H.field, entry.B.dim, entry.A.dim),
-            ma_connector(entry))
-        return check_twosided(data), {}
-    raise PreconditionFail(
-        f"dataset {name!r} of this type cannot be checked; "
-        "use the matching command instead")
+def _only(kind, wanted, command):
+    if kind != wanted:
+        raise PreconditionFail(f"{command} applies only to {wanted} datasets")
 
 
-def _run_build(doc, name, entry, force):
+def _run_check(doc, name, kind, entry, args):
+    check = DATASET_TYPES[kind].check
+    if check is None:
+        raise PreconditionFail(
+            f"dataset {name!r} of this type cannot be checked; "
+            "use the matching command instead")
+    return check(entry), {}
+
+
+def _run_build(doc, name, kind, entry, args):
     field = doc.field
-    if force and not isinstance(entry, TwoSidedData):
-        raise PreconditionFail("--force applies only to twosided datasets")
-    if isinstance(entry, TwoSidedData):
-        if force:
-            outcome = force_build_twosided(entry)
-            n = entry.A.dim * entry.V.dim * entry.C.dim
-            mul_nested = [[_vec_obj(field, outcome.mul.column(i * n + j))
-                           for j in range(n)] for i in range(n)]
-            outputs = {"mul": mul_nested, "unit": _vec_obj(field, outcome.unit)}
-            if outcome.failure is None:
-                return Report((ConditionResult("built-associative-unital", True),)), outputs
+    if args.force:
+        if kind != "twosided":
+            raise PreconditionFail("--force applies only to twosided datasets")
+        outcome = force_build_twosided(entry)
+        n = entry.A.dim * entry.V.dim * entry.C.dim
+        mul_nested = [[_vec_obj(field, outcome.mul.column(i * n + j))
+                       for j in range(n)] for i in range(n)]
+        outputs = {"mul": mul_nested, "unit": _vec_obj(field, outcome.unit)}
+        if outcome.failure is not None:
             outputs["failure"] = outcome.failure
-            rep = Report((ConditionResult("built-associative-unital", False,
-                                          outcome.witness),))
-            return rep, outputs
-        alg = build_twosided(entry)
-    elif isinstance(entry, BrzData):
-        alg = build_brzezinski(entry)
-    elif isinstance(entry, MirrorData):
-        alg = build_mirror(entry)
-    elif isinstance(entry, TtpEntry):
-        alg = build_ttp(entry.A, entry.B, entry.R)
-    elif isinstance(entry, IterEntry):
-        alg = iterated_ttp(entry.A, entry.B, entry.C, entry.R1, entry.R2, entry.R3)
-    elif isinstance(entry, MaData):
-        alg = build_twosided(ma_build(entry))
-    else:
+        return Report((ConditionResult("built-associative-unital", outcome.failure is None,
+                                       outcome.witness),)), outputs
+    build = DATASET_TYPES[kind].build
+    if build is None:
         raise PreconditionFail(f"dataset {name!r} of this type cannot be built")
     return (Report((ConditionResult("built-associative-unital", True),)),
-            {"algebra": _algebra_obj(field, alg)})
+            {"algebra": _algebra_obj(field, build(entry))})
 
 
-def _run_agree(doc, name, entry):
-    if not isinstance(entry, TwoSidedData):
-        raise PreconditionFail("agree applies only to twosided datasets")
+def _run_agree(doc, name, kind, entry, args):
+    _only(kind, "twosided", "agree")
     return presentations_agree(entry), {}
 
 
@@ -610,48 +543,40 @@ def _maps_obj(field, data: TwoSidedData):
             "R3": _matrix_obj(field, data.R3), "E": _matrix_obj(field, data.E)}
 
 
-def _run_extract(doc, name, entry):
-    field = doc.field
-    if isinstance(entry, TwoSidedData):
-        built = build_twosided(entry)
-        got = extract(built, entry.A, entry.V, entry.C)
-        entries = tuple(
+def _run_extract(doc, name, kind, entry, args):
+    if kind == "twosided":
+        got = extract(build_twosided(entry), entry.A, entry.V, entry.C)
+        rep = Report(tuple(
             ConditionResult(f"roundtrip-{label}", getattr(got, label).cols ==
                             getattr(entry, label).cols)
-            for label in ("R1", "R2", "R3", "E"))
-        return Report(entries), {"maps": _maps_obj(field, got)}
-    if isinstance(entry, ExtractionEntry):
-        got = extract(entry.M, entry.A, entry.V, entry.C)
-        return (Report((ConditionResult("extracted-and-rebuilt", True),)),
-                {"maps": _maps_obj(field, got)})
-    raise PreconditionFail("extract applies to twosided or extraction datasets")
+            for label in ("R1", "R2", "R3", "E")))
+    elif kind == "extraction":
+        got = extract(entry["M"], entry["A"], entry["V"], entry["C"])
+        rep = Report((ConditionResult("extracted-and-rebuilt", True),))
+    else:
+        raise PreconditionFail("extract applies to twosided or extraction datasets")
+    return rep, {"maps": _maps_obj(doc.field, got)}
 
 
-def _run_universal(doc, name, entry):
-    if not isinstance(entry, UniversalEntry):
-        raise PreconditionFail("universal applies only to universal datasets")
-    f = universal_map(entry.data, entry.X, entry.fA, entry.fV, entry.fC)
+def _run_universal(doc, name, kind, entry, args):
+    _only(kind, "universal", "universal")
+    f = universal_map(entry["data"], entry["X"], entry["fA"], entry["fV"], entry["fC"])
     labels = ("fA", "fC", "unit-fV", "premise-1", "premise-2", "algebra-map")
     return (Report(tuple(ConditionResult(l, True) for l in labels)),
             {"matrix": _matrix_obj(doc.field, f)})
 
 
-def _run_search(doc, name, entry, seed):
-    if not isinstance(entry, SearchEntry):
-        raise PreconditionFail("search applies only to search datasets")
-    spec = entry.spec
-    if seed is not None:
-        spec = SearchSpec(spec.field, spec.dims, spec.mode, spec.budget, seed,
-                          spec.frozen, spec.cap)
-    results = search_fp(spec, entry.A, entry.V, entry.C)
+def _run_search(doc, name, kind, entry, args):
+    _only(kind, "search", "search")
+    spec = entry["spec"] if args.seed is None else replace(entry["spec"], seed=args.seed)
+    results = search_fp(spec, entry["A"], entry["V"], entry["C"])
     sols = [_maps_obj(doc.field, d) for d in results]
     return (Report((ConditionResult("search-complete", True),)),
             {"count": len(results), "solutions": sols})
 
 
-def _run_transport(doc, name, entry):
-    if not isinstance(entry, TwoSidedData):
-        raise PreconditionFail("transport applies only to twosided datasets")
+def _run_transport(doc, name, kind, entry, args):
+    _only(kind, "twosided", "transport")
     f = doc.field
     outputs = {}
     reports = []
@@ -676,7 +601,10 @@ def _run_transport(doc, name, entry):
 
 # -- entry point --------------------------------------------------------------
 
-COMMANDS = ("check", "build", "agree", "extract", "universal", "search", "transport")
+_HANDLERS = {"check": _run_check, "build": _run_build, "agree": _run_agree,
+             "extract": _run_extract, "universal": _run_universal,
+             "search": _run_search, "transport": _run_transport}
+COMMANDS = tuple(_HANDLERS)
 
 
 def _pick_dataset(doc: Document, wanted):
@@ -713,6 +641,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report_skeleton = {"command": args.command, "dataset": None}
+    field = None  # known once the document parses; only witnesses need it
 
     def finish(obj, code):
         text = canonical_json(obj)
@@ -730,66 +659,34 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise DocumentError(args.infile, f"cannot read input: {exc.strerror}")
         doc = parse_document(text)
-        name, entry = _pick_dataset(doc, args.dataset)
+        field = doc.field
+        name, (kind, entry) = _pick_dataset(doc, args.dataset)
         report_skeleton["dataset"] = name
-
-        if args.command == "check":
-            rep, outputs = _run_check(doc, name, entry)
-        elif args.command == "build":
-            rep, outputs = _run_build(doc, name, entry, args.force)
-        elif args.command == "agree":
-            rep, outputs = _run_agree(doc, name, entry)
-        elif args.command == "extract":
-            rep, outputs = _run_extract(doc, name, entry)
-        elif args.command == "universal":
-            rep, outputs = _run_universal(doc, name, entry)
-        elif args.command == "search":
-            rep, outputs = _run_search(doc, name, entry, args.seed)
-        else:
-            rep, outputs = _run_transport(doc, name, entry)
+        rep, outputs = _HANDLERS[args.command](doc, name, kind, entry, args)
 
         if args.condition is not None:
             rep = rep.restricted([args.condition])
             if not rep.entries:
                 raise DocumentError("--condition",
                                     f"no condition named {args.condition!r}")
-        status = "pass" if rep.all_pass else "fail"
-        obj = dict(report_skeleton)
-        obj["status"] = status
-        obj["conditions"] = _report_obj(doc.field, rep)
-        obj["outputs"] = outputs
-        return finish(obj, 0 if rep.all_pass else 1)
+        return finish(dict(report_skeleton, status="pass" if rep.all_pass else "fail",
+                           conditions=_report_obj(field, rep), outputs=outputs),
+                      0 if rep.all_pass else 1)
 
-    except AXIOM_ERRORS as exc:
-        obj = dict(report_skeleton)
-        obj["status"] = "fail"
-        obj["conditions"] = []
-        obj["outputs"] = {}
-        obj["error"] = _error_obj(exc)
-        return finish(obj, 1)
-    except INPUT_ERRORS as exc:
-        obj = dict(report_skeleton)
-        obj["status"] = "error"
-        obj["conditions"] = []
-        obj["outputs"] = {}
-        obj["error"] = _error_obj(exc)
-        return finish(obj, 2)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
+                           outputs={}, error=_error_obj(field, exc)), code)
 
 
-def _error_obj(exc):
-    # str() matches the canonical scalar format for both Fraction and int
+def _error_obj(field, exc):
     obj = {"type": type(exc).__name__, "message": str(exc)}
     witness = getattr(exc, "witness", None)
-    report = getattr(exc, "report", None)
+    if isinstance(witness, tuple):  # a basis tuple, its two sides kept on the error
+        witness = Witness(witness, getattr(exc, "left", ()), getattr(exc, "right", ()))
     if isinstance(witness, Witness):
-        obj["witness"] = {"indices": list(witness.indices),
-                          "identity": witness.identity,
-                          "left": [str(x) for x in witness.left],
-                          "right": [str(x) for x in witness.right]}
-    elif isinstance(witness, tuple):
-        obj["witness"] = {"indices": list(witness), "identity": "",
-                          "left": [str(x) for x in getattr(exc, "left", ())],
-                          "right": [str(x) for x in getattr(exc, "right", ())]}
+        obj["witness"] = _witness_obj(field, witness)
+    report = getattr(exc, "report", None)
     if report is not None:
         obj["failed"] = list(report.failed_names())
     return obj

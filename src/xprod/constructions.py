@@ -97,6 +97,18 @@ def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
     return Report((ConditionResult("braid", witness is None, witness),))
 
 
+def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
+                    r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
+    """The preconditions of :func:`iterated_ttp`: each R is a twisting map
+    (prefixed R1, R2, R3) and the three satisfy the braid relation."""
+    return merge(
+        _prefixed("R1", check_twisting(r1, a, b)),
+        _prefixed("R2", check_twisting(r2, b, c)),
+        _prefixed("R3", check_twisting(r3, a, c)),
+        braid_report(r1, r2, r3, a, b, c),
+    )
+
+
 def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
                  r1: TensorMap, r2: TensorMap, r3: TensorMap) -> FinAlgebra:
     """Iterated twisted tensor product of three algebras.
@@ -106,12 +118,7 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
     by 1_B and E(b⊗b') = 1_A ⊗ bb' ⊗ 1_C, then verifies the multiplication
     against its own displayed formula.
     """
-    rep = merge(
-        _prefixed("R1", check_twisting(r1, a, b)),
-        _prefixed("R2", check_twisting(r2, b, c)),
-        _prefixed("R3", check_twisting(r3, a, c)),
-        braid_report(r1, r2, r3, a, b, c),
-    )
+    rep = iterated_report(a, b, c, r1, r2, r3)
     if not rep.all_pass:
         raise AxiomFailure(rep, "iterated twisted tensor product preconditions fail")
     data = TwoSidedData(a, b.as_pointed(), c, r1, r2, r3, product_connector(a, b, c))
@@ -177,22 +184,20 @@ def ma_connector(d: MaData) -> TensorMap:
     return compose(tensor(d.G, d.tau), mid_swap, tensor(d.H.comul, d.H.comul))
 
 
-def ma_build(d: MaData) -> TwoSidedData:
-    """Assemble two-sided data with R1 = R, R2 = T, R3 = flip and E from (G, τ).
-
-    The assembled data must pass every two-sided condition; failures are
-    raised as an :class:`AxiomFailure` carrying the full report.
-    """
+def ma_twosided(d: MaData) -> TwoSidedData:
+    """Two-sided data with V = (H, 1_H), R1 = R, R2 = T, R3 = flip and E from
+    (G, τ), not yet checked."""
     f = d.H.field
-    data = TwoSidedData(
-        d.A,
-        PointedSpace(f, d.H.dim, d.H.unit),
-        d.B,
-        d.R,
-        d.T,
-        flip(f, d.B.dim, d.A.dim),
-        ma_connector(d),
-    )
+    return TwoSidedData(d.A, PointedSpace(f, d.H.dim, d.H.unit), d.B, d.R, d.T,
+                        flip(f, d.B.dim, d.A.dim), ma_connector(d))
+
+
+def ma_build(d: MaData) -> TwoSidedData:
+    """Assemble :func:`ma_twosided`'s data and require it to pass every
+    two-sided condition; failures are raised as an :class:`AxiomFailure`
+    carrying the full report.
+    """
+    data = ma_twosided(d)
     rep = check_twosided(data)
     if not rep.all_pass:
         raise AxiomFailure(rep, "coalgebra-based data fails two-sided conditions")
@@ -363,35 +368,19 @@ def _unit_basis_index(field, unit, what):
     return nonzero[0]
 
 
+# the domain legs (x, y) of each twisting map R: x⊗y -> y⊗x, as A, V, C = 0, 1, 2
+_TWIST_LEGS = {"R1": (1, 0), "R2": (2, 1), "R3": (2, 0)}
+
+
 def _map_template(f, name, na, nv, nc, ua, uv, uc):
-    """Pinned columns plus the list of free column inputs for one map."""
-    if name == "R1":
-        dom, cod = shape(nv, na), shape(na, nv)
-        pin = {}
-        for j, i in itertools.product(range(nv), range(na)):
-            if j == uv:
-                pin[(j, i)] = tensor_vec(f, basis_vector(f, na, i), basis_vector(f, nv, uv))
-            elif i == ua:
-                pin[(j, i)] = tensor_vec(f, basis_vector(f, na, ua), basis_vector(f, nv, j))
-    elif name == "R2":
-        dom, cod = shape(nc, nv), shape(nv, nc)
-        pin = {}
-        for k, j in itertools.product(range(nc), range(nv)):
-            if k == uc:
-                pin[(k, j)] = tensor_vec(f, basis_vector(f, nv, j), basis_vector(f, nc, uc))
-            elif j == uv:
-                pin[(k, j)] = tensor_vec(f, basis_vector(f, nv, uv), basis_vector(f, nc, k))
-    elif name == "R3":
-        dom, cod = shape(nc, na), shape(na, nc)
-        pin = {}
-        for k, i in itertools.product(range(nc), range(na)):
-            if k == uc:
-                pin[(k, i)] = tensor_vec(f, basis_vector(f, na, i), basis_vector(f, nc, uc))
-            elif i == ua:
-                pin[(k, i)] = tensor_vec(f, basis_vector(f, na, ua), basis_vector(f, nc, k))
-    elif name == "E":
+    """Pinned columns plus the list of free column inputs for one map.
+
+    The unit conditions pin R(1⊗y) = y⊗1 and R(x⊗1) = 1⊗x for a twisting map
+    R: x⊗y -> y⊗x, and E(1⊗v) = E(v⊗1) = 1⊗v⊗1 for the connector.
+    """
+    pin = {}
+    if name == "E":
         dom, cod = shape(nv, nv), shape(na, nv, nc)
-        pin = {}
         for j, jp in itertools.product(range(nv), repeat=2):
             if j == uv or jp == uv:
                 other = jp if j == uv else j
@@ -399,7 +388,14 @@ def _map_template(f, name, na, nv, nc, ua, uv, uc):
                     f, basis_vector(f, na, ua), basis_vector(f, nv, other),
                     basis_vector(f, nc, uc))
     else:
-        raise ValueError(name)
+        legs = ((na, ua), (nv, uv), (nc, uc))
+        (nx, ux), (ny, uy) = (legs[t] for t in _TWIST_LEGS[name])
+        dom, cod = shape(nx, ny), shape(ny, nx)
+        for i, j in itertools.product(range(nx), range(ny)):
+            if i == ux:
+                pin[(i, j)] = tensor_vec(f, basis_vector(f, ny, j), basis_vector(f, nx, ux))
+            elif j == uy:
+                pin[(i, j)] = tensor_vec(f, basis_vector(f, ny, uy), basis_vector(f, nx, i))
     free = [idx for idx in itertools.product(*(range(x) for x in dom.dims))
             if idx not in pin]
     return dom, cod, pin, free

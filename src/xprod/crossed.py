@@ -130,6 +130,7 @@ def _brz_shapes(d: BrzData):
         raise ShapeMismatch(f"R must map [{nv},{na}] to [{na},{nv}]")
     if d.sigma.domain.dims != (nv, nv) or d.sigma.codomain.dims != (na, nv):
         raise ShapeMismatch(f"sigma must map [{nv},{nv}] to [{na},{nv}]")
+    return d
 
 
 def check_brzezinski(d: BrzData) -> Report:
@@ -222,6 +223,7 @@ def _mirror_shapes(d: MirrorData):
         raise ShapeMismatch(f"P must map [{nb},{nw}] to [{nw},{nb}]")
     if d.nu.domain.dims != (nw, nw) or d.nu.codomain.dims != (nw, nb):
         raise ShapeMismatch(f"nu must map [{nw},{nw}] to [{nw},{nb}]")
+    return d
 
 
 def check_mirror(d: MirrorData) -> Report:

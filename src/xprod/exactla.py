@@ -302,22 +302,37 @@ def _dot(field: Field, u, v):
     return s
 
 
+def row_reduce(field: Field, rows, ncols: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    Returns the reduced rows (each pivot 1, its column otherwise 0, further
+    columns carried along) and the pivot columns; their count is the rank.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][col])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pinv = field.inv(m[r][col])
+        m[r] = [field.mul(pinv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][col]):
+                factor = m[i][col]
+                m[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
 def invert(field: Field, rows) -> tuple:
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(rows)
-    work = [list(r) + list(basis_vector(field, n, i)) for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not field.is_zero(work[r][col])), None)
-        if pivot is None:
-            raise ShapeMismatch("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        pinv = field.inv(work[col][col])
-        work[col] = [field.mul(pinv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and not field.is_zero(work[r][col]):
-                factor = work[r][col]
-                work[r] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(work[r], work[col])]
+    work, pivots = row_reduce(
+        field, [list(r) + list(basis_vector(field, n, i)) for i, r in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ShapeMismatch("matrix is singular")
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -333,21 +348,7 @@ def greedy_basis_completion(field: Field, seeds, n: int) -> tuple[tuple, tuple[i
     chosen: list[int] = []
 
     def rank(vectors):
-        m = [list(v) for v in vectors]
-        r = 0
-        for col in range(n):
-            pivot = next((i for i in range(r, len(m)) if not field.is_zero(m[i][col])), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pinv = field.inv(m[r][col])
-            m[r] = [field.mul(pinv, x) for x in m[r]]
-            for i in range(len(m)):
-                if i != r and not field.is_zero(m[i][col]):
-                    f = m[i][col]
-                    m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-            r += 1
-        return r
+        return len(row_reduce(field, vectors, n)[1])
 
     current = rank(basis)
     if current != len(basis):

@@ -588,66 +588,25 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     if not rep.all_pass:
         raise NotAlgebraMap("c ↦ 1_A⊗1_V⊗c", rep)
 
-    proj_a = _leg_projector(f, a.unit, na)
-    proj_v = _leg_projector(f, v.unit, nv)
-    proj_c = _leg_projector(f, c.unit, nc)
+    legs = ((na, a.unit), (nv, v.unit), (nc, c.unit))
+    projectors = [_leg_projector(f, unit, n) for n, unit in legs]
 
-    def split_last(w, which, indices):
-        """Split A⊗V⊗C along the C leg into (A⊗V part, residual)."""
-        out = list(vzero(f, na * nv))
+    def split_leg(w, leg, which, indices):
+        """Split w in A⊗V⊗C along one leg (0, 1, 2 for A, V, C): its unit
+        coordinate there, indexed by the other two legs in order, or SplitFail
+        if w has a component outside the span of that leg's unit."""
+        n, unit = legs[leg]
+        out = []
+        projected = list(vzero(f, avc.total))
         ok = True
-        projected = list(vzero(f, na * nv * nc))
-        for alpha in range(na):
-            for beta in range(nv):
-                leg = tuple(w[avc.index((alpha, beta, gamma))] for gamma in range(nc))
-                coords = tuple(
-                    _dot(f, proj_c[t], leg) for t in range(nc))
-                out[alpha * nv + beta] = coords[0]
-                for gamma in range(nc):
-                    projected[avc.index((alpha, beta, gamma))] = f.mul(
-                        coords[0], c.unit[gamma])
-                if any(not f.is_zero(x) for x in coords[1:]):
-                    ok = False
-        if not ok:
-            raise SplitFail(which, Witness(indices, tuple(w), tuple(projected),
-                                           "component outside the allowed span"))
-        return tuple(out)
-
-    def split_first(w, which, indices):
-        """Split along the A leg into (V⊗C part, residual)."""
-        out = list(vzero(f, nv * nc))
-        projected = list(vzero(f, na * nv * nc))
-        ok = True
-        for beta in range(nv):
-            for gamma in range(nc):
-                leg = tuple(w[avc.index((alpha, beta, gamma))] for alpha in range(na))
-                coords = tuple(_dot(f, proj_a[t], leg) for t in range(na))
-                out[beta * nc + gamma] = coords[0]
-                for alpha in range(na):
-                    projected[avc.index((alpha, beta, gamma))] = f.mul(
-                        coords[0], a.unit[alpha])
-                if any(not f.is_zero(x) for x in coords[1:]):
-                    ok = False
-        if not ok:
-            raise SplitFail(which, Witness(indices, tuple(w), tuple(projected),
-                                           "component outside the allowed span"))
-        return tuple(out)
-
-    def split_middle(w, which, indices):
-        """Split along the V leg into (A⊗C part, residual)."""
-        out = list(vzero(f, na * nc))
-        projected = list(vzero(f, na * nv * nc))
-        ok = True
-        for alpha in range(na):
-            for gamma in range(nc):
-                leg = tuple(w[avc.index((alpha, beta, gamma))] for beta in range(nv))
-                coords = tuple(_dot(f, proj_v[t], leg) for t in range(nv))
-                out[alpha * nc + gamma] = coords[0]
-                for beta in range(nv):
-                    projected[avc.index((alpha, beta, gamma))] = f.mul(
-                        coords[0], v.unit[beta])
-                if any(not f.is_zero(x) for x in coords[1:]):
-                    ok = False
+        for rest in itertools.product(*(range(legs[t][0]) for t in range(3) if t != leg)):
+            flat = [avc.index(rest[:leg] + (z,) + rest[leg:]) for z in range(n)]
+            leg_vec = tuple(w[i] for i in flat)
+            coords = tuple(_dot(f, projectors[leg][t], leg_vec) for t in range(n))
+            out.append(coords[0])
+            for z, i in enumerate(flat):
+                projected[i] = f.mul(coords[0], unit[z])
+            ok = ok and all(f.is_zero(x) for x in coords[1:])
         if not ok:
             raise SplitFail(which, Witness(indices, tuple(w), tuple(projected),
                                            "component outside the allowed span"))
@@ -657,17 +616,17 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     for j in range(nv):
         for i in range(na):
             w = m.mul_vec(emb_v(basis_vector(f, nv, j)), emb_a(basis_vector(f, na, i)))
-            r1_cols.append(split_last(w, "ajut1", (j, i)))
+            r1_cols.append(split_leg(w, 2, "ajut1", (j, i)))
     r2_cols = []
     for k in range(nc):
         for j in range(nv):
             w = m.mul_vec(emb_c(basis_vector(f, nc, k)), emb_v(basis_vector(f, nv, j)))
-            r2_cols.append(split_first(w, "ajut2", (k, j)))
+            r2_cols.append(split_leg(w, 0, "ajut2", (k, j)))
     r3_cols = []
     for k in range(nc):
         for i in range(na):
             w = m.mul_vec(emb_c(basis_vector(f, nc, k)), emb_a(basis_vector(f, na, i)))
-            r3_cols.append(split_middle(w, "ajut3", (k, i)))
+            r3_cols.append(split_leg(w, 1, "ajut3", (k, i)))
     for i in range(na):
         for j in range(nv):
             for k in range(nc):

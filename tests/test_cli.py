@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: parsing, reports, determinism, exit codes."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -315,8 +318,9 @@ def test_missing_file_is_input_error(tmp_path):
 
 
 def all_kinds_doc():
-    """One F2 document holding every remaining dataset kind."""
-    from xprod import flip, grouplike_coalgebra
+    """One F2 document holding a dataset of every type."""
+    from xprod import (TwoSidedData, build_twosided, flip, grouplike_coalgebra,
+                       product_connector)
     from xprod.crossed import lift_twisting_to_brzezinski, lift_twisting_to_mirror
     from xprod.exactla import basis_vector, from_columns, shape, tensor_vec
 
@@ -329,9 +333,21 @@ def all_kinds_doc():
         tensor_vec(F2, d.unit, basis_vector(F2, 2, (i + j) % 2))
         for i in range(2) for j in range(2)))
     tau = from_columns(F2, shape(2, 2), shape(2), (d.unit,) * 4)
+    # the two-sided product of the flips with V = B, and its three embeddings
+    conn = product_connector(d, d, d)
+    x = build_twosided(TwoSidedData(d, d.as_pointed(), d, fl, fl, fl, conn))
+    units = (d.unit, d.unit, d.unit)
+
+    def embedding(slot):
+        return from_columns(F2, shape(2), shape(8), tuple(
+            tensor_vec(F2, *(basis_vector(F2, 2, t) if s == slot else units[s]
+                             for s in range(3)))
+            for t in range(2)))
+
     return {
         "field": {"kind": "prime", "p": 2},
-        "algebras": {"A": fmt_alg(F2, d), "B": fmt_alg(F2, d), "C": fmt_alg(F2, d)},
+        "algebras": {"A": fmt_alg(F2, d), "B": fmt_alg(F2, d), "C": fmt_alg(F2, d),
+                     "X": fmt_alg(F2, x)},
         "spaces": {"V": {"dim": 2, "unit": ["1", "0"]}},
         "coalgebras": {"H": {
             "dim": 2,
@@ -349,6 +365,10 @@ def all_kinds_doc():
             "nu": fmt_map(F2, mir.nu, ("V", "V"), ("V", "B")),
             "G": fmt_map(F2, g_map, ("H", "H"), ("A", "H")),
             "tau": fmt_map(F2, tau, ("H", "H"), ("B",)),
+            "E": fmt_map(F2, conn, ("B", "B"), ("A", "B", "C")),
+            "fA": fmt_map(F2, embedding(0), ("A",), ("X",)),
+            "fV": fmt_map(F2, embedding(1), ("B",), ("X",)),
+            "fC": fmt_map(F2, embedding(2), ("C",), ("X",)),
         },
         "datasets": {
             "t": {"type": "ttp", "A": "A", "B": "B", "R": "flBA"},
@@ -359,6 +379,14 @@ def all_kinds_doc():
                   "R1": "flBA", "R2": "flCB", "R3": "flCA"},
             "g": {"type": "ma", "H": "H", "A": "A", "B": "B", "G": "G",
                   "R": "flHA", "T": "flBH", "tau": "tau"},
+            "d": {"type": "twosided", "A": "A", "V": "B", "C": "C",
+                  "R1": "flBA", "R2": "flCB", "R3": "flCA", "E": "E"},
+            "x": {"type": "extraction", "M": "X", "A": "A", "V": "B", "C": "C"},
+            "u": {"type": "universal", "data": "d", "X": "X",
+                  "fA": "fA", "fV": "fV", "fC": "fC"},
+            "s": {"type": "search", "A": "A", "V": "B", "C": "C",
+                  "mode": "randomized", "budget": 40, "seed": 3,
+                  "frozen": {"R1": "flBA", "R2": "flCB", "R3": "flCA"}},
         },
     }
 
@@ -411,3 +439,94 @@ def test_check_and_build_for_every_dataset_kind(tmp_path, name, dim):
     rc, rep, _ = run(["build", "--in", doc, "--dataset", name], tmp_path)
     assert rc == 0
     assert rep["outputs"]["algebra"]["dim"] == dim
+
+
+def test_non_string_space_name_in_map_is_input_error(tmp_path):
+    for bad in (["A"], {}):
+        obj = search_doc()
+        obj["maps"]["flVA"]["codomain"] = ["A", bad]
+        rc, rep, _ = run(["search", "--in", write_doc(tmp_path, obj)], tmp_path)
+        assert rc == 2
+        assert rep["error"]["type"] == "DocumentError"
+        assert rep["error"]["message"].startswith("$.maps.flVA.codomain[1]:")
+
+
+def test_non_string_universal_data_is_input_error(tmp_path):
+    obj = all_kinds_doc()
+    obj["datasets"]["u"]["data"] = ["d"]
+    rc, rep, _ = run(["universal", "--in", write_doc(tmp_path, obj), "--dataset", "u"],
+                     tmp_path)
+    assert rc == 2
+    assert rep["error"]["type"] == "DocumentError"
+    assert rep["error"]["message"] == (
+        "$.datasets.u.data: ['d'] must name an earlier twosided dataset")
+
+
+def test_internal_error_exits_3_with_a_report(tmp_path, monkeypatch, capsys):
+    import xprod.twosided
+    honest = xprod.twosided._composite_conditions
+
+    def flipped(d):
+        verdicts = honest(d)
+        verdicts["equiv3"] = not verdicts["equiv3"]
+        return verdicts
+
+    monkeypatch.setattr(xprod.twosided, "_composite_conditions", flipped)
+    doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-graded-super"], Q))
+    rc, rep, raw = run(["check", "--in", doc], tmp_path)
+    assert rc == 3
+    assert rep["status"] == "internal-error"
+    assert rep["error"]["type"] == "InternalCheckError"
+    assert "equiv3" in rep["error"]["message"]
+    assert raw.decode("utf-8") == json.dumps(rep, sort_keys=True, indent=2,
+                                             ensure_ascii=False) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+# Every command's exit code and report bytes, one digest per document; the
+# digests were taken before the dataset types were gathered into one table.
+PIN_COMMANDS = [["check"], ["build"], ["agree"], ["extract"], ["universal"],
+                ["search"], ["transport"], ["build", "--force"]]
+PINNED_DIGESTS = {
+    "f2-dual-flip-trivial": "ca97422d67662c8c55fb7b746876d7fbbe514e78af829c40f9295a53fd44d318",
+    "f2-dual-graded-super": "ca97422d67662c8c55fb7b746876d7fbbe514e78af829c40f9295a53fd44d318",
+    "f2-mixed-flip-trivial": "f5184eac9cad2d95c5a8eef26701a4997a016703a2edb43d1d535675ee5c8030",
+    "f2-searched-0": "ca97422d67662c8c55fb7b746876d7fbbe514e78af829c40f9295a53fd44d318",
+    "f2-searched-1": "421051098a0e5288ee0534654bd9199bd6238983587cd5195390e7d464d0f82c",
+    "f2-searched-2": "b2b779d0b405b47e226561851bc5e6a918e8421432235e71e38fd91ddf4b050c",
+    "q-bicocycle": "2e3f1971a308413deccc2fb46dc92b4a65bc18b22755959148aa66a64d338b07",
+    "q-dual-flip-trivial": "ca97422d67662c8c55fb7b746876d7fbbe514e78af829c40f9295a53fd44d318",
+    "q-dual-graded-super": "789dc1db8777209d1a521ba6c0492d94e438b6080b37b65c69f79337a3a37865",
+    "q-group-graded-super": "a9704cb4baa287249fcf0bfce42220ab63e4eb70c0c18d1f82267b212d924451",
+    "q-mixed-flip-trivial": "00e904395c5269c5ac1574182189b9f7c7c3043284fa1fa7ecc88c4494dc51bd",
+    "q-scalar-ends": "4fb73b7c6bf7a1efd0cee423a313db2a25fc57cc9a7c0264bbc13b67f430d5ea",
+    "q-ut2-pointed-line": "e74bc2f17e501c5bf46707d6ae9271155d3ba3999cb737feb839efd455e1d5af",
+    "q-wide-middle": "6616a34843bca78c64c020560d2eee511f0ddf14f692daf390872836743fc88b",
+    "all-kinds": "bdbef021af3f4279e926c781df6fcade24da431ff8d608ecbdab003682c21684",
+}
+
+
+def report_digest(tmp_path, obj):
+    doc = write_doc(tmp_path, obj)
+    digest = hashlib.sha256()
+    for name in obj["datasets"]:
+        for args in PIN_COMMANDS:
+            rc, _, raw = run([args[0], "--in", doc, "--dataset", name, *args[1:]],
+                             tmp_path)
+            digest.update(f"{name} {' '.join(args)} {rc}\n".encode() + raw)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("doc_name", sorted(PINNED_DIGESTS))
+def test_report_bytes_pinned(tmp_path, doc_name):
+    obj = (all_kinds_doc() if doc_name == "all-kinds"
+           else twosided_doc(CORPUS[doc_name], None))
+    assert report_digest(tmp_path, obj) == PINNED_DIGESTS[doc_name]
+
+
+def test_readme_dataset_table_matches_the_cli_table():
+    from xprod.cli import DATASET_TYPES
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)`", readme.read_text("utf-8"), re.M))
+    assert rows == {kind: " ".join(key for key, _ in t.keys)
+                    for kind, t in DATASET_TYPES.items()}

@@ -1,5 +1,6 @@
 """Scalar arithmetic, index conventions, composition, Kronecker products."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,7 @@ from xprod.exactla import (
     identity,
     invert,
     permute_factors,
+    row_reduce,
     shape,
     tensor,
     tensor_vec,
@@ -248,6 +250,20 @@ def test_invert_round_trip():
     assert _matmul_oracle(inv, g.rows) == identity(Q, shape(2, 2)).rows
     with pytest.raises(ShapeMismatch):
         invert(Q, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_row_reduce_rank_counts_the_row_span(rows):
+    # over F3 the row span of a rank-r matrix has exactly 3**r vectors
+    f = PrimeField(3)
+    span = {tuple(sum(c * x for c, x in zip(coeffs, col)) % 3 for col in zip(*rows))
+            for coeffs in itertools.product(range(3), repeat=len(rows))}
+    reduced, pivots = row_reduce(f, rows, 3)
+    assert 3 ** len(pivots) == len(span)
+    for r, col in enumerate(pivots):
+        assert [row[col] for row in reduced] == [int(i == r) for i in range(len(rows))]
 
 
 def test_tensor_vec_convention():
