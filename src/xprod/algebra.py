@@ -10,6 +10,7 @@ well-formed inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -210,14 +211,11 @@ def is_algebra_map(f: TensorMap, a: FinAlgebra, x: FinAlgebra) -> Report:
         None if got == x.unit else Witness((), got, x.unit, "f(1)=1")))
     witness = None
     images = [f.apply(basis_vector(a.field, a.dim, i)) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            left = f.apply(a.basis_product(i, j))
-            right = x.mul_vec(images[i], images[j])
-            if left != right:
-                witness = Witness((i, j), left, right, "f(ab)=f(a)f(b)")
-                break
-        if witness is not None:
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        left = f.apply(a.basis_product(i, j))
+        right = x.mul_vec(images[i], images[j])
+        if left != right:
+            witness = Witness((i, j), left, right, "f(ab)=f(a)f(b)")
             break
     entries.append(ConditionResult("mult", witness is None, witness))
     return Report(tuple(entries))

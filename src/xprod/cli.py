@@ -85,6 +85,7 @@ from .exactla import (
 )
 from .report import ConditionResult, Report, Witness, merge
 from .twosided import (
+    TWIST_LEGS,
     TwoSidedData,
     build_twosided,
     check_twosided,
@@ -197,8 +198,9 @@ def _ttp_entry(refs, *_):
 
 
 def _iterated_entry(refs, *_):
-    for label, x, y in (("R1", "A", "B"), ("R2", "B", "C"), ("R3", "A", "C")):
-        dom, cod = (refs[y].dim, refs[x].dim), (refs[x].dim, refs[y].dim)
+    dims = (refs["A"].dim, refs["B"].dim, refs["C"].dim)
+    for label, (x, y) in TWIST_LEGS.items():
+        dom, cod = (dims[x], dims[y]), (dims[y], dims[x])
         if refs[label].domain.dims != dom or refs[label].codomain.dims != cod:
             raise ShapeMismatch(f"{label} must map {list(dom)} to {list(cod)}")
     return refs
@@ -278,6 +280,8 @@ def parse_document(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError as exc:
+        raise DocumentError("$", "document is nested too deeply") from exc
     _expect(isinstance(obj, dict), "$", "document must be a JSON object")
     known = {"field", "algebras", "spaces", "coalgebras", "maps", "datasets"}
     for key in obj:
@@ -580,20 +584,13 @@ def _run_transport(doc, name, kind, entry, args):
     f = doc.field
     outputs = {}
     reports = []
-    r1_is_flip = entry.R1.cols == flip(f, entry.V.dim, entry.A.dim).cols
-    r3_is_flip = entry.R3.cols == flip(f, entry.C.dim, entry.A.dim).cols
-    if r1_is_flip:
-        _, rep = remark1_transport(entry)
-        reports.append(_prefixed("remark1", rep))
-        outputs["remark1"] = "ok"
-    else:
-        outputs["remark1"] = "not-applicable"
-    if r3_is_flip:
-        _, _, rep = remark2_lr(entry)
-        reports.append(_prefixed("remark2", rep))
-        outputs["remark2"] = "ok"
-    else:
-        outputs["remark2"] = "not-applicable"
+    remarks = (("remark1", entry.R1, entry.V, lambda: remark1_transport(entry)),
+               ("remark2", entry.R3, entry.C, lambda: remark2_lr(entry)))
+    for label, r, x, transport in remarks:
+        outputs[label] = "not-applicable"
+        if r.cols == flip(f, x.dim, entry.A.dim).cols:
+            reports.append(_prefixed(label, transport()[-1]))
+            outputs[label] = "ok"
     if not reports:
         raise PreconditionFail("neither R1 nor R3 is the flip map")
     return merge(*reports), outputs

@@ -33,7 +33,15 @@ from .algebra import (
     ordinary_tensor,
     same_algebra,
 )
-from .crossed import MirrorData, build_mirror, build_ttp, check_mirror, check_twisting
+from .crossed import (
+    MirrorData,
+    _braid,
+    _columns_equal,
+    build_mirror,
+    build_ttp,
+    check_mirror,
+    check_twisting,
+)
 from .errors import (
     AxiomFailure,
     FieldMismatch,
@@ -58,7 +66,14 @@ from .exactla import (
     vector_map,
 )
 from .report import ConditionResult, Report, Witness, merge
-from .twosided import CONDITIONS, TwoSidedData, _Ten, build_twosided, check_twosided
+from .twosided import (
+    CONDITIONS,
+    TWIST_LEGS,
+    TwoSidedData,
+    _Ten,
+    build_twosided,
+    check_twosided,
+)
 
 SEARCH_MAP_NAMES = ("R1", "R2", "R3", "E")
 
@@ -66,11 +81,8 @@ SEARCH_MAP_NAMES = ("R1", "R2", "R3", "E")
 def product_connector(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> TensorMap:
     """The map v ⊗ v' -> 1_A ⊗ vv' ⊗ 1_C built from the middle algebra."""
     f = a.field
-    cols = []
-    for j in range(b.dim):
-        for jp in range(b.dim):
-            cols.append(tensor_vec(f, a.unit, b.basis_product(j, jp), c.unit))
-    return from_columns(f, shape(b.dim, b.dim), shape(a.dim, b.dim, c.dim), tuple(cols))
+    return tensor(vector_map(f, a.unit), b.mul, vector_map(f, c.unit)).reshaped(
+        domain=shape(b.dim, b.dim))
 
 
 def _prefixed(prefix: str, rep: Report) -> Report:
@@ -82,29 +94,18 @@ def _prefixed(prefix: str, rep: Report) -> Report:
 def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
                  a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> Report:
     """The hexagon identity for three twisting maps, checked columnwise."""
-    f = a.field
-    ida = identity(f, shape(a.dim))
-    idb = identity(f, shape(b.dim))
-    idc = identity(f, shape(c.dim))
-    lhs = compose(tensor(ida, r2), tensor(r3, idb), tensor(idc, r1))
-    rhs = compose(tensor(r1, idc), tensor(idb, r3), tensor(r2, ida))
-    witness = None
-    for j in range(lhs.domain.total):
-        if lhs.cols[j] != rhs.cols[j]:
-            witness = Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j),
-                              "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)")
-            break
-    return Report((ConditionResult("braid", witness is None, witness),))
+    return Report((_columns_equal("braid", *_braid(r1, r2, r3),
+                                  "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)"),))
 
 
 def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
                     r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
     """The preconditions of :func:`iterated_ttp`: each R is a twisting map
     (prefixed R1, R2, R3) and the three satisfy the braid relation."""
+    algs, maps = (a, b, c), {"R1": r1, "R2": r2, "R3": r3}
     return merge(
-        _prefixed("R1", check_twisting(r1, a, b)),
-        _prefixed("R2", check_twisting(r2, b, c)),
-        _prefixed("R3", check_twisting(r3, a, c)),
+        *(_prefixed(name, check_twisting(maps[name], algs[y], algs[x]))
+          for name, (x, y) in TWIST_LEGS.items()),
         braid_report(r1, r2, r3, a, b, c),
     )
 
@@ -368,10 +369,6 @@ def _unit_basis_index(field, unit, what):
     return nonzero[0]
 
 
-# the domain legs (x, y) of each twisting map R: x⊗y -> y⊗x, as A, V, C = 0, 1, 2
-_TWIST_LEGS = {"R1": (1, 0), "R2": (2, 1), "R3": (2, 0)}
-
-
 def _map_template(f, name, na, nv, nc, ua, uv, uc):
     """Pinned columns plus the list of free column inputs for one map.
 
@@ -389,7 +386,7 @@ def _map_template(f, name, na, nv, nc, ua, uv, uc):
                     basis_vector(f, nc, uc))
     else:
         legs = ((na, ua), (nv, uv), (nc, uc))
-        (nx, ux), (ny, uy) = (legs[t] for t in _TWIST_LEGS[name])
+        (nx, ux), (ny, uy) = (legs[t] for t in TWIST_LEGS[name])
         dom, cod = shape(nx, ny), shape(ny, nx)
         for i, j in itertools.product(range(nx), range(ny)):
             if i == ux:

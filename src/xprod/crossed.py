@@ -6,6 +6,13 @@ maps, ``brz1``..``brz5`` for crossed products on A (x) V, and ``mirtwunit``,
 ``mircocunit``, ``mirtwmap``, ``mir1``, ``mir2`` for the mirror version on
 W (x) B.  Every check runs over all basis tuples and reports the
 lexicographically smallest witness.
+
+Identities that recur in the checkers here and in :mod:`xprod.twosided` are
+private helpers, each written once: the unit laws of a twist (:func:`_twist_unit`,
+:func:`_twist_units`; as composites :func:`_twist_units_hold`), the unit law of a
+connector (:func:`_connector_unit`), multiplicativity of a twist as composites
+(:func:`_mult_left`, :func:`_mult_right`), the braid relation (:func:`_braid`)
+and the first differing column of two maps (:func:`_column_witness`).
 """
 
 from __future__ import annotations
@@ -19,13 +26,21 @@ from .exactla import (
     TensorMap,
     basis_vector,
     compose,
-    from_columns,
     identity,
     shape,
     tensor,
     tensor_vec,
+    vector_map,
 )
 from .report import ConditionResult, Report, Witness
+
+
+def _column_witness(lhs: TensorMap, rhs: TensorMap, identity_text: str = "") -> Witness | None:
+    """The smallest basis tuple whose columns differ, as a witness, or None."""
+    for j in range(lhs.domain.total):
+        if lhs.cols[j] != rhs.cols[j]:
+            return Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j), identity_text)
+    return None
 
 
 def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
@@ -33,11 +48,8 @@ def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
     """Compare two maps column by column; witness is the smallest basis tuple."""
     if lhs.domain.total != rhs.domain.total or lhs.codomain.total != rhs.codomain.total:
         raise ShapeMismatch(f"{name}: sides have different shapes")
-    for j in range(lhs.domain.total):
-        if lhs.cols[j] != rhs.cols[j]:
-            return ConditionResult(name, False, Witness(
-                lhs.domain.multi(j), lhs.column(j), rhs.column(j), identity_text))
-    return ConditionResult(name, True)
+    witness = _column_witness(lhs, rhs, identity_text)
+    return ConditionResult(name, witness is None, witness)
 
 
 def _first_mismatch(checks) -> Witness | None:
@@ -54,6 +66,76 @@ def _unit_family(name: str, checks) -> ConditionResult:
     return ConditionResult(name, witness is None, witness)
 
 
+def _twist_unit(m: TensorMap, x, y, text: str, leg: int):
+    """One unit law of a twist m: X (x) Y -> Y (x) X, as checks over the basis
+    of one leg: m(x⊗1_Y) = 1_Y⊗x for leg 0, m(1_X⊗y) = y⊗1_X for leg 1."""
+    f = m.field
+    n, unit = (x.dim, y.unit) if leg == 0 else (y.dim, x.unit)
+    for k in range(n):
+        e = basis_vector(f, n, k)
+        pair = (e, unit) if leg == 0 else (unit, e)
+        yield (k,), m.apply(tensor_vec(f, *pair)), tensor_vec(f, *pair[::-1]), text
+
+
+def _twist_units(m: TensorMap, x, y, x_text: str, y_text: str, x_first: bool = True):
+    """Both unit laws of a twist m: X (x) Y -> Y (x) X, leg X first if ``x_first``."""
+    sides = (_twist_unit(m, x, y, x_text, 0), _twist_unit(m, x, y, y_text, 1))
+    return itertools.chain(*(sides if x_first else sides[::-1]))
+
+
+def _twist_units_hold(m: TensorMap, x_unit, y_unit) -> bool:
+    """Both unit laws of a twist m: X (x) Y -> Y (x) X as composite identities,
+    m∘(id⊗1_Y) = 1_Y⊗id and m∘(1_X⊗id) = id⊗1_X."""
+    f = m.field
+    ux, uy = vector_map(f, x_unit), vector_map(f, y_unit)
+    idx, idy = identity(f, shape(len(x_unit))), identity(f, shape(len(y_unit)))
+    return (compose(m, tensor(idx, uy)).cols == tensor(uy, idx).cols
+            and compose(m, tensor(ux, idy)).cols == tensor(idy, ux).cols)
+
+
+def _connector_unit(m: TensorMap, x, want, texts, unit_first: bool = True):
+    """The unit law m(1_X⊗x) = want(x) = m(x⊗1_X) of a connector on X (x) X: two
+    checks per basis vector of X, m(1_X⊗x) first if ``unit_first``, labelled
+    by ``texts`` in check order; want(x) is built once per basis vector."""
+    f = m.field
+    for j in range(x.dim):
+        e = basis_vector(f, x.dim, j)
+        expected = want(e)
+        pairs = ((x.unit, e), (e, x.unit)) if unit_first else ((e, x.unit), (x.unit, e))
+        for pair, text in zip(pairs, texts):
+            yield (j,), m.apply(tensor_vec(f, *pair)), expected, text
+
+
+def _mult_left(r: TensorMap, alg: FinAlgebra):
+    """The two sides of R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist
+    R: X (x) A -> A (x) X, μ the multiplication of A."""
+    f = r.field
+    ida, idx = identity(f, shape(alg.dim)), identity(f, shape(r.domain.dims[0]))
+    return (compose(r, tensor(idx, alg.mul)),
+            compose(tensor(alg.mul, idx), tensor(ida, r), tensor(r, ida)))
+
+
+def _mult_right(r: TensorMap, alg: FinAlgebra):
+    """The two sides of R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist
+    R: C (x) X -> X (x) C, μ the multiplication of C."""
+    f = r.field
+    idc, idx = identity(f, shape(alg.dim)), identity(f, shape(r.domain.dims[1]))
+    return (compose(r, tensor(alg.mul, idx)),
+            compose(tensor(idx, alg.mul), tensor(r, idc), tensor(idc, r)))
+
+
+def _braid(r1: TensorMap, r2: TensorMap, r3: TensorMap):
+    """The two sides of (id⊗R2)∘(R3⊗id)∘(id⊗R1) = (R1⊗id)∘(id⊗R3)∘(R2⊗id) on
+    C (x) V (x) A, for R1: V (x) A -> A (x) V, R2: C (x) V -> V (x) C and
+    R3: C (x) A -> A (x) C."""
+    f = r1.field
+    nv, na = r1.domain.dims
+    ida, idv = identity(f, shape(na)), identity(f, shape(nv))
+    idc = identity(f, shape(r2.domain.dims[0]))
+    return (compose(tensor(ida, r2), tensor(r3, idv), tensor(idc, r1)),
+            compose(tensor(r1, idc), tensor(idv, r3), tensor(r2, ida)))
+
+
 def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
     """Verify that R: B (x) A -> A (x) B is a twisting map between A and B.
 
@@ -66,31 +148,11 @@ def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
     if r.domain.dims != (b.dim, a.dim) or r.codomain.dims != (a.dim, b.dim):
         raise ShapeMismatch(
             f"twisting map must map [{b.dim},{a.dim}] to [{a.dim},{b.dim}]")
-    f = a.field
-    ida = identity(f, shape(a.dim))
-    idb = identity(f, shape(b.dim))
-
-    def unit_left():
-        for i in range(a.dim):
-            e = basis_vector(f, a.dim, i)
-            yield ((i,), r.apply(tensor_vec(f, b.unit, e)),
-                   tensor_vec(f, e, b.unit), "R(1_B⊗a)=a⊗1_B")
-
-    def unit_right():
-        for j in range(b.dim):
-            e = basis_vector(f, b.dim, j)
-            yield ((j,), r.apply(tensor_vec(f, e, a.unit)),
-                   tensor_vec(f, a.unit, e), "R(b⊗1_A)=1_A⊗b")
-
-    mult_a_lhs = compose(r, tensor(idb, a.mul))
-    mult_a_rhs = compose(tensor(a.mul, idb), tensor(ida, r), tensor(r, ida))
-    mult_b_lhs = compose(r, tensor(b.mul, ida))
-    mult_b_rhs = compose(tensor(ida, b.mul), tensor(r, idb), tensor(idb, r))
     return Report((
-        _unit_family("twisting-unit-left", unit_left()),
-        _unit_family("twisting-unit-right", unit_right()),
-        _columns_equal("twisting-mult-A", mult_a_lhs, mult_a_rhs, "R(b⊗aa')=a_R a'_r⊗(b_R)_r"),
-        _columns_equal("twisting-mult-B", mult_b_lhs, mult_b_rhs, "R(bb'⊗a)=(a_R)_r⊗b_r b'_R"),
+        _unit_family("twisting-unit-left", _twist_unit(r, b, a, "R(1_B⊗a)=a⊗1_B", 1)),
+        _unit_family("twisting-unit-right", _twist_unit(r, b, a, "R(b⊗1_A)=1_A⊗b", 0)),
+        _columns_equal("twisting-mult-A", *_mult_left(r, a), "R(b⊗aa')=a_R a'_r⊗(b_R)_r"),
+        _columns_equal("twisting-mult-B", *_mult_right(r, b), "R(bb'⊗a)=(a_R)_r⊗b_r b'_R"),
     ))
 
 
@@ -141,33 +203,16 @@ def check_brzezinski(d: BrzData) -> Report:
     ida = identity(f, shape(a.dim))
     idv = identity(f, shape(v.dim))
 
-    def brz1():
-        for i in range(a.dim):
-            e = basis_vector(f, a.dim, i)
-            yield ((i,), r.apply(tensor_vec(f, v.unit, e)),
-                   tensor_vec(f, e, v.unit), "R(1_V⊗a)=a⊗1_V")
-        for j in range(v.dim):
-            e = basis_vector(f, v.dim, j)
-            yield ((j,), r.apply(tensor_vec(f, e, a.unit)),
-                   tensor_vec(f, a.unit, e), "R(v⊗1_A)=1_A⊗v")
-
-    def brz2():
-        for j in range(v.dim):
-            e = basis_vector(f, v.dim, j)
-            want = tensor_vec(f, a.unit, e)
-            yield ((j,), sg.apply(tensor_vec(f, v.unit, e)), want, "σ(1_V⊗v)=1_A⊗v")
-            yield ((j,), sg.apply(tensor_vec(f, e, v.unit)), want, "σ(v⊗1_V)=1_A⊗v")
-
-    brz3_lhs = compose(r, tensor(idv, a.mul))
-    brz3_rhs = compose(tensor(a.mul, idv), tensor(ida, r), tensor(r, ida))
     brz4_lhs = compose(tensor(a.mul, idv), tensor(ida, sg), tensor(r, idv), tensor(idv, sg))
     brz4_rhs = compose(tensor(a.mul, idv), tensor(ida, sg), tensor(sg, idv))
     brz5_lhs = compose(tensor(a.mul, idv), tensor(ida, sg), tensor(r, idv), tensor(idv, r))
     brz5_rhs = compose(tensor(a.mul, idv), tensor(ida, r), tensor(sg, ida))
     return Report((
-        _unit_family("brz1", brz1()),
-        _unit_family("brz2", brz2()),
-        _columns_equal("brz3", brz3_lhs, brz3_rhs, "R∘(id⊗μ)=(μ⊗id)∘(id⊗R)∘(R⊗id)"),
+        _unit_family("brz1", _twist_units(r, v, a, "R(v⊗1_A)=1_A⊗v", "R(1_V⊗a)=a⊗1_V",
+                                          x_first=False)),
+        _unit_family("brz2", _connector_unit(sg, v, lambda e: tensor_vec(f, a.unit, e),
+                                             ("σ(1_V⊗v)=1_A⊗v", "σ(v⊗1_V)=1_A⊗v"))),
+        _columns_equal("brz3", *_mult_left(r, a), "R∘(id⊗μ)=(μ⊗id)∘(id⊗R)∘(R⊗id)"),
         _columns_equal("brz4", brz4_lhs, brz4_rhs,
                        "(μ⊗id)∘(id⊗σ)∘(R⊗id)∘(id⊗σ)=(μ⊗id)∘(id⊗σ)∘(σ⊗id)"),
         _columns_equal("brz5", brz5_lhs, brz5_rhs,
@@ -234,34 +279,16 @@ def check_mirror(d: MirrorData) -> Report:
     idb = identity(f, shape(b.dim))
     idw = identity(f, shape(w.dim))
 
-    def mirtwunit():
-        for i in range(b.dim):
-            e = basis_vector(f, b.dim, i)
-            yield ((i,), p.apply(tensor_vec(f, e, w.unit)),
-                   tensor_vec(f, w.unit, e), "P(b⊗1_W)=1_W⊗b")
-        for j in range(w.dim):
-            e = basis_vector(f, w.dim, j)
-            yield ((j,), p.apply(tensor_vec(f, b.unit, e)),
-                   tensor_vec(f, e, b.unit), "P(1_B⊗w)=w⊗1_B")
-
-    def mircocunit():
-        for j in range(w.dim):
-            e = basis_vector(f, w.dim, j)
-            want = tensor_vec(f, e, b.unit)
-            yield ((j,), nu.apply(tensor_vec(f, e, w.unit)), want, "ν(w⊗1_W)=w⊗1_B")
-            yield ((j,), nu.apply(tensor_vec(f, w.unit, e)), want, "ν(1_W⊗w)=w⊗1_B")
-
-    mirtw_lhs = compose(p, tensor(b.mul, idw))
-    mirtw_rhs = compose(tensor(idw, b.mul), tensor(p, idb), tensor(idb, p))
     mir1_lhs = compose(tensor(idw, b.mul), tensor(nu, idb), tensor(idw, p), tensor(nu, idw))
     mir1_rhs = compose(tensor(idw, b.mul), tensor(nu, idb), tensor(idw, nu))
     mir2_lhs = compose(tensor(idw, b.mul), tensor(nu, idb), tensor(idw, p), tensor(p, idw))
     mir2_rhs = compose(tensor(idw, b.mul), tensor(p, idb), tensor(idb, nu))
     return Report((
-        _unit_family("mirtwunit", mirtwunit()),
-        _unit_family("mircocunit", mircocunit()),
-        _columns_equal("mirtwmap", mirtw_lhs, mirtw_rhs,
-                       "P∘(μ⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗P)"),
+        _unit_family("mirtwunit", _twist_units(p, b, w, "P(b⊗1_W)=1_W⊗b", "P(1_B⊗w)=w⊗1_B")),
+        _unit_family("mircocunit", _connector_unit(nu, w, lambda e: tensor_vec(f, e, b.unit),
+                                                   ("ν(w⊗1_W)=w⊗1_B", "ν(1_W⊗w)=w⊗1_B"),
+                                                   unit_first=False)),
+        _columns_equal("mirtwmap", *_mult_right(p, b), "P∘(μ⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗P)"),
         _columns_equal("mir1", mir1_lhs, mir1_rhs,
                        "(id⊗μ)∘(ν⊗id)∘(id⊗P)∘(ν⊗id)=(id⊗μ)∘(ν⊗id)∘(id⊗ν)"),
         _columns_equal("mir2", mir2_lhs, mir2_rhs,
@@ -298,21 +325,11 @@ def build_mirror(d: MirrorData) -> FinAlgebra:
 
 def lift_twisting_to_brzezinski(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> BrzData:
     """View a twisting map as crossed product data via σ(b⊗b') = 1_A ⊗ bb'."""
-    f = a.field
-    cols = []
-    for j in range(b.dim):
-        for jp in range(b.dim):
-            cols.append(tensor_vec(f, a.unit, b.basis_product(j, jp)))
-    sigma = from_columns(f, shape(b.dim, b.dim), shape(a.dim, b.dim), cols)
+    sigma = tensor(vector_map(a.field, a.unit), b.mul).reshaped(domain=shape(b.dim, b.dim))
     return BrzData(a, b.as_pointed(), r, sigma)
 
 
 def lift_twisting_to_mirror(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> MirrorData:
     """View a twisting map as mirror data via ν(a⊗a') = aa' ⊗ 1_B."""
-    f = a.field
-    cols = []
-    for i in range(a.dim):
-        for ip in range(a.dim):
-            cols.append(tensor_vec(f, a.basis_product(i, ip), b.unit))
-    nu = from_columns(f, shape(a.dim, a.dim), shape(a.dim, b.dim), cols)
+    nu = tensor(a.mul, vector_map(a.field, b.unit)).reshaped(domain=shape(a.dim, a.dim))
     return MirrorData(a.as_pointed(), b, r, nu)

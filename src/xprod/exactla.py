@@ -146,10 +146,11 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        # bound the modulus first: trial division up to sqrt(p) is slow for a large p
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds 2^31")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
-        if p >= MAX_PRIME:
-            raise ValueError(f"modulus {p} exceeds 2^31")
         self.p = p
 
     def add(self, a, b):
@@ -266,14 +267,6 @@ def basis_vector(field: Field, n: int, i: int) -> tuple:
     v = [field.zero] * n
     v[i] = field.one
     return tuple(v)
-
-
-def vadd(field: Field, u, v) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vsub(field: Field, u, v) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
 def vscale(field: Field, c, u) -> tuple:

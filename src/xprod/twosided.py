@@ -36,7 +36,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import FinAlgebra, PointedSpace, is_algebra_map, new_algebra, same_algebra
-from .crossed import BrzData, MirrorData, _first_mismatch, build_brzezinski, build_mirror
+from .crossed import (
+    BrzData,
+    MirrorData,
+    _braid,
+    _column_witness,
+    _connector_unit,
+    _first_mismatch,
+    _mult_left,
+    _mult_right,
+    _twist_units,
+    _twist_units_hold,
+    build_brzezinski,
+    build_mirror,
+)
 from .errors import (
     AxiomFailure,
     FieldMismatch,
@@ -70,6 +83,10 @@ from .exactla import (
 )
 from .report import ConditionResult, Report, Witness
 
+# the domain legs (x, y) of each twisting map R: x⊗y -> y⊗x, as A, V, C = 0, 1, 2
+TWIST_LEGS = {"R1": (1, 0), "R2": (2, 1), "R3": (2, 0)}
+
+
 @dataclass(frozen=True)
 class TwoSidedData:
     """The tuple (A, V, C, R1, R2, R3, E); shapes are validated eagerly."""
@@ -83,17 +100,14 @@ class TwoSidedData:
     E: TensorMap
 
     def __post_init__(self):
-        na, nv, nc = self.A.dim, self.V.dim, self.C.dim
+        dims = (self.A.dim, self.V.dim, self.C.dim)
         fields = {self.A.field, self.V.field, self.C.field,
                   self.R1.field, self.R2.field, self.R3.field, self.E.field}
         if len(fields) != 1:
             raise FieldMismatch("two-sided data across different fields")
-        expect = (
-            ("R1", self.R1, (nv, na), (na, nv)),
-            ("R2", self.R2, (nc, nv), (nv, nc)),
-            ("R3", self.R3, (nc, na), (na, nc)),
-            ("E", self.E, (nv, nv), (na, nv, nc)),
-        )
+        expect = [(name, getattr(self, name), (dims[x], dims[y]), (dims[y], dims[x]))
+                  for name, (x, y) in TWIST_LEGS.items()]
+        expect.append(("E", self.E, (dims[1], dims[1]), dims))
         for name, m, dom, cod in expect:
             if m.domain.dims != dom or m.codomain.dims != cod:
                 raise ShapeMismatch(
@@ -193,36 +207,24 @@ def _scan(dims_list, lhs_chain, rhs_chain, field, identity_text=""):
     return None
 
 
-def _twist_units(m, x, y, x_text, y_text, x_first=True):
-    """Unit laws of a twist m: X (x) Y -> Y (x) X, namely m(x⊗1_Y) = 1_Y⊗x
-    for basis x and m(1_X⊗y) = y⊗1_X for basis y; the first failure or None."""
-    f = m.field
-
-    def on_x():
-        for k in range(x.dim):
-            e = basis_vector(f, x.dim, k)
-            yield (k,), m.apply(tensor_vec(f, e, y.unit)), tensor_vec(f, y.unit, e), x_text
-
-    def on_y():
-        for i in range(y.dim):
-            e = basis_vector(f, y.dim, i)
-            yield (i,), m.apply(tensor_vec(f, x.unit, e)), tensor_vec(f, e, x.unit), y_text
-
-    sides = (on_x(), on_y()) if x_first else (on_y(), on_x())
-    return _first_mismatch(itertools.chain(*sides))
+def _scan_mult_left(r, alg, identity_text):
+    """R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist R: X (x) A -> A (x) X, on
+    basis tuples (x, a, a')."""
+    return _scan(
+        (r.domain.dims[0], alg.dim, alg.dim),
+        lambda t: t.mul_at(alg, 1).map_at(r, 0),
+        lambda t: t.map_at(r, 0).map_at(r, 1).mul_at(alg, 0),
+        r.field, identity_text)
 
 
-def _unit_e(a, v, c, e):
-    f = e.field
-
-    def checks():
-        for j in range(v.dim):
-            ev = basis_vector(f, v.dim, j)
-            want = tensor_vec(f, a.unit, ev, c.unit)
-            yield (j,), e.apply(tensor_vec(f, v.unit, ev)), want, "E(1_V⊗v)=1_A⊗v⊗1_C"
-            yield (j,), e.apply(tensor_vec(f, ev, v.unit)), want, "E(v⊗1_V)=1_A⊗v⊗1_C"
-
-    return _first_mismatch(checks())
+def _scan_mult_right(r, alg, identity_text):
+    """R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist R: C (x) X -> X (x) C, on
+    basis tuples (c, c', x)."""
+    return _scan(
+        (alg.dim, alg.dim, r.domain.dims[1]),
+        lambda t: t.mul_at(alg, 0).map_at(r, 0),
+        lambda t: t.map_at(r, 1).map_at(r, 0).mul_at(alg, 1),
+        r.field, identity_text)
 
 
 @dataclass(frozen=True)
@@ -249,33 +251,23 @@ class Condition:
 
 # The twelve conditions, each identity written once, in report order.
 CONDITIONS = (
-    Condition("twR31", ("R3",), lambda a, v, c, r3: _twist_units(
-        r3, c, a, "R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C")),
-    Condition("twR32", ("R3",), lambda a, v, c, r3: _scan(
-        (c.dim, a.dim, a.dim),
-        lambda t: t.mul_at(a, 1).map_at(r3, 0),
-        lambda t: t.map_at(r3, 0).map_at(r3, 1).mul_at(a, 0),
-        a.field, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
-    Condition("twR33", ("R3",), lambda a, v, c, r3: _scan(
-        (c.dim, c.dim, a.dim),
-        lambda t: t.mul_at(c, 0).map_at(r3, 0),
-        lambda t: t.map_at(r3, 1).map_at(r3, 0).mul_at(c, 1),
-        a.field, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
-    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _twist_units(
-        r1, v, a, "R1(v⊗1_A)=1_A⊗v", "R1(1_V⊗a)=a⊗1_V", x_first=False)),
-    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _twist_units(
-        r2, c, v, "R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C")),
-    Condition("unit-E", ("E",), _unit_e),
-    Condition("equiv1", ("R1",), lambda a, v, c, r1: _scan(
-        (v.dim, a.dim, a.dim),
-        lambda t: t.mul_at(a, 1).map_at(r1, 0),
-        lambda t: t.map_at(r1, 0).map_at(r1, 1).mul_at(a, 0),
-        a.field, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
-    Condition("equiv2", ("R2",), lambda a, v, c, r2: _scan(
-        (c.dim, c.dim, v.dim),
-        lambda t: t.mul_at(c, 0).map_at(r2, 0),
-        lambda t: t.map_at(r2, 1).map_at(r2, 0).mul_at(c, 1),
-        a.field, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
+    Condition("twR31", ("R3",), lambda a, v, c, r3: _first_mismatch(_twist_units(
+        r3, c, a, "R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
+    Condition("twR32", ("R3",), lambda a, v, c, r3: _scan_mult_left(
+        r3, a, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
+    Condition("twR33", ("R3",), lambda a, v, c, r3: _scan_mult_right(
+        r3, c, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
+    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _first_mismatch(_twist_units(
+        r1, v, a, "R1(v⊗1_A)=1_A⊗v", "R1(1_V⊗a)=a⊗1_V", x_first=False))),
+    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _first_mismatch(_twist_units(
+        r2, c, v, "R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
+    Condition("unit-E", ("E",), lambda a, v, c, e: _first_mismatch(_connector_unit(
+        e, v, lambda x: tensor_vec(e.field, a.unit, x, c.unit),
+        ("E(1_V⊗v)=1_A⊗v⊗1_C", "E(v⊗1_V)=1_A⊗v⊗1_C")))),
+    Condition("equiv1", ("R1",), lambda a, v, c, r1: _scan_mult_left(
+        r1, a, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
+    Condition("equiv2", ("R2",), lambda a, v, c, r2: _scan_mult_right(
+        r2, c, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
     Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _scan(
         (c.dim, v.dim, a.dim),
         lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
@@ -311,34 +303,20 @@ def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
     ida = identity(f, shape(a.dim))
     idv = identity(f, shape(v.dim))
     idc = identity(f, shape(c.dim))
-    ua = vector_map(f, a.unit)
     uv = vector_map(f, v.unit)
-    uc = vector_map(f, c.unit)
     out = {}
-    out["twR31"] = (
-        compose(r3, tensor(idc, ua)).cols == tensor(ua, idc).cols
-        and compose(r3, tensor(uc, ida)).cols == tensor(ida, uc).cols)
-    out["twR32"] = compose(r3, tensor(idc, a.mul)).cols == compose(
-        tensor(a.mul, idc), tensor(ida, r3), tensor(r3, ida)).cols
-    out["twR33"] = compose(r3, tensor(c.mul, ida)).cols == compose(
-        tensor(ida, c.mul), tensor(r3, idc), tensor(idc, r3)).cols
-    out["unit-R1"] = (
-        compose(r1, tensor(uv, ida)).cols == tensor(ida, uv).cols
-        and compose(r1, tensor(idv, ua)).cols == tensor(ua, idv).cols)
-    out["unit-R2"] = (
-        compose(r2, tensor(idc, uv)).cols == tensor(uv, idc).cols
-        and compose(r2, tensor(uc, idv)).cols == tensor(idv, uc).cols)
-    unit_e_rhs = tensor(ua, idv, uc).cols
+    out["twR31"] = _twist_units_hold(r3, c.unit, a.unit)
+    out["twR32"] = _column_witness(*_mult_left(r3, a)) is None
+    out["twR33"] = _column_witness(*_mult_right(r3, c)) is None
+    out["unit-R1"] = _twist_units_hold(r1, v.unit, a.unit)
+    out["unit-R2"] = _twist_units_hold(r2, c.unit, v.unit)
+    unit_e_rhs = tensor(vector_map(f, a.unit), idv, vector_map(f, c.unit)).cols
     out["unit-E"] = (
         compose(e, tensor(uv, idv)).cols == unit_e_rhs
         and compose(e, tensor(idv, uv)).cols == unit_e_rhs)
-    out["equiv1"] = compose(r1, tensor(idv, a.mul)).cols == compose(
-        tensor(a.mul, idv), tensor(ida, r1), tensor(r1, ida)).cols
-    out["equiv2"] = compose(r2, tensor(c.mul, idv)).cols == compose(
-        tensor(idv, c.mul), tensor(r2, idc), tensor(idc, r2)).cols
-    out["equiv3"] = compose(
-        tensor(ida, r2), tensor(r3, idv), tensor(idc, r1)).cols == compose(
-        tensor(r1, idc), tensor(idv, r3), tensor(r2, ida)).cols
+    out["equiv1"] = _column_witness(*_mult_left(r1, a)) is None
+    out["equiv2"] = _column_witness(*_mult_right(r2, c)) is None
+    out["equiv3"] = _column_witness(*_braid(r1, r2, r3)) is None
     out["equiv4"] = compose(
         tensor(a.mul, idv, idc), tensor(ida, e), tensor(r1, idv), tensor(idv, r1)
     ).cols == compose(
@@ -513,17 +491,10 @@ def presentations_agree(d: TwoSidedData) -> Report:
         if same_algebra(main, other):
             entries.append(ConditionResult(name, True))
         else:
-            witness = None
             if main.unit != other.unit:
                 witness = Witness((), main.unit, other.unit, "units differ")
             else:
-                ncols = main.mul.domain.total
-                for j in range(ncols):
-                    if main.mul.cols[j] != other.mul.cols[j]:
-                        witness = Witness(main.mul.domain.multi(j),
-                                          main.mul.column(j), other.mul.column(j),
-                                          "structure constants differ")
-                        break
+                witness = _column_witness(main.mul, other.mul, "structure constants differ")
             entries.append(ConditionResult(name, False, witness))
     return Report(tuple(entries))
 
@@ -539,6 +510,12 @@ def _leg_projector(field, unit_vec, n):
     basis, _ = greedy_basis_completion(field, [unit_vec], n)
     cols = tuple(tuple(b[i] for b in basis) for i in range(n))  # basis as columns
     return invert(field, cols)
+
+
+def _embed(field, units, leg, x):
+    """x in one leg (0, 1, 2 for A, V, C) of A (x) V (x) C, the units of the
+    other legs in theirs."""
+    return tensor_vec(field, *units[:leg], x, *units[leg + 1:])
 
 
 def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoSidedData:
@@ -564,42 +541,31 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     if m.dim != na * nv * nc:
         raise ShapeMismatch("algebra dimension does not factor as dim A * dim V * dim C")
     avc = shape(na, nv, nc)
-    unit_expected = tensor_vec(f, a.unit, v.unit, c.unit)
-    if m.unit != unit_expected:
+    dims, units = avc.dims, (a.unit, v.unit, c.unit)
+    if m.unit != tensor_vec(f, *units):
         raise UnitMismatch("unit of M is not 1_A ⊗ 1_V ⊗ 1_C")
 
-    def emb_a(x):
-        return tensor_vec(f, x, v.unit, c.unit)
+    def emb(leg, i):
+        return _embed(f, units, leg, basis_vector(f, dims[leg], i))
 
-    def emb_v(x):
-        return tensor_vec(f, a.unit, x, c.unit)
+    for leg, alg, which in ((0, a, "a ↦ a⊗1_V⊗1_C"), (2, c, "c ↦ 1_A⊗1_V⊗c")):
+        emb_map = from_columns(f, shape(dims[leg]), avc,
+                               tuple(emb(leg, i) for i in range(dims[leg])))
+        rep = is_algebra_map(emb_map, alg, m)
+        if not rep.all_pass:
+            raise NotAlgebraMap(which, rep)
 
-    def emb_c(x):
-        return tensor_vec(f, a.unit, v.unit, x)
-
-    emb_a_map = from_columns(f, shape(na), avc,
-                             tuple(emb_a(basis_vector(f, na, i)) for i in range(na)))
-    emb_c_map = from_columns(f, shape(nc), avc,
-                             tuple(emb_c(basis_vector(f, nc, k)) for k in range(nc)))
-    rep = is_algebra_map(emb_a_map, a, m)
-    if not rep.all_pass:
-        raise NotAlgebraMap("a ↦ a⊗1_V⊗1_C", rep)
-    rep = is_algebra_map(emb_c_map, c, m)
-    if not rep.all_pass:
-        raise NotAlgebraMap("c ↦ 1_A⊗1_V⊗c", rep)
-
-    legs = ((na, a.unit), (nv, v.unit), (nc, c.unit))
-    projectors = [_leg_projector(f, unit, n) for n, unit in legs]
+    projectors = [_leg_projector(f, unit, n) for n, unit in zip(dims, units)]
 
     def split_leg(w, leg, which, indices):
         """Split w in A⊗V⊗C along one leg (0, 1, 2 for A, V, C): its unit
         coordinate there, indexed by the other two legs in order, or SplitFail
         if w has a component outside the span of that leg's unit."""
-        n, unit = legs[leg]
+        n, unit = dims[leg], units[leg]
         out = []
         projected = list(vzero(f, avc.total))
         ok = True
-        for rest in itertools.product(*(range(legs[t][0]) for t in range(3) if t != leg)):
+        for rest in itertools.product(*(range(dims[t]) for t in range(3) if t != leg)):
             flat = [avc.index(rest[:leg] + (z,) + rest[leg:]) for z in range(n)]
             leg_vec = tuple(w[i] for i in flat)
             coords = tuple(_dot(f, projectors[leg][t], leg_vec) for t in range(n))
@@ -612,44 +578,22 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
                                            "component outside the allowed span"))
         return tuple(out)
 
-    r1_cols = []
-    for j in range(nv):
-        for i in range(na):
-            w = m.mul_vec(emb_v(basis_vector(f, nv, j)), emb_a(basis_vector(f, na, i)))
-            r1_cols.append(split_leg(w, 2, "ajut1", (j, i)))
-    r2_cols = []
-    for k in range(nc):
-        for j in range(nv):
-            w = m.mul_vec(emb_c(basis_vector(f, nc, k)), emb_v(basis_vector(f, nv, j)))
-            r2_cols.append(split_leg(w, 0, "ajut2", (k, j)))
-    r3_cols = []
-    for k in range(nc):
-        for i in range(na):
-            w = m.mul_vec(emb_c(basis_vector(f, nc, k)), emb_a(basis_vector(f, na, i)))
-            r3_cols.append(split_leg(w, 1, "ajut3", (k, i)))
-    for i in range(na):
-        for j in range(nv):
-            for k in range(nc):
-                got = m.mul_vec(
-                    m.mul_vec(emb_a(basis_vector(f, na, i)), emb_v(basis_vector(f, nv, j))),
-                    emb_c(basis_vector(f, nc, k)))
-                want = basis_vector(f, m.dim, avc.index((i, j, k)))
-                if got != want:
-                    raise SplitFail("ajut4", Witness((i, j, k), got, want,
-                                                     "a⊗v⊗c = a·v·c"))
-    e_cols = []
-    for j in range(nv):
-        for jp in range(nv):
-            e_cols.append(m.mul_vec(emb_v(basis_vector(f, nv, j)),
-                                    emb_v(basis_vector(f, nv, jp))))
-
-    data = TwoSidedData(
-        a, v, c,
-        from_columns(f, shape(nv, na), shape(na, nv), tuple(r1_cols)),
-        from_columns(f, shape(nc, nv), shape(nv, nc), tuple(r2_cols)),
-        from_columns(f, shape(nc, na), shape(na, nc), tuple(r3_cols)),
-        from_columns(f, shape(nv, nv), shape(na, nv, nc), tuple(e_cols)),
-    )
+    # R(x⊗y) is read off (x)(y), which must lie in the span of the unit of
+    # the third leg: ajut1, ajut2, ajut3 for R1, R2, R3
+    maps = {}
+    for t, (name, (x, y)) in enumerate(TWIST_LEGS.items(), 1):
+        cols = tuple(
+            split_leg(m.mul_vec(emb(x, i), emb(y, j)), 3 - x - y, f"ajut{t}", (i, j))
+            for i, j in itertools.product(range(dims[x]), range(dims[y])))
+        maps[name] = from_columns(f, shape(dims[x], dims[y]), shape(dims[y], dims[x]), cols)
+    for i, j, k in itertools.product(range(na), range(nv), range(nc)):
+        got = m.mul_vec(m.mul_vec(emb(0, i), emb(1, j)), emb(2, k))
+        want = basis_vector(f, m.dim, avc.index((i, j, k)))
+        if got != want:
+            raise SplitFail("ajut4", Witness((i, j, k), got, want, "a⊗v⊗c = a·v·c"))
+    e_cols = tuple(m.mul_vec(emb(1, j), emb(1, jp))
+                   for j, jp in itertools.product(range(nv), repeat=2))
+    data = TwoSidedData(a, v, c, E=from_columns(f, shape(nv, nv), avc, e_cols), **maps)
     rep = check_twosided(data)
     if not rep.all_pass:
         raise RoundTripMismatch(
@@ -684,14 +628,12 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     for name, mp, src in (("fA", f_a, a.dim), ("fV", f_v, v.dim), ("fC", f_c, c.dim)):
         if mp.domain.total != src or mp.codomain.total != x.dim:
             raise ShapeMismatch(f"{name} must map [{src}] to [{x.dim}]")
-    rep = is_algebra_map(f_a.reshaped(shape(a.dim), shape(x.dim)), a, x)
-    if not rep.all_pass:
-        bad = next(e for e in rep.entries if not e.passed)
-        raise PremiseFail("fA", bad.witness or Witness((), (), (), "fA not an algebra map"))
-    rep = is_algebra_map(f_c.reshaped(shape(c.dim), shape(x.dim)), c, x)
-    if not rep.all_pass:
-        bad = next(e for e in rep.entries if not e.passed)
-        raise PremiseFail("fC", bad.witness or Witness((), (), (), "fC not an algebra map"))
+    for name, mp, alg in (("fA", f_a, a), ("fC", f_c, c)):
+        rep = is_algebra_map(mp.reshaped(shape(alg.dim), shape(x.dim)), alg, x)
+        if not rep.all_pass:
+            bad = next(e for e in rep.entries if not e.passed)
+            raise PremiseFail(name, bad.witness or Witness(
+                (), (), (), f"{name} not an algebra map"))
     got = f_v.apply(v.unit)
     if got != x.unit:
         raise PremiseFail("unit-fV", Witness((), got, x.unit, "f_V(1_V)=1_X"))
@@ -700,39 +642,29 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     mul2x = compose(x.mul, tensor(idx, x.mul))
     triple = compose(mul2x, tensor(f_a, f_v, f_c))  # [A,V,C] -> X
 
-    ida = identity(fld, shape(a.dim))
-    idv = identity(fld, shape(v.dim))
-    idc = identity(fld, shape(c.dim))
-    braid = compose(tensor(ida, d.R2), tensor(d.R3, idv), tensor(idc, d.R1))
-    lhs1 = compose(mul2x, tensor(f_c, f_v, f_a))
-    rhs1 = compose(triple, braid)
-    for j in range(lhs1.domain.total):
-        if lhs1.cols[j] != rhs1.cols[j]:
-            raise PremiseFail("premise-1", Witness(
-                lhs1.domain.multi(j), lhs1.column(j), rhs1.column(j),
-                "f_C f_V f_A = (f_A f_V f_C)∘braid"))
-    lhs2 = compose(triple, d.E)
-    rhs2 = compose(x.mul, tensor(f_v, f_v))
-    for j in range(lhs2.domain.total):
-        if lhs2.cols[j] != rhs2.cols[j]:
-            raise PremiseFail("premise-2", Witness(
-                lhs2.domain.multi(j), lhs2.column(j), rhs2.column(j),
-                "(f_A f_V f_C)∘E = f_V f_V"))
+    braid, _ = _braid(d.R1, d.R2, d.R3)
+    premises = (
+        ("premise-1", compose(mul2x, tensor(f_c, f_v, f_a)), compose(triple, braid),
+         "f_C f_V f_A = (f_A f_V f_C)∘braid"),
+        ("premise-2", compose(triple, d.E), compose(x.mul, tensor(f_v, f_v)),
+         "(f_A f_V f_C)∘E = f_V f_V"),
+    )
+    for name, lhs, rhs, text in premises:
+        witness = _column_witness(lhs, rhs, text)
+        if witness is not None:
+            raise PremiseFail(name, witness)
 
     built = build_twosided(d)
     result = triple.reshaped(domain=shape(built.dim), codomain=shape(x.dim))
     rep = is_algebra_map(result, built, x)
     if not rep.all_pass:
         raise NotAlgebraMapResult("induced map is not an algebra map (internal bug)")
-    emb_checks = (
-        (f_a, lambda e: tensor_vec(fld, e, v.unit, c.unit), a.dim),
-        (f_v, lambda e: tensor_vec(fld, a.unit, e, c.unit), v.dim),
-        (f_c, lambda e: tensor_vec(fld, a.unit, v.unit, e), c.dim),
-    )
-    for mp, emb, n in emb_checks:
+    units = (a.unit, v.unit, c.unit)
+    for leg, mp in enumerate((f_a, f_v, f_c)):
+        n = (a.dim, v.dim, c.dim)[leg]
         for i in range(n):
             e = basis_vector(fld, n, i)
-            if result.apply(emb(e)) != mp.apply(e):
+            if result.apply(_embed(fld, units, leg, e)) != mp.apply(e):
                 raise NotAlgebraMapResult(
                     "induced map does not restrict to the given maps (internal bug)")
     return result

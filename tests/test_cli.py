@@ -133,6 +133,29 @@ def test_bad_json_is_input_error(tmp_path):
     assert rc == 2
 
 
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    # json.loads raises RecursionError at this depth; it must not escape
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    rc, rep, raw = run(["check", "--in", str(path)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"] == {"type": "DocumentError",
+                            "message": "$: document is nested too deeply"}
+    assert raw.decode("utf-8") == json.dumps(rep, sort_keys=True, indent=2,
+                                             ensure_ascii=False) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_modulus_of_2_pow_61_minus_1_is_input_error(tmp_path):
+    # a prime far above 2^31: refused by the bound, without trial division
+    obj = {"field": {"kind": "prime", "p": 2**61 - 1}}
+    rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["message"] == "$.field.p: modulus 2305843009213693951 exceeds 2^31"
+
+
 def test_check_graded_fixture_passes(tmp_path):
     doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-graded-super"], Q))
     rc, rep, _ = run(["check", "--in", doc], tmp_path)

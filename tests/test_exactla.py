@@ -1,6 +1,7 @@
 """Scalar arithmetic, index conventions, composition, Kronecker products."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -43,6 +44,15 @@ def test_prime_field_rejects_bad_moduli():
             PrimeField(p)
     assert PrimeField(2).p == 2
     assert PrimeField(2**31 - 1).p == 2**31 - 1  # largest admissible prime
+
+
+def test_large_prime_modulus_refused_before_trial_division():
+    # 2^61 - 1 is prime: trial division up to its square root would take
+    # about 1.5e9 steps, so the bound must be checked first
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^modulus 2305843009213693951 exceeds 2\^31$"):
+        PrimeField(2**61 - 1)
+    assert time.process_time() - start < 1.0
 
 
 def test_rational_parse_normalizes():
