@@ -11,7 +11,7 @@ over flat indices.
 Reports are canonical JSON: sorted keys, normalized scalars, LF endings, no
 timestamps, so output bytes depend only on the input document and seed.
 Exit codes: 0 all conditions pass, 1 axiom failure, 2 input error, 3 internal
-error (two internal routes disagreed).
+error (two internal routes disagreed, or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -131,12 +131,18 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _excerpt(text):
+    # at most 64 characters of a refused scalar, or of the reason, in a message
+    return text if len(text) <= 64 else text[:64] + "..."
+
+
 def _parse_scalar(field, value, path):
     # the field refuses JSON floats and booleans rather than truncating them
     try:
         return field.parse(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DocumentError(path, f"bad scalar {value!r}: {exc}") from exc
+        raise DocumentError(
+            path, f"bad scalar {_excerpt(repr(value))}: {_excerpt(str(exc))}") from exc
 
 
 def _parse_vector(field, value, n, path):
@@ -670,8 +676,8 @@ def main(argv=None) -> int:
                            conditions=_report_obj(field, rep), outputs=outputs),
                       0 if rep.all_pass else 1)
 
-    except tuple(_EXIT_CODES) as exc:
-        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+    except Exception as exc:  # any exception outside _EXIT_CODES is a bug: exit 3
+        code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 3)
         return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
                            outputs={}, error=_error_obj(field, exc)), code)
 

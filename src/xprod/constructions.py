@@ -28,6 +28,7 @@ from .algebra import (
     Coalgebra,
     FinAlgebra,
     PointedSpace,
+    _column_witness,
     conjugate_algebra,
     new_algebra,
     ordinary_tensor,
@@ -37,6 +38,7 @@ from .crossed import (
     MirrorData,
     _braid,
     _columns_equal,
+    _unit_legs,
     build_mirror,
     build_ttp,
     check_mirror,
@@ -65,12 +67,12 @@ from .exactla import (
     tensor_vec,
     vector_map,
 )
-from .report import ConditionResult, Report, Witness, merge
+from .report import ConditionResult, Report, merge
 from .twosided import (
     CONDITIONS,
     TWIST_LEGS,
     TwoSidedData,
-    _Ten,
+    _chain_map,
     build_twosided,
     check_twosided,
 )
@@ -124,20 +126,17 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
         raise AxiomFailure(rep, "iterated twisted tensor product preconditions fail")
     data = TwoSidedData(a, b.as_pointed(), c, r1, r2, r3, product_connector(a, b, c))
     out = build_twosided(data)
-    f = a.field
-    dims = (a.dim, b.dim, c.dim, a.dim, b.dim, c.dim)
-    triple = shape(a.dim, b.dim, c.dim)
-    for idx in itertools.product(*(range(n) for n in dims)):
-        t = _Ten.basis(f, dims, idx)
+
+    def chain(t):
         t = t.map_at(r3, 2)            # (c, a') -> a'_R3, c_R3
         t = t.map_at(r1, 1)            # (b, a'_R3) -> (a'_R3)_R1, b_R1
         t = t.map_at(r2, 3)            # (c_R3, b') -> b'_R2, (c_R3)_R2
-        t = t.mul_at(a, 0).mul_at(b, 1).mul_at(c, 2)
-        col = out.mul.column(out.mul.domain.index(
-            (triple.index(idx[:3]), triple.index(idx[3:]))))
-        if t.vector() != col:
-            raise InternalCheckError(
-                f"iterated product disagrees with its formula at {idx}")
+        return t.mul_at(a, 0).mul_at(b, 1).mul_at(c, 2)
+
+    witness = _column_witness(_chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul)
+    if witness is not None:
+        raise InternalCheckError(
+            f"iterated product disagrees with its formula at {witness.indices}")
     return out
 
 
@@ -299,10 +298,7 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
                   to_vca, d.E).reshaped(codomain=shape(nv, nac, nac))
     lr = LRData(j_map, t_map, gamma, eta)
 
-    dims = (nv, na, nc, nv, na, nc)
-    cols = []
-    for idx in itertools.product(*(range(n) for n in dims)):
-        t = _Ten.basis(f, dims, idx)
+    def chain(t):
         t = t.permute((0, 4, 1, 2, 3, 5))      # v, a', a, c, v', c'
         t = t.map_at(d.R1, 0)                  # a'_R1, v_R1, a, c, v', c'
         t = t.map_at(d.R2, 3)                  # ..., v'_R2, c_R2, c'
@@ -310,28 +306,18 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
         t = t.map_at(d.E, 2)                   # a, a'_R1, E_A, E_V, E_C, c_R2, c'
         t = t.mul_at(a, 0).mul_at(a, 0)
         t = t.mul_at(c, 2).mul_at(c, 2)        # E_C c_R2 c'
-        t = t.permute((1, 0, 2))               # V, A, C
-        cols.append(t.vector())
+        return t.permute((1, 0, 2))            # V, A, C
+
     n = nv * nac
-    mul = from_columns(f, shape(n, n), shape(n), tuple(cols))
+    mul = _chain_map(f, (nv, na, nc) * 2, chain).reshaped(shape(n, n), shape(n))
     lr_alg = new_algebra(f, n, mul, tensor_vec(f, v.unit, ac.unit))
     if not same_algebra(lr_alg, transported):
         raise InternalCheckError("L-R presentation differs from the permuted product")
 
-    info = None
-    for j, i, k, ip, kp in itertools.product(
-            range(nv), range(na), range(nc), range(na), range(nc)):
-        x = tensor_vec(f, basis_vector(f, nv, j),
-                       basis_vector(f, na, i), basis_vector(f, nc, k))
-        y = tensor_vec(f, v.unit, basis_vector(f, na, ip), basis_vector(f, nc, kp))
-        left = lr_alg.mul_vec(x, y)
-        right = tensor_vec(f, basis_vector(f, nv, j), ac.mul_vec(
-            tensor_vec(f, basis_vector(f, na, i), basis_vector(f, nc, k)),
-            tensor_vec(f, basis_vector(f, na, ip), basis_vector(f, nc, kp))))
-        if left != right:
-            info = Witness((j, i, k, ip, kp), left, right,
-                           "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')")
-            break
+    info = _column_witness(
+        compose(lr_alg.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
+        tensor(idv, ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
+        "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')")
     report = Report((
         ConditionResult("transport-equality", True),
         ConditionResult("lr-differs-from-mirror", True, info, informational=True),

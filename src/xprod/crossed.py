@@ -12,7 +12,9 @@ private helpers, each written once: the unit laws of a twist (:func:`_twist_unit
 :func:`_twist_units`; as composites :func:`_twist_units_hold`), the unit law of a
 connector (:func:`_connector_unit`), multiplicativity of a twist as composites
 (:func:`_mult_left`, :func:`_mult_right`), the braid relation (:func:`_braid`)
-and the first differing column of two maps (:func:`_column_witness`).
+and legs embedded with the units in the others (:func:`_unit_legs`).  The first
+differing column of two maps, :func:`~xprod.algebra._column_witness`, lives in
+:mod:`xprod.algebra`.
 """
 
 from __future__ import annotations
@@ -20,27 +22,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, PointedSpace, new_algebra
+from .algebra import FinAlgebra, PointedSpace, _column_witness, new_algebra
 from .errors import AxiomFailure, FieldMismatch, InternalCheckError, ShapeMismatch
 from .exactla import (
     TensorMap,
     basis_vector,
     compose,
     identity,
+    permute_factors,
     shape,
     tensor,
     tensor_vec,
     vector_map,
 )
 from .report import ConditionResult, Report, Witness
-
-
-def _column_witness(lhs: TensorMap, rhs: TensorMap, identity_text: str = "") -> Witness | None:
-    """The smallest basis tuple whose columns differ, as a witness, or None."""
-    for j in range(lhs.domain.total):
-        if lhs.cols[j] != rhs.cols[j]:
-            return Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j), identity_text)
-    return None
 
 
 def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
@@ -134,6 +129,15 @@ def _braid(r1: TensorMap, r2: TensorMap, r3: TensorMap):
     idc = identity(f, shape(r2.domain.dims[0]))
     return (compose(tensor(ida, r2), tensor(r3, idv), tensor(idc, r1)),
             compose(tensor(r1, idc), tensor(idv, r3), tensor(r2, ida)))
+
+
+def _unit_legs(field, units, keep) -> TensorMap:
+    """The embedding of the legs ``keep`` (increasing) into the tensor product
+    of legs with the given units: identity on the kept legs, the unit inserted
+    in every other, as in x ↦ 1⊗x⊗1."""
+    m = tensor(*(identity(field, shape(len(u))) if t in keep else vector_map(field, u)
+                 for t, u in enumerate(units)))
+    return m.reshaped(domain=shape(*(len(units[t]) for t in keep)))
 
 
 def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
@@ -234,16 +238,11 @@ def build_brzezinski(d: BrzData) -> FinAlgebra:
     n = a.dim * v.dim
     mul = mul.reshaped(domain=shape(n, n), codomain=shape(n))
     out = new_algebra(f, n, mul, tensor_vec(f, a.unit, v.unit))
-    for i, k in itertools.product(range(a.dim), repeat=2):
-        ea = basis_vector(f, a.dim, i)
-        eb = basis_vector(f, a.dim, k)
-        for j in range(v.dim):
-            ev = basis_vector(f, v.dim, j)
-            got = out.mul_vec(tensor_vec(f, ea, v.unit), tensor_vec(f, eb, ev))
-            want = tensor_vec(f, a.mul_vec(ea, eb), ev)
-            if got != want:
-                raise InternalCheckError(
-                    f"(a⊗1_V)(b⊗v)=ab⊗v fails at basis {(i, k, j)}")
+    # (a⊗1_V)(b⊗v) = ab⊗v on basis tuples (a, b, v)
+    lhs = compose(out.mul, _unit_legs(f, (a.unit, v.unit) * 2, (0, 2, 3)))
+    witness = _column_witness(lhs, tensor(a.mul, idv))
+    if witness is not None:
+        raise InternalCheckError(f"(a⊗1_V)(b⊗v)=ab⊗v fails at basis {witness.indices}")
     return out
 
 
@@ -310,16 +309,13 @@ def build_mirror(d: MirrorData) -> FinAlgebra:
     n = w.dim * b.dim
     mul = mul.reshaped(domain=shape(n, n), codomain=shape(n))
     out = new_algebra(f, n, mul, tensor_vec(f, w.unit, b.unit))
-    for i, k in itertools.product(range(b.dim), repeat=2):
-        eb = basis_vector(f, b.dim, i)
-        ec = basis_vector(f, b.dim, k)
-        for j in range(w.dim):
-            ew = basis_vector(f, w.dim, j)
-            got = out.mul_vec(tensor_vec(f, ew, eb), tensor_vec(f, w.unit, ec))
-            want = tensor_vec(f, ew, b.mul_vec(eb, ec))
-            if got != want:
-                raise InternalCheckError(
-                    f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")
+    # (w⊗b)(1_W⊗b') = w⊗bb' on basis tuples (b, b', w), reported as (w, b, b')
+    order = permute_factors(f, (b.dim, b.dim, w.dim), (2, 0, 1))
+    lhs = compose(out.mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order)
+    witness = _column_witness(lhs, compose(tensor(idw, b.mul), order))
+    if witness is not None:
+        i, k, j = witness.indices
+        raise InternalCheckError(f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")
     return out
 
 

@@ -287,14 +287,6 @@ def is_zero_vec(field: Field, v) -> bool:
 
 # -- dense matrices (tuples of row tuples) ---------------------------------
 
-def _dot(field: Field, u, v):
-    s = field.zero
-    for x, y in zip(u, v):
-        if not field.is_zero(x) and not field.is_zero(y):
-            s = field.add(s, field.mul(x, y))
-    return s
-
-
 def row_reduce(field: Field, rows, ncols: int) -> tuple[list, list[int]]:
     """Gauss-Jordan elimination on the first ``ncols`` columns.
 
@@ -327,35 +319,6 @@ def invert(field: Field, rows) -> tuple:
     if len(pivots) < n:
         raise ShapeMismatch("matrix is singular")
     return tuple(tuple(row[n:]) for row in work)
-
-
-def greedy_basis_completion(field: Field, seeds, n: int) -> tuple[tuple, tuple[int, ...]]:
-    """Complete independent seed vectors to a basis of k^n.
-
-    Standard basis vectors are scanned in index order and appended whenever
-    they are independent of what was collected so far, which makes the
-    completion deterministic.  Returns the basis as a tuple of column vectors
-    (seeds first) and the chosen standard indices.
-    """
-    basis = [tuple(s) for s in seeds]
-    chosen: list[int] = []
-
-    def rank(vectors):
-        return len(row_reduce(field, vectors, n)[1])
-
-    current = rank(basis)
-    if current != len(basis):
-        raise ShapeMismatch("seed vectors are dependent")
-    for i in range(n):
-        if len(basis) == n:
-            break
-        cand = basis + [basis_vector(field, n, i)]
-        if rank(cand) == len(cand):
-            basis = cand
-            chosen.append(i)
-    if len(basis) != n:
-        raise ShapeMismatch("could not complete to a basis")
-    return tuple(basis), tuple(chosen)
 
 
 # -- tensor maps ------------------------------------------------------------

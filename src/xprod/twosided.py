@@ -35,18 +35,25 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import FinAlgebra, PointedSpace, is_algebra_map, new_algebra, same_algebra
+from .algebra import (
+    FinAlgebra,
+    PointedSpace,
+    _column_witness,
+    is_algebra_map,
+    new_algebra,
+    same_algebra,
+)
 from .crossed import (
     BrzData,
     MirrorData,
     _braid,
-    _column_witness,
     _connector_unit,
     _first_mismatch,
     _mult_left,
     _mult_right,
     _twist_units,
     _twist_units_hold,
+    _unit_legs,
     build_brzezinski,
     build_mirror,
 )
@@ -68,13 +75,8 @@ from .exactla import (
     Field,
     TensorMap,
     TensorShape,
-    _dot,
-    basis_vector,
     compose,
-    from_columns,
-    greedy_basis_completion,
     identity,
-    invert,
     shape,
     tensor,
     tensor_vec,
@@ -205,6 +207,18 @@ def _scan(dims_list, lhs_chain, rhs_chain, field, identity_text=""):
         if left.data != right.data:  # both sparse with zeros dropped
             return Witness(idx, left.vector(), right.vector(), identity_text)
     return None
+
+
+def _chain_map(field, dims, chain) -> TensorMap:
+    """The map whose column at each basis tuple of ``dims`` is ``chain``
+    applied to that tuple; its codomain is the chain's output factors."""
+    cod, cols = None, []
+    for idx in itertools.product(*(range(d) for d in dims)):
+        t = chain(_Ten.basis(field, dims, idx))
+        cod = cod or TensorShape(t.dims)
+        cols.append(tuple((cod.index(key), x) for key, x in sorted(t.data.items())
+                          if not field.is_zero(x)))
+    return TensorMap(field, TensorShape(dims), cod, tuple(cols))
 
 
 def _scan_mult_left(r, alg, identity_text):
@@ -375,26 +389,18 @@ def derive_maps(d: TwoSidedData) -> DerivedMaps:
     return DerivedMaps(r, p, sigma, nu)
 
 
-def _product_columns(d: TwoSidedData):
-    """Structure-constant columns of the two-sided product, elementwise route."""
+def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
     f = d.field
-    a, v, c = d.A, d.V, d.C
-    dims = (a.dim, v.dim, c.dim, a.dim, v.dim, c.dim)
-    for idx in itertools.product(*(range(n) for n in dims)):
-        t = _Ten.basis(f, dims, idx)
+    n = d.A.dim * d.V.dim * d.C.dim
+
+    def chain(t):
         t = t.map_at(d.R3, 2)   # (c, a') -> a'_R3, c_R3
         t = t.map_at(d.R1, 1)   # (v, a'_R3) -> (a'_R3)_R1, v_R1
         t = t.map_at(d.R2, 3)   # (c_R3, v') -> v'_R2, (c_R3)_R2
         t = t.map_at(d.E, 2)    # E(v_R1, v'_R2)
-        t = t.mul_at(a, 0).mul_at(a, 0)
-        t = t.mul_at(c, 2).mul_at(c, 2)
-        yield t.vector()
+        return t.mul_at(d.A, 0).mul_at(d.A, 0).mul_at(d.C, 2).mul_at(d.C, 2)
 
-
-def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
-    f = d.field
-    n = d.A.dim * d.V.dim * d.C.dim
-    mul = from_columns(f, shape(n, n), shape(n), tuple(_product_columns(d)))
+    mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, chain).reshaped(shape(n, n), shape(n))
     # composite route for the same multiplication, kept as an internal check
     ida = identity(f, shape(d.A.dim))
     idv = identity(f, shape(d.V.dim))
@@ -501,23 +507,6 @@ def presentations_agree(d: TwoSidedData) -> Report:
 
 # -- converse: extraction from a suitably split algebra ----------------------
 
-def _leg_projector(field, unit_vec, n):
-    """Change of basis whose first coordinate reads off the unit component.
-
-    Completes {unit} to a basis greedily over standard basis vectors; the
-    returned matrix maps a vector to its coordinates in that basis.
-    """
-    basis, _ = greedy_basis_completion(field, [unit_vec], n)
-    cols = tuple(tuple(b[i] for b in basis) for i in range(n))  # basis as columns
-    return invert(field, cols)
-
-
-def _embed(field, units, leg, x):
-    """x in one leg (0, 1, 2 for A, V, C) of A (x) V (x) C, the units of the
-    other legs in theirs."""
-    return tensor_vec(field, *units[:leg], x, *units[leg + 1:])
-
-
 def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoSidedData:
     """Recover (R1, R2, R3, E) from an algebra structure on A (x) V (x) C.
 
@@ -530,70 +519,57 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     * ajut3: (1⊗1⊗c)(a'⊗1⊗1) lies in A ⊗ span(1_V) ⊗ C,
     * ajut4: (a⊗1⊗1)(1⊗v⊗1)(1⊗1⊗c) = a⊗v⊗c.
 
-    R1, R2, R3 are read off those products through the deterministic
-    basis completion of each span, E(v⊗v') = (1⊗v⊗1)(1⊗v'⊗1), and the
+    R1, R2, R3 are read off those products as their unit coordinate in the
+    third leg, w_s / u_s at the last nonzero coordinate s of its unit u (each
+    fibre must equal (w_s / u_s) u), E(v⊗v') = (1⊗v⊗1)(1⊗v'⊗1), and the
     extracted data must pass :func:`check_twosided` and rebuild M exactly.
     """
     f = m.field
-    na, nv, nc = a.dim, v.dim, c.dim
+    avc = shape(a.dim, v.dim, c.dim)
     if {f, a.field, v.field, c.field} != {f}:
         raise FieldMismatch("extraction across different fields")
-    if m.dim != na * nv * nc:
+    if m.dim != avc.total:
         raise ShapeMismatch("algebra dimension does not factor as dim A * dim V * dim C")
-    avc = shape(na, nv, nc)
     dims, units = avc.dims, (a.unit, v.unit, c.unit)
     if m.unit != tensor_vec(f, *units):
         raise UnitMismatch("unit of M is not 1_A ⊗ 1_V ⊗ 1_C")
 
-    def emb(leg, i):
-        return _embed(f, units, leg, basis_vector(f, dims[leg], i))
+    def legs(*keep):
+        return _unit_legs(f, units, keep)
+
+    def product(x, y):
+        return compose(m.mul, tensor(x, y)).reshaped(codomain=avc)
+
+    def unit_coordinate(leg):
+        """A (x) V (x) C -> the other two legs: the unit coordinate in ``leg``."""
+        u = units[leg]
+        s = max((i for i, x in enumerate(u) if not f.is_zero(x)), default=None)
+        if s is None:
+            raise ShapeMismatch("the unit of a leg is zero")
+        read = TensorMap(f, shape(len(u)), shape(1), tuple(
+            ((0, f.inv(u[s])),) if i == s else () for i in range(len(u))))
+        return tensor(*(read if t == leg else identity(f, shape(dims[t])) for t in range(3)))
 
     for leg, alg, which in ((0, a, "a ↦ a⊗1_V⊗1_C"), (2, c, "c ↦ 1_A⊗1_V⊗c")):
-        emb_map = from_columns(f, shape(dims[leg]), avc,
-                               tuple(emb(leg, i) for i in range(dims[leg])))
-        rep = is_algebra_map(emb_map, alg, m)
+        rep = is_algebra_map(legs(leg), alg, m)
         if not rep.all_pass:
             raise NotAlgebraMap(which, rep)
-
-    projectors = [_leg_projector(f, unit, n) for n, unit in zip(dims, units)]
-
-    def split_leg(w, leg, which, indices):
-        """Split w in A⊗V⊗C along one leg (0, 1, 2 for A, V, C): its unit
-        coordinate there, indexed by the other two legs in order, or SplitFail
-        if w has a component outside the span of that leg's unit."""
-        n, unit = dims[leg], units[leg]
-        out = []
-        projected = list(vzero(f, avc.total))
-        ok = True
-        for rest in itertools.product(*(range(dims[t]) for t in range(3) if t != leg)):
-            flat = [avc.index(rest[:leg] + (z,) + rest[leg:]) for z in range(n)]
-            leg_vec = tuple(w[i] for i in flat)
-            coords = tuple(_dot(f, projectors[leg][t], leg_vec) for t in range(n))
-            out.append(coords[0])
-            for z, i in enumerate(flat):
-                projected[i] = f.mul(coords[0], unit[z])
-            ok = ok and all(f.is_zero(x) for x in coords[1:])
-        if not ok:
-            raise SplitFail(which, Witness(indices, tuple(w), tuple(projected),
-                                           "component outside the allowed span"))
-        return tuple(out)
 
     # R(x⊗y) is read off (x)(y), which must lie in the span of the unit of
     # the third leg: ajut1, ajut2, ajut3 for R1, R2, R3
     maps = {}
     for t, (name, (x, y)) in enumerate(TWIST_LEGS.items(), 1):
-        cols = tuple(
-            split_leg(m.mul_vec(emb(x, i), emb(y, j)), 3 - x - y, f"ajut{t}", (i, j))
-            for i, j in itertools.product(range(dims[x]), range(dims[y])))
-        maps[name] = from_columns(f, shape(dims[x], dims[y]), shape(dims[y], dims[x]), cols)
-    for i, j, k in itertools.product(range(na), range(nv), range(nc)):
-        got = m.mul_vec(m.mul_vec(emb(0, i), emb(1, j)), emb(2, k))
-        want = basis_vector(f, m.dim, avc.index((i, j, k)))
-        if got != want:
-            raise SplitFail("ajut4", Witness((i, j, k), got, want, "a⊗v⊗c = a·v·c"))
-    e_cols = tuple(m.mul_vec(emb(1, j), emb(1, jp))
-                   for j, jp in itertools.product(range(nv), repeat=2))
-    data = TwoSidedData(a, v, c, E=from_columns(f, shape(nv, nv), avc, e_cols), **maps)
+        xy = product(legs(x), legs(y))
+        r = compose(unit_coordinate(3 - x - y), xy).reshaped(codomain=shape(dims[y], dims[x]))
+        witness = _column_witness(xy, compose(legs(y, x), r), "component outside the allowed span")
+        if witness is not None:
+            raise SplitFail(f"ajut{t}", witness)
+        maps[name] = r
+    witness = _column_witness(compose(m.mul, tensor(product(legs(0), legs(1)), legs(2))),
+                              identity(f, avc), "a⊗v⊗c = a·v·c")
+    if witness is not None:
+        raise SplitFail("ajut4", witness)
+    data = TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
     rep = check_twosided(data)
     if not rep.all_pass:
         raise RoundTripMismatch(
@@ -659,12 +635,8 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     rep = is_algebra_map(result, built, x)
     if not rep.all_pass:
         raise NotAlgebraMapResult("induced map is not an algebra map (internal bug)")
-    units = (a.unit, v.unit, c.unit)
     for leg, mp in enumerate((f_a, f_v, f_c)):
-        n = (a.dim, v.dim, c.dim)[leg]
-        for i in range(n):
-            e = basis_vector(fld, n, i)
-            if result.apply(_embed(fld, units, leg, e)) != mp.apply(e):
-                raise NotAlgebraMapResult(
-                    "induced map does not restrict to the given maps (internal bug)")
+        if compose(result, _unit_legs(fld, (a.unit, v.unit, c.unit), (leg,))).cols != mp.cols:
+            raise NotAlgebraMapResult(
+                "induced map does not restrict to the given maps (internal bug)")
     return result

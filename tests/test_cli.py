@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import xprod
 
 from fixtures import (
     F2,
@@ -154,6 +159,54 @@ def test_modulus_of_2_pow_61_minus_1_is_input_error(tmp_path):
     assert rc == 2
     assert rep["status"] == "error"
     assert rep["error"]["message"] == "$.field.p: modulus 2305843009213693951 exceeds 2^31"
+
+
+REFUSED_SCALARS = {"1MB-string": '"' + "9" * 500_000 + "x" + "9" * 500_000 + '"',
+                   "980-deep-list": "[" * 980 + "]" * 980}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_SCALARS))
+def test_refused_scalar_report_is_bounded(tmp_path, kind):
+    # the report names the path and an excerpt of the value; a fresh process
+    # keeps the stack shallow enough to decode the list
+    scalar = REFUSED_SCALARS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": {"kind": "rationals"}, "spaces": {"V": {"dim": 1, "unit": ['
+                    + scalar + "]}}}", encoding="utf-8")
+    src = str(Path(xprod.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "xprod", "check", "--in", str(path)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    assert len(proc.stdout) < 4096
+    rep = json.loads(proc.stdout)
+    assert rep["error"]["message"].startswith("$.spaces.V.unit[0]: bad scalar ")
+
+
+def test_short_refused_scalar_message_unchanged(tmp_path):
+    obj = {"field": {"kind": "rationals"}, "spaces": {"V": {"dim": 1, "unit": ["1/0"]}}}
+    rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 2
+    assert rep["error"]["message"] == "$.spaces.V.unit[0]: bad scalar '1/0': Fraction(1, 0)"
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    import xprod.cli
+
+    def broken(data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(xprod.cli, "check_twosided", broken)
+    doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-flip-trivial"], Q))
+    capsys.readouterr()
+    rc = main(["check", "--in", doc])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rc == 3
+    assert rep["status"] == "internal-error"
+    assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
+    assert captured.out == json.dumps(rep, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert captured.err == ""
 
 
 def test_check_graded_fixture_passes(tmp_path):

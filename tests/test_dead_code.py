@@ -35,3 +35,26 @@ def test_every_definition_is_named_outside_its_def():
               if not (name.startswith("__") and name.endswith("__"))
               and mentions[name] <= defs[name]]
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def unused_imports(path):
+    """Names that a module-level import of ``path`` binds and the module never
+    names again; ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in named]
+
+
+def test_every_import_is_named():
+    # __init__.py imports in order to re-export
+    unused = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for entry in unused_imports(path)]
+    assert not unused, f"imported but never named: {unused}"
