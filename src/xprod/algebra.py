@@ -193,6 +193,18 @@ def ordinary_tensor(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     return new_algebra(f, a.dim * b.dim, mul, unit)
 
 
+def _require_maps(what: str, parts, maps):
+    """Refuse a data tuple unless its parts and maps share one field and each
+    map, listed as (name, map, domain dims, codomain dims), has its shape."""
+    if len({x.field for x in parts} | {m.field for _, m, _, _ in maps}) != 1:
+        raise FieldMismatch(f"{what} across different fields")
+    for name, m, dom, cod in maps:
+        if m.domain.dims != tuple(dom) or m.codomain.dims != tuple(cod):
+            raise ShapeMismatch(
+                f"{name} must map {list(dom)} to {list(cod)}, got "
+                f"{list(m.domain.dims)} to {list(m.codomain.dims)}")
+
+
 def _column_witness(lhs: TensorMap, rhs: TensorMap, identity_text: str = "") -> Witness | None:
     """The smallest basis tuple whose columns differ, as a witness, or None."""
     for j in range(lhs.domain.total):

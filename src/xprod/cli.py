@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .algebra import (
@@ -31,6 +33,7 @@ from .algebra import (
 from .constructions import (
     MaData,
     SearchSpec,
+    _iterated_twists,
     iterated_report,
     iterated_ttp,
     ma_build,
@@ -38,13 +41,13 @@ from .constructions import (
     remark1_transport,
     remark2_lr,
     search_fp,
+    _is_flip,
     _prefixed,
 )
 from .crossed import (
     BrzData,
     MirrorData,
-    _brz_shapes,
-    _mirror_shapes,
+    _twisting_shapes,
     build_brzezinski,
     build_mirror,
     build_ttp,
@@ -78,15 +81,15 @@ from .exactla import (
     RATIONALS,
     TensorMap,
     TensorShape,
-    flip,
     from_columns,
     from_rows,
     shape,
 )
 from .report import ConditionResult, Report, Witness, merge
 from .twosided import (
-    TWIST_LEGS,
     TwoSidedData,
+    _extraction_shapes,
+    _universal_shapes,
     build_twosided,
     check_twosided,
     extract,
@@ -101,7 +104,7 @@ _EXIT_CODES = {
     NotAssociative: 1, NotUnital: 1, NotCoassociative: 1, CounitFail: 1,
     UnitNotGrouplike: 1,
     DocumentError: 2, ShapeMismatch: 2, FieldMismatch: 2, PreconditionFail: 2,
-    SearchSpaceTooLarge: 2, ValueError: 2,
+    SearchSpaceTooLarge: 2,
     InternalCheckError: 3, RoundTripMismatch: 3, NotAlgebraMapResult: 3,
 }
 _STATUS = {1: "fail", 2: "error", 3: "internal-error"}
@@ -134,6 +137,17 @@ def _is_int(value):
 def _excerpt(text):
     # at most 64 characters of a refused scalar, or of the reason, in a message
     return text if len(text) <= 64 else text[:64] + "..."
+
+
+def _spec_dim(spec, path, what, keys):
+    """Refuse ``spec`` unless it is an object with exactly ``keys``; return its
+    ``dim`` (1 when it has none), refused unless a positive integer."""
+    _expect(isinstance(spec, dict), path, f"{what} spec must be an object")
+    _expect(set(spec) == set(keys), path, f"{what} spec needs exactly "
+            + (" and " if len(keys) == 2 else ", ").join(repr(key) for key in keys))
+    dim = spec.get("dim", 1)
+    _expect(_is_int(dim) and dim >= 1, f"{path}.dim", "dimension must be a positive integer")
+    return dim
 
 
 def _parse_scalar(field, value, path):
@@ -180,12 +194,14 @@ def _parse_field(obj, path):
 # Every dataset type is declared once here: its references in resolution order,
 # each naming an algebra, a pointed space (an algebra name gives its unit), a
 # coalgebra, a map or an earlier twosided dataset; the function that turns the
-# resolved references into the entry, raising on bad shapes; and its check and
-# build.  The twosided, brzezinski, mirror and ma entries are the library's data
-# classes, the others the dict of resolved references.  Library functions are
-# named inside lambdas so that they are looked up when called: a function
-# rebound on this module after import, as the benchmark's span tracer does, is
-# then the one that runs.
+# resolved references into the entry; and its check and build.  The twosided,
+# brzezinski, mirror and ma entries are the library's data classes, which refuse
+# bad fields and shapes on construction.  The others are the dict of resolved
+# references, once the library's own refusal for that input, given them in
+# resolution order, accepts them.  Public library functions are named inside
+# lambdas so that they are looked up when called: a function rebound on this
+# module after import, as the benchmark's span tracer does, is then the one
+# that runs.
 
 @dataclass(frozen=True)
 class _DatasetType:
@@ -194,36 +210,6 @@ class _DatasetType:
     check: Optional[Callable] = None
     build: Optional[Callable] = None
     options: tuple = ()           # keys that may be left out
-
-
-def _ttp_entry(refs, *_):
-    a, b, r = refs["A"], refs["B"], refs["R"]
-    if r.domain.dims != (b.dim, a.dim) or r.codomain.dims != (a.dim, b.dim):
-        raise ShapeMismatch("R must map [B,A] to [A,B]")
-    return refs
-
-
-def _iterated_entry(refs, *_):
-    dims = (refs["A"].dim, refs["B"].dim, refs["C"].dim)
-    for label, (x, y) in TWIST_LEGS.items():
-        dom, cod = (dims[x], dims[y]), (dims[y], dims[x])
-        if refs[label].domain.dims != dom or refs[label].codomain.dims != cod:
-            raise ShapeMismatch(f"{label} must map {list(dom)} to {list(cod)}")
-    return refs
-
-
-def _extraction_entry(refs, *_):
-    if refs["M"].dim != refs["A"].dim * refs["V"].dim * refs["C"].dim:
-        raise ShapeMismatch("M dimension does not factor as dim A * dim V * dim C")
-    return refs
-
-
-def _universal_entry(refs, *_):
-    d, x = refs["data"], refs["X"]
-    for label, src in (("fA", d.A.dim), ("fV", d.V.dim), ("fC", d.C.dim)):
-        if refs[label].domain.total != src or refs[label].codomain.total != x.dim:
-            raise ShapeMismatch(f"{label} must map [{src}] to [{x.dim}]")
-    return refs
 
 
 def _search_entry(refs, spec, path, resolve):
@@ -254,16 +240,19 @@ DATASET_TYPES = {
                    lambda refs, *_: TwoSidedData(**refs),
                    lambda e: check_twosided(e), lambda e: build_twosided(e)),
     "brzezinski": _T((("A", "algebra"), ("V", "space"), ("R", "map"), ("sigma", "map")),
-                     lambda refs, *_: _brz_shapes(BrzData(**refs)),
+                     lambda refs, *_: BrzData(**refs),
                      lambda e: check_brzezinski(e), lambda e: build_brzezinski(e)),
     "mirror": _T((("W", "space"), ("B", "algebra"), ("P", "map"), ("nu", "map")),
-                 lambda refs, *_: _mirror_shapes(MirrorData(**refs)),
+                 lambda refs, *_: MirrorData(**refs),
                  lambda e: check_mirror(e), lambda e: build_mirror(e)),
-    "ttp": _T((("A", "algebra"), ("B", "algebra"), ("R", "map")), _ttp_entry,
+    "ttp": _T((("A", "algebra"), ("B", "algebra"), ("R", "map")),
+              lambda refs, *_: _twisting_shapes("R", refs["R"], refs["A"], refs["B"]) or refs,
               lambda e: check_twisting(e["R"], e["A"], e["B"]),
               lambda e: build_ttp(e["A"], e["B"], e["R"])),
     "iterated": _T((("A", "algebra"), ("B", "algebra"), ("C", "algebra"),
-                    ("R1", "map"), ("R2", "map"), ("R3", "map")), _iterated_entry,
+                    ("R1", "map"), ("R2", "map"), ("R3", "map")),
+                   lambda r, *_: _iterated_twists(r["A"], r["B"], r["C"],
+                                                  r["R1"], r["R2"], r["R3"]) and r,
                    lambda e: iterated_report(e["A"], e["B"], e["C"],
                                              e["R1"], e["R2"], e["R3"]),
                    lambda e: iterated_ttp(e["A"], e["B"], e["C"],
@@ -273,21 +262,36 @@ DATASET_TYPES = {
              lambda refs, *_: MaData(**refs),
              lambda e: check_twosided(ma_twosided(e)),
              lambda e: build_twosided(ma_build(e))),
-    "extraction": _T((("M", "algebra"),) + _AVC, _extraction_entry),
-    "universal": _T((("data", "dataset"), ("X", "algebra"), ("fA", "map"),
-                     ("fV", "map"), ("fC", "map")), _universal_entry),
+    "extraction": _T((("M", "algebra"),) + _AVC,
+                     lambda r, *_: _extraction_shapes(r["M"], r["A"], r["V"], r["C"]) or r),
+    "universal": _T((("data", "dataset"), ("X", "algebra"), ("fA", "map"), ("fV", "map"),
+                     ("fC", "map")),
+                    lambda r, *_: _universal_shapes(r["data"], r["X"], r["fA"], r["fV"],
+                                                    r["fC"]) or r),
     "search": _T(_AVC, _search_entry, options=("mode", "budget", "seed", "cap", "frozen")),
 }
 
 
+# Deeper nesting is refused before decoding, so that the verdict does not depend
+# on the caller's stack depth; the deepest valid document nests 6 deep.
+_MAX_DEPTH = 64
+# a JSON string (an unterminated one runs to the end) or a run of other text
+_NOT_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\Z)|[^\[\]{}"]+', re.S)
+
+
 def parse_document(text: str) -> Document:
     """Parse and fully validate a document; the first error wins."""
+    depths = accumulate(1 if ch in "[{" else -1 for ch in _NOT_BRACKETS.sub("", text))
+    _expect(all(d <= _MAX_DEPTH for d in depths), "$", "document is nested too deeply")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
     except RecursionError as exc:
         raise DocumentError("$", "document is nested too deeply") from exc
+    except ValueError as exc:  # json's only other error: an integer past Python's limit
+        raise DocumentError(
+            "$", f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     _expect(isinstance(obj, dict), "$", "document must be a JSON object")
     known = {"field", "algebras", "spaces", "coalgebras", "maps", "datasets"}
     for key in obj:
@@ -310,12 +314,7 @@ def parse_document(text: str) -> Document:
     algebras = {}
     for name, spec in section("algebras").items():
         path = f"$.algebras.{name}"
-        _expect(isinstance(spec, dict), path, "algebra spec must be an object")
-        _expect(set(spec) == {"dim", "unit", "mul"}, path,
-                "algebra spec needs exactly 'dim', 'unit', 'mul'")
-        dim = spec["dim"]
-        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
-                "dimension must be a positive integer")
+        dim = _spec_dim(spec, path, "algebra", ("dim", "unit", "mul"))
         unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
         mul_spec = spec["mul"]
         _expect(isinstance(mul_spec, list) and len(mul_spec) == dim, f"{path}.mul",
@@ -336,12 +335,7 @@ def parse_document(text: str) -> Document:
     spaces = {}
     for name, spec in section("spaces").items():
         path = f"$.spaces.{name}"
-        _expect(isinstance(spec, dict), path, "space spec must be an object")
-        _expect(set(spec) == {"dim", "unit"}, path,
-                "space spec needs exactly 'dim' and 'unit'")
-        dim = spec["dim"]
-        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
-                "dimension must be a positive integer")
+        dim = _spec_dim(spec, path, "space", ("dim", "unit"))
         unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
         try:
             spaces[name] = PointedSpace(field, dim, unit)
@@ -352,12 +346,7 @@ def parse_document(text: str) -> Document:
     coalgebras = {}
     for name, spec in section("coalgebras").items():
         path = f"$.coalgebras.{name}"
-        _expect(isinstance(spec, dict), path, "coalgebra spec must be an object")
-        _expect(set(spec) == {"dim", "comul", "counit", "unit"}, path,
-                "coalgebra spec needs exactly 'dim', 'comul', 'counit', 'unit'")
-        dim = spec["dim"]
-        _expect(_is_int(dim) and dim >= 1, f"{path}.dim",
-                "dimension must be a positive integer")
+        dim = _spec_dim(spec, path, "coalgebra", ("dim", "comul", "counit", "unit"))
         comul = from_rows(field, shape(dim), shape(dim, dim),
                           _parse_matrix(field, spec["comul"], dim * dim, dim,
                                         f"{path}.comul"))
@@ -375,10 +364,7 @@ def parse_document(text: str) -> Document:
     map_shapes = {}
     for name, spec in section("maps").items():
         path = f"$.maps.{name}"
-        _expect(isinstance(spec, dict), path, "map spec must be an object")
-        _expect(set(spec) == {"domain", "codomain", "matrix"}, path,
-                "map spec needs exactly 'domain', 'codomain', 'matrix'")
-        _expect(name not in maps, path, f"map {name!r} already defined")
+        _spec_dim(spec, path, "map", ("domain", "codomain", "matrix"))
 
         def resolve_dims(key):
             names = spec[key]
@@ -451,9 +437,10 @@ def _matrix_obj(field, m: TensorMap):
     return [[field.fmt(x) for x in row] for row in m.rows]
 
 
-def _mul_obj(field, alg: FinAlgebra):
-    return [[_vec_obj(field, alg.basis_product(i, j)) for j in range(alg.dim)]
-            for i in range(alg.dim)]
+def _algebra_obj(field, alg: FinAlgebra):
+    return {"dim": alg.dim, "unit": _vec_obj(field, alg.unit),
+            "mul": [[_vec_obj(field, alg.basis_product(i, j)) for j in range(alg.dim)]
+                    for i in range(alg.dim)]}
 
 
 def serialize_document(doc: Document) -> str:
@@ -461,10 +448,7 @@ def serialize_document(doc: Document) -> str:
                  else {"kind": "prime", "p": doc.field.p})
     obj = {"field": field_obj}
     if doc.algebras:
-        obj["algebras"] = {
-            name: {"dim": a.dim, "unit": _vec_obj(doc.field, a.unit),
-                   "mul": _mul_obj(doc.field, a)}
-            for name, a in doc.algebras.items()}
+        obj["algebras"] = {name: _algebra_obj(doc.field, a) for name, a in doc.algebras.items()}
     if doc.spaces:
         obj["spaces"] = {
             name: {"dim": s.dim, "unit": _vec_obj(doc.field, s.unit)}
@@ -496,11 +480,6 @@ def _witness_obj(field, w: Witness | None):
 def _report_obj(field, rep: Report):
     return [{"name": e.name, "passed": e.passed, "informational": e.informational,
              "witness": _witness_obj(field, e.witness)} for e in rep.entries]
-
-
-def _algebra_obj(field, alg: FinAlgebra):
-    return {"dim": alg.dim, "unit": _vec_obj(field, alg.unit),
-            "mul": _mul_obj(field, alg)}
 
 
 # -- command handlers ---------------------------------------------------------
@@ -587,14 +566,13 @@ def _run_search(doc, name, kind, entry, args):
 
 def _run_transport(doc, name, kind, entry, args):
     _only(kind, "twosided", "transport")
-    f = doc.field
     outputs = {}
     reports = []
-    remarks = (("remark1", entry.R1, entry.V, lambda: remark1_transport(entry)),
-               ("remark2", entry.R3, entry.C, lambda: remark2_lr(entry)))
-    for label, r, x, transport in remarks:
+    remarks = (("remark1", entry.R1, lambda: remark1_transport(entry)),
+               ("remark2", entry.R3, lambda: remark2_lr(entry)))
+    for label, r, transport in remarks:
         outputs[label] = "not-applicable"
-        if r.cols == flip(f, x.dim, entry.A.dim).cols:
+        if _is_flip(r):
             reports.append(_prefixed(label, transport()[-1]))
             outputs[label] = "ok"
     if not reports:
@@ -661,6 +639,8 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as exc:
             raise DocumentError(args.infile, f"cannot read input: {exc.strerror}")
+        except ValueError as exc:  # not UTF-8
+            raise DocumentError(args.infile, f"cannot read input: {exc}") from exc
         doc = parse_document(text)
         field = doc.field
         name, (kind, entry) = _pick_dataset(doc, args.dataset)

@@ -29,6 +29,7 @@ from .algebra import (
     FinAlgebra,
     PointedSpace,
     _column_witness,
+    _require_maps,
     conjugate_algebra,
     new_algebra,
     ordinary_tensor,
@@ -38,6 +39,7 @@ from .crossed import (
     MirrorData,
     _braid,
     _columns_equal,
+    _twisting_shapes,
     _unit_legs,
     build_mirror,
     build_ttp,
@@ -100,14 +102,24 @@ def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
                                   "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)"),))
 
 
+def _iterated_twists(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
+                     r1: TensorMap, r2: TensorMap, r3: TensorMap) -> list:
+    """(name, R, A', B') for each twisting map R: B'⊗A' -> A'⊗B' of an iterated
+    product; refuses the first mis-shaped one by its name."""
+    algs, maps = (a, b, c), {"R1": r1, "R2": r2, "R3": r3}
+    twists = [(name, maps[name], algs[y], algs[x]) for name, (x, y) in TWIST_LEGS.items()]
+    for twist in twists:
+        _twisting_shapes(*twist)
+    return twists
+
+
 def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
                     r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
     """The preconditions of :func:`iterated_ttp`: each R is a twisting map
     (prefixed R1, R2, R3) and the three satisfy the braid relation."""
-    algs, maps = (a, b, c), {"R1": r1, "R2": r2, "R3": r3}
     return merge(
-        *(_prefixed(name, check_twisting(maps[name], algs[y], algs[x]))
-          for name, (x, y) in TWIST_LEGS.items()),
+        *(_prefixed(name, check_twisting(r, a_, b_))
+          for name, r, a_, b_ in _iterated_twists(a, b, c, r1, r2, r3)),
         braid_report(r1, r2, r3, a, b, c),
     )
 
@@ -158,21 +170,9 @@ class MaData:
 
     def __post_init__(self):
         nh, na, nb = self.H.dim, self.A.dim, self.B.dim
-        fields = {self.H.field, self.A.field, self.B.field,
-                  self.G.field, self.R.field, self.T.field, self.tau.field}
-        if len(fields) != 1:
-            raise FieldMismatch("coalgebra-based data across different fields")
-        expect = (
-            ("G", self.G, (nh, nh), (na, nh)),
-            ("R", self.R, (nh, na), (na, nh)),
-            ("T", self.T, (nb, nh), (nh, nb)),
-            ("tau", self.tau, (nh, nh), (nb,)),
-        )
-        for name, m, dom, cod in expect:
-            if m.domain.dims != dom or m.codomain.dims != cod:
-                raise ShapeMismatch(
-                    f"{name} must map {list(dom)} to {list(cod)}, got "
-                    f"{list(m.domain.dims)} to {list(m.codomain.dims)}")
+        _require_maps("coalgebra-based data", (self.H, self.A, self.B), (
+            ("G", self.G, (nh, nh), (na, nh)), ("R", self.R, (nh, na), (na, nh)),
+            ("T", self.T, (nb, nh), (nh, nb)), ("tau", self.tau, (nh, nh), (nb,))))
 
 
 def ma_connector(d: MaData) -> TensorMap:
@@ -206,8 +206,13 @@ def ma_build(d: MaData) -> TwoSidedData:
 
 # -- remark transports --------------------------------------------------------
 
-def _require_flip(m: TensorMap, d1: int, d2: int, name: str):
-    if m.cols != flip(m.field, d1, d2).cols:
+def _is_flip(m: TensorMap) -> bool:
+    """Whether m: X (x) Y -> Y (x) X is the flip map."""
+    return m.cols == flip(m.field, *m.domain.dims).cols
+
+
+def _require_flip(m: TensorMap, name: str):
+    if not _is_flip(m):
         raise PreconditionFail(f"{name} is not the flip map")
 
 
@@ -226,7 +231,7 @@ def remark1_transport(d: TwoSidedData) -> tuple[MirrorData, Report]:
     """
     f = d.field
     a, v, c = d.A, d.V, d.C
-    _require_flip(d.R1, v.dim, a.dim, "R1")
+    _require_flip(d.R1, "R1")
     transported = _transport_to_vac(build_twosided(d), a.dim, v.dim, c.dim)
     bprime = build_ttp(a, c, d.R3)
     ida = identity(f, shape(a.dim))
@@ -278,7 +283,7 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
     f = d.field
     a, v, c = d.A, d.V, d.C
     na, nv, nc = a.dim, v.dim, c.dim
-    _require_flip(d.R3, nc, na, "R3")
+    _require_flip(d.R3, "R3")
     transported = _transport_to_vac(build_twosided(d), na, nv, nc)
     ac = ordinary_tensor(a, c)
     nac = ac.dim
@@ -501,9 +506,7 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
             if not holds:
                 break
         else:
-            for m in templates:
-                if m not in maps:
-                    maps[m] = decode(m, parts[m])
+            # equiv4, equiv5 and equiv6 mention E, so they ran and decoded every map
             data = TwoSidedData(a, v, c, **maps)
             unique.setdefault(canonical(data), data)
     return [unique[k] for k in sorted(unique)]

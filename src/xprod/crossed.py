@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, PointedSpace, _column_witness, new_algebra
-from .errors import AxiomFailure, FieldMismatch, InternalCheckError, ShapeMismatch
+from .algebra import FinAlgebra, PointedSpace, _column_witness, _require_maps, new_algebra
+from .errors import AxiomFailure, InternalCheckError, ShapeMismatch
 from .exactla import (
     TensorMap,
     basis_vector,
@@ -140,6 +140,11 @@ def _unit_legs(field, units, keep) -> TensorMap:
     return m.reshaped(domain=shape(*(len(units[t]) for t in keep)))
 
 
+def _twisting_shapes(name: str, r: TensorMap, a: FinAlgebra, b: FinAlgebra):
+    """Refuse unless the twist ``name`` maps B (x) A to A (x) B over one field."""
+    _require_maps("twisting map check", (a, b), ((name, r, (b.dim, a.dim), (a.dim, b.dim)),))
+
+
 def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
     """Verify that R: B (x) A -> A (x) B is a twisting map between A and B.
 
@@ -147,11 +152,7 @@ def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
     R(b (x) 1_A) = 1_A (x) b, ``twisting-mult-A`` multiplicativity in A, and
     ``twisting-mult-B`` multiplicativity in B.
     """
-    if a.field != b.field or r.field != a.field:
-        raise FieldMismatch("twisting map check across different fields")
-    if r.domain.dims != (b.dim, a.dim) or r.codomain.dims != (a.dim, b.dim):
-        raise ShapeMismatch(
-            f"twisting map must map [{b.dim},{a.dim}] to [{a.dim},{b.dim}]")
+    _twisting_shapes("R", r, a, b)
     return Report((
         _unit_family("twisting-unit-left", _twist_unit(r, b, a, "R(1_B⊗a)=a⊗1_B", 1)),
         _unit_family("twisting-unit-right", _twist_unit(r, b, a, "R(b⊗1_A)=1_A⊗b", 0)),
@@ -178,8 +179,8 @@ def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
 class BrzData:
     """Input data for a crossed product on A (x) V.
 
-    Shapes: R maps [V, A] to [A, V] and sigma maps [V, V] to [A, V]; they are
-    validated by :func:`check_brzezinski`, not at construction.
+    Shapes: R maps [V, A] to [A, V] and sigma maps [V, V] to [A, V]; fields
+    and shapes are validated eagerly, at construction.
     """
 
     A: FinAlgebra
@@ -187,21 +188,14 @@ class BrzData:
     R: TensorMap
     sigma: TensorMap
 
-
-def _brz_shapes(d: BrzData):
-    na, nv = d.A.dim, d.V.dim
-    if d.A.field != d.V.field or d.R.field != d.A.field or d.sigma.field != d.A.field:
-        raise FieldMismatch("crossed product data across different fields")
-    if d.R.domain.dims != (nv, na) or d.R.codomain.dims != (na, nv):
-        raise ShapeMismatch(f"R must map [{nv},{na}] to [{na},{nv}]")
-    if d.sigma.domain.dims != (nv, nv) or d.sigma.codomain.dims != (na, nv):
-        raise ShapeMismatch(f"sigma must map [{nv},{nv}] to [{na},{nv}]")
-    return d
+    def __post_init__(self):
+        na, nv = self.A.dim, self.V.dim
+        _require_maps("crossed product data", (self.A, self.V), (
+            ("R", self.R, (nv, na), (na, nv)), ("sigma", self.sigma, (nv, nv), (na, nv))))
 
 
 def check_brzezinski(d: BrzData) -> Report:
     """Verify brz1..brz5 for the data (A, V, R, sigma)."""
-    _brz_shapes(d)
     a, v, r, sg = d.A, d.V, d.R, d.sigma
     f = a.field
     ida = identity(f, shape(a.dim))
@@ -250,7 +244,8 @@ def build_brzezinski(d: BrzData) -> FinAlgebra:
 class MirrorData:
     """Input data for the mirror crossed product on W (x) B.
 
-    Shapes: P maps [B, W] to [W, B] and nu maps [W, W] to [W, B].
+    Shapes: P maps [B, W] to [W, B] and nu maps [W, W] to [W, B]; fields and
+    shapes are validated eagerly, at construction.
     """
 
     W: PointedSpace
@@ -258,21 +253,14 @@ class MirrorData:
     P: TensorMap
     nu: TensorMap
 
-
-def _mirror_shapes(d: MirrorData):
-    nw, nb = d.W.dim, d.B.dim
-    if d.W.field != d.B.field or d.P.field != d.B.field or d.nu.field != d.B.field:
-        raise FieldMismatch("mirror crossed product data across different fields")
-    if d.P.domain.dims != (nb, nw) or d.P.codomain.dims != (nw, nb):
-        raise ShapeMismatch(f"P must map [{nb},{nw}] to [{nw},{nb}]")
-    if d.nu.domain.dims != (nw, nw) or d.nu.codomain.dims != (nw, nb):
-        raise ShapeMismatch(f"nu must map [{nw},{nw}] to [{nw},{nb}]")
-    return d
+    def __post_init__(self):
+        nw, nb = self.W.dim, self.B.dim
+        _require_maps("mirror crossed product data", (self.W, self.B), (
+            ("P", self.P, (nb, nw), (nw, nb)), ("nu", self.nu, (nw, nw), (nw, nb))))
 
 
 def check_mirror(d: MirrorData) -> Report:
     """Verify mirtwunit, mircocunit, mirtwmap, mir1 and mir2 for (W, B, P, nu)."""
-    _mirror_shapes(d)
     w, b, p, nu = d.W, d.B, d.P, d.nu
     f = b.field
     idb = identity(f, shape(b.dim))

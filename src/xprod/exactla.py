@@ -83,9 +83,6 @@ class Field:
     def one(self):
         return self.from_int(1)
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
 
 class Rationals(Field):
     """The field of arbitrary-precision rationals."""

@@ -39,6 +39,7 @@ from .algebra import (
     FinAlgebra,
     PointedSpace,
     _column_witness,
+    _require_maps,
     is_algebra_map,
     new_algebra,
     same_algebra,
@@ -103,18 +104,10 @@ class TwoSidedData:
 
     def __post_init__(self):
         dims = (self.A.dim, self.V.dim, self.C.dim)
-        fields = {self.A.field, self.V.field, self.C.field,
-                  self.R1.field, self.R2.field, self.R3.field, self.E.field}
-        if len(fields) != 1:
-            raise FieldMismatch("two-sided data across different fields")
-        expect = [(name, getattr(self, name), (dims[x], dims[y]), (dims[y], dims[x]))
-                  for name, (x, y) in TWIST_LEGS.items()]
-        expect.append(("E", self.E, (dims[1], dims[1]), dims))
-        for name, m, dom, cod in expect:
-            if m.domain.dims != dom or m.codomain.dims != cod:
-                raise ShapeMismatch(
-                    f"{name} must map {list(dom)} to {list(cod)}, got "
-                    f"{list(m.domain.dims)} to {list(m.codomain.dims)}")
+        _require_maps("two-sided data", (self.A, self.V, self.C), [
+            *((name, getattr(self, name), (dims[x], dims[y]), (dims[y], dims[x]))
+              for name, (x, y) in TWIST_LEGS.items()),
+            ("E", self.E, (dims[1], dims[1]), dims)])
 
     @property
     def field(self) -> Field:
@@ -349,23 +342,22 @@ def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
     return out
 
 
-def check_twosided(d: TwoSidedData, cross_validate: bool = True) -> Report:
+def check_twosided(d: TwoSidedData) -> Report:
     """Check all twelve conditions; witnesses are smallest failing tuples.
 
-    With ``cross_validate`` the whole-matrix composite form of every condition
-    is evaluated as well and must agree with the elementwise verdict.  Both
-    routes run on sparse columns and cost about the number of nonzeros they
-    touch: the elementwise scan of equiv6 visits dim(V)^3 basis triples, and
-    a composite pays for identity factors only by their dimension.
+    The whole-matrix composite form of every condition is evaluated as well
+    and must agree with the elementwise verdict.  Both routes run on sparse
+    columns and cost about the number of nonzeros they touch: the elementwise
+    scan of equiv6 visits dim(V)^3 basis triples, and a composite pays for
+    identity factors only by their dimension.
     """
     maps = {"R1": d.R1, "R2": d.R2, "R3": d.R3, "E": d.E}
     entries = [cond.evaluate(d.A, d.V, d.C, maps) for cond in CONDITIONS]
-    if cross_validate:
-        composite = _composite_conditions(d)
-        for entry in entries:
-            if composite[entry.name] != entry.passed:
-                raise InternalCheckError(
-                    f"elementwise and composite evaluation disagree on {entry.name}")
+    composite = _composite_conditions(d)
+    for entry in entries:
+        if composite[entry.name] != entry.passed:
+            raise InternalCheckError(
+                f"elementwise and composite evaluation disagree on {entry.name}")
     return Report(tuple(entries))
 
 
@@ -507,6 +499,13 @@ def presentations_agree(d: TwoSidedData) -> Report:
 
 # -- converse: extraction from a suitably split algebra ----------------------
 
+def _extraction_shapes(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra):
+    """Refuse unless M, A, V, C share one field and dim M = dim A·dim V·dim C."""
+    _require_maps("extraction", (m, a, v, c), ())
+    if m.dim != a.dim * v.dim * c.dim:
+        raise ShapeMismatch("algebra dimension does not factor as dim A * dim V * dim C")
+
+
 def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoSidedData:
     """Recover (R1, R2, R3, E) from an algebra structure on A (x) V (x) C.
 
@@ -524,12 +523,9 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     fibre must equal (w_s / u_s) u), E(v⊗v') = (1⊗v⊗1)(1⊗v'⊗1), and the
     extracted data must pass :func:`check_twosided` and rebuild M exactly.
     """
+    _extraction_shapes(m, a, v, c)
     f = m.field
     avc = shape(a.dim, v.dim, c.dim)
-    if {f, a.field, v.field, c.field} != {f}:
-        raise FieldMismatch("extraction across different fields")
-    if m.dim != avc.total:
-        raise ShapeMismatch("algebra dimension does not factor as dim A * dim V * dim C")
     dims, units = avc.dims, (a.unit, v.unit, c.unit)
     if m.unit != tensor_vec(f, *units):
         raise UnitMismatch("unit of M is not 1_A ⊗ 1_V ⊗ 1_C")
@@ -570,17 +566,26 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     if witness is not None:
         raise SplitFail("ajut4", witness)
     data = TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
-    rep = check_twosided(data)
-    if not rep.all_pass:
-        raise RoundTripMismatch(
-            f"extracted maps fail conditions: {', '.join(rep.failed_names())}")
-    rebuilt = build_twosided(data)
+    try:
+        rebuilt = build_twosided(data)
+    except AxiomFailure as exc:
+        raise RoundTripMismatch("extracted maps fail conditions: "
+                                + ", ".join(exc.report.failed_names())) from exc
     if not same_algebra(rebuilt, m):
         raise RoundTripMismatch("rebuilt product differs from the input algebra")
     return data
 
 
 # -- universal property -------------------------------------------------------
+
+def _universal_shapes(d: TwoSidedData, x: FinAlgebra, f_a, f_v, f_c):
+    """Refuse unless X is over d's field and f_A, f_V, f_C map d's legs to X."""
+    if x.field != d.field:
+        raise FieldMismatch("target algebra over a different field")
+    for name, mp, src in (("fA", f_a, d.A.dim), ("fV", f_v, d.V.dim), ("fC", f_c, d.C.dim)):
+        if mp.domain.total != src or mp.codomain.total != x.dim:
+            raise ShapeMismatch(f"{name} must map [{src}] to [{x.dim}]")
+
 
 def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap,
                   f_c: TensorMap) -> TensorMap:
@@ -597,19 +602,13 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     Returns f with f(a⊗v⊗c) = f_A(a) f_V(v) f_C(c); the result is verified to
     be a unital algebra map restricting to f_A, f_V, f_C on the embeddings.
     """
+    _universal_shapes(d, x, f_a, f_v, f_c)
     fld = d.field
     a, v, c = d.A, d.V, d.C
-    if x.field != fld:
-        raise FieldMismatch("target algebra over a different field")
-    for name, mp, src in (("fA", f_a, a.dim), ("fV", f_v, v.dim), ("fC", f_c, c.dim)):
-        if mp.domain.total != src or mp.codomain.total != x.dim:
-            raise ShapeMismatch(f"{name} must map [{src}] to [{x.dim}]")
     for name, mp, alg in (("fA", f_a, a), ("fC", f_c, c)):
         rep = is_algebra_map(mp.reshaped(shape(alg.dim), shape(x.dim)), alg, x)
         if not rep.all_pass:
-            bad = next(e for e in rep.entries if not e.passed)
-            raise PremiseFail(name, bad.witness or Witness(
-                (), (), (), f"{name} not an algebra map"))
+            raise PremiseFail(name, next(e.witness for e in rep.entries if not e.passed))
     got = f_v.apply(v.unit)
     if got != x.unit:
         raise PremiseFail("unit-fV", Witness((), got, x.unit, "f_V(1_V)=1_X"))

@@ -138,6 +138,33 @@ def test_bad_json_is_input_error(tmp_path):
     assert rc == 2
 
 
+def test_input_that_is_not_utf8_is_input_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"field": "\xff"}')
+    rc, rep, _ = run(["check", "--in", str(path)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "DocumentError"
+    assert rep["error"]["message"].startswith(f"{path}: cannot read input: ")
+    assert "can't decode byte 0xff in position 11" in rep["error"]["message"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python decodes integers of any length")
+def test_integer_past_the_digit_limit_is_input_error(tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for this literal
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": {"kind": "prime", "p": 1' + "0" * 4999 + "}}",
+                    encoding="utf-8")
+    rc, rep, raw = run(["check", "--in", str(path)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"] == {
+        "type": "DocumentError",
+        "message": f"$: an integer has more than {sys.get_int_max_str_digits()} digits"}
+    assert len(raw) < 300
+
+
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     # json.loads raises RecursionError at this depth; it must not escape
     path = tmp_path / "doc.json"
@@ -161,26 +188,57 @@ def test_modulus_of_2_pow_61_minus_1_is_input_error(tmp_path):
     assert rep["error"]["message"] == "$.field.p: modulus 2305843009213693951 exceeds 2^31"
 
 
-REFUSED_SCALARS = {"1MB-string": '"' + "9" * 500_000 + "x" + "9" * 500_000 + '"',
-                   "980-deep-list": "[" * 980 + "]" * 980}
+BAD_SCALAR = "$.spaces.V.unit[0]: bad scalar "
+TOO_DEEP = "$: document is nested too deeply"
+REFUSED_SCALARS = {"1MB-string": ('"' + "9" * 500_000 + "x" + "9" * 500_000 + '"', BAD_SCALAR),
+                   "100k-wide-list": ("[" + ", ".join(['"1"'] * 100_000) + "]", BAD_SCALAR),
+                   "100-brackets-in-a-string": ('"' + "[" * 100 + '"', BAD_SCALAR),
+                   "980-deep-list": ("[" * 980 + "]" * 980, TOO_DEEP)}
+
+
+def scalar_doc(tmp_path, scalar):
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": {"kind": "rationals"}, "spaces": {"V": {"dim": 1, "unit": ['
+                    + scalar + "]}}}", encoding="utf-8")
+    return path
+
+
+def run_child(path):
+    src = str(Path(xprod.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "xprod", "check", "--in", str(path)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("kind", sorted(REFUSED_SCALARS))
 def test_refused_scalar_report_is_bounded(tmp_path, kind):
-    # the report names the path and an excerpt of the value; a fresh process
-    # keeps the stack shallow enough to decode the list
-    scalar = REFUSED_SCALARS[kind]
-    path = tmp_path / "doc.json"
-    path.write_text('{"field": {"kind": "rationals"}, "spaces": {"V": {"dim": 1, "unit": ['
-                    + scalar + "]}}}", encoding="utf-8")
-    src = str(Path(xprod.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "xprod", "check", "--in", str(path)],
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    # the report names the path and an excerpt of the value, or refuses the
+    # document's nesting before decoding it; brackets inside a string are text
+    scalar, message = REFUSED_SCALARS[kind]
+    proc = run_child(scalar_doc(tmp_path, scalar))
     assert proc.returncode == 2
     assert proc.stderr == b""
     assert len(proc.stdout) < 4096
     rep = json.loads(proc.stdout)
-    assert rep["error"]["message"].startswith("$.spaces.V.unit[0]: bad scalar ")
+    assert rep["error"]["message"].startswith(message)
+
+
+def test_nesting_verdict_does_not_depend_on_the_call_depth(tmp_path):
+    # json.loads alone would decode this list from a shallow stack and give
+    # up 60 frames deeper; the depth limit decides before decoding
+    path = scalar_doc(tmp_path, "[" * 950 + "]" * 950)
+    out = tmp_path / "report.json"
+
+    def at_depth(extra):
+        if extra:
+            return at_depth(extra - 1)
+        assert main(["check", "--in", str(path), "--out", str(out)]) == 2
+        return out.read_bytes()
+
+    proc = run_child(path)
+    assert proc.returncode == 2
+    reports = {at_depth(0), at_depth(60), proc.stdout}
+    assert len(reports) == 1
+    assert json.loads(proc.stdout)["error"]["message"] == TOO_DEEP
 
 
 def test_short_refused_scalar_message_unchanged(tmp_path):
@@ -190,11 +248,14 @@ def test_short_refused_scalar_message_unchanged(tmp_path):
     assert rep["error"]["message"] == "$.spaces.V.unit[0]: bad scalar '1/0': Fraction(1, 0)"
 
 
-def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("exc_type", [RuntimeError, ValueError], ids=lambda t: t.__name__)
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc_type):
+    # a ValueError of bad input becomes a DocumentError while parsing, so one
+    # that escapes a command is a bug like any other
     import xprod.cli
 
     def broken(data):
-        raise RuntimeError("boom")
+        raise exc_type("boom")
 
     monkeypatch.setattr(xprod.cli, "check_twosided", broken)
     doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-flip-trivial"], Q))
@@ -204,7 +265,7 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     rep = json.loads(captured.out)
     assert rc == 3
     assert rep["status"] == "internal-error"
-    assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
+    assert rep["error"] == {"type": exc_type.__name__, "message": "boom"}
     assert captured.out == json.dumps(rep, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert captured.err == ""
 
@@ -536,6 +597,64 @@ def test_non_string_universal_data_is_input_error(tmp_path):
     assert rep["error"]["type"] == "DocumentError"
     assert rep["error"]["message"] == (
         "$.datasets.u.data: ['d'] must name an earlier twosided dataset")
+
+
+# [2, 2] -> [2, 2, 2] in all_kinds_doc, where every algebra and space has dim 2
+BAD_MAP = {"domain": ["A", "B"], "codomain": ["A", "B", "C"], "matrix": [["0"] * 4] * 8}
+WANT_2_2 = "must map [2, 2] to [2, 2], got [2, 2] to [2, 2, 2]"
+
+
+MISSHAPED = [
+    ("t", "R", "bad", f"R {WANT_2_2}"),
+    ("b", "R", "bad", f"R {WANT_2_2}"),
+    ("b", "sigma", "bad", f"sigma {WANT_2_2}"),
+    ("m", "P", "bad", f"P {WANT_2_2}"),
+    ("m", "nu", "bad", f"nu {WANT_2_2}"),
+    ("i", "R2", "bad", f"R2 {WANT_2_2}"),
+    ("g", "tau", "bad", "tau must map [2, 2] to [2], got [2, 2] to [2, 2, 2]"),
+    ("d", "E", "flBA", "E must map [2, 2] to [2, 2, 2], got [2, 2] to [2, 2]"),
+    ("x", "M", "A", "algebra dimension does not factor as dim A * dim V * dim C"),
+    ("u", "fV", "flBA", "fV must map [2] to [8]"),
+]
+
+
+@pytest.mark.parametrize("dataset, key, ref, message", MISSHAPED,
+                         ids=[f"{dataset}-{key}" for dataset, key, _, _ in MISSHAPED])
+def test_misshaped_dataset_is_refused_by_the_library_check(tmp_path, dataset, key, ref,
+                                                           message):
+    obj = all_kinds_doc()
+    obj["maps"]["bad"] = BAD_MAP
+    obj["datasets"][dataset][key] = ref
+    rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"] == {"type": "DocumentError",
+                            "message": f"$.datasets.{dataset}: {message}"}
+
+
+@pytest.mark.parametrize("edit, args, message", [
+    (lambda obj: obj.update(field={"kind": "reals"}), [],
+     "$.field.kind: unknown field kind 'reals'"),
+    (lambda obj: obj["datasets"]["t"].update(type="ttq"), [],
+     "$.datasets.t.type: unknown dataset type 'ttq'"),
+    (lambda obj: None, ["--dataset", "zz"], "$.datasets: no dataset named 'zz'"),
+    (lambda obj: obj.pop("datasets"), [], "$.datasets: document defines no datasets"),
+])
+def test_document_refusals(tmp_path, edit, args, message):
+    obj = all_kinds_doc()
+    edit(obj)
+    rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj), *args], tmp_path)
+    assert rc == 2
+    assert rep["error"] == {"type": "DocumentError", "message": message}
+
+
+def test_serialize_round_trip_with_a_coalgebra():
+    doc = parse_document(json.dumps(all_kinds_doc()))
+    text = serialize_document(doc)
+    again = parse_document(text)
+    assert serialize_document(again) == text
+    assert json.loads(text)["coalgebras"]["H"] == all_kinds_doc()["coalgebras"]["H"]
+    assert again.coalgebras["H"] == doc.coalgebras["H"]
 
 
 def test_internal_error_exits_3_with_a_report(tmp_path, monkeypatch, capsys):

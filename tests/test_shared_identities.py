@@ -10,6 +10,9 @@ mutants, each with one column of R1, R2 or R3 replaced, supply the failures.
 
 A condition that bundles two unit laws must name the law that fails, and
 check its laws in a fixed order, which the smallest witness depends on.
+
+Every data tuple refuses, on construction, maps over another field and maps
+of the wrong shape, each with the one message format all tuples share.
 """
 
 import random
@@ -19,17 +22,25 @@ import pytest
 
 from fixtures import Q, corpus, dual_numbers, truncated_polynomials3
 from xprod import (
+    BrzData,
+    MaData,
+    MirrorData,
+    PrimeField,
     TwoSidedData,
     check_brzezinski,
     check_mirror,
     check_twisting,
     check_twosided,
     flip,
+    grouplike_coalgebra,
     lift_twisting_to_brzezinski,
     lift_twisting_to_mirror,
+    scalar_algebra,
 )
-from xprod.constructions import braid_report
-from xprod.exactla import from_columns, zero_map
+from xprod.algebra import PointedSpace
+from xprod.constructions import braid_report, iterated_report
+from xprod.errors import FieldMismatch, ShapeMismatch
+from xprod.exactla import from_columns, shape, zero_map
 
 
 def mutant(data, name, rng):
@@ -152,3 +163,64 @@ def test_unit_law_witness_names_the_broken_law(check, data, key, pair, name, tex
     witness = next(e for e in report.entries if e.name == name).witness
     assert witness.identity == text
     assert witness.indices == ((0,) if pair is None else (1,))
+
+
+# Legs of distinct dimensions, so that a message names which leg is which:
+# A, B and the algebra legs have dim 2, V, W and H dim 3, C dim 1.
+A2, V3, C1 = dual_numbers(Q), PointedSpace(Q, 3, (Q.one, Q.zero, Q.zero)), scalar_algebra(Q)
+DATA_TUPLES = {
+    # class: (its non-map parts, what its field refusal calls it, map shapes)
+    TwoSidedData: (dict(A=A2, V=V3, C=C1), "two-sided data", {
+        "R1": ((3, 2), (2, 3)), "R2": ((1, 3), (3, 1)), "R3": ((1, 2), (2, 1)),
+        "E": ((3, 3), (2, 3, 1))}),
+    BrzData: (dict(A=A2, V=V3), "crossed product data", {
+        "R": ((3, 2), (2, 3)), "sigma": ((3, 3), (2, 3))}),
+    MirrorData: (dict(W=V3, B=A2), "mirror crossed product data", {
+        "P": ((2, 3), (3, 2)), "nu": ((3, 3), (3, 2))}),
+    MaData: (dict(H=grouplike_coalgebra(Q, 3), A=A2, B=C1), "coalgebra-based data", {
+        "G": ((3, 3), (2, 3)), "R": ((3, 2), (2, 3)), "T": ((1, 3), (3, 1)),
+        "tau": ((3, 3), (1,))}),
+}
+
+
+def zero_maps(field, shapes):
+    return {name: zero_map(field, shape(*dom), shape(*cod))
+            for name, (dom, cod) in shapes.items()}
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, (_, _, shapes) in
+                                       DATA_TUPLES.items() for name in shapes],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_data_tuples_refuse_other_fields_and_shapes_on_construction(cls, name):
+    parts, what, shapes = DATA_TUPLES[cls]
+    maps = zero_maps(Q, shapes)
+    cls(**parts, **maps)
+    dom, cod = shapes[name]
+    with pytest.raises(ShapeMismatch) as exc:
+        cls(**parts, **dict(maps, **zero_maps(Q, {name: (cod, dom)})))
+    assert str(exc.value) == (f"{name} must map {list(dom)} to {list(cod)}, "
+                              f"got {list(cod)} to {list(dom)}")
+    with pytest.raises(FieldMismatch) as exc:
+        cls(**parts, **dict(maps, **zero_maps(PrimeField(3), {name: (dom, cod)})))
+    assert str(exc.value) == f"{what} across different fields"
+
+
+def test_check_twisting_refuses_a_misshaped_map_by_its_name():
+    with pytest.raises(ShapeMismatch) as exc:
+        check_twisting(zero_map(Q, shape(2, 1), shape(1, 2)), A2, C1)
+    assert str(exc.value) == "R must map [1, 2] to [2, 1], got [2, 1] to [1, 2]"
+    with pytest.raises(FieldMismatch) as exc:
+        check_twisting(zero_map(PrimeField(3), shape(1, 2), shape(2, 1)), A2, C1)
+    assert str(exc.value) == "twisting map check across different fields"
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3"])
+def test_iterated_report_refuses_a_misshaped_twist_by_its_name(name):
+    # the iterated legs A, B, C have dims 2, 3, 1, as A, V, C of two-sided data
+    shapes = {key: DATA_TUPLES[TwoSidedData][2][key] for key in ("R1", "R2", "R3")}
+    dom, cod = shapes[name]
+    maps = dict(zero_maps(Q, shapes), **zero_maps(Q, {name: (cod, dom)}))
+    with pytest.raises(ShapeMismatch) as exc:
+        iterated_report(A2, truncated_polynomials3(Q), C1, maps["R1"], maps["R2"], maps["R3"])
+    assert str(exc.value) == (f"{name} must map {list(dom)} to {list(cod)}, "
+                              f"got {list(cod)} to {list(dom)}")

@@ -29,6 +29,7 @@ from xprod import (
     flip,
     identity,
     is_algebra_map,
+    new_algebra,
     ordinary_tensor,
     permute_factors,
     presentations_agree,
@@ -40,9 +41,11 @@ from xprod.errors import (
     AxiomFailure,
     NotAlgebraMap,
     PremiseFail,
+    RoundTripMismatch,
     SplitFail,
     UnitMismatch,
 )
+from xprod.report import Witness
 from xprod.exactla import (
     TensorMap,
     basis_vector,
@@ -106,15 +109,12 @@ def test_each_condition_depends_only_on_the_maps_it_declares(p):
     seen = {label: set() for label in CONDITION_LABELS}
     for _ in range(24):
         maps = {m: _perturbed(rng, getattr(base, m)) for m in names}
-        data = TwoSidedData(base.A, base.V, base.C, **maps)
-        rep = check_twosided(data, cross_validate=False)
         for cond in CONDITIONS:
+            entry = cond.evaluate(base.A, base.V, base.C, maps)
             swapped = {m: maps[m] if m in cond.maps else _random_map(rng, maps[m])
                        for m in names}
-            other = TwoSidedData(base.A, base.V, base.C, **swapped)
-            assert check_twosided(other, cross_validate=False).get(cond.label) \
-                == rep.get(cond.label)
-            seen[cond.label].add(rep.get(cond.label).passed)
+            assert cond.evaluate(base.A, base.V, base.C, swapped) == entry
+            seen[cond.label].add(entry.passed)
     assert all(verdicts == {True, False} for verdicts in seen.values()), sorted(seen.items())
 
 
@@ -305,7 +305,7 @@ def test_cubic_truncated_triple_n27_checks_builds_and_agrees():
     # the composite product route, and both presentations
     t3 = truncated_polynomials3(Q)
     d = twosided_flip_trivial(t3, t3, t3)
-    assert check_twosided(d, cross_validate=True).all_pass
+    assert check_twosided(d).all_pass
     m = build_twosided(d)
     want = ordinary_tensor(ordinary_tensor(t3, t3), t3)
     assert m.dim == 27
@@ -410,6 +410,34 @@ def test_extract_bicocycle_round_trip():
     assert got.E.rows == d.E.rows
 
 
+def test_extract_checks_the_extracted_data_once(monkeypatch):
+    # the rebuild checks the extracted data, and extract does not check it
+    # again; a failing check becomes a round-trip mismatch that names it
+    import xprod.twosided
+    honest, reports = xprod.twosided.check_twosided, []
+    monkeypatch.setattr(xprod.twosided, "check_twosided",
+                        lambda data: reports.append(honest(data)) or reports[-1])
+    d = CORPUS["q-dual-flip-trivial"]
+    m = build_twosided(d)
+    reports.clear()
+    assert extract(m, d.A, d.V, d.C) == d
+    assert len(reports) == 1
+    # the product of basis vectors 1 and 2 gains e_0: the splits still
+    # hold, but the product is no longer associative
+    cols = list(m.mul.cols)
+    column = dict(cols[10])
+    column[0] = Q.add(column.get(0, Q.zero), Q.one)
+    cols[10] = tuple(sorted((k, x) for k, x in column.items() if x))
+    mutant = new_algebra(Q, m.dim, TensorMap(Q, m.mul.domain, m.mul.codomain, tuple(cols)),
+                         m.unit, validate=False)
+    reports.clear()
+    with pytest.raises(RoundTripMismatch) as exc:
+        extract(mutant, d.A, d.V, d.C)
+    assert len(reports) == 1
+    assert reports[0].failed_names() == ("equiv2", "equiv5")
+    assert str(exc.value) == "extracted maps fail conditions: equiv2, equiv5"
+
+
 def test_extract_unit_mismatch():
     d = CORPUS["q-dual-graded-super"]
     m = build_twosided(d)
@@ -483,6 +511,29 @@ def test_universal_premise1_violation_with_reproducible_witness():
     assert u.mul_vec(ec, ea) == w.left
     assert u.mul_vec(ea, ec) == w.right
     assert w.left != w.right
+
+
+@pytest.mark.parametrize("which", ["fA", "fC", "unit-fV"])
+def test_universal_premise_on_a_given_map_fails_with_its_witness(which):
+    # fA scaled by 2 breaks its unit law, fC with x ↦ 1_X its multiplicativity
+    # at (x, x), and fV scaled by 2 sends 1_V to 2·1_X
+    d = CORPUS["q-dual-flip-trivial"]
+    x = build_twosided(d)
+    two = Q.from_int(2)
+    maps = dict(zip(("fA", "unit-fV", "fC"), canonical_embeddings(d)))
+    if which == "fC":
+        maps[which] = from_columns(Q, shape(2), shape(8), (x.unit, x.unit))
+        want = Witness((1, 1), vscale(Q, Q.zero, x.unit), x.unit, "f(ab)=f(a)f(b)")
+    else:
+        m = maps[which]
+        maps[which] = from_columns(Q, m.domain, m.codomain,
+                                   (vscale(Q, two, m.column(j)) for j in range(2)))
+        want = Witness((), vscale(Q, two, x.unit), x.unit,
+                       "f(1)=1" if which == "fA" else "f_V(1_V)=1_X")
+    with pytest.raises(PremiseFail) as exc:
+        universal_map(d, x, maps["fA"], maps["unit-fV"], maps["fC"])
+    assert exc.value.which == which
+    assert exc.value.witness == want
 
 
 @given(st.sampled_from(["R1", "R2", "R3", "E"]), st.data())
