@@ -10,7 +10,6 @@ well-formed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -37,10 +36,11 @@ from .exactla import (
     tensor_vec,
     vzero,
 )
+from .record import record
 from .report import ConditionResult, Report, Witness
 
 
-@dataclass(frozen=True)
+@record
 class PointedSpace:
     """A finite-dimensional space with a distinguished nonzero element."""
 
@@ -56,7 +56,7 @@ class PointedSpace:
             raise ShapeMismatch("distinguished element must be nonzero")
 
 
-@dataclass(frozen=True)
+@record
 class FinAlgebra:
     """Unital associative algebra given by exact structure constants."""
 
@@ -255,7 +255,7 @@ def same_algebra(a: FinAlgebra, b: FinAlgebra) -> bool:
             and a.mul.cols == b.mul.cols and a.unit == b.unit)
 
 
-@dataclass(frozen=True)
+@record
 class Coalgebra:
     """Coassociative counital coalgebra with a distinguished grouplike unit."""
 

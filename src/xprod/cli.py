@@ -20,9 +20,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from itertools import accumulate
-from typing import Callable, Optional
 
 from .algebra import (
     FinAlgebra,
@@ -85,6 +84,7 @@ from .exactla import (
     from_rows,
     shape,
 )
+from .record import record, replace
 from .report import ConditionResult, Report, Witness, merge
 from .twosided import (
     TwoSidedData,
@@ -112,7 +112,7 @@ _STATUS = {1: "fail", 2: "error", 3: "internal-error"}
 
 # -- document model -----------------------------------------------------------
 
-@dataclass
+@record
 class Document:
     field: Field
     algebras: dict
@@ -203,12 +203,12 @@ def _parse_field(obj, path):
 # module after import, as the benchmark's span tracer does, is then the one
 # that runs.
 
-@dataclass(frozen=True)
+@record
 class _DatasetType:
     keys: tuple                   # (key, reference kind), in resolution order
     make: Callable                # (refs, spec, path, resolve) -> entry
-    check: Optional[Callable] = None
-    build: Optional[Callable] = None
+    check: Callable | None = None
+    build: Callable | None = None
     options: tuple = ()           # keys that may be left out
 
 

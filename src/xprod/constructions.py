@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 
 from .algebra import (
     Coalgebra,
@@ -69,6 +69,7 @@ from .exactla import (
     tensor_vec,
     vector_map,
 )
+from .record import record
 from .report import ConditionResult, Report, merge
 from .twosided import (
     CONDITIONS,
@@ -152,7 +153,7 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
     return out
 
 
-@dataclass(frozen=True)
+@record
 class MaData:
     """Coalgebra-based input (H, A, B, G, R, T, τ) for a two-sided product.
 
@@ -252,7 +253,7 @@ def remark1_transport(d: TwoSidedData) -> tuple[MirrorData, Report]:
     return mir, out
 
 
-@dataclass(frozen=True)
+@record
 class LRData:
     """Maps (J, T, γ, η) presenting a two-sided product on V (x) (A (x) C).
 
@@ -332,7 +333,7 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
 
 # -- finite-field search ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SearchSpec:
     """Parameters of a finite-field search for valid two-sided data.
 
@@ -348,7 +349,7 @@ class SearchSpec:
     mode: str = "exhaustive"
     budget: int = 256
     seed: int = 0
-    frozen: dict = dc_field(default_factory=dict)
+    frozen: dict | MappingProxyType = MappingProxyType({})  # read-only, so safe to share
     cap: int = 1 << 16
 
 

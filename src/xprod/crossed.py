@@ -20,7 +20,6 @@ differing column of two maps, :func:`~xprod.algebra._column_witness`, lives in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import FinAlgebra, PointedSpace, _column_witness, _require_maps, new_algebra
 from .errors import AxiomFailure, InternalCheckError, ShapeMismatch
@@ -35,6 +34,7 @@ from .exactla import (
     tensor_vec,
     vector_map,
 )
+from .record import record
 from .report import ConditionResult, Report, Witness
 
 
@@ -175,7 +175,7 @@ def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     return new_algebra(f, n, mul, tensor_vec(f, a.unit, b.unit))
 
 
-@dataclass(frozen=True)
+@record
 class BrzData:
     """Input data for a crossed product on A (x) V.
 
@@ -240,7 +240,7 @@ def build_brzezinski(d: BrzData) -> FinAlgebra:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class MirrorData:
     """Input data for the mirror crossed product on W (x) B.
 

@@ -18,12 +18,12 @@ Tensor conventions used everywhere in the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
 from .errors import FieldMismatch, ShapeMismatch
+from .record import record
 
 MAX_PRIME = 2**31
 
@@ -84,6 +84,7 @@ class Field:
         return self.from_int(1)
 
 
+@record
 class Rationals(Field):
     """The field of arbitrary-precision rationals."""
 
@@ -127,28 +128,21 @@ class Rationals(Field):
     def is_zero(self, a):
         return not a
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
 
-    def __hash__(self):
-        return hash("rationals")
-
-    def __repr__(self):
-        return "Rationals()"
-
-
+@record
 class PrimeField(Field):
     """Integers mod p for a prime p < 2**31."""
 
     kind = "prime"
+    p: int
 
-    def __init__(self, p: int):
+    def __post_init__(self):
         # bound the modulus first: trial division up to sqrt(p) is slow for a large p
+        p = self.p
         if isinstance(p, int) and p >= MAX_PRIME:
             raise ValueError(f"modulus {p} exceeds 2^31")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
-        self.p = p
 
     def add(self, a, b):
         s = a + b
@@ -181,20 +175,11 @@ class PrimeField(Field):
     def is_zero(self, a):
         return a == 0
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
 
 RATIONALS = Rationals()
 
 
-@dataclass(frozen=True)
+@record
 class TensorShape:
     """Ordered factor dimensions of a tensor product of spaces."""
 
@@ -320,7 +305,7 @@ def invert(field: Field, rows) -> tuple:
 
 # -- tensor maps ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TensorMap:
     """Linear map between tensor products, stored as sparse exact columns.
 

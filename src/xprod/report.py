@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """A failing basis tuple together with both evaluated sides.
 
@@ -23,15 +22,15 @@ class Witness:
     identity: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ConditionResult:
     name: str
     passed: bool
-    witness: Optional[Witness] = None
+    witness: Witness | None = None
     informational: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Ordered list of named condition results."""
 

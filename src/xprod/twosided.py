@@ -32,8 +32,7 @@ as a mirror crossed product (A (x) V) (x)~_{P,ν} C.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .algebra import (
     FinAlgebra,
@@ -84,13 +83,14 @@ from .exactla import (
     vector_map,
     vzero,
 )
+from .record import record
 from .report import ConditionResult, Report, Witness
 
 # the domain legs (x, y) of each twisting map R: x⊗y -> y⊗x, as A, V, C = 0, 1, 2
 TWIST_LEGS = {"R1": (1, 0), "R2": (2, 1), "R3": (2, 0)}
 
 
-@dataclass(frozen=True)
+@record
 class TwoSidedData:
     """The tuple (A, V, C, R1, R2, R3, E); shapes are validated eagerly."""
 
@@ -114,7 +114,7 @@ class TwoSidedData:
         return self.A.field
 
 
-@dataclass(frozen=True)
+@record
 class DerivedMaps:
     """R, P, σ, ν induced by (R1, R2, R3, E).
 
@@ -234,7 +234,7 @@ def _scan_mult_right(r, alg, identity_text):
         r.field, identity_text)
 
 
-@dataclass(frozen=True)
+@record
 class Condition:
     """One two-sided condition: its label, the maps among R1, R2, R3, E it
     mentions, and its elementwise evaluator.
@@ -421,7 +421,7 @@ def build_twosided(d: TwoSidedData) -> FinAlgebra:
     return new_algebra(d.field, n, mul, unit)
 
 
-@dataclass(frozen=True)
+@record
 class BuildOutcome:
     """Result of a forced build: the raw product plus any validation failure."""
 

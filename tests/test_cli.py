@@ -372,24 +372,19 @@ def search_doc():
     }
 
 
-def test_search_reports_are_byte_identical_across_threads(tmp_path, monkeypatch):
+def test_search_reports_are_byte_identical_across_runs(tmp_path):
     doc = write_doc(tmp_path, search_doc())
-    monkeypatch.setenv("XPROD_THREADS", "1")
     rc1, rep1, raw1 = run(["search", "--in", doc, "--seed", "9"], tmp_path)
-    monkeypatch.setenv("XPROD_THREADS", "4")
     rc2, rep2, raw2 = run(["search", "--in", doc, "--seed", "9"], tmp_path)
-    monkeypatch.delenv("XPROD_THREADS")
     rc3, rep3, raw3 = run(["search", "--in", doc, "--seed", "9"], tmp_path)
     assert rc1 == rc2 == rc3 == 0
     assert raw1 == raw2 == raw3
     assert rep1["outputs"]["count"] == len(rep1["outputs"]["solutions"])
 
 
-def test_check_reports_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
+def test_check_reports_byte_identical_across_runs(tmp_path):
     doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-graded-super"], Q))
-    monkeypatch.setenv("XPROD_THREADS", "1")
     _, _, raw1 = run(["check", "--in", doc], tmp_path)
-    monkeypatch.setenv("XPROD_THREADS", "8")
     _, _, raw2 = run(["check", "--in", doc], tmp_path)
     assert raw1 == raw2
 

@@ -16,7 +16,6 @@ of the wrong shape, each with the one message format all tuples share.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -41,6 +40,7 @@ from xprod.algebra import PointedSpace
 from xprod.constructions import braid_report, iterated_report
 from xprod.errors import FieldMismatch, ShapeMismatch
 from xprod.exactla import from_columns, shape, zero_map
+from xprod.record import replace
 
 
 def mutant(data, name, rng):

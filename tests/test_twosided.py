@@ -14,7 +14,9 @@ from fixtures import (
     dual_numbers,
     group_algebra_z2,
     truncated_polynomials3,
+    twosided_bicocycle,
     twosided_flip_trivial,
+    twosided_graded,
 )
 from xprod import (
     CONDITION_LABELS,
@@ -35,8 +37,10 @@ from xprod import (
     presentations_agree,
     universal_map,
 )
+from xprod.algebra import PointedSpace
 from xprod.constructions import product_connector
-from xprod.twosided import CONDITIONS
+from xprod.record import replace
+from xprod.twosided import CONDITIONS, TWIST_LEGS
 from xprod.errors import (
     AxiomFailure,
     NotAlgebraMap,
@@ -49,9 +53,11 @@ from xprod.report import Witness
 from xprod.exactla import (
     TensorMap,
     basis_vector,
+    compose,
     from_columns,
     from_rows,
     shape,
+    tensor,
     tensor_vec,
     vscale,
 )
@@ -575,3 +581,63 @@ def test_universal_result_is_algebra_map():
     fa, fv, fc = canonical_embeddings(d)
     f = universal_map(d, x, fa, fv, fc)
     assert is_algebra_map(f, build_twosided(d), x).all_pass
+
+
+# -- metamorphic: relabelling the bases keeps the verdicts ---------------------
+
+F3 = PrimeField(3)
+D3 = dual_numbers(F3)
+METAMORPHIC = {**CORPUS, **{
+    "f3-dual-flip-trivial": twosided_flip_trivial(D3, D3, D3),
+    "f3-dual-graded-super": twosided_graded(D3, D3, D3, (0, 1), (0, 1), (0, 1)),
+    "f3-mixed-flip-trivial": twosided_flip_trivial(
+        group_algebra_z2(F3), truncated_polynomials3(F3), D3),
+    "f3-bicocycle": twosided_bicocycle(F3),
+}}
+# (domain legs, codomain legs) of each map, with A, V, C numbered 0, 1, 2
+MAP_LEGS = {**{name: ((x, y), (y, x)) for name, (x, y) in TWIST_LEGS.items()},
+            "E": ((1, 1), (0, 1, 2))}
+
+
+def basis_permutation(field, n, rng):
+    """The map e_j -> e_perm(j) for a seeded permutation, and its inverse."""
+    perm = rng.sample(range(n), n)
+    inverse = sorted(range(n), key=perm.__getitem__)
+    return tuple(TensorMap(field, shape(n), shape(n), tuple(((p[j], field.one),) for j in range(n)))
+                 for p in (perm, inverse))
+
+
+def relabelled(d, rng):
+    """``d`` with A, V and C conjugated by seeded basis permutations and R1,
+    R2, R3 and E transported to match: g_cod o m o g_dom^-1, leg by leg."""
+    f = d.field
+    perms = [basis_permutation(f, space.dim, rng) for space in (d.A, d.V, d.C)]
+    maps = {name: compose(tensor(*(perms[leg][0] for leg in cod)), getattr(d, name),
+                          tensor(*(perms[leg][1] for leg in dom)))
+            for name, (dom, cod) in MAP_LEGS.items()}
+    return TwoSidedData(conjugate_algebra(d.A, perms[0][0]),
+                        PointedSpace(f, d.V.dim, perms[1][0].apply(d.V.unit)),
+                        conjugate_algebra(d.C, perms[2][0]), **maps)
+
+
+def single_entry_mutant(d, rng):
+    """``d`` with one seeded matrix entry of one of R1, R2, R3, E raised by one."""
+    name = rng.choice(tuple(MAP_LEGS))
+    m = getattr(d, name)
+    rows = [list(row) for row in m.rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(m.domain.total)
+    rows[i][j] = m.field.add(rows[i][j], m.field.one)
+    return replace(d, **{name: from_rows(m.field, m.domain, m.codomain, tuple(map(tuple, rows)))})
+
+
+@pytest.mark.parametrize("label", sorted(METAMORPHIC))
+def test_relabelling_the_bases_keeps_the_failing_conditions(label):
+    rng = random.Random(label)
+    base = METAMORPHIC[label]
+    failing = 0
+    for d in (base, *(single_entry_mutant(base, rng) for _ in range(6))):
+        want = check_twosided(d).failed_names()
+        failing += bool(want)
+        for _ in range(2):
+            assert check_twosided(relabelled(d, rng)).failed_names() == want
+    assert check_twosided(base).all_pass and failing > 0
