@@ -34,6 +34,7 @@ from .exactla import (
     shape,
     tensor,
     tensor_vec,
+    vector_map,
     vzero,
 )
 from .record import record
@@ -162,16 +163,13 @@ def associativity_witness(alg: FinAlgebra):
 
 
 def unit_witness(alg: FinAlgebra):
-    f = alg.field
-    for i in range(alg.dim):
-        e = basis_vector(f, alg.dim, i)
-        got = alg.mul_vec(alg.unit, e)
-        if got != e:
-            return i, "left", got, e
-        got = alg.mul_vec(e, alg.unit)
-        if got != e:
-            return i, "right", got, e
-    return None
+    """Smallest basis index i where 1·e_i != e_i (side "left") or e_i·1 != e_i
+    (side "right"), the left law first, as (i, side, got, e_i); or None."""
+    f, units = alg.field, (alg.unit, alg.unit)
+    ident = identity(f, shape(alg.dim))
+    w = _column_witness(*((compose(alg.mul, _unit_legs(f, units, (leg,))), ident, side)
+                          for leg, side in ((1, "left"), (0, "right"))))
+    return None if w is None else (w.indices[0], w.identity, w.left, w.right)
 
 
 def scalar_algebra(field: Field) -> FinAlgebra:
@@ -205,12 +203,23 @@ def _require_maps(what: str, parts, maps):
                 f"{list(m.domain.dims)} to {list(m.codomain.dims)}")
 
 
-def _column_witness(lhs: TensorMap, rhs: TensorMap, identity_text: str = "") -> Witness | None:
-    """The smallest basis tuple whose columns differ, as a witness, or None."""
-    for j in range(lhs.domain.total):
-        if lhs.cols[j] != rhs.cols[j]:
-            return Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j), identity_text)
+def _column_witness(*sides) -> Witness | None:
+    """The first failing side at the smallest basis tuple, as a witness, or
+    None; each side is (lhs, rhs, identity text), maps on one domain."""
+    for j in range(sides[0][0].domain.total):
+        for lhs, rhs, text in sides:
+            if lhs.cols[j] != rhs.cols[j]:
+                return Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j), text)
     return None
+
+
+def _unit_legs(field, units, keep) -> TensorMap:
+    """The embedding of the legs ``keep`` (increasing) into the tensor product
+    of legs with the given units: identity on the kept legs, the unit inserted
+    in every other, as in x ↦ 1⊗x⊗1."""
+    m = tensor(*(identity(field, shape(len(u))) if t in keep else vector_map(field, u)
+                 for t, u in enumerate(units)))
+    return m.reshaped(domain=shape(*(len(units[t]) for t in keep)))
 
 
 def is_algebra_map(f: TensorMap, a: FinAlgebra, x: FinAlgebra) -> Report:
@@ -225,12 +234,12 @@ def is_algebra_map(f: TensorMap, a: FinAlgebra, x: FinAlgebra) -> Report:
         raise FieldMismatch("algebra map check across different fields")
     got = f.apply(a.unit)
     unit = None if got == x.unit else Witness((), got, x.unit, "f(1)=1")
-    mult = _column_witness(compose(f, a.mul), compose(x.mul, tensor(f, f)), "f(ab)=f(a)f(b)")
+    mult = _column_witness((compose(f, a.mul), compose(x.mul, tensor(f, f)), "f(ab)=f(a)f(b)"))
     return Report((ConditionResult("unit", unit is None, unit),
                    ConditionResult("mult", mult is None, mult)))
 
 
-def conjugate_algebra(alg: FinAlgebra, g: TensorMap, validate: bool = True) -> FinAlgebra:
+def conjugate_algebra(alg: FinAlgebra, g: TensorMap) -> FinAlgebra:
     """Transport the algebra structure along an invertible map g.
 
     The result multiplies by x * y = g(g^-1(x) g^-1(y)) and has unit g(1).
@@ -246,7 +255,7 @@ def conjugate_algebra(alg: FinAlgebra, g: TensorMap, validate: bool = True) -> F
         tensor(ginv.reshaped(shape(n), shape(n)), ginv.reshaped(shape(n), shape(n))),
     )
     unit = g.apply(alg.unit)
-    return new_algebra(f, n, mul, unit, validate=validate)
+    return new_algebra(f, n, mul, unit)
 
 
 def same_algebra(a: FinAlgebra, b: FinAlgebra) -> bool:
@@ -277,19 +286,14 @@ def new_coalgebra(field: Field, dim: int, comul: TensorMap, counit: TensorMap,
     if len(unit) != dim:
         raise ShapeMismatch("unit vector length does not match dimension")
     ident = identity(field, shape(dim))
-    left = compose(tensor(comul, ident), comul)
-    right = compose(tensor(ident, comul), comul)
-    if left.cols != right.cols:
-        col = next(j for j in range(dim) if left.cols[j] != right.cols[j])
-        raise NotCoassociative(col)
-    lcounit = compose(tensor(counit, ident), comul)
-    rcounit = compose(tensor(ident, counit), comul)
-    for j in range(dim):
-        e = basis_vector(field, dim, j)
-        if lcounit.column(j) != e:
-            raise CounitFail(j, "left")
-        if rcounit.column(j) != e:
-            raise CounitFail(j, "right")
+    w = _column_witness((compose(tensor(comul, ident), comul),
+                         compose(tensor(ident, comul), comul), ""))
+    if w is not None:
+        raise NotCoassociative(w.indices[0])
+    w = _column_witness((compose(tensor(counit, ident), comul), ident, "left"),
+                        (compose(tensor(ident, counit), comul), ident, "right"))
+    if w is not None:
+        raise CounitFail(w.indices[0], w.identity)
     if comul.apply(unit) != tensor_vec(field, unit, unit):
         raise UnitNotGrouplike("comul(1_H) != 1_H (x) 1_H")
     if counit.apply(unit) != (field.one,):

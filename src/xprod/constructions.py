@@ -30,6 +30,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _unit_legs,
     conjugate_algebra,
     new_algebra,
     ordinary_tensor,
@@ -40,7 +41,6 @@ from .crossed import (
     _braid,
     _columns_equal,
     _twisting_shapes,
-    _unit_legs,
     build_mirror,
     build_ttp,
     check_mirror,
@@ -99,8 +99,8 @@ def _prefixed(prefix: str, rep: Report) -> Report:
 def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
                  a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> Report:
     """The hexagon identity for three twisting maps, checked columnwise."""
-    return Report((_columns_equal("braid", *_braid(r1, r2, r3),
-                                  "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)"),))
+    return Report((_columns_equal("braid", _braid(
+        r1, r2, r3, "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)")),))
 
 
 def _iterated_twists(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
@@ -146,7 +146,7 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
         t = t.map_at(r2, 3)            # (c_R3, b') -> b'_R2, (c_R3)_R2
         return t.mul_at(a, 0).mul_at(b, 1).mul_at(c, 2)
 
-    witness = _column_witness(_chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul)
+    witness = _column_witness((_chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul, ""))
     if witness is not None:
         raise InternalCheckError(
             f"iterated product disagrees with its formula at {witness.indices}")
@@ -320,10 +320,10 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
     if not same_algebra(lr_alg, transported):
         raise InternalCheckError("L-R presentation differs from the permuted product")
 
-    info = _column_witness(
+    info = _column_witness((
         compose(lr_alg.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
         tensor(idv, ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
-        "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')")
+        "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')"))
     report = Report((
         ConditionResult("transport-equality", True),
         ConditionResult("lr-differs-from-mirror", True, info, informational=True),
@@ -432,14 +432,16 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
 
     Candidate n carries the free digits of every unfrozen map, R1, R2, R3, E
     in that order, most significant first.  Each candidate meets the
-    conditions of :data:`~xprod.twosided.CONDITIONS` in order and is dropped
-    at its first failure.  A condition that does not involve E is decided
-    once per distinct digit slice of the unfrozen maps it mentions, and each
-    unfrozen R map is decoded once per distinct slice; nothing involving E is
-    cached, so memory grows with the distinct R-triples drawn, not with the
-    space.  Results are deduplicated by exact matrix equality and returned in
-    a canonical order (sorted by their serialized matrices), so the output is
-    byte-stable for a fixed spec and seed.
+    conditions of :data:`~xprod.twosided.CONDITIONS`, those without E first,
+    and is dropped at its first failure.  A condition that does not involve
+    E is decided once per distinct digit slice of the unfrozen maps it
+    mentions, and each unfrozen R map is decoded once per distinct slice;
+    nothing involving E is cached, so memory grows with the distinct
+    R-triples drawn, not with the space.  In exhaustive mode an R-triple that
+    fails a condition without E is skipped with all its E values, which are
+    consecutive numbers.  Results are deduplicated by exact matrix equality
+    and returned in a canonical order (sorted by their serialized matrices),
+    so the output is byte-stable for a fixed spec and seed.
     """
     f = spec.field
     if not isinstance(f, PrimeField):
@@ -471,8 +473,9 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     for name, template in templates.items():
         low -= _width(template)
         layout[name] = (f.p ** low, f.p ** _width(template))
-    plan = [(cond, "E" in cond.maps, tuple(m for m in cond.maps if m in templates))
-            for cond in CONDITIONS]
+    # the conditions without E first: they reject an R-triple before E is read
+    plan = sorted(((cond, "E" in cond.maps, tuple(m for m in cond.maps if m in templates))
+                   for cond in CONDITIONS), key=lambda step: step[1])
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds, E-free only
     r_maps = {}    # (name, digit slice) -> decoded R map
 
@@ -489,25 +492,35 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
             tuple(tuple(f.fmt(x) for x in row) for row in m.rows)
             for m in (data.R1, data.R2, data.R3, data.E))
 
+    # runs of candidates with one R-triple: all its E values, or one draw
+    width = layout["E"][1] if "E" in layout else 1
+    if spec.mode == "exhaustive":
+        runs = (range(t * width, (t + 1) * width) for t in _candidates(spec, space // width))
+    else:
+        runs = ((n,) for n in _candidates(spec, space))
     unique = {}
-    for n in _candidates(spec, space):
-        parts = {name: n // div % mod for name, (div, mod) in layout.items()}
-        maps = dict(frozen)
-        for cond, with_e, unfrozen in plan:
-            # a condition involving E has no key and is always evaluated
-            key = None if with_e else (cond.label, *(parts[m] for m in unfrozen))
-            holds = verdicts.get(key)
-            if holds is None:
-                for m in unfrozen:
-                    if m not in maps:
-                        maps[m] = decode(m, parts[m])
-                holds = cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
-                if key is not None:
-                    verdicts[key] = holds
-            if not holds:
-                break
-        else:
-            # equiv4, equiv5 and equiv6 mention E, so they ran and decoded every map
-            data = TwoSidedData(a, v, c, **maps)
-            unique.setdefault(canonical(data), data)
+    for run in runs:
+        for n in run:
+            parts = {name: n // div % mod for name, (div, mod) in layout.items()}
+            maps = dict(frozen)
+            for cond, with_e, unfrozen in plan:
+                # a condition involving E has no key and is always evaluated
+                key = None if with_e else (cond.label, *(parts[m] for m in unfrozen))
+                holds = verdicts.get(key)
+                if holds is None:
+                    for m in unfrozen:
+                        if m not in maps:
+                            maps[m] = decode(m, parts[m])
+                    holds = cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
+                    if key is not None:
+                        verdicts[key] = holds
+                if not holds:
+                    break
+            else:
+                # equiv4, equiv5 and equiv6 mention E, so they ran and decoded every map
+                data = TwoSidedData(a, v, c, **maps)
+                unique.setdefault(canonical(data), data)
+                continue
+            if not with_e:
+                break  # no E value passes an R-triple that fails without E
     return [unique[k] for k in sorted(unique)]

@@ -4,28 +4,31 @@ Condition labels follow the naming used throughout the package reports:
 ``twisting-unit-left``/``twisting-unit-right``/``twisting-mult-A``/``twisting-mult-B`` for twisting
 maps, ``brz1``..``brz5`` for crossed products on A (x) V, and ``mirtwunit``,
 ``mircocunit``, ``mirtwmap``, ``mir1``, ``mir2`` for the mirror version on
-W (x) B.  Every check runs over all basis tuples and reports the
-lexicographically smallest witness.
+W (x) B.
 
-Identities that recur in the checkers here and in :mod:`xprod.twosided` are
-private helpers, each written once: the unit laws of a twist (:func:`_twist_unit`,
-:func:`_twist_units`; as composites :func:`_twist_units_hold`), the unit law of a
-connector (:func:`_connector_unit`), multiplicativity of a twist as composites
-(:func:`_mult_left`, :func:`_mult_right`), the braid relation (:func:`_braid`)
-and legs embedded with the units in the others (:func:`_unit_legs`).  The first
-differing column of two maps, :func:`~xprod.algebra._column_witness`, lives in
-:mod:`xprod.algebra`.
+Every axiom is a list of sides ``(lhs, rhs, identity text)``, maps on one
+domain; :func:`~xprod.algebra._column_witness` reports the smallest basis
+tuple where they differ, and there the first failing side.  The identities
+that recur here and in the composite route of :mod:`xprod.twosided` are
+written once each, as sides: the unit laws of a twist (:func:`_twist_unit`;
+both legs, one after the other, :func:`_twist_units`) and of a connector
+(:func:`_connector_unit`), multiplicativity of a twist (:func:`_mult_left`,
+:func:`_mult_right`) and the braid relation (:func:`_braid`).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .algebra import FinAlgebra, PointedSpace, _column_witness, _require_maps, new_algebra
+from .algebra import (
+    FinAlgebra,
+    PointedSpace,
+    _column_witness,
+    _require_maps,
+    _unit_legs,
+    new_algebra,
+)
 from .errors import AxiomFailure, InternalCheckError, ShapeMismatch
 from .exactla import (
     TensorMap,
-    basis_vector,
     compose,
     identity,
     permute_factors,
@@ -38,89 +41,58 @@ from .record import record
 from .report import ConditionResult, Report, Witness
 
 
-def _columns_equal(name: str, lhs: TensorMap, rhs: TensorMap,
-                   identity_text: str = "") -> ConditionResult:
-    """Compare two maps column by column; witness is the smallest basis tuple."""
-    if lhs.domain.total != rhs.domain.total or lhs.codomain.total != rhs.codomain.total:
-        raise ShapeMismatch(f"{name}: sides have different shapes")
-    witness = _column_witness(lhs, rhs, identity_text)
+def _columns_equal(name: str, *sides) -> ConditionResult:
+    """A report entry comparing (lhs, rhs, text) sides column by column; the
+    witness is the smallest basis tuple, and there the first failing side."""
+    for lhs, rhs, _ in sides:
+        if lhs.domain.total != rhs.domain.total or lhs.codomain.total != rhs.codomain.total:
+            raise ShapeMismatch(f"{name}: sides have different shapes")
+    witness = _column_witness(*sides)
     return ConditionResult(name, witness is None, witness)
 
 
-def _first_mismatch(checks) -> Witness | None:
-    """The first failing identity; checks yield (indices, left, right, text)."""
-    for indices, left, right, text in checks:
-        if left != right:
-            return Witness(indices, left, right, text)
+def _connector_unit(m: TensorMap, units, leg: int, want: TensorMap, text: str = ""):
+    """The side m(x⊗1_Y) = want(x) (leg 0) or m(1_X⊗y) = want(y) (leg 1) of a
+    unit law of m on X (x) Y, units (1_X, 1_Y), over the basis of that leg."""
+    return compose(m, _unit_legs(m.field, units, (leg,))), want, text
+
+
+def _twist_unit(m: TensorMap, units, leg: int, text: str):
+    """The side m(x⊗1_Y) = 1_Y⊗x (leg 0) or m(1_X⊗y) = y⊗1_X (leg 1) of a unit
+    law of a twist m: X (x) Y -> Y (x) X, units (1_X, 1_Y)."""
+    return _connector_unit(m, units, leg, _unit_legs(m.field, units[::-1], (1 - leg,)), text)
+
+
+def _twist_units(m: TensorMap, units, legs, texts=("", "")) -> Witness | None:
+    """Both unit laws of a twist m, one leg after the other in the order of
+    ``legs``, labelled by ``texts``: the first failing law's witness, or None."""
+    for leg, text in zip(legs, texts):
+        witness = _column_witness(_twist_unit(m, units, leg, text))
+        if witness is not None:
+            return witness
     return None
 
 
-def _unit_family(name: str, checks) -> ConditionResult:
-    """Bundle several unit identities into one condition."""
-    witness = _first_mismatch(checks)
-    return ConditionResult(name, witness is None, witness)
-
-
-def _twist_unit(m: TensorMap, x, y, text: str, leg: int):
-    """One unit law of a twist m: X (x) Y -> Y (x) X, as checks over the basis
-    of one leg: m(x⊗1_Y) = 1_Y⊗x for leg 0, m(1_X⊗y) = y⊗1_X for leg 1."""
-    f = m.field
-    n, unit = (x.dim, y.unit) if leg == 0 else (y.dim, x.unit)
-    for k in range(n):
-        e = basis_vector(f, n, k)
-        pair = (e, unit) if leg == 0 else (unit, e)
-        yield (k,), m.apply(tensor_vec(f, *pair)), tensor_vec(f, *pair[::-1]), text
-
-
-def _twist_units(m: TensorMap, x, y, x_text: str, y_text: str, x_first: bool = True):
-    """Both unit laws of a twist m: X (x) Y -> Y (x) X, leg X first if ``x_first``."""
-    sides = (_twist_unit(m, x, y, x_text, 0), _twist_unit(m, x, y, y_text, 1))
-    return itertools.chain(*(sides if x_first else sides[::-1]))
-
-
-def _twist_units_hold(m: TensorMap, x_unit, y_unit) -> bool:
-    """Both unit laws of a twist m: X (x) Y -> Y (x) X as composite identities,
-    m∘(id⊗1_Y) = 1_Y⊗id and m∘(1_X⊗id) = id⊗1_X."""
-    f = m.field
-    ux, uy = vector_map(f, x_unit), vector_map(f, y_unit)
-    idx, idy = identity(f, shape(len(x_unit))), identity(f, shape(len(y_unit)))
-    return (compose(m, tensor(idx, uy)).cols == tensor(uy, idx).cols
-            and compose(m, tensor(ux, idy)).cols == tensor(idy, ux).cols)
-
-
-def _connector_unit(m: TensorMap, x, want, texts, unit_first: bool = True):
-    """The unit law m(1_X⊗x) = want(x) = m(x⊗1_X) of a connector on X (x) X: two
-    checks per basis vector of X, m(1_X⊗x) first if ``unit_first``, labelled
-    by ``texts`` in check order; want(x) is built once per basis vector."""
-    f = m.field
-    for j in range(x.dim):
-        e = basis_vector(f, x.dim, j)
-        expected = want(e)
-        pairs = ((x.unit, e), (e, x.unit)) if unit_first else ((e, x.unit), (x.unit, e))
-        for pair, text in zip(pairs, texts):
-            yield (j,), m.apply(tensor_vec(f, *pair)), expected, text
-
-
-def _mult_left(r: TensorMap, alg: FinAlgebra):
-    """The two sides of R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist
+def _mult_left(r: TensorMap, alg: FinAlgebra, text: str = ""):
+    """The side R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist
     R: X (x) A -> A (x) X, μ the multiplication of A."""
     f = r.field
     ida, idx = identity(f, shape(alg.dim)), identity(f, shape(r.domain.dims[0]))
     return (compose(r, tensor(idx, alg.mul)),
-            compose(tensor(alg.mul, idx), tensor(ida, r), tensor(r, ida)))
+            compose(tensor(alg.mul, idx), tensor(ida, r), tensor(r, ida)), text)
 
 
-def _mult_right(r: TensorMap, alg: FinAlgebra):
-    """The two sides of R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist
+def _mult_right(r: TensorMap, alg: FinAlgebra, text: str = ""):
+    """The side R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist
     R: C (x) X -> X (x) C, μ the multiplication of C."""
     f = r.field
     idc, idx = identity(f, shape(alg.dim)), identity(f, shape(r.domain.dims[1]))
     return (compose(r, tensor(alg.mul, idx)),
-            compose(tensor(idx, alg.mul), tensor(r, idc), tensor(idc, r)))
+            compose(tensor(idx, alg.mul), tensor(r, idc), tensor(idc, r)), text)
 
 
-def _braid(r1: TensorMap, r2: TensorMap, r3: TensorMap):
-    """The two sides of (id⊗R2)∘(R3⊗id)∘(id⊗R1) = (R1⊗id)∘(id⊗R3)∘(R2⊗id) on
+def _braid(r1: TensorMap, r2: TensorMap, r3: TensorMap, text: str = ""):
+    """The side (id⊗R2)∘(R3⊗id)∘(id⊗R1) = (R1⊗id)∘(id⊗R3)∘(R2⊗id) on
     C (x) V (x) A, for R1: V (x) A -> A (x) V, R2: C (x) V -> V (x) C and
     R3: C (x) A -> A (x) C."""
     f = r1.field
@@ -128,16 +100,7 @@ def _braid(r1: TensorMap, r2: TensorMap, r3: TensorMap):
     ida, idv = identity(f, shape(na)), identity(f, shape(nv))
     idc = identity(f, shape(r2.domain.dims[0]))
     return (compose(tensor(ida, r2), tensor(r3, idv), tensor(idc, r1)),
-            compose(tensor(r1, idc), tensor(idv, r3), tensor(r2, ida)))
-
-
-def _unit_legs(field, units, keep) -> TensorMap:
-    """The embedding of the legs ``keep`` (increasing) into the tensor product
-    of legs with the given units: identity on the kept legs, the unit inserted
-    in every other, as in x ↦ 1⊗x⊗1."""
-    m = tensor(*(identity(field, shape(len(u))) if t in keep else vector_map(field, u)
-                 for t, u in enumerate(units)))
-    return m.reshaped(domain=shape(*(len(units[t]) for t in keep)))
+            compose(tensor(r1, idc), tensor(idv, r3), tensor(r2, ida)), text)
 
 
 def _twisting_shapes(name: str, r: TensorMap, a: FinAlgebra, b: FinAlgebra):
@@ -153,11 +116,12 @@ def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
     ``twisting-mult-B`` multiplicativity in B.
     """
     _twisting_shapes("R", r, a, b)
+    units = (b.unit, a.unit)
     return Report((
-        _unit_family("twisting-unit-left", _twist_unit(r, b, a, "R(1_B⊗a)=a⊗1_B", 1)),
-        _unit_family("twisting-unit-right", _twist_unit(r, b, a, "R(b⊗1_A)=1_A⊗b", 0)),
-        _columns_equal("twisting-mult-A", *_mult_left(r, a), "R(b⊗aa')=a_R a'_r⊗(b_R)_r"),
-        _columns_equal("twisting-mult-B", *_mult_right(r, b), "R(bb'⊗a)=(a_R)_r⊗b_r b'_R"),
+        _columns_equal("twisting-unit-left", _twist_unit(r, units, 1, "R(1_B⊗a)=a⊗1_B")),
+        _columns_equal("twisting-unit-right", _twist_unit(r, units, 0, "R(b⊗1_A)=1_A⊗b")),
+        _columns_equal("twisting-mult-A", _mult_left(r, a, "R(b⊗aa')=a_R a'_r⊗(b_R)_r")),
+        _columns_equal("twisting-mult-B", _mult_right(r, b, "R(bb'⊗a)=(a_R)_r⊗b_r b'_R")),
     ))
 
 
@@ -205,16 +169,17 @@ def check_brzezinski(d: BrzData) -> Report:
     brz4_rhs = compose(tensor(a.mul, idv), tensor(ida, sg), tensor(sg, idv))
     brz5_lhs = compose(tensor(a.mul, idv), tensor(ida, sg), tensor(r, idv), tensor(idv, r))
     brz5_rhs = compose(tensor(a.mul, idv), tensor(ida, r), tensor(sg, ida))
+    brz1 = _twist_units(r, (v.unit, a.unit), (1, 0), ("R(1_V⊗a)=a⊗1_V", "R(v⊗1_A)=1_A⊗v"))
+    units, want = (v.unit, v.unit), _unit_legs(f, (a.unit, v.unit), (1,))
     return Report((
-        _unit_family("brz1", _twist_units(r, v, a, "R(v⊗1_A)=1_A⊗v", "R(1_V⊗a)=a⊗1_V",
-                                          x_first=False)),
-        _unit_family("brz2", _connector_unit(sg, v, lambda e: tensor_vec(f, a.unit, e),
-                                             ("σ(1_V⊗v)=1_A⊗v", "σ(v⊗1_V)=1_A⊗v"))),
-        _columns_equal("brz3", *_mult_left(r, a), "R∘(id⊗μ)=(μ⊗id)∘(id⊗R)∘(R⊗id)"),
-        _columns_equal("brz4", brz4_lhs, brz4_rhs,
-                       "(μ⊗id)∘(id⊗σ)∘(R⊗id)∘(id⊗σ)=(μ⊗id)∘(id⊗σ)∘(σ⊗id)"),
-        _columns_equal("brz5", brz5_lhs, brz5_rhs,
-                       "(μ⊗id)∘(id⊗σ)∘(R⊗id)∘(id⊗R)=(μ⊗id)∘(id⊗R)∘(σ⊗id)"),
+        ConditionResult("brz1", brz1 is None, brz1),
+        _columns_equal("brz2", _connector_unit(sg, units, 1, want, "σ(1_V⊗v)=1_A⊗v"),
+                       _connector_unit(sg, units, 0, want, "σ(v⊗1_V)=1_A⊗v")),
+        _columns_equal("brz3", _mult_left(r, a, "R∘(id⊗μ)=(μ⊗id)∘(id⊗R)∘(R⊗id)")),
+        _columns_equal("brz4", (brz4_lhs, brz4_rhs,
+                                "(μ⊗id)∘(id⊗σ)∘(R⊗id)∘(id⊗σ)=(μ⊗id)∘(id⊗σ)∘(σ⊗id)")),
+        _columns_equal("brz5", (brz5_lhs, brz5_rhs,
+                                "(μ⊗id)∘(id⊗σ)∘(R⊗id)∘(id⊗R)=(μ⊗id)∘(id⊗R)∘(σ⊗id)")),
     ))
 
 
@@ -234,7 +199,7 @@ def build_brzezinski(d: BrzData) -> FinAlgebra:
     out = new_algebra(f, n, mul, tensor_vec(f, a.unit, v.unit))
     # (a⊗1_V)(b⊗v) = ab⊗v on basis tuples (a, b, v)
     lhs = compose(out.mul, _unit_legs(f, (a.unit, v.unit) * 2, (0, 2, 3)))
-    witness = _column_witness(lhs, tensor(a.mul, idv))
+    witness = _column_witness((lhs, tensor(a.mul, idv), ""))
     if witness is not None:
         raise InternalCheckError(f"(a⊗1_V)(b⊗v)=ab⊗v fails at basis {witness.indices}")
     return out
@@ -270,16 +235,17 @@ def check_mirror(d: MirrorData) -> Report:
     mir1_rhs = compose(tensor(idw, b.mul), tensor(nu, idb), tensor(idw, nu))
     mir2_lhs = compose(tensor(idw, b.mul), tensor(nu, idb), tensor(idw, p), tensor(p, idw))
     mir2_rhs = compose(tensor(idw, b.mul), tensor(p, idb), tensor(idb, nu))
+    mirtwunit = _twist_units(p, (b.unit, w.unit), (0, 1), ("P(b⊗1_W)=1_W⊗b", "P(1_B⊗w)=w⊗1_B"))
+    units, want = (w.unit, w.unit), _unit_legs(f, (w.unit, b.unit), (0,))
     return Report((
-        _unit_family("mirtwunit", _twist_units(p, b, w, "P(b⊗1_W)=1_W⊗b", "P(1_B⊗w)=w⊗1_B")),
-        _unit_family("mircocunit", _connector_unit(nu, w, lambda e: tensor_vec(f, e, b.unit),
-                                                   ("ν(w⊗1_W)=w⊗1_B", "ν(1_W⊗w)=w⊗1_B"),
-                                                   unit_first=False)),
-        _columns_equal("mirtwmap", *_mult_right(p, b), "P∘(μ⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗P)"),
-        _columns_equal("mir1", mir1_lhs, mir1_rhs,
-                       "(id⊗μ)∘(ν⊗id)∘(id⊗P)∘(ν⊗id)=(id⊗μ)∘(ν⊗id)∘(id⊗ν)"),
-        _columns_equal("mir2", mir2_lhs, mir2_rhs,
-                       "(id⊗μ)∘(ν⊗id)∘(id⊗P)∘(P⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗ν)"),
+        ConditionResult("mirtwunit", mirtwunit is None, mirtwunit),
+        _columns_equal("mircocunit", _connector_unit(nu, units, 0, want, "ν(w⊗1_W)=w⊗1_B"),
+                       _connector_unit(nu, units, 1, want, "ν(1_W⊗w)=w⊗1_B")),
+        _columns_equal("mirtwmap", _mult_right(p, b, "P∘(μ⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗P)")),
+        _columns_equal("mir1", (mir1_lhs, mir1_rhs,
+                                "(id⊗μ)∘(ν⊗id)∘(id⊗P)∘(ν⊗id)=(id⊗μ)∘(ν⊗id)∘(id⊗ν)")),
+        _columns_equal("mir2", (mir2_lhs, mir2_rhs,
+                                "(id⊗μ)∘(ν⊗id)∘(id⊗P)∘(P⊗id)=(id⊗μ)∘(P⊗id)∘(id⊗ν)")),
     ))
 
 
@@ -300,7 +266,7 @@ def build_mirror(d: MirrorData) -> FinAlgebra:
     # (w⊗b)(1_W⊗b') = w⊗bb' on basis tuples (b, b', w), reported as (w, b, b')
     order = permute_factors(f, (b.dim, b.dim, w.dim), (2, 0, 1))
     lhs = compose(out.mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order)
-    witness = _column_witness(lhs, compose(tensor(idw, b.mul), order))
+    witness = _column_witness((lhs, compose(tensor(idw, b.mul), order), ""))
     if witness is not None:
         i, k, j = witness.indices
         raise InternalCheckError(f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")

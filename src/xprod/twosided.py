@@ -10,12 +10,13 @@ Input data is the tuple (A, V, C, R1, R2, R3, E) with
 :func:`check_twosided` verifies the twelve named conditions (``twR31``,
 ``twR32``, ``twR33``, ``unit-R1``, ``unit-R2``, ``unit-E``, ``equiv1`` ..
 ``equiv6``), each exhaustively on basis tuples with the lexicographically
-smallest witness.  Conditions are evaluated in their elementwise form by
-chaining sparse tensor states; each is then re-evaluated once as a
-whole-matrix composite identity, and the two routes must agree.  The
-elementwise forms live in one table, :data:`CONDITIONS`, which records for
-each label the maps it mentions; the finite-field search reads the same
-table.
+smallest witness.  A condition is one or more sides ``(lhs, rhs, identity
+text)`` in checking order, decided by two independent routes that must
+agree.  The elementwise route, :func:`_scan`, runs chains of sparse tensor
+states (``_Ten``, with :meth:`_Ten.insert` putting a unit into a leg) on each
+basis tuple; its table :data:`CONDITIONS` records for each label the maps it
+mentions, and the finite-field search reads the same table.  The composite
+route compares whole-matrix sides with :func:`~xprod.algebra._column_witness`.
 
 When all conditions hold, :func:`build_twosided` constructs the algebra on
 A (x) V (x) C whose multiplication is
@@ -39,6 +40,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _unit_legs,
     is_algebra_map,
     new_algebra,
     same_algebra,
@@ -48,12 +50,9 @@ from .crossed import (
     MirrorData,
     _braid,
     _connector_unit,
-    _first_mismatch,
     _mult_left,
     _mult_right,
     _twist_units,
-    _twist_units_hold,
-    _unit_legs,
     build_brzezinski,
     build_mirror,
 )
@@ -80,7 +79,6 @@ from .exactla import (
     shape,
     tensor,
     tensor_vec,
-    vector_map,
     vzero,
 )
 from .record import record
@@ -175,6 +173,14 @@ class _Ten:
         """Multiply the factors at pos and pos+1 inside the given algebra."""
         return self.map_at(alg.mul, pos)
 
+    def insert(self, pos: int, vec) -> "_Ten":
+        """Insert the vector ``vec`` as a new factor at position pos."""
+        f = self.field
+        terms = [(i, x) for i, x in enumerate(vec) if not f.is_zero(x)]
+        data = {key[:pos] + (i,) + key[pos:]: f.mul(coef, x)
+                for key, coef in self.data.items() for i, x in terms}
+        return _Ten(f, self.dims[:pos] + (len(vec),) + self.dims[pos:], data)
+
     def permute(self, perm) -> "_Ten":
         """Reorder factors: output factor t is current factor perm[t]."""
         perm = tuple(perm)
@@ -190,15 +196,16 @@ class _Ten:
         return tuple(out)
 
 
-def _scan(dims_list, lhs_chain, rhs_chain, field, identity_text=""):
-    """Compare two chain evaluations over all basis tuples, lex order; return
-    the first failing tuple's witness, or None."""
-    for idx in itertools.product(*(range(d) for d in dims_list)):
-        start = _Ten.basis(field, dims_list, idx)
-        left = lhs_chain(start)
-        right = rhs_chain(start)
-        if left.data != right.data:  # both sparse with zeros dropped
-            return Witness(idx, left.vector(), right.vector(), identity_text)
+def _scan(field, dims, *sides):
+    """The first failing side at the smallest basis tuple of ``dims``, lex
+    order, as a witness, or None: each side is (lhs chain, rhs chain, identity
+    text), chains compared on each basis tuple's sparse state."""
+    for idx in itertools.product(*(range(d) for d in dims)):
+        start = _Ten.basis(field, dims, idx)
+        for lhs, rhs, text in sides:
+            left, right = lhs(start), rhs(start)
+            if left.data != right.data:  # both sparse with zeros dropped
+                return Witness(idx, left.vector(), right.vector(), text)
     return None
 
 
@@ -217,21 +224,29 @@ def _chain_map(field, dims, chain) -> TensorMap:
 def _scan_mult_left(r, alg, identity_text):
     """R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist R: X (x) A -> A (x) X, on
     basis tuples (x, a, a')."""
-    return _scan(
-        (r.domain.dims[0], alg.dim, alg.dim),
+    return _scan(r.field, (r.domain.dims[0], alg.dim, alg.dim), (
         lambda t: t.mul_at(alg, 1).map_at(r, 0),
-        lambda t: t.map_at(r, 0).map_at(r, 1).mul_at(alg, 0),
-        r.field, identity_text)
+        lambda t: t.map_at(r, 0).map_at(r, 1).mul_at(alg, 0), identity_text))
 
 
 def _scan_mult_right(r, alg, identity_text):
     """R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist R: C (x) X -> X (x) C, on
     basis tuples (c, c', x)."""
-    return _scan(
-        (alg.dim, alg.dim, r.domain.dims[1]),
+    return _scan(r.field, (alg.dim, alg.dim, r.domain.dims[1]), (
         lambda t: t.mul_at(alg, 0).map_at(r, 0),
-        lambda t: t.map_at(r, 1).map_at(r, 0).mul_at(alg, 1),
-        r.field, identity_text)
+        lambda t: t.map_at(r, 1).map_at(r, 0).mul_at(alg, 1), identity_text))
+
+
+def _scan_twist_units(r, units, legs, texts):
+    """The unit laws of a twist R: X (x) Y -> Y (x) X, units (1_X, 1_Y), one leg
+    after the other: R(x⊗1_Y) = 1_Y⊗x for leg 0, R(1_X⊗y) = y⊗1_X for leg 1."""
+    for leg, text in zip(legs, texts):
+        u = units[1 - leg]
+        witness = _scan(r.field, (len(units[leg]),), (
+            lambda t: t.insert(1 - leg, u).map_at(r, 0), lambda t: t.insert(leg, u), text))
+        if witness is not None:
+            return witness
+    return None
 
 
 @record
@@ -258,45 +273,46 @@ class Condition:
 
 # The twelve conditions, each identity written once, in report order.
 CONDITIONS = (
-    Condition("twR31", ("R3",), lambda a, v, c, r3: _first_mismatch(_twist_units(
-        r3, c, a, "R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
+    Condition("twR31", ("R3",), lambda a, v, c, r3: _scan_twist_units(
+        r3, (c.unit, a.unit), (0, 1), ("R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
     Condition("twR32", ("R3",), lambda a, v, c, r3: _scan_mult_left(
         r3, a, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
     Condition("twR33", ("R3",), lambda a, v, c, r3: _scan_mult_right(
         r3, c, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
-    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _first_mismatch(_twist_units(
-        r1, v, a, "R1(v⊗1_A)=1_A⊗v", "R1(1_V⊗a)=a⊗1_V", x_first=False))),
-    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _first_mismatch(_twist_units(
-        r2, c, v, "R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
-    Condition("unit-E", ("E",), lambda a, v, c, e: _first_mismatch(_connector_unit(
-        e, v, lambda x: tensor_vec(e.field, a.unit, x, c.unit),
-        ("E(1_V⊗v)=1_A⊗v⊗1_C", "E(v⊗1_V)=1_A⊗v⊗1_C")))),
+    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _scan_twist_units(
+        r1, (v.unit, a.unit), (1, 0), ("R1(1_V⊗a)=a⊗1_V", "R1(v⊗1_A)=1_A⊗v"))),
+    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _scan_twist_units(
+        r2, (c.unit, v.unit), (0, 1), ("R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
+    Condition("unit-E", ("E",), lambda a, v, c, e: _scan(
+        e.field, (v.dim,),
+        (lambda t: t.insert(0, v.unit).map_at(e, 0),
+         lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(1_V⊗v)=1_A⊗v⊗1_C"),
+        (lambda t: t.insert(1, v.unit).map_at(e, 0),
+         lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(v⊗1_V)=1_A⊗v⊗1_C"))),
     Condition("equiv1", ("R1",), lambda a, v, c, r1: _scan_mult_left(
         r1, a, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
     Condition("equiv2", ("R2",), lambda a, v, c, r2: _scan_mult_right(
         r2, c, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
     Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _scan(
-        (c.dim, v.dim, a.dim),
-        lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
-        lambda t: t.map_at(r2, 0).map_at(r3, 1).map_at(r1, 0),
-        a.field, "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3")),
+        a.field, (c.dim, v.dim, a.dim), (
+            lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
+            lambda t: t.map_at(r2, 0).map_at(r3, 1).map_at(r1, 0),
+            "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))),
     Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _scan(
-        (v.dim, v.dim, a.dim),
-        lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0),
-        lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).mul_at(a, 0),
-        a.field,
-        "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3")),
+        a.field, (v.dim, v.dim, a.dim), (
+            lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0),
+            lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).mul_at(a, 0),
+            "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))),
     Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _scan(
-        (c.dim, v.dim, v.dim),
-        lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).mul_at(c, 2),
-        lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).mul_at(c, 2),
-        a.field,
-        "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')")),
+        a.field, (c.dim, v.dim, v.dim), (
+            lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).mul_at(c, 2),
+            lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).mul_at(c, 2),
+            "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))),
     Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _scan(
-        (v.dim, v.dim, v.dim),
-        lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
-        lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
-        a.field, "E-chain of (v v') v'' = E-chain of v (v' v'')")),
+        a.field, (v.dim, v.dim, v.dim), (
+            lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
+            lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
+            "E-chain of (v v') v'' = E-chain of v (v' v'')"))),
 )
 
 CONDITION_LABELS = tuple(cond.label for cond in CONDITIONS)
@@ -310,20 +326,18 @@ def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
     ida = identity(f, shape(a.dim))
     idv = identity(f, shape(v.dim))
     idc = identity(f, shape(c.dim))
-    uv = vector_map(f, v.unit)
     out = {}
-    out["twR31"] = _twist_units_hold(r3, c.unit, a.unit)
-    out["twR32"] = _column_witness(*_mult_left(r3, a)) is None
-    out["twR33"] = _column_witness(*_mult_right(r3, c)) is None
-    out["unit-R1"] = _twist_units_hold(r1, v.unit, a.unit)
-    out["unit-R2"] = _twist_units_hold(r2, c.unit, v.unit)
-    unit_e_rhs = tensor(vector_map(f, a.unit), idv, vector_map(f, c.unit)).cols
-    out["unit-E"] = (
-        compose(e, tensor(uv, idv)).cols == unit_e_rhs
-        and compose(e, tensor(idv, uv)).cols == unit_e_rhs)
-    out["equiv1"] = _column_witness(*_mult_left(r1, a)) is None
-    out["equiv2"] = _column_witness(*_mult_right(r2, c)) is None
-    out["equiv3"] = _column_witness(*_braid(r1, r2, r3)) is None
+    out["twR31"] = _twist_units(r3, (c.unit, a.unit), (0, 1)) is None
+    out["twR32"] = _column_witness(_mult_left(r3, a)) is None
+    out["twR33"] = _column_witness(_mult_right(r3, c)) is None
+    out["unit-R1"] = _twist_units(r1, (v.unit, a.unit), (1, 0)) is None
+    out["unit-R2"] = _twist_units(r2, (c.unit, v.unit), (0, 1)) is None
+    want = _unit_legs(f, (a.unit, v.unit, c.unit), (1,))
+    out["unit-E"] = _column_witness(_connector_unit(e, (v.unit, v.unit), 1, want),
+                                    _connector_unit(e, (v.unit, v.unit), 0, want)) is None
+    out["equiv1"] = _column_witness(_mult_left(r1, a)) is None
+    out["equiv2"] = _column_witness(_mult_right(r2, c)) is None
+    out["equiv3"] = _column_witness(_braid(r1, r2, r3)) is None
     out["equiv4"] = compose(
         tensor(a.mul, idv, idc), tensor(ida, e), tensor(r1, idv), tensor(idv, r1)
     ).cols == compose(
@@ -492,7 +506,7 @@ def presentations_agree(d: TwoSidedData) -> Report:
             if main.unit != other.unit:
                 witness = Witness((), main.unit, other.unit, "units differ")
             else:
-                witness = _column_witness(main.mul, other.mul, "structure constants differ")
+                witness = _column_witness((main.mul, other.mul, "structure constants differ"))
             entries.append(ConditionResult(name, False, witness))
     return Report(tuple(entries))
 
@@ -557,12 +571,13 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     for t, (name, (x, y)) in enumerate(TWIST_LEGS.items(), 1):
         xy = product(legs(x), legs(y))
         r = compose(unit_coordinate(3 - x - y), xy).reshaped(codomain=shape(dims[y], dims[x]))
-        witness = _column_witness(xy, compose(legs(y, x), r), "component outside the allowed span")
+        witness = _column_witness((xy, compose(legs(y, x), r),
+                                   "component outside the allowed span"))
         if witness is not None:
             raise SplitFail(f"ajut{t}", witness)
         maps[name] = r
-    witness = _column_witness(compose(m.mul, tensor(product(legs(0), legs(1)), legs(2))),
-                              identity(f, avc), "a⊗v⊗c = a·v·c")
+    witness = _column_witness((compose(m.mul, tensor(product(legs(0), legs(1)), legs(2))),
+                               identity(f, avc), "a⊗v⊗c = a·v·c"))
     if witness is not None:
         raise SplitFail("ajut4", witness)
     data = TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
@@ -617,15 +632,15 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     mul2x = compose(x.mul, tensor(idx, x.mul))
     triple = compose(mul2x, tensor(f_a, f_v, f_c))  # [A,V,C] -> X
 
-    braid, _ = _braid(d.R1, d.R2, d.R3)
+    braid, _, _ = _braid(d.R1, d.R2, d.R3)
     premises = (
         ("premise-1", compose(mul2x, tensor(f_c, f_v, f_a)), compose(triple, braid),
          "f_C f_V f_A = (f_A f_V f_C)∘braid"),
         ("premise-2", compose(triple, d.E), compose(x.mul, tensor(f_v, f_v)),
          "(f_A f_V f_C)∘E = f_V f_V"),
     )
-    for name, lhs, rhs, text in premises:
-        witness = _column_witness(lhs, rhs, text)
+    for name, *side in premises:
+        witness = _column_witness(side)
         if witness is not None:
             raise PremiseFail(name, witness)
 

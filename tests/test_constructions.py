@@ -447,6 +447,7 @@ def test_transport_equalities_on_searched_fixtures():
 
 def test_permutation_transport_preserves_associativity_both_ways():
     from xprod.algebra import conjugate_algebra, new_algebra
+    from xprod.errors import NotAssociative
     data = CORPUS["q-dual-graded-super"]
     m = build_twosided(data)
     perm = permute_factors(Q, (2, 2, 2), (1, 0, 2)).reshaped(shape(8), shape(8))
@@ -460,8 +461,8 @@ def test_permutation_transport_preserves_associativity_both_ways():
                                          tuple(tuple(r) for r in rows)),
                          m.unit, validate=False)
     assert associativity_witness(broken) is not None
-    moved_broken = conjugate_algebra(broken, perm, validate=False)
-    assert associativity_witness(moved_broken) is not None
+    with pytest.raises(NotAssociative):
+        conjugate_algebra(broken, perm)
 
 
 # -- finite-field search -----------------------------------------------------------
@@ -576,6 +577,53 @@ def test_randomized_search_matches_brute_force_oracle():
         assert set(keys) == _search_oracle(spec, d, d.as_pointed(), d)
         total += len(keys)
     assert total > 0  # the partly frozen spaces are dense enough to accept some
+
+
+def test_exhaustive_search_skips_the_e_values_of_a_failed_r_triple(monkeypatch):
+    import xprod.constructions
+    from xprod.twosided import CONDITIONS, Condition
+    # A = V = k[x]/(x^2), C = k over F2: the unit laws pin R2 and R3 and leave
+    # 4 free digits each to R1 and E, so 16 R-triples of 16 candidates each
+    d, k = dual_numbers(F2), scalar_alg(F2)
+    spec = SearchSpec(F2, (2, 2, 1))
+    calls = []  # (label, mentions E, holds) of every condition evaluated
+
+    def counted(cond):
+        def witness(*args):
+            w = cond.witness(*args)
+            calls.append((cond.label, "E" in cond.maps, w is None))
+            return w
+        return Condition(cond.label, cond.maps, witness)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xprod.constructions, "CONDITIONS", tuple(map(counted, CONDITIONS)))
+        got = search_fp(spec, d, d.as_pointed(), k)
+
+    # brute force: decode every candidate in full and run check_twosided on it
+    templates = {name: _map_template(F2, name, 2, 2, 1, 0, 0, 0) for name in SEARCH_MAP_NAMES}
+    widths = [_width(t) for t in templates.values()]
+    assert widths == [4, 0, 0, 4]
+    found = set()
+    for digits in product((0, 1), repeat=8):
+        maps = {"R1": digits[:4], "R2": (), "R3": (), "E": digits[4:]}
+        data = TwoSidedData(d, d.as_pointed(), k, **{
+            name: _fill(F2, t, maps[name]) for name, t in templates.items()})
+        if check_twosided(data).all_pass:
+            found.add(tuple(getattr(data, m).cols for m in SEARCH_MAP_NAMES))
+    assert {tuple(getattr(x, m).cols for m in SEARCH_MAP_NAMES) for x in got} == found
+
+    # an R-triple's evaluation starts at unit-R1, the first condition that reads
+    # R1; those before it read only R2 and R3, which are decided once
+    first = next(t for t, call in enumerate(calls) if call[0] == "unit-R1")
+    triples = []
+    for label, with_e, holds in calls[first:]:
+        if label == "unit-R1":
+            triples.append([])
+        triples[-1].append((with_e, holds))
+    assert len(triples) == 16
+    rejected = [t for t in triples if not all(holds for with_e, holds in t if not with_e)]
+    assert 0 < len(rejected) < 16 and found
+    assert not any(with_e for t in rejected for with_e, _ in t)
 
 
 def test_candidate_stream_is_lazy_and_seeded():

@@ -1,0 +1,146 @@
+"""Failure paths that only malformed input reaches, pinned exactly: the unit
+and counit laws that fail on the right only, the axiom failures of
+``build_brzezinski`` and ``build_mirror``, the CLI's refusals of a malformed
+algebra, space or coalgebra, and a forced build of a two-sided product that
+is not unital."""
+
+import hashlib
+import json
+
+import pytest
+
+from fixtures import Q, algebra_from_table, corpus, dual_numbers, twosided_doc
+from xprod import (
+    BrzData,
+    MirrorData,
+    TwoSidedData,
+    build_brzezinski,
+    build_mirror,
+    flip,
+    grouplike_coalgebra,
+    lift_twisting_to_brzezinski,
+    lift_twisting_to_mirror,
+    new_coalgebra,
+)
+from xprod.cli import main
+from xprod.errors import AxiomFailure, CounitFail, NotUnital, UnitNotGrouplike
+from xprod.exactla import from_columns, shape
+
+ONE, ZERO = Q.one, Q.zero
+# e_0 is a left unit but not a right one: e_0 e_1 = e_1, e_1 e_0 = 0
+LEFT_UNIT_ONLY = [[(ONE, ZERO), (ZERO, ONE)], [(ZERO, ZERO), (ZERO, ZERO)]]
+# comul(e_i) = e_0 (x) e_i is coassociative, and counit e_0* is a left counit only
+COMUL_E0 = [(ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO)]
+
+
+def test_unit_law_failing_on_the_right_only():
+    with pytest.raises(NotUnital) as exc:
+        algebra_from_table(Q, LEFT_UNIT_ONLY, (ONE, ZERO))
+    err = exc.value
+    assert (err.witness, err.side, err.left, err.right) == (1, "right", (ZERO, ZERO), (ZERO, ONE))
+    assert str(err) == "right unit law fails at basis vector 1"
+
+
+def test_counit_law_failing_on_the_right_only():
+    comul = from_columns(Q, shape(2), shape(2, 2), COMUL_E0)
+    counit = from_columns(Q, shape(2), shape(1), [(ONE,), (ZERO,)])
+    with pytest.raises(CounitFail) as exc:
+        new_coalgebra(Q, 2, comul, counit, (ONE, ZERO))
+    assert (exc.value.witness, exc.value.side) == (1, "right")
+    assert str(exc.value) == "right counit law fails at basis vector 1"
+
+
+def test_zero_coalgebra_unit_is_refused_by_its_counit():
+    # comul(0) = 0 (x) 0 holds, so the counit refusal is the one that fires
+    h = grouplike_coalgebra(Q, 2)
+    with pytest.raises(UnitNotGrouplike) as exc:
+        new_coalgebra(Q, 2, h.comul, h.counit, (ZERO, ZERO))
+    assert str(exc.value) == "counit(1_H) != 1"
+
+
+def shifted(m, j):
+    """``m`` with the first entry of column j moved by one."""
+    cols = [m.column(t) for t in range(m.domain.total)]
+    cols[j] = (Q.add(cols[j][0], ONE),) + cols[j][1:]
+    return from_columns(Q, m.domain, m.codomain, cols)
+
+
+A = dual_numbers(Q)
+BRZ = lift_twisting_to_brzezinski(A, A, flip(Q, 2, 2))
+MIR = lift_twisting_to_mirror(A, A, flip(Q, 2, 2))
+
+
+@pytest.mark.parametrize("build, data, message", [
+    (build_brzezinski, BrzData(BRZ.A, BRZ.V, BRZ.R, shifted(BRZ.sigma, 1)),
+     "crossed product conditions fail: brz2, brz4"),
+    (build_brzezinski, BrzData(BRZ.A, BRZ.V, shifted(BRZ.R, 1), BRZ.sigma),
+     "crossed product conditions fail: brz1, brz3, brz5"),
+    (build_mirror, MirrorData(MIR.W, MIR.B, MIR.P, shifted(MIR.nu, 1)),
+     "mirror crossed product conditions fail: mircocunit, mir1"),
+    (build_mirror, MirrorData(MIR.W, MIR.B, shifted(MIR.P, 1), MIR.nu),
+     "mirror crossed product conditions fail: mirtwunit, mirtwmap, mir1, mir2"),
+])
+def test_crossed_product_builds_refuse_data_failing_their_conditions(build, data, message):
+    with pytest.raises(AxiomFailure) as exc:
+        build(data)
+    assert str(exc.value) == message
+    assert ", ".join(exc.value.report.failed_names()) == message.split(": ")[1]
+
+
+def run_cli(tmp_path, obj, command=("check",)):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main([command[0], "--in", str(doc), *command[1:], "--out", str(out)])
+    return rc, out.read_bytes()
+
+
+def doc_with(section, name, spec):
+    return {"field": {"kind": "rationals"}, section: {name: spec}}
+
+
+# e_1 e_1 = e_2 and e_2 e_1 = e_1, but e_1 e_2 = 0
+NOT_ASSOCIATIVE = {"dim": 3, "unit": ["1", "0", "0"],
+                   "mul": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                           [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                           [["0", "0", "1"], ["0", "1", "0"], ["0", "0", "0"]]]}
+NOT_UNITAL = {"dim": 2, "unit": ["1", "0"],
+              "mul": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]]}
+COUNIT_RIGHT = {"dim": 2, "comul": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
+                "counit": [["1", "0"]], "unit": ["1", "0"]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (doc_with("algebras", "A", NOT_ASSOCIATIVE),
+     "$.algebras.A: associativity fails at basis triple (1, 1, 1)"),
+    (doc_with("algebras", "A", NOT_UNITAL),
+     "$.algebras.A: right unit law fails at basis vector 1"),
+    (doc_with("spaces", "V", {"dim": 2, "unit": ["0", "0"]}),
+     "$.spaces.V: distinguished element must be nonzero"),
+    (doc_with("coalgebras", "H", COUNIT_RIGHT),
+     "$.coalgebras.H: right counit law fails at basis vector 1"),
+], ids=["not-associative", "not-unital", "zero-unit", "counit-right"])
+def test_cli_refuses_malformed_structures_with_their_path(tmp_path, obj, message):
+    rc, raw = run_cli(tmp_path, obj)
+    assert rc == 2
+    want = {"command": "check", "conditions": [], "dataset": None, "outputs": {},
+            "error": {"message": message, "type": "DocumentError"}, "status": "error"}
+    assert raw.decode("utf-8") == json.dumps(want, sort_keys=True, indent=2,
+                                             ensure_ascii=False) + "\n"
+
+
+def test_forced_build_of_a_product_that_is_not_unital_on_the_right(tmp_path):
+    # one entry of R1 at a column (v, a) with a = 1_A: the product of
+    # q-ut2-pointed-line fails its right unit law first
+    d = dict(corpus())["q-ut2-pointed-line"]
+    cols = [d.R1.column(t) for t in range(d.R1.domain.total)]
+    cols[2] = cols[2][:1] + (Q.add(cols[2][1], ONE),) + cols[2][2:]
+    r1 = from_columns(Q, d.R1.domain, d.R1.codomain, cols)
+    mutant = TwoSidedData(d.A, d.V, d.C, r1, d.R2, d.R3, d.E)
+    rc, raw = run_cli(tmp_path, twosided_doc(mutant), ("build", "--force"))
+    assert rc == 1
+    rep = json.loads(raw)
+    assert rep["outputs"]["failure"] == "not-unital"
+    assert rep["conditions"][0]["witness"]["identity"] == "right unit law"
+    assert hashlib.sha256(raw).hexdigest() == (
+        "f58ae1222332aa92a2f8eca0dae82d981d35958d42d83c121f7ab40192990d18")
