@@ -72,9 +72,6 @@ class FinAlgebra:
         n = self.dim
         return tuple(self.mul.cols[i * n:(i + 1) * n] for i in range(n))
 
-    def basis_product(self, i: int, j: int) -> tuple:
-        return self.mul.column(self.mul.domain.index((i, j)))
-
     def mul_vec(self, x, y) -> tuple:
         """Bilinear product of coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
@@ -96,8 +93,7 @@ class FinAlgebra:
         return PointedSpace(self.field, self.dim, self.unit)
 
 
-def new_algebra(field: Field, dim: int, mul: TensorMap, unit,
-                validate: bool = True) -> FinAlgebra:
+def new_algebra(field: Field, dim: int, mul: TensorMap, unit) -> FinAlgebra:
     """Build a validated algebra; rejects bad input with a smallest witness.
 
     Associativity is checked on all basis triples in lexicographic order and
@@ -114,13 +110,12 @@ def new_algebra(field: Field, dim: int, mul: TensorMap, unit,
     if len(unit) != dim:
         raise ShapeMismatch("unit vector length does not match dimension")
     alg = FinAlgebra(field, dim, mul, unit)
-    if validate:
-        w = associativity_witness(alg)
-        if w is not None:
-            raise NotAssociative(*w)
-        w = unit_witness(alg)
-        if w is not None:
-            raise NotUnital(*w)
+    w = associativity_witness(alg)
+    if w is not None:
+        raise NotAssociative(*w)
+    w = unit_witness(alg)
+    if w is not None:
+        raise NotUnital(*w)
     return alg
 
 

@@ -3,10 +3,11 @@ emit deterministic machine-readable reports.
 
 Documents are JSON objects with the sections ``field``, ``algebras``,
 ``spaces``, ``coalgebras``, ``maps`` and ``datasets``; see the README for the
-full format.  Scalars are carried as strings ("-1/2" over the rationals, a
-canonical residue over a prime field); structure constants are nested arrays
-``c[i][j][k]`` with ``e_i e_j = sum_k c[i][j][k] e_k``; matrices are row-major
-over flat indices.
+full format.  After ``field``, one table parses the sections in that order,
+as ``DATASET_TYPES`` does for the dataset types.  Scalars are carried as
+strings ("-1/2" over the rationals, a canonical residue over a prime field);
+structure constants are nested arrays ``c[i][j][k]`` with
+``e_i e_j = sum_k c[i][j][k] e_k``; matrices are row-major over flat indices.
 
 Reports are canonical JSON: sorted keys, normalized scalars, LF endings, no
 timestamps, so output bytes depend only on the input document and seed.
@@ -116,12 +117,7 @@ _STATUS = {1: "fail", 2: "error", 3: "internal-error"}
 class Document:
     field: Field
     algebras: dict
-    spaces: dict
-    coalgebras: dict
-    maps: dict
-    map_domains: dict   # map name -> (domain names, codomain names)
-    datasets: dict      # name -> (type, resolved entry)
-    raw_datasets: dict  # name -> normalized reference dict, for echoing
+    datasets: dict      # name -> (type, entry)
 
 
 def _expect(cond, path, message):
@@ -272,6 +268,78 @@ DATASET_TYPES = {
 }
 
 
+# -- document sections --------------------------------------------------------
+#
+# Every section after ``field`` is declared once here, in parse order, by the
+# function that turns one entry's spec into (object, dimension).  An algebra, a
+# space or a coalgebra declares its name with its dimension, which a map's
+# domain and codomain legs name; a map or a dataset declares none (None).  The
+# library's refusals of an entry become input errors at the entry's path.
+
+def _algebra_entry(field, spec, path, resolve):
+    dim = _spec_dim(spec, path, "algebra", ("dim", "unit", "mul"))
+    unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
+    _expect(isinstance(spec["mul"], list) and len(spec["mul"]) == dim, f"{path}.mul",
+            f"structure constants must be a {dim}-element array c[i][j][k]")
+    columns = []
+    for i, row in enumerate(spec["mul"]):
+        _expect(isinstance(row, list) and len(row) == dim, f"{path}.mul[{i}]",
+                f"expected {dim} entries")
+        columns += (_parse_vector(field, cell, dim, f"{path}.mul[{i}][{j}]")
+                    for j, cell in enumerate(row))
+    mul = from_columns(field, shape(dim, dim), shape(dim), columns)
+    return new_algebra(field, dim, mul, unit), dim
+
+
+def _space_entry(field, spec, path, resolve):
+    dim = _spec_dim(spec, path, "space", ("dim", "unit"))
+    return PointedSpace(field, dim, _parse_vector(field, spec["unit"], dim, f"{path}.unit")), dim
+
+
+def _coalgebra_entry(field, spec, path, resolve):
+    dim = _spec_dim(spec, path, "coalgebra", ("dim", "comul", "counit", "unit"))
+    comul = _parse_matrix(field, spec["comul"], dim * dim, dim, f"{path}.comul")
+    counit = _parse_matrix(field, spec["counit"], 1, dim, f"{path}.counit")
+    unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
+    return new_coalgebra(field, dim, from_rows(field, shape(dim), shape(dim, dim), comul),
+                         from_rows(field, shape(dim), shape(1), counit), unit), dim
+
+
+def _map_entry(field, spec, path, resolve):
+    _spec_dim(spec, path, "map", ("domain", "codomain", "matrix"))
+
+    def legs(key):
+        names = spec[key]
+        _expect(isinstance(names, list) and names, f"{path}.{key}",
+                "expected a nonempty list of space names")
+        return TensorShape(tuple(resolve("leg", ref, f"{path}.{key}[{t}]")
+                                 for t, ref in enumerate(names)))
+
+    dom, cod = legs("domain"), legs("codomain")
+    rows = _parse_matrix(field, spec["matrix"], cod.total, dom.total, f"{path}.matrix")
+    return from_rows(field, dom, cod, rows), None
+
+
+def _dataset_entry(field, spec, path, resolve):
+    _expect(isinstance(spec, dict), path, "dataset spec must be an object")
+    kind = spec.get("type")
+    dtype = DATASET_TYPES.get(kind) if isinstance(kind, str) else None
+    _expect(dtype is not None, f"{path}.type", f"unknown dataset type {kind!r}")
+    keys = [key for key, _ in dtype.keys]
+    required = {"type", *keys}
+    _expect(required <= set(spec) <= required | set(dtype.options), path,
+            f"{kind} dataset needs {', '.join(keys)}"
+            + (" and search options" if dtype.options else ""))
+    refs = {key: resolve(ref_kind, spec[key], f"{path}.{key}") for key, ref_kind in dtype.keys}
+    return (kind, dtype.make(refs, spec, path, resolve)), None
+
+
+_SECTIONS = {"algebras": _algebra_entry, "spaces": _space_entry,
+             "coalgebras": _coalgebra_entry, "maps": _map_entry, "datasets": _dataset_entry}
+_REFUSALS = (ShapeMismatch, FieldMismatch, NotAssociative, NotUnital, NotCoassociative,
+             CounitFail, UnitNotGrouplike)
+
+
 # Deeper nesting is refused before decoding, so that the verdict does not depend
 # on the caller's stack depth; the deepest valid document nests 6 deep.
 _MAX_DEPTH = 64
@@ -293,134 +361,43 @@ def parse_document(text: str) -> Document:
         raise DocumentError(
             "$", f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     _expect(isinstance(obj, dict), "$", "document must be a JSON object")
-    known = {"field", "algebras", "spaces", "coalgebras", "maps", "datasets"}
     for key in obj:
-        _expect(key in known, f"$.{key}", "unknown section")
+        _expect(key == "field" or key in _SECTIONS, f"$.{key}", "unknown section")
     _expect("field" in obj, "$.field", "missing field spec")
     field = _parse_field(obj["field"], "$.field")
-
-    def section(name):
-        value = obj.get(name, {})
-        _expect(isinstance(value, dict), f"$.{name}", "section must be an object")
-        return value
-
-    dims_ns: dict[str, int] = {}
-
-    def declare(name, dim, path):
-        _expect(isinstance(name, str) and name, path, "names must be nonempty strings")
-        _expect(name not in dims_ns, path, f"name {name!r} already defined")
-        dims_ns[name] = dim
-
-    algebras = {}
-    for name, spec in section("algebras").items():
-        path = f"$.algebras.{name}"
-        dim = _spec_dim(spec, path, "algebra", ("dim", "unit", "mul"))
-        unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
-        mul_spec = spec["mul"]
-        _expect(isinstance(mul_spec, list) and len(mul_spec) == dim, f"{path}.mul",
-                f"structure constants must be a {dim}-element array c[i][j][k]")
-        columns = []
-        for i, row in enumerate(mul_spec):
-            _expect(isinstance(row, list) and len(row) == dim, f"{path}.mul[{i}]",
-                    f"expected {dim} entries")
-            for j, cell in enumerate(row):
-                columns.append(_parse_vector(field, cell, dim, f"{path}.mul[{i}][{j}]"))
-        mul = from_columns(field, shape(dim, dim), shape(dim), columns)
-        try:
-            algebras[name] = new_algebra(field, dim, mul, unit)
-        except (NotAssociative, NotUnital) as exc:
-            raise DocumentError(path, str(exc)) from exc
-        declare(name, dim, path)
-
-    spaces = {}
-    for name, spec in section("spaces").items():
-        path = f"$.spaces.{name}"
-        dim = _spec_dim(spec, path, "space", ("dim", "unit"))
-        unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
-        try:
-            spaces[name] = PointedSpace(field, dim, unit)
-        except ShapeMismatch as exc:
-            raise DocumentError(path, str(exc)) from exc
-        declare(name, dim, path)
-
-    coalgebras = {}
-    for name, spec in section("coalgebras").items():
-        path = f"$.coalgebras.{name}"
-        dim = _spec_dim(spec, path, "coalgebra", ("dim", "comul", "counit", "unit"))
-        comul = from_rows(field, shape(dim), shape(dim, dim),
-                          _parse_matrix(field, spec["comul"], dim * dim, dim,
-                                        f"{path}.comul"))
-        counit = from_rows(field, shape(dim), shape(1),
-                           _parse_matrix(field, spec["counit"], 1, dim,
-                                         f"{path}.counit"))
-        unit = _parse_vector(field, spec["unit"], dim, f"{path}.unit")
-        try:
-            coalgebras[name] = new_coalgebra(field, dim, comul, counit, unit)
-        except (NotCoassociative, CounitFail, UnitNotGrouplike, ShapeMismatch) as exc:
-            raise DocumentError(path, str(exc)) from exc
-        declare(name, dim, path)
-
-    maps = {}
-    map_shapes = {}
-    for name, spec in section("maps").items():
-        path = f"$.maps.{name}"
-        _spec_dim(spec, path, "map", ("domain", "codomain", "matrix"))
-
-        def resolve_dims(key):
-            names = spec[key]
-            _expect(isinstance(names, list) and names, f"{path}.{key}",
-                    "expected a nonempty list of space names")
-            dims = []
-            for t, ref in enumerate(names):
-                _expect(isinstance(ref, str) and ref in dims_ns, f"{path}.{key}[{t}]",
-                        f"unresolved reference {ref!r}")
-                dims.append(dims_ns[ref])
-            return tuple(names), TensorShape(tuple(dims))
-
-        dom_names, dom = resolve_dims("domain")
-        cod_names, cod = resolve_dims("codomain")
-        rows = _parse_matrix(field, spec["matrix"], cod.total, dom.total,
-                             f"{path}.matrix")
-        maps[name] = from_rows(field, dom, cod, rows)
-        map_shapes[name] = (list(dom_names), list(cod_names))
+    parsed = {}  # section -> name -> object
+    dims = {}    # declared name -> dimension
 
     def resolve(kind, ref, path):
+        """What a reference of ``kind`` names: a map leg's dimension, the
+        entry of an earlier twosided dataset, or an algebra, space (an algebra
+        gives its unit), coalgebra or map."""
         if kind == "dataset":
-            _expect(isinstance(ref, str) and datasets.get(ref, (None,))[0] == "twosided",
-                    path, f"{ref!r} must name an earlier twosided dataset")
-            return datasets[ref][1]
-        if kind == "space" and isinstance(ref, str) and ref in algebras:
-            return algebras[ref].as_pointed()
-        table = {"algebra": algebras, "space": spaces, "coalgebra": coalgebras,
-                 "map": maps}[kind]
+            _expect(isinstance(ref, str) and parsed["datasets"].get(ref, (None,))[0]
+                    == "twosided", path, f"{ref!r} must name an earlier twosided dataset")
+            return parsed["datasets"][ref][1]
+        if kind == "space" and isinstance(ref, str) and ref in parsed["algebras"]:
+            return parsed["algebras"][ref].as_pointed()
+        table = dims if kind == "leg" else parsed[f"{kind}s"]
         _expect(isinstance(ref, str) and ref in table, path,
-                f"unresolved {kind} reference {ref!r}")
+                "unresolved " + ("" if kind == "leg" else f"{kind} ") + f"reference {ref!r}")
         return table[ref]
 
-    datasets = {}
-    raw_datasets = {}
-    for name, spec in section("datasets").items():
-        path = f"$.datasets.{name}"
-        _expect(isinstance(spec, dict), path, "dataset spec must be an object")
-        kind = spec.get("type")
-        dtype = DATASET_TYPES.get(kind) if isinstance(kind, str) else None
-        if dtype is None:
-            raise DocumentError(f"{path}.type", f"unknown dataset type {kind!r}")
-        keys = [key for key, _ in dtype.keys]
-        required = {"type", *keys}
-        _expect(required <= set(spec) <= required | set(dtype.options), path,
-                f"{kind} dataset needs {', '.join(keys)}"
-                + (" and search options" if dtype.options else ""))
-        try:
-            refs = {key: resolve(ref_kind, spec[key], f"{path}.{key}")
-                    for key, ref_kind in dtype.keys}
-            datasets[name] = (kind, dtype.make(refs, spec, path, resolve))
-        except (ShapeMismatch, FieldMismatch) as exc:
-            raise DocumentError(path, str(exc)) from exc
-        raw_datasets[name] = dict(spec)
-
-    return Document(field, algebras, spaces, coalgebras, maps, map_shapes,
-                    datasets, raw_datasets)
+    for section, parse_entry in _SECTIONS.items():
+        specs = obj.get(section, {})
+        _expect(isinstance(specs, dict), f"$.{section}", "section must be an object")
+        entries = parsed[section] = {}
+        for name, spec in specs.items():
+            path = f"$.{section}.{name}"
+            try:
+                entries[name], dim = parse_entry(field, spec, path, resolve)
+            except _REFUSALS as exc:
+                raise DocumentError(path, str(exc)) from exc
+            if dim is not None:
+                _expect(isinstance(name, str) and name, path, "names must be nonempty strings")
+                _expect(name not in dims, path, f"name {name!r} already defined")
+                dims[name] = dim
+    return Document(field, parsed["algebras"], parsed["datasets"])
 
 
 # -- canonical serialization --------------------------------------------------
@@ -437,37 +414,14 @@ def _matrix_obj(field, m: TensorMap):
     return [[field.fmt(x) for x in row] for row in m.rows]
 
 
+def _mul_obj(field, mul: TensorMap, n):
+    # structure constants c[i][j] = e_i e_j of an n-dimensional product
+    return [[_vec_obj(field, mul.column(i * n + j)) for j in range(n)] for i in range(n)]
+
+
 def _algebra_obj(field, alg: FinAlgebra):
     return {"dim": alg.dim, "unit": _vec_obj(field, alg.unit),
-            "mul": [[_vec_obj(field, alg.basis_product(i, j)) for j in range(alg.dim)]
-                    for i in range(alg.dim)]}
-
-
-def serialize_document(doc: Document) -> str:
-    field_obj = ({"kind": "rationals"} if doc.field == RATIONALS
-                 else {"kind": "prime", "p": doc.field.p})
-    obj = {"field": field_obj}
-    if doc.algebras:
-        obj["algebras"] = {name: _algebra_obj(doc.field, a) for name, a in doc.algebras.items()}
-    if doc.spaces:
-        obj["spaces"] = {
-            name: {"dim": s.dim, "unit": _vec_obj(doc.field, s.unit)}
-            for name, s in doc.spaces.items()}
-    if doc.coalgebras:
-        obj["coalgebras"] = {
-            name: {"dim": h.dim, "comul": _matrix_obj(doc.field, h.comul),
-                   "counit": _matrix_obj(doc.field, h.counit),
-                   "unit": _vec_obj(doc.field, h.unit)}
-            for name, h in doc.coalgebras.items()}
-    if doc.maps:
-        obj["maps"] = {
-            name: {"domain": list(doc.map_domains[name][0]),
-                   "codomain": list(doc.map_domains[name][1]),
-                   "matrix": _matrix_obj(doc.field, m)}
-            for name, m in doc.maps.items()}
-    if doc.raw_datasets:
-        obj["datasets"] = {name: dict(spec) for name, spec in doc.raw_datasets.items()}
-    return canonical_json(obj)
+            "mul": _mul_obj(field, alg.mul, alg.dim)}
 
 
 def _witness_obj(field, w: Witness | None):
@@ -508,9 +462,7 @@ def _run_build(doc, name, kind, entry, args):
             raise PreconditionFail("--force applies only to twosided datasets")
         outcome = force_build_twosided(entry)
         n = entry.A.dim * entry.V.dim * entry.C.dim
-        mul_nested = [[_vec_obj(field, outcome.mul.column(i * n + j))
-                       for j in range(n)] for i in range(n)]
-        outputs = {"mul": mul_nested, "unit": _vec_obj(field, outcome.unit)}
+        outputs = {"mul": _mul_obj(field, outcome.mul, n), "unit": _vec_obj(field, outcome.unit)}
         if outcome.failure is not None:
             outputs["failure"] = outcome.failure
         return Report((ConditionResult("built-associative-unital", outcome.failure is None,

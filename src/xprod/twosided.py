@@ -441,7 +441,6 @@ class BuildOutcome:
 
     mul: TensorMap
     unit: tuple
-    algebra: FinAlgebra | None
     failure: str | None
     witness: Witness | None
 
@@ -451,15 +450,15 @@ def force_build_twosided(d: TwoSidedData) -> BuildOutcome:
     mul, unit = _raw_product(d)
     n = d.A.dim * d.V.dim * d.C.dim
     try:
-        alg = new_algebra(d.field, n, mul, unit)
+        new_algebra(d.field, n, mul, unit)
     except NotAssociative as exc:
-        return BuildOutcome(mul, unit, None, "not-associative",
+        return BuildOutcome(mul, unit, "not-associative",
                             Witness(exc.witness, exc.left, exc.right, "(xy)z=x(yz)"))
     except NotUnital as exc:
-        return BuildOutcome(mul, unit, None, "not-unital",
+        return BuildOutcome(mul, unit, "not-unital",
                             Witness((exc.witness,), exc.left, exc.right,
                                     f"{exc.side} unit law"))
-    return BuildOutcome(mul, unit, alg, None, None)
+    return BuildOutcome(mul, unit, None, None)
 
 
 def presentations_agree(d: TwoSidedData) -> Report:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from xprod import (
+    FinAlgebra,
     PrimeField,
     RATIONALS,
     SearchSpec,
@@ -23,11 +24,12 @@ Q = RATIONALS
 
 
 def algebra_from_table(field, table, unit, validate=True):
-    """Build an algebra from a nested table c[i][j] = product vector."""
+    """Build an algebra from a nested table c[i][j] = product vector; without
+    ``validate``, the table need not be associative or unital."""
     dim = len(table)
     cols = [tuple(table[i][j]) for i in range(dim) for j in range(dim)]
     mul = from_columns(field, shape(dim, dim), shape(dim), cols)
-    return new_algebra(field, dim, mul, tuple(unit), validate=validate)
+    return (new_algebra if validate else FinAlgebra)(field, dim, mul, tuple(unit))
 
 
 def dual_numbers(field):
@@ -154,7 +156,7 @@ def doc_field(field):
 def doc_algebra(field, alg):
     return {"dim": alg.dim,
             "unit": [field.fmt(x) for x in alg.unit],
-            "mul": [[[field.fmt(x) for x in alg.basis_product(i, j)]
+            "mul": [[[field.fmt(x) for x in alg.mul.column(i * alg.dim + j)]
                      for j in range(alg.dim)] for i in range(alg.dim)]}
 
 

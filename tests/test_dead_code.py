@@ -1,6 +1,7 @@
 """Every function and method of the package is named somewhere besides its
 own ``def``: in the package or in the tests.  Dunder methods are called by
-Python itself and are exempt."""
+Python itself and are exempt.  Every field of a value class is read somewhere,
+and every import is named."""
 
 import ast
 import re
@@ -35,6 +36,31 @@ def test_every_definition_is_named_outside_its_def():
               if not (name.startswith("__") and name.endswith("__"))
               and mentions[name] <= defs[name]]
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def record_fields():
+    """(module, class, field) of every annotated field of a ``@record`` class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path.name, node.name, item.target.id
+
+
+def test_every_record_field_is_read():
+    # by name: a field counts as read when any attribute access in the package
+    # or the tests has its name
+    read = {node.attr
+            for folder in (ROOT / "src", ROOT / "tests")
+            for path in sorted(folder.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in record_fields()
+              if name not in read]
+    assert not unread, f"fields never read: {unread}"
 
 
 def unused_imports(path):

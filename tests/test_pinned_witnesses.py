@@ -11,7 +11,7 @@ import pytest
 
 from fixtures import Q, dual_numbers, twosided_flip_trivial, upper_triangular2
 from xprod import crossed, twosided
-from xprod.algebra import new_algebra
+from xprod.algebra import FinAlgebra
 from xprod.constructions import iterated_ttp
 from xprod.crossed import (
     build_brzezinski,
@@ -124,8 +124,7 @@ def test_split_witness_matches_basis_completion(name):
     for _ in range(40):
         col, row = rng.choice(columns), rng.randrange(m.dim)
         value = Q.add(dict(m.mul.cols[col]).get(row, Q.zero), Q.from_int(rng.choice((1, 2, -3))))
-        mutant = new_algebra(Q, m.dim, with_entry(m.mul, col, row, value), m.unit,
-                             validate=False)
+        mutant = FinAlgebra(Q, m.dim, with_entry(m.mul, col, row, value), m.unit)
         got = None  # the checks after the split may fail as well
         try:
             extract(mutant, d.A, d.V, d.C)
@@ -145,10 +144,10 @@ def test_split_witness_matches_basis_completion(name):
 def corrupt_builds(monkeypatch, module, entries):
     """Let ``module.new_algebra`` skip validation and change the given
     (column, row, value) entries of every product it builds."""
-    def corrupted(field, dim, mul, unit, validate=True):
+    def corrupted(field, dim, mul, unit):
         for col, row, value in entries:
             mul = with_entry(mul, col, row, value)
-        return new_algebra(field, dim, mul, unit, validate=False)
+        return FinAlgebra(field, dim, mul, unit)
 
     monkeypatch.setattr(module, "new_algebra", corrupted)
 

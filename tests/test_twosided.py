@@ -20,6 +20,7 @@ from fixtures import (
 )
 from xprod import (
     CONDITION_LABELS,
+    FinAlgebra,
     PrimeField,
     TwoSidedData,
     build_ttp,
@@ -31,7 +32,6 @@ from xprod import (
     flip,
     identity,
     is_algebra_map,
-    new_algebra,
     ordinary_tensor,
     permute_factors,
     presentations_agree,
@@ -434,8 +434,8 @@ def test_extract_checks_the_extracted_data_once(monkeypatch):
     column = dict(cols[10])
     column[0] = Q.add(column.get(0, Q.zero), Q.one)
     cols[10] = tuple(sorted((k, x) for k, x in column.items() if x))
-    mutant = new_algebra(Q, m.dim, TensorMap(Q, m.mul.domain, m.mul.codomain, tuple(cols)),
-                         m.unit, validate=False)
+    mutant = FinAlgebra(Q, m.dim, TensorMap(Q, m.mul.domain, m.mul.codomain, tuple(cols)),
+                        m.unit)
     reports.clear()
     with pytest.raises(RoundTripMismatch) as exc:
         extract(mutant, d.A, d.V, d.C)
