@@ -14,8 +14,11 @@ finite-field search that doubles as a fixture oracle.
   ones passing every two-sided condition.  It reads the condition table
   :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
   from, stops each candidate at its first failing condition, and decides a
-  condition that does not involve E once per distinct choice of the R maps
-  it mentions.  Candidates are drawn one at a time in a single thread.
+  condition that does not mention an unfrozen E once per distinct choice of
+  the unfrozen maps it mentions.  For each R-triple drawn often enough, the
+  conditions that mention E become one exact polynomial of degree at most 2
+  in E's free digits, read off the scans at a few design points.
+  Candidates are drawn one at a time in a single thread.
 """
 
 from __future__ import annotations
@@ -361,6 +364,10 @@ def _unit_basis_index(field, unit, what):
     return nonzero[0]
 
 
+# the unit laws that :func:`_map_template`'s pinned columns satisfy
+_PINNED_LAWS = ("twR31", "unit-R1", "unit-R2", "unit-E")
+
+
 def _map_template(f, name, na, nv, nc, ua, uv, uc):
     """Pinned columns plus the list of free column inputs for one map.
 
@@ -425,6 +432,79 @@ def _candidates(spec: SearchSpec, space: int):
     return (rng.randrange(space) for _ in range(spec.budget))
 
 
+def _combo(p, parts) -> dict:
+    """Σ k·vec mod p over the (k, vec) pairs of sparse vectors, zeros dropped."""
+    out = {}
+    for k, vec in parts:
+        for key, x in vec.items():
+            out[key] = (out.get(key, 0) + k * x) % p
+    return {key: x for key, x in out.items() if x}
+
+
+def _residual(f, a, v, c, conds, maps) -> dict:
+    """lhs − rhs of every side of ``conds`` on every basis tuple, as one sparse
+    vector keyed by (side, column, row)."""
+    parts = []
+    for cond in conds:
+        for dims, sides in cond.scans(a, v, c, *(maps[m] for m in cond.maps)):
+            for lhs, rhs, _ in sides:
+                k = len(parts) // 2
+                parts += [(sign, {(k, j, i): x
+                                  for j, col in enumerate(_chain_map(f, dims, chain).cols)
+                                  for i, x in col})
+                          for sign, chain in ((1, lhs), (-1, rhs))]
+    return _combo(f.p, parts)
+
+
+def _design_size(p, d):
+    """The number of points :func:`_compile` evaluates a residual at."""
+    return 1 + d * (1 if p == 2 else 2) + d * (d - 1) // 2
+
+
+def _weights(x):
+    """The Newton monomials 1, x_i, C(x_i, 2), x_i x_j (i < j) at digits x, in
+    :func:`_compile`'s term order."""
+    return [1, *x, *(t * (t - 1) // 2 for t in x),
+            *(x[i] * x[j] for i, j in itertools.combinations(range(len(x)), 2))]
+
+
+def _compile(residual, p, d):
+    """A residual of total degree at most 2 in ``d`` base-p digits, as the
+    nonzero rows of its Newton coefficients.
+
+    Such a polynomial equals r(x) = c + Σ x_i Δ_i + Σ C(x_i, 2) Δ²_i +
+    Σ_{i<j} x_i x_j Δ_ij, exactly mod p, where c = r(0), Δ_i = r(e_i) − c,
+    Δ²_i = r(2e_i) − 2r(e_i) + c and Δ_ij = r(e_i + e_j) − r(e_i) − r(e_j) + c.
+    On digits below 2, C(x_i, 2) = 0, so over F2 the 2e_i points are skipped.
+    Each row lists (term, coefficient) for one residual entry, terms numbered
+    as :func:`_weights` orders them; equal rows are kept once.
+    """
+    def at(*units):
+        x = [0] * d
+        for i in units:
+            x[i] += 1
+        return residual(x)
+
+    zero = at()
+    ones = [at(i) for i in range(d)]
+    terms = [zero, *(_combo(p, ((1, r), (-1, zero))) for r in ones)]
+    terms += [_combo(p, ((1, at(i, i)), (-2, ones[i]), (1, zero))) if p > 2 else {}
+              for i in range(d)]
+    terms += [_combo(p, ((1, at(i, j)), (-1, ones[i]), (-1, ones[j]), (1, zero)))
+              for i, j in itertools.combinations(range(d), 2)]
+    rows = {}
+    for t, vec in enumerate(terms):
+        for key, x in vec.items():
+            rows.setdefault(key, []).append((t, x))
+    return tuple(dict.fromkeys(tuple(row) for row in rows.values()))
+
+
+def _holds(rows, x, p) -> bool:
+    """Whether the compiled residual ``rows`` vanishes at digits x."""
+    w = _weights(x)
+    return all(sum(w[t] * k for t, k in row) % p == 0 for row in rows)
+
+
 def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
               c: FinAlgebra) -> list[TwoSidedData]:
     """Enumerate or sample candidate (R1, R2, R3, E) over F_p and keep the
@@ -432,11 +512,18 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
 
     Candidate n carries the free digits of every unfrozen map, R1, R2, R3, E
     in that order, most significant first.  Each candidate meets the
-    conditions of :data:`~xprod.twosided.CONDITIONS`, those without E first,
-    and is dropped at its first failure.  A condition that does not involve
-    E is decided once per distinct digit slice of the unfrozen maps it
-    mentions, and each unfrozen R map is decoded once per distinct slice;
-    nothing involving E is cached, so memory grows with the distinct
+    conditions of :data:`~xprod.twosided.CONDITIONS` and is dropped at its
+    first failure; the unit laws that an unfrozen map's template pins are
+    skipped.  A condition that does not mention an unfrozen E is decided once
+    per distinct digit slice of the unfrozen maps it mentions, and each
+    unfrozen R map is decoded once per distinct slice.  The conditions that
+    mention an unfrozen E come last.  Once an R-triple has reached them D
+    times (:func:`_design_size`: 1 + d + C(d, 2) over F2 and 1 + 2d + C(d, 2)
+    otherwise, for E's d free digits), they are compiled for that triple into
+    one residual of degree at most 2 in those digits (:func:`_compile`), which
+    decides its later candidates.  The candidate that triggers a compile is
+    scanned as well, and a disagreement raises
+    :class:`~xprod.errors.InternalCheckError`.  Memory grows with the distinct
     R-triples drawn, not with the space.  In exhaustive mode an R-triple that
     fails a condition without E is skipped with all its E values, which are
     consecutive numbers.  Results are deduplicated by exact matrix equality
@@ -473,11 +560,18 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     for name, template in templates.items():
         low -= _width(template)
         layout[name] = (f.p ** low, f.p ** _width(template))
-    # the conditions without E first: they reject an R-triple before E is read
-    plan = sorted(((cond, "E" in cond.maps, tuple(m for m in cond.maps if m in templates))
-                   for cond in CONDITIONS), key=lambda step: step[1])
-    verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds, E-free only
+    # the unit laws of an unfrozen map hold by its template, so they are skipped
+    plan = [(cond, tuple(m for m in cond.maps if m in templates)) for cond in CONDITIONS
+            if not (cond.label in _PINNED_LAWS and cond.maps[0] in templates)]
+    cached = [step for step in plan if "E" not in step[1]]
+    e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
+    r_names = [name for name in templates if name != "E"]
+    d = _width(templates["E"]) if "E" in templates else 0
+    design = _design_size(f.p, d)
+    verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
     r_maps = {}    # (name, digit slice) -> decoded R map
+    visits = {}    # R-triple -> candidates that reached the E conditions
+    compiled = {}  # R-triple -> the E conditions' residual, compiled
 
     def decode(name, part):
         m = r_maps.get((name, part))
@@ -486,6 +580,30 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
             if name != "E":
                 r_maps[name, part] = m
         return m
+
+    def e_holds(maps, parts):
+        """Whether the conditions that mention E hold on this candidate."""
+        triple = tuple(parts[m] for m in r_names)
+        x = _digits(parts["E"], f.p, d)
+        rows = compiled.get(triple)
+        if rows is not None:
+            return _holds(rows, x, f.p)
+        for m in templates:
+            maps[m] = decode(m, parts[m])
+        scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
+                      for cond in e_conds)
+        visits[triple] = visits.get(triple, 0) + 1
+        if visits[triple] == design:
+            rows = compiled[triple] = _compile(
+                lambda y: _residual(f, a, v, c, e_conds,
+                                    {**maps, "E": _fill(f, templates["E"], y)}), f.p, d)
+            if _holds(rows, x, f.p) != scanned:
+                where = ", ".join(f"{m} #{parts[m]}" if m in parts else f"{m} frozen"
+                                  for m in ("R1", "R2", "R3"))
+                raise InternalCheckError(
+                    "search: scanned and compiled routes disagree on the E conditions "
+                    f"of R-triple ({where}) at E digits {x}")
+        return scanned
 
     def canonical(data: TwoSidedData):
         return tuple(
@@ -503,24 +621,21 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         for n in run:
             parts = {name: n // div % mod for name, (div, mod) in layout.items()}
             maps = dict(frozen)
-            for cond, with_e, unfrozen in plan:
-                # a condition involving E has no key and is always evaluated
-                key = None if with_e else (cond.label, *(parts[m] for m in unfrozen))
+            for cond, unfrozen in cached:
+                key = (cond.label, *(parts[m] for m in unfrozen))
                 holds = verdicts.get(key)
                 if holds is None:
                     for m in unfrozen:
-                        if m not in maps:
-                            maps[m] = decode(m, parts[m])
-                    holds = cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
-                    if key is not None:
-                        verdicts[key] = holds
+                        maps[m] = decode(m, parts[m])
+                    holds = verdicts[key] = cond.witness(
+                        a, v, c, *(maps[m] for m in cond.maps)) is None
                 if not holds:
                     break
             else:
-                # equiv4, equiv5 and equiv6 mention E, so they ran and decoded every map
-                data = TwoSidedData(a, v, c, **maps)
-                unique.setdefault(canonical(data), data)
+                if not e_conds or e_holds(maps, parts):
+                    data = TwoSidedData(a, v, c, **maps, **{
+                        m: decode(m, parts[m]) for m in templates if m not in maps})
+                    unique.setdefault(canonical(data), data)
                 continue
-            if not with_e:
-                break  # no E value passes an R-triple that fails without E
+            break  # no E value passes an R-triple that fails without E
     return [unique[k] for k in sorted(unique)]

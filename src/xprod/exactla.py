@@ -312,7 +312,8 @@ class TensorMap:
     ``cols`` has one entry per domain coordinate (flattened row-major): the
     nonzero ``(row, value)`` pairs of that column, rows increasing.  The form
     is canonical, so two maps of one shape are equal exactly when their
-    ``cols`` are equal.  ``rows`` is the dense matrix, built on demand.
+    ``cols`` are equal.  ``rows`` is the dense matrix, built on first use and
+    kept, like ``multi_columns``.
     """
 
     field: Field
@@ -325,7 +326,7 @@ class TensorMap:
             raise ShapeMismatch(
                 f"map has {len(self.cols)} columns, domain total is {self.domain.total}")
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple, ...]:
         return tuple(zip(*map(self.column, range(self.domain.total))))
 

@@ -15,8 +15,9 @@ text)`` in checking order, decided by two independent routes that must
 agree.  The elementwise route, :func:`_scan`, runs chains of sparse tensor
 states (``_Ten``, with :meth:`_Ten.insert` putting a unit into a leg) on each
 basis tuple; its table :data:`CONDITIONS` records for each label the maps it
-mentions, and the finite-field search reads the same table.  The composite
-route compares whole-matrix sides with :func:`~xprod.algebra._column_witness`.
+mentions and its scans as data, ``(dims, sides)``, and the finite-field
+search reads the same table.  The composite route compares whole-matrix
+sides with :func:`~xprod.algebra._column_witness`.
 
 When all conditions hold, :func:`build_twosided` constructs the algebra on
 A (x) V (x) C whose multiplication is
@@ -221,49 +222,64 @@ def _chain_map(field, dims, chain) -> TensorMap:
     return TensorMap(field, TensorShape(dims), cod, tuple(cols))
 
 
-def _scan_mult_left(r, alg, identity_text):
+def _one_scan(dims, *sides):
+    """A condition that is one scan: its sides compared on the basis tuples of
+    ``dims``."""
+    return ((dims, sides),)
+
+
+def _mult_left_scan(r, alg, identity_text):
     """R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist R: X (x) A -> A (x) X, on
     basis tuples (x, a, a')."""
-    return _scan(r.field, (r.domain.dims[0], alg.dim, alg.dim), (
+    return _one_scan((r.domain.dims[0], alg.dim, alg.dim), (
         lambda t: t.mul_at(alg, 1).map_at(r, 0),
         lambda t: t.map_at(r, 0).map_at(r, 1).mul_at(alg, 0), identity_text))
 
 
-def _scan_mult_right(r, alg, identity_text):
+def _mult_right_scan(r, alg, identity_text):
     """R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist R: C (x) X -> X (x) C, on
     basis tuples (c, c', x)."""
-    return _scan(r.field, (alg.dim, alg.dim, r.domain.dims[1]), (
+    return _one_scan((alg.dim, alg.dim, r.domain.dims[1]), (
         lambda t: t.mul_at(alg, 0).map_at(r, 0),
         lambda t: t.map_at(r, 1).map_at(r, 0).mul_at(alg, 1), identity_text))
 
 
-def _scan_twist_units(r, units, legs, texts):
-    """The unit laws of a twist R: X (x) Y -> Y (x) X, units (1_X, 1_Y), one leg
-    after the other: R(x⊗1_Y) = 1_Y⊗x for leg 0, R(1_X⊗y) = y⊗1_X for leg 1."""
-    for leg, text in zip(legs, texts):
+def _twist_unit_scans(r, units, legs, texts):
+    """The unit laws of a twist R: X (x) Y -> Y (x) X, units (1_X, 1_Y), one
+    scan per leg in the order given: R(x⊗1_Y) = 1_Y⊗x for leg 0, R(1_X⊗y) =
+    y⊗1_X for leg 1."""
+    def scan(leg, text):
         u = units[1 - leg]
-        witness = _scan(r.field, (len(units[leg]),), (
-            lambda t: t.insert(1 - leg, u).map_at(r, 0), lambda t: t.insert(leg, u), text))
-        if witness is not None:
-            return witness
-    return None
+        return (len(units[leg]),), (
+            (lambda t: t.insert(1 - leg, u).map_at(r, 0), lambda t: t.insert(leg, u), text),)
+    return tuple(map(scan, legs, texts))
 
 
 @record
 class Condition:
     """One two-sided condition: its label, the maps among R1, R2, R3, E it
-    mentions, and its elementwise evaluator.
+    mentions, and its elementwise scans as data.
 
-    ``witness(A, V, C, *maps)`` takes the mentioned maps in the order of
-    ``maps`` and returns the smallest failing basis tuple's witness, or None
-    when the condition holds.  The verdict depends on nothing else, which is
-    what lets :func:`~xprod.constructions.search_fp` reuse verdicts across
-    candidates that share those maps.
+    ``scans(A, V, C, *maps)`` takes the mentioned maps in the order of
+    ``maps`` and returns the condition's scans in checking order, each a pair
+    ``(dims, sides)`` that :func:`_scan` decides on the basis tuples of
+    ``dims``.  The verdict depends on nothing else, which is what lets
+    :func:`~xprod.constructions.search_fp` reuse verdicts across candidates
+    that share those maps, and compile the sides that mention E.
     """
 
     label: str
     maps: tuple[str, ...]
-    witness: Callable[..., Witness | None]
+    scans: Callable[..., tuple]
+
+    def witness(self, a, v, c, *maps) -> Witness | None:
+        """The smallest failing basis tuple's witness, or None when the
+        condition holds; ``maps`` in the order of ``self.maps``."""
+        for dims, sides in self.scans(a, v, c, *maps):
+            witness = _scan(a.field, dims, *sides)
+            if witness is not None:
+                return witness
+        return None
 
     def evaluate(self, a, v, c, maps) -> ConditionResult:
         """The condition's report entry, with ``maps`` keyed by name."""
@@ -273,43 +289,43 @@ class Condition:
 
 # The twelve conditions, each identity written once, in report order.
 CONDITIONS = (
-    Condition("twR31", ("R3",), lambda a, v, c, r3: _scan_twist_units(
+    Condition("twR31", ("R3",), lambda a, v, c, r3: _twist_unit_scans(
         r3, (c.unit, a.unit), (0, 1), ("R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
-    Condition("twR32", ("R3",), lambda a, v, c, r3: _scan_mult_left(
+    Condition("twR32", ("R3",), lambda a, v, c, r3: _mult_left_scan(
         r3, a, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
-    Condition("twR33", ("R3",), lambda a, v, c, r3: _scan_mult_right(
+    Condition("twR33", ("R3",), lambda a, v, c, r3: _mult_right_scan(
         r3, c, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
-    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _scan_twist_units(
+    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _twist_unit_scans(
         r1, (v.unit, a.unit), (1, 0), ("R1(1_V⊗a)=a⊗1_V", "R1(v⊗1_A)=1_A⊗v"))),
-    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _scan_twist_units(
+    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _twist_unit_scans(
         r2, (c.unit, v.unit), (0, 1), ("R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
-    Condition("unit-E", ("E",), lambda a, v, c, e: _scan(
-        e.field, (v.dim,),
+    Condition("unit-E", ("E",), lambda a, v, c, e: _one_scan(
+        (v.dim,),
         (lambda t: t.insert(0, v.unit).map_at(e, 0),
          lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(1_V⊗v)=1_A⊗v⊗1_C"),
         (lambda t: t.insert(1, v.unit).map_at(e, 0),
          lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(v⊗1_V)=1_A⊗v⊗1_C"))),
-    Condition("equiv1", ("R1",), lambda a, v, c, r1: _scan_mult_left(
+    Condition("equiv1", ("R1",), lambda a, v, c, r1: _mult_left_scan(
         r1, a, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
-    Condition("equiv2", ("R2",), lambda a, v, c, r2: _scan_mult_right(
+    Condition("equiv2", ("R2",), lambda a, v, c, r2: _mult_right_scan(
         r2, c, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
-    Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _scan(
-        a.field, (c.dim, v.dim, a.dim), (
+    Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _one_scan(
+        (c.dim, v.dim, a.dim), (
             lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
             lambda t: t.map_at(r2, 0).map_at(r3, 1).map_at(r1, 0),
             "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))),
-    Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _scan(
-        a.field, (v.dim, v.dim, a.dim), (
+    Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _one_scan(
+        (v.dim, v.dim, a.dim), (
             lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0),
             lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).mul_at(a, 0),
             "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))),
-    Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _scan(
-        a.field, (c.dim, v.dim, v.dim), (
+    Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _one_scan(
+        (c.dim, v.dim, v.dim), (
             lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).mul_at(c, 2),
             lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).mul_at(c, 2),
             "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))),
-    Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _scan(
-        a.field, (v.dim, v.dim, v.dim), (
+    Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _one_scan(
+        (v.dim, v.dim, v.dim), (
             lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
             lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
             "E-chain of (v v') v'' = E-chain of v (v' v'')"))),

@@ -402,6 +402,27 @@ def test_exhaustive_search_via_cli_pinned_count(tmp_path):
     assert rep["outputs"]["count"] == 256
 
 
+def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypatch):
+    import xprod.constructions
+    honest = xprod.constructions._compile
+
+    def corrupted(residual, p, d):
+        return (((0, 1),), *honest(residual, p, d))  # a nonzero constant term
+
+    monkeypatch.setattr(xprod.constructions, "_compile", corrupted)
+    obj = search_doc()
+    obj["datasets"]["s"] = {"type": "search", "A": "A", "V": "V", "C": "C",
+                            "mode": "exhaustive",
+                            "frozen": {"R1": "flVA", "R2": "flCV", "R3": "flCA"}}
+    rc, rep, _ = run(["search", "--in", write_doc(tmp_path, obj)], tmp_path)
+    assert rc == 3
+    assert rep["status"] == "internal-error"
+    assert rep["error"]["type"] == "InternalCheckError"
+    message = rep["error"]["message"]
+    assert "scanned" in message and "compiled" in message
+    assert "R-triple (R1 frozen, R2 frozen, R3 frozen)" in message
+
+
 def test_universal_dataset_via_cli(tmp_path):
     data = CORPUS["q-dual-flip-trivial"]
     obj = json.loads(json.dumps(twosided_doc(data, Q)))

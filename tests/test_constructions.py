@@ -1,5 +1,6 @@
 """Iterated products, coalgebra-based builders, remark transports, search."""
 
+import contextlib
 import random
 from itertools import islice, product
 
@@ -12,9 +13,11 @@ from fixtures import (
     dual_numbers,
     group_algebra_z2,
     searched_f2_fixtures,
+    truncated_polynomials3,
 )
 from xprod import (
     MaData,
+    PointedSpace,
     PrimeField,
     SearchSpec,
     TwoSidedData,
@@ -34,17 +37,25 @@ from xprod import (
     search_fp,
 )
 from xprod.algebra import associativity_witness
+from xprod.record import replace
+from xprod.twosided import CONDITIONS, Condition
 from xprod.constructions import (
+    _PINNED_LAWS,
     SEARCH_MAP_NAMES,
     _candidates,
+    _compile,
+    _design_size,
     _fill,
+    _holds,
     _map_template,
+    _residual,
     _width,
     ma_connector,
     product_connector,
 )
 from xprod.errors import (
     AxiomFailure,
+    InternalCheckError,
     PreconditionFail,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -579,24 +590,27 @@ def test_randomized_search_matches_brute_force_oracle():
     assert total > 0  # the partly frozen spaces are dense enough to accept some
 
 
+@contextlib.contextmanager
+def scanned_conditions(monkeypatch):
+    """The (label, mentions E, holds) of every condition scanned inside."""
+    calls, witness = [], Condition.witness
+
+    def counted(cond, *args):
+        w = witness(cond, *args)
+        calls.append((cond.label, "E" in cond.maps, w is None))
+        return w
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Condition, "witness", counted)
+        yield calls
+
+
 def test_exhaustive_search_skips_the_e_values_of_a_failed_r_triple(monkeypatch):
-    import xprod.constructions
-    from xprod.twosided import CONDITIONS, Condition
     # A = V = k[x]/(x^2), C = k over F2: the unit laws pin R2 and R3 and leave
     # 4 free digits each to R1 and E, so 16 R-triples of 16 candidates each
     d, k = dual_numbers(F2), scalar_alg(F2)
     spec = SearchSpec(F2, (2, 2, 1))
-    calls = []  # (label, mentions E, holds) of every condition evaluated
-
-    def counted(cond):
-        def witness(*args):
-            w = cond.witness(*args)
-            calls.append((cond.label, "E" in cond.maps, w is None))
-            return w
-        return Condition(cond.label, cond.maps, witness)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(xprod.constructions, "CONDITIONS", tuple(map(counted, CONDITIONS)))
+    with scanned_conditions(monkeypatch) as calls:
         got = search_fp(spec, d, d.as_pointed(), k)
 
     # brute force: decode every candidate in full and run check_twosided on it
@@ -612,18 +626,145 @@ def test_exhaustive_search_skips_the_e_values_of_a_failed_r_triple(monkeypatch):
             found.add(tuple(getattr(data, m).cols for m in SEARCH_MAP_NAMES))
     assert {tuple(getattr(x, m).cols for m in SEARCH_MAP_NAMES) for x in got} == found
 
-    # an R-triple's evaluation starts at unit-R1, the first condition that reads
-    # R1; those before it read only R2 and R3, which are decided once
-    first = next(t for t, call in enumerate(calls) if call[0] == "unit-R1")
+    # an R-triple's evaluation starts at equiv1, the first condition that reads
+    # R1 and is evaluated (R1's template pins unit-R1); those before it read
+    # only R2 and R3, which are decided once
+    first = next(t for t, call in enumerate(calls) if call[0] == "equiv1")
     triples = []
     for label, with_e, holds in calls[first:]:
-        if label == "unit-R1":
+        if label == "equiv1":
             triples.append([])
         triples[-1].append((with_e, holds))
     assert len(triples) == 16
     rejected = [t for t in triples if not all(holds for with_e, holds in t if not with_e)]
     assert 0 < len(rejected) < 16 and found
     assert not any(with_e for t in rejected for with_e, _ in t)
+
+
+F3 = PrimeField(3)
+
+
+def test_frozen_flip_f3_exhaustive_count_pinned():
+    # every E value of the frozen-flip space over F3 passes, as over F2; the
+    # compiled E conditions decide all but the first 45 of the 3^8 candidates
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
+    assert len(search_fp(spec, d, d.as_pointed(), d)) == 3 ** 8
+
+
+def _unit_bases(field):
+    """(A, V, C) with their units at different basis positions."""
+    dual, trunc, k = dual_numbers(field), truncated_polynomials3(field), scalar_alg(field)
+    last = PointedSpace(field, 3, (field.zero, field.zero, field.one))
+    return [(dual, dual.as_pointed(), dual), (trunc, last, dual), (k, last, trunc)]
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_map_templates_satisfy_the_unit_laws_they_pin(field):
+    # the search skips these laws on unfrozen maps, so every fill must pass them
+    rng = random.Random(7)
+    laws = [cond for cond in CONDITIONS if cond.label in _PINNED_LAWS]
+    assert [cond.maps for cond in laws] == [("R3",), ("R1",), ("R2",), ("E",)]
+    for a, v, c in _unit_bases(field):
+        units = [list(x).index(field.one) for x in (a.unit, v.unit, c.unit)]
+        for cond in laws:
+            template = _map_template(field, cond.maps[0], a.dim, v.dim, c.dim, *units)
+            width = _width(template)
+            fills = [[0] * width, [field.p - 1] * width,
+                     *([rng.randrange(field.p) for _ in range(width)] for _ in range(20))]
+            for digits in fills:
+                assert cond.witness(a, v, c, _fill(field, template, digits)) is None
+
+
+def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
+    rng = random.Random(3)
+    kinds = set()      # which Newton terms the compiled residuals over F3 have
+    verdicts = set()   # the scanned verdicts met
+    for field, (a, v, c) in ((F2, (dual_numbers(F2),) * 3),
+                             (F2, (dual_numbers(F2), dual_numbers(F2), scalar_alg(F2))),
+                             (F3, (scalar_alg(F3), dual_numbers(F3), dual_numbers(F3))),
+                             (F3, (dual_numbers(F3), dual_numbers(F3), scalar_alg(F3)))):
+        v = v.as_pointed()
+        p = field.p
+        templates = {name: _map_template(field, name, a.dim, v.dim, c.dim, 0, 0, 0)
+                     for name in SEARCH_MAP_NAMES}
+        e_conds = [cond for cond in CONDITIONS if "E" in cond.maps and cond.label != "unit-E"]
+        d = _width(templates["E"])
+        assert p ** d <= 256
+        triples = [{name: _fill(field, templates[name],
+                                [rng.randrange(p) for _ in range(_width(templates[name]))])
+                    for name in ("R1", "R2", "R3")} for _ in range(3)]
+        if a.dim == c.dim == 2:
+            fl = flip(field, 2, 2)
+            triples.append({"R1": fl, "R2": fl, "R3": fl})
+        for r_maps in triples:
+            def with_e(x):
+                return {**r_maps, "E": _fill(field, templates["E"], x)}
+
+            rows = _compile(lambda x: _residual(field, a, v, c, e_conds, with_e(x)), p, d)
+            for x in product(range(p), repeat=d):
+                maps = with_e(x)
+                scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
+                              for cond in e_conds)
+                assert _holds(rows, x, p) == scanned
+                verdicts.add(scanned)
+            if p == 3:
+                kinds |= {(t > 0) + (t > d) + (t > 2 * d) for row in rows for t, _ in row}
+    assert verdicts == {True, False}
+    assert kinds == {0, 1, 2, 3}  # constant, linear, square and cross terms all occur
+
+
+def test_design_size():
+    assert _design_size(2, 8) == 37
+    assert _design_size(3, 8) == 45
+    for p, d in ((2, 0), (2, 5), (3, 0), (3, 4), (7, 3)):
+        points = []
+        _compile(lambda x: points.append(tuple(x)) or {}, p, d)
+        assert len(set(points)) == len(points) == _design_size(p, d)
+
+
+def test_search_compiles_after_the_design_size_and_cross_checks(monkeypatch):
+    import xprod.constructions
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
+                      mode="randomized", budget=200, seed=1)
+    with scanned_conditions(monkeypatch) as calls:
+        got = search_fp(spec, d, d.as_pointed(), d)
+    # one R-triple: its E conditions are scanned on the first 45 draws only
+    assert [label for label, *_ in calls].count("equiv6") == _design_size(3, 8) == 45
+    assert len(got) > 45
+
+    def corrupt(residual, p, d):
+        return (((0, 1),), *_compile(residual, p, d))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(xprod.constructions, "_compile", corrupt)
+        with pytest.raises(InternalCheckError, match="scanned and compiled"):
+            search_fp(spec, d, d.as_pointed(), d)
+
+
+def test_frozen_e_conditions_are_decided_once_per_unfrozen_maps(monkeypatch):
+    # R1 alone is searched: every condition is decided once per R1 value,
+    # those that mention only frozen maps once in all
+    d = dual_numbers(F2)
+    fl = flip(F2, 2, 2)
+    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=300, seed=2,
+                      frozen={"R2": fl, "R3": fl, "E": product_connector(d, d, d)})
+    with scanned_conditions(monkeypatch) as calls:
+        got = search_fp(spec, d, d.as_pointed(), d)
+    calls = [label for label, *_ in calls]
+    r1_values = 2 ** _width(_map_template(F2, "R1", 2, 2, 2, 0, 0, 0))
+    assert r1_values == 16
+    for cond in CONDITIONS:
+        if cond.label == "unit-R1":
+            assert calls.count(cond.label) == 0  # pinned by R1's template
+        else:
+            assert 0 < calls.count(cond.label) <= (r1_values if "R1" in cond.maps else 1)
+    assert calls.count("equiv4") < spec.budget
+    exhaustive = search_fp(replace(spec, mode="exhaustive"), d, d.as_pointed(), d)
+    assert [r.R1.column(3) for r in got] == [r.R1.column(3) for r in exhaustive]
 
 
 def test_candidate_stream_is_lazy_and_seeded():
