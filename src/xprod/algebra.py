@@ -167,6 +167,14 @@ def unit_witness(alg: FinAlgebra):
     return None if w is None else (w.indices[0], w.identity, w.left, w.right)
 
 
+def product_algebra(mul: TensorMap, *units) -> FinAlgebra:
+    """The validated algebra on the tensor product of legs with these units,
+    from a multiplication that keeps the legs split: [legs, legs] -> [legs]."""
+    unit = tensor_vec(mul.field, *units)
+    n = len(unit)
+    return new_algebra(mul.field, n, mul.reshaped(shape(n, n), shape(n)), unit)
+
+
 def scalar_algebra(field: Field) -> FinAlgebra:
     """The ground field as a one-dimensional algebra."""
     mul = TensorMap(field, shape(1, 1), shape(1), (((0, field.one),),))
@@ -179,11 +187,7 @@ def ordinary_tensor(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
         raise FieldMismatch("tensor product of algebras over different fields")
     f = a.field
     swap = tensor(identity(f, shape(a.dim)), flip(f, b.dim, a.dim), identity(f, shape(b.dim)))
-    mul = compose(tensor(a.mul, b.mul), swap)
-    mul = mul.reshaped(domain=shape(a.dim * b.dim, a.dim * b.dim),
-                       codomain=shape(a.dim * b.dim))
-    unit = tensor_vec(f, a.unit, b.unit)
-    return new_algebra(f, a.dim * b.dim, mul, unit)
+    return product_algebra(compose(tensor(a.mul, b.mul), swap), a.unit, b.unit)
 
 
 def _require_maps(what: str, parts, maps):

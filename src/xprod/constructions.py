@@ -34,17 +34,14 @@ from .algebra import (
     _column_witness,
     _require_maps,
     _unit_legs,
-    conjugate_algebra,
-    new_algebra,
     ordinary_tensor,
-    same_algebra,
 )
 from .crossed import (
     MirrorData,
     _braid,
     _columns_equal,
+    _mirror_product,
     _twisting_shapes,
-    build_mirror,
     build_ttp,
     check_mirror,
     check_twisting,
@@ -220,10 +217,10 @@ def _require_flip(m: TensorMap, name: str):
         raise PreconditionFail(f"{name} is not the flip map")
 
 
-def _transport_to_vac(alg: FinAlgebra, na: int, nv: int, nc: int) -> FinAlgebra:
-    """Move the algebra on A (x) V (x) C along the permutation to V (x) A (x) C."""
-    perm = permute_factors(alg.field, (na, nv, nc), (1, 0, 2))
-    return conjugate_algebra(alg, perm.reshaped(shape(alg.dim), shape(alg.dim)))
+def _transport_to_vac(alg: FinAlgebra, na: int, nv: int, nc: int) -> TensorMap:
+    """The algebra's multiplication moved from A (x) V (x) C to V (x) A (x) C."""
+    to_avc = permute_factors(alg.field, (nv, na, nc) * 2, (1, 0, 2, 4, 3, 5))
+    return compose(permute_factors(alg.field, (na, nv, nc), (1, 0, 2)), alg.mul, to_avc)
 
 
 def remark1_transport(d: TwoSidedData) -> tuple[MirrorData, Report]:
@@ -245,11 +242,11 @@ def remark1_transport(d: TwoSidedData) -> tuple[MirrorData, Report]:
     nu_map = compose(to_vac, d.E).reshaped(codomain=shape(v.dim, bprime.dim))
     mir = MirrorData(v, bprime, p_map, nu_map)
     try:
-        mirror_alg = build_mirror(mir)
+        mirror_mul = _mirror_product(mir)
     except AxiomFailure as exc:
         raise InternalCheckError(
             f"transported mirror data fails its own conditions: {exc}") from exc
-    if not same_algebra(mirror_alg, transported):
+    if mirror_mul.cols != transported.cols:  # both units are 1_V ⊗ 1_A ⊗ 1_C
         raise InternalCheckError("mirror presentation differs from the permuted product")
     out = merge(_prefixed("mirror", check_mirror(mir)),
                 Report((ConditionResult("transport-equality", True),)))
@@ -319,9 +316,9 @@ def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
 
     n = nv * nac
     mul = _chain_map(f, (nv, na, nc) * 2, chain).reshaped(shape(n, n), shape(n))
-    lr_alg = new_algebra(f, n, mul, tensor_vec(f, v.unit, ac.unit))
-    if not same_algebra(lr_alg, transported):
+    if mul.cols != transported.cols:  # both units are 1_V ⊗ 1_A ⊗ 1_C
         raise InternalCheckError("L-R presentation differs from the permuted product")
+    lr_alg = FinAlgebra(f, n, mul, tensor_vec(f, v.unit, ac.unit))
 
     info = _column_witness((
         compose(lr_alg.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
@@ -539,12 +536,17 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         raise ShapeMismatch(f"spec dims {spec.dims} do not match the algebras")
     if spec.mode not in ("exhaustive", "randomized"):
         raise PreconditionFail(f"unknown search mode {spec.mode!r}")
+    if spec.budget < 0:
+        raise PreconditionFail(f"search budget must be nonnegative, got {spec.budget}")
+    for name in spec.frozen:
+        if name not in SEARCH_MAP_NAMES:
+            raise PreconditionFail(f"frozen label {name!r} is not among R1, R2, R3, E")
     na, nv, nc = spec.dims
     ua = _unit_basis_index(f, a.unit, "A")
     uv = _unit_basis_index(f, v.unit, "V")
     uc = _unit_basis_index(f, c.unit, "C")
 
-    frozen = {name: m for name, m in spec.frozen.items() if name in SEARCH_MAP_NAMES}
+    frozen = dict(spec.frozen)
     templates = {name: _map_template(f, name, na, nv, nc, ua, uv, uc)
                  for name in SEARCH_MAP_NAMES if name not in frozen}
     # check the frozen maps' shapes and fields once, on a probe candidate

@@ -24,7 +24,7 @@ from .algebra import (
     _column_witness,
     _require_maps,
     _unit_legs,
-    new_algebra,
+    product_algebra,
 )
 from .errors import AxiomFailure, InternalCheckError, ShapeMismatch
 from .exactla import (
@@ -34,7 +34,6 @@ from .exactla import (
     permute_factors,
     shape,
     tensor,
-    tensor_vec,
     vector_map,
 )
 from .record import record
@@ -130,13 +129,8 @@ def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     rep = check_twisting(r, a, b)
     if not rep.all_pass:
         raise AxiomFailure(rep, "twisting map conditions fail")
-    f = a.field
-    ida = identity(f, shape(a.dim))
-    idb = identity(f, shape(b.dim))
-    mul = compose(tensor(a.mul, b.mul), tensor(ida, r, idb))
-    n = a.dim * b.dim
-    mul = mul.reshaped(domain=shape(n, n), codomain=shape(n))
-    return new_algebra(f, n, mul, tensor_vec(f, a.unit, b.unit))
+    ida, idb = identity(a.field, shape(a.dim)), identity(a.field, shape(b.dim))
+    return product_algebra(compose(tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
 
 
 @record
@@ -183,26 +177,31 @@ def check_brzezinski(d: BrzData) -> Report:
     ))
 
 
-def build_brzezinski(d: BrzData) -> FinAlgebra:
-    """Crossed product on A (x) V: (a⊗v)(a'⊗v') = a a'_R σ1(v_R,v') ⊗ σ2(v_R,v')."""
+def _brz_mul(d: BrzData) -> TensorMap:
+    """(a⊗v)(a'⊗v') = a a'_R σ1(v_R,v') ⊗ σ2(v_R,v'), as [A,V,A,V] -> [A,V]."""
+    ida, idv = identity(d.A.field, shape(d.A.dim)), identity(d.A.field, shape(d.V.dim))
+    return compose(tensor(compose(d.A.mul, tensor(ida, d.A.mul)), idv),
+                   tensor(ida, ida, d.sigma), tensor(ida, d.R, idv))
+
+
+def _brz_product(d: BrzData) -> TensorMap:
+    """The crossed product's multiplication, not validated: brz1..brz5 must
+    hold, and then (a⊗1_V)(b⊗v) = ab⊗v on basis tuples (a, b, v)."""
     rep = check_brzezinski(d)
     if not rep.all_pass:
         raise AxiomFailure(rep, "crossed product conditions fail")
     a, v = d.A, d.V
-    f = a.field
-    ida = identity(f, shape(a.dim))
-    idv = identity(f, shape(v.dim))
-    mul2 = compose(a.mul, tensor(ida, a.mul))
-    mul = compose(tensor(mul2, idv), tensor(ida, ida, d.sigma), tensor(ida, d.R, idv))
-    n = a.dim * v.dim
-    mul = mul.reshaped(domain=shape(n, n), codomain=shape(n))
-    out = new_algebra(f, n, mul, tensor_vec(f, a.unit, v.unit))
-    # (a⊗1_V)(b⊗v) = ab⊗v on basis tuples (a, b, v)
-    lhs = compose(out.mul, _unit_legs(f, (a.unit, v.unit) * 2, (0, 2, 3)))
-    witness = _column_witness((lhs, tensor(a.mul, idv), ""))
+    mul = _brz_mul(d)
+    lhs = compose(mul, _unit_legs(a.field, (a.unit, v.unit) * 2, (0, 2, 3)))
+    witness = _column_witness((lhs, tensor(a.mul, identity(a.field, shape(v.dim))), ""))
     if witness is not None:
         raise InternalCheckError(f"(a⊗1_V)(b⊗v)=ab⊗v fails at basis {witness.indices}")
-    return out
+    return mul
+
+
+def build_brzezinski(d: BrzData) -> FinAlgebra:
+    """Crossed product on A (x) V: (a⊗v)(a'⊗v') = a a'_R σ1(v_R,v') ⊗ σ2(v_R,v')."""
+    return product_algebra(_brz_product(d), d.A.unit, d.V.unit)
 
 
 @record
@@ -249,28 +248,34 @@ def check_mirror(d: MirrorData) -> Report:
     ))
 
 
-def build_mirror(d: MirrorData) -> FinAlgebra:
-    """Mirror crossed product on W (x) B: (w⊗b)(w'⊗b') = ν1(w,w'_P) ⊗ ν2(w,w'_P) b_P b'."""
+def _mirror_mul(d: MirrorData) -> TensorMap:
+    """(w⊗b)(w'⊗b') = ν1(w,w'_P) ⊗ ν2(w,w'_P) b_P b', as [W,B,W,B] -> [W,B]."""
+    idb, idw = identity(d.B.field, shape(d.B.dim)), identity(d.B.field, shape(d.W.dim))
+    return compose(tensor(idw, compose(d.B.mul, tensor(idb, d.B.mul))),
+                   tensor(d.nu, idb, idb), tensor(idw, d.P, idb))
+
+
+def _mirror_product(d: MirrorData) -> TensorMap:
+    """The mirror product's multiplication, not validated: its five conditions
+    must hold, and then (w⊗b)(1_W⊗b') = w⊗bb' on basis tuples (b, b', w),
+    reported as (w, b, b')."""
     rep = check_mirror(d)
     if not rep.all_pass:
         raise AxiomFailure(rep, "mirror crossed product conditions fail")
-    w, b = d.W, d.B
-    f = b.field
-    idb = identity(f, shape(b.dim))
-    idw = identity(f, shape(w.dim))
-    mul2 = compose(b.mul, tensor(idb, b.mul))
-    mul = compose(tensor(idw, mul2), tensor(d.nu, idb, idb), tensor(idw, d.P, idb))
-    n = w.dim * b.dim
-    mul = mul.reshaped(domain=shape(n, n), codomain=shape(n))
-    out = new_algebra(f, n, mul, tensor_vec(f, w.unit, b.unit))
-    # (w⊗b)(1_W⊗b') = w⊗bb' on basis tuples (b, b', w), reported as (w, b, b')
+    w, b, f = d.W, d.B, d.B.field
+    mul = _mirror_mul(d)
     order = permute_factors(f, (b.dim, b.dim, w.dim), (2, 0, 1))
-    lhs = compose(out.mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order)
-    witness = _column_witness((lhs, compose(tensor(idw, b.mul), order), ""))
+    lhs = compose(mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order)
+    witness = _column_witness((lhs, compose(tensor(identity(f, shape(w.dim)), b.mul), order), ""))
     if witness is not None:
         i, k, j = witness.indices
         raise InternalCheckError(f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")
-    return out
+    return mul
+
+
+def build_mirror(d: MirrorData) -> FinAlgebra:
+    """Mirror crossed product on W (x) B: (w⊗b)(w'⊗b') = ν1(w,w'_P) ⊗ ν2(w,w'_P) b_P b'."""
+    return product_algebra(_mirror_product(d), d.W.unit, d.B.unit)
 
 
 def lift_twisting_to_brzezinski(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> BrzData:

@@ -55,6 +55,7 @@ from xprod.constructions import (
 )
 from xprod.errors import (
     AxiomFailure,
+    FieldMismatch,
     InternalCheckError,
     PreconditionFail,
     SearchSpaceTooLarge,
@@ -496,6 +497,26 @@ def full_frozen_search():
     fl = flip(F2, 2, 2)
     spec = SearchSpec(F2, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
     return search_fp(spec, d, d.as_pointed(), d)
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    # a misspelt label used to be dropped, so R3 was searched as well (276 results)
+    (SearchSpec(F2, (2, 2, 2), cap=1 << 20, frozen={
+        "R1": flip(F2, 2, 2), "R2": flip(F2, 2, 2), "r3": flip(F2, 2, 2)}),
+     PreconditionFail, "frozen label 'r3' is not among R1, R2, R3, E"),
+    # a negative budget used to draw nothing and report no solutions
+    (SearchSpec(F2, (2, 2, 2), mode="randomized", budget=-1),
+     PreconditionFail, "search budget must be nonnegative, got -1"),
+    (SearchSpec(PrimeField(3), (2, 2, 2)), FieldMismatch, "search algebras over a different field"),
+    (SearchSpec(F2, (2, 2, 1)), ShapeMismatch, "spec dims (2, 2, 1) do not match the algebras"),
+    (SearchSpec(F2, (2, 2, 2), mode="sideways"), PreconditionFail,
+     "unknown search mode 'sideways'"),
+])
+def test_search_refusals_name_the_culprit(spec, error, message):
+    d = dual_numbers(F2)
+    with pytest.raises(error) as exc:
+        search_fp(spec, d, d.as_pointed(), d)
+    assert str(exc.value) == message
 
 
 def test_search_r1_only_count_and_solutions_pinned():

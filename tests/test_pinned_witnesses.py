@@ -142,14 +142,23 @@ def test_split_witness_matches_basis_completion(name):
 # -- post-build internal checks -------------------------------------------------
 
 def corrupt_builds(monkeypatch, module, entries):
-    """Let ``module.new_algebra`` skip validation and change the given
-    (column, row, value) entries of every product it builds."""
-    def corrupted(field, dim, mul, unit):
+    """Change the given (column, row, value) entries of every product that
+    ``module`` builds: in ``crossed``, the multiplications that ``_brz_mul``
+    and ``_mirror_mul`` assemble, before the post-build identities read them;
+    elsewhere, each product that ``new_algebra`` receives, with validation
+    skipped."""
+    def corrupt(mul):
         for col, row, value in entries:
             mul = with_entry(mul, col, row, value)
-        return FinAlgebra(field, dim, mul, unit)
+        return mul
 
-    monkeypatch.setattr(module, "new_algebra", corrupted)
+    if module is crossed:
+        for name in ("_brz_mul", "_mirror_mul"):
+            monkeypatch.setattr(module, name,
+                                lambda d, honest=getattr(module, name): corrupt(honest(d)))
+    else:
+        monkeypatch.setattr(module, "new_algebra", lambda field, dim, mul, unit:
+                            FinAlgebra(field, dim, corrupt(mul), unit))
 
 
 def test_brzezinski_post_build_check_names_first_failing_tuple(monkeypatch):

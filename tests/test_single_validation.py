@@ -1,0 +1,111 @@
+"""The two-sided product is the one algebra that ``agree``, ``transport`` and
+``extract`` validate: every other presentation is compared with it exactly.
+Corrupting one entry of a derived presentation must surface through that
+comparison, and the number of associativity scans per command is pinned."""
+
+import json
+from types import SimpleNamespace
+
+import pytest
+
+from fixtures import corpus, twosided_doc
+from test_pinned_witnesses import with_entry
+from xprod import algebra, cli, constructions, twosided
+from xprod.algebra import FinAlgebra
+from xprod.cli import main
+from xprod.constructions import remark1_transport, remark2_lr
+from xprod.errors import InternalCheckError, RoundTripMismatch
+from xprod.exactla import TensorMap
+from xprod.twosided import build_twosided, extract, presentations_agree
+
+CORPUS = dict(corpus())
+FLIP_FLIP = CORPUS["q-dual-flip-trivial"]   # R1 = R3 = flip: both transports apply
+
+
+def bumped(m: TensorMap, *cols) -> TensorMap:
+    """m with one added to the entry of row 0 in each of the given columns."""
+    for col in cols:
+        m = with_entry(m, col, 0, m.field.add(dict(m.cols[col]).get(0, m.field.zero), m.field.one))
+    return m
+
+
+def corrupt(monkeypatch, module, name, *cols):
+    """Wrap ``module.name`` so that the map it returns is :func:`bumped`."""
+    honest = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: bumped(honest(*args), *cols))
+
+
+def run_cli(tmp_path, command):
+    doc, out = tmp_path / "doc.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(twosided_doc(FLIP_FLIP)), encoding="utf-8")
+    rc = main([command, "--in", str(doc), "--out", str(out)])
+    return rc, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_agree_reports_the_first_differing_column(monkeypatch, tmp_path):
+    corrupt(monkeypatch, twosided, "_brz_product", 37, 9)
+    main_mul = build_twosided(FLIP_FLIP).mul
+    rep = presentations_agree(FLIP_FLIP)
+    brz, mirror = rep.entries
+    assert brz.name == "brzezinski-presentation" and not brz.passed
+    assert mirror.name == "mirror-presentation" and mirror.passed
+    w = brz.witness
+    assert w.indices == (1, 1)  # column 9 of the [8, 8] product
+    assert w.left == main_mul.column(9)
+    assert w.right == (main_mul.column(9)[0] + 1,) + main_mul.column(9)[1:]
+    assert w.identity == "structure constants differ"
+    rc, obj = run_cli(tmp_path, "agree")
+    assert rc == 1
+    assert [c["passed"] for c in obj["conditions"]] == [False, True]
+
+
+@pytest.mark.parametrize("module, name, transport, message", [
+    (constructions, "_mirror_product", remark1_transport,
+     "mirror presentation differs from the permuted product"),
+    (constructions, "_chain_map", remark2_lr,
+     "L-R presentation differs from the permuted product"),
+])
+def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, name,
+                                                transport, message):
+    corrupt(monkeypatch, module, name, 5)
+    with pytest.raises(InternalCheckError) as exc:
+        transport(FLIP_FLIP)
+    assert str(exc.value) == message
+    rc, obj = run_cli(tmp_path, "transport")
+    assert rc == 3
+    assert obj["status"] == "internal-error"
+    assert obj["error"] == {"type": "InternalCheckError", "message": message}
+
+
+def test_extract_cross_checks_the_rebuilt_product(monkeypatch):
+    d = FLIP_FLIP
+    m = build_twosided(d)
+    corrupt(monkeypatch, twosided, "_chain_map", 5)
+    with pytest.raises(InternalCheckError) as exc:
+        extract(m, d.A, d.V, d.C)
+    assert str(exc.value) == "two-sided product: chain and composite routes disagree"
+
+
+def test_extract_compares_the_rebuilt_product_with_m():
+    # (x⊗x⊗x)(x⊗x⊗x), the last column, is read by no split or algebra-map
+    # check: the extracted maps are d's, and only the rebuild tells M apart
+    d = FLIP_FLIP
+    m = build_twosided(d)
+    mutant = FinAlgebra(m.field, m.dim, bumped(m.mul, m.dim * m.dim - 1), m.unit)
+    with pytest.raises(RoundTripMismatch) as exc:
+        extract(mutant, d.A, d.V, d.C)
+    assert str(exc.value) == "rebuilt product differs from the input algebra"
+
+
+@pytest.mark.parametrize("command, scans", [("agree", 1), ("transport", 4), ("extract", 1)])
+def test_associativity_scans_per_command(monkeypatch, command, scans):
+    # the two-sided product, and the ordinary or twisted tensor product that
+    # a transport builds on, are validated; nothing that must equal them is
+    calls = []
+    honest = algebra.associativity_witness
+    monkeypatch.setattr(algebra, "associativity_witness",
+                        lambda alg: calls.append(alg.dim) or honest(alg))
+    doc = SimpleNamespace(field=FLIP_FLIP.field)
+    rep, _ = cli._HANDLERS[command](doc, "d", "twosided", FLIP_FLIP, None)
+    assert rep.all_pass
+    assert len(calls) == scans
