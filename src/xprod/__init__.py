@@ -21,9 +21,8 @@ from .constructions import (
     iterated_ttp,
     ma_build,
     product_connector,
-    remark1_transport,
-    remark2_lr,
     search_fp,
+    transport,
 )
 from .crossed import (
     BrzData,

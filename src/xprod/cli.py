@@ -38,11 +38,8 @@ from .constructions import (
     iterated_ttp,
     ma_build,
     ma_twosided,
-    remark1_transport,
-    remark2_lr,
     search_fp,
-    _is_flip,
-    _prefixed,
+    transport,
 )
 from .crossed import (
     BrzData,
@@ -86,11 +83,12 @@ from .exactla import (
     shape,
 )
 from .record import record, replace
-from .report import ConditionResult, Report, Witness, merge
+from .report import ConditionResult, Report, Witness
 from .twosided import (
     TwoSidedData,
     _extraction_shapes,
     _universal_shapes,
+    _validated_product,
     build_twosided,
     check_twosided,
     extract,
@@ -257,7 +255,7 @@ DATASET_TYPES = {
               ("R", "map"), ("T", "map"), ("tau", "map")),
              lambda refs, *_: MaData(**refs),
              lambda e: check_twosided(ma_twosided(e)),
-             lambda e: build_twosided(ma_build(e))),
+             lambda e: _validated_product(ma_build(e))),
     "extraction": _T((("M", "algebra"),) + _AVC,
                      lambda r, *_: _extraction_shapes(r["M"], r["A"], r["V"], r["C"]) or r),
     "universal": _T((("data", "dataset"), ("X", "algebra"), ("fA", "map"), ("fV", "map"),
@@ -518,18 +516,9 @@ def _run_search(doc, name, kind, entry, args):
 
 def _run_transport(doc, name, kind, entry, args):
     _only(kind, "twosided", "transport")
-    outputs = {}
-    reports = []
-    remarks = (("remark1", entry.R1, lambda: remark1_transport(entry)),
-               ("remark2", entry.R3, lambda: remark2_lr(entry)))
-    for label, r, transport in remarks:
-        outputs[label] = "not-applicable"
-        if _is_flip(r):
-            reports.append(_prefixed(label, transport()[-1]))
-            outputs[label] = "ok"
-    if not reports:
-        raise PreconditionFail("neither R1 nor R3 is the flip map")
-    return merge(*reports), outputs
+    _, data, rep = transport(entry)
+    return rep, {label: "ok" if label in data else "not-applicable"
+                 for label in ("remark1", "remark2")}
 
 
 # -- entry point --------------------------------------------------------------
@@ -579,10 +568,17 @@ def main(argv=None) -> int:
     def finish(obj, code):
         text = canonical_json(obj)
         if args.outfile:
-            with open(args.outfile, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            try:
+                with open(args.outfile, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:  # the report goes to stdout as an input error
+                code, text = 2, canonical_json(dict(
+                    report_skeleton, status=_STATUS[2], conditions=[], outputs={},
+                    error=_error_obj(field, DocumentError(
+                        "--out", f"cannot write output: {exc.strerror}"))))
+            else:
+                return code
+        sys.stdout.write(text)
         return code
 
     try:

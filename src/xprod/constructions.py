@@ -6,10 +6,10 @@ finite-field search that doubles as a fixture oracle.
   ``(a⊗b⊗c)(a'⊗b'⊗c') = a (a'_R3)_R1 ⊗ b_R1 b'_R2 ⊗ (c_R3)_R2 c'``.
 * :func:`ma_build` assembles two-sided data from coalgebra-based input
   (G, R, T, τ) with ``E(h⊗h') = (h_1)^G ⊗ (h'_1)_G ⊗ τ(h_2, h'_2)``.
-* :func:`remark1_transport` (R1 = flip) rewrites the two-sided product as a
-  mirror crossed product over the twisted tensor product A (x)_R3 C.
-* :func:`remark2_lr` (R3 = flip) rewrites it as an L-R-style product on
-  V (x) (A (x) C) built from the maps J, T, γ, η.
+* :func:`transport` validates the two-sided product once and rewrites it on
+  V (x) (A (x) C): as a mirror crossed product over the twisted tensor product
+  A (x)_R3 C when R1 is the flip (remark 1), and as an L-R-style product built
+  from the maps J, T, γ, η when R3 is the flip (remark 2).
 * :func:`search_fp` enumerates map tuples over a prime field and returns the
   ones passing every two-sided condition.  It reads the condition table
   :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
@@ -43,7 +43,6 @@ from .crossed import (
     _mirror_product,
     _twisting_shapes,
     build_ttp,
-    check_mirror,
     check_twisting,
 )
 from .errors import (
@@ -212,47 +211,6 @@ def _is_flip(m: TensorMap) -> bool:
     return m.cols == flip(m.field, *m.domain.dims).cols
 
 
-def _require_flip(m: TensorMap, name: str):
-    if not _is_flip(m):
-        raise PreconditionFail(f"{name} is not the flip map")
-
-
-def _transport_to_vac(alg: FinAlgebra, na: int, nv: int, nc: int) -> TensorMap:
-    """The algebra's multiplication moved from A (x) V (x) C to V (x) A (x) C."""
-    to_avc = permute_factors(alg.field, (nv, na, nc) * 2, (1, 0, 2, 4, 3, 5))
-    return compose(permute_factors(alg.field, (na, nv, nc), (1, 0, 2)), alg.mul, to_avc)
-
-
-def remark1_transport(d: TwoSidedData) -> tuple[MirrorData, Report]:
-    """With R1 = flip, present the two-sided product as a mirror crossed product.
-
-    Builds B' = A (x)_R3 C, P((a⊗c)⊗v) = v_R2 ⊗ (a ⊗ c_R2) and
-    ν(v⊗v') = E_V(v,v') ⊗ (E_A(v,v') ⊗ E_C(v,v')), then asserts that
-    V (x)~_{P,ν} B' equals the permuted two-sided product exactly.
-    """
-    f = d.field
-    a, v, c = d.A, d.V, d.C
-    _require_flip(d.R1, "R1")
-    transported = _transport_to_vac(build_twosided(d), a.dim, v.dim, c.dim)
-    bprime = build_ttp(a, c, d.R3)
-    ida = identity(f, shape(a.dim))
-    to_vac = permute_factors(f, (a.dim, v.dim, c.dim), (1, 0, 2))
-    p_map = compose(to_vac, tensor(ida, d.R2)).reshaped(
-        domain=shape(bprime.dim, v.dim), codomain=shape(v.dim, bprime.dim))
-    nu_map = compose(to_vac, d.E).reshaped(codomain=shape(v.dim, bprime.dim))
-    mir = MirrorData(v, bprime, p_map, nu_map)
-    try:
-        mirror_mul = _mirror_product(mir)
-    except AxiomFailure as exc:
-        raise InternalCheckError(
-            f"transported mirror data fails its own conditions: {exc}") from exc
-    if mirror_mul.cols != transported.cols:  # both units are 1_V ⊗ 1_A ⊗ 1_C
-        raise InternalCheckError("mirror presentation differs from the permuted product")
-    out = merge(_prefixed("mirror", check_mirror(mir)),
-                Report((ConditionResult("transport-equality", True),)))
-    return mir, out
-
-
 @record
 class LRData:
     """Maps (J, T, γ, η) presenting a two-sided product on V (x) (A (x) C).
@@ -271,64 +229,86 @@ class LRData:
     eta: TensorMap
 
 
-def remark2_lr(d: TwoSidedData) -> tuple[LRData, FinAlgebra, Report]:
-    """With R3 = flip, present the two-sided product as an L-R-style product.
+def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
+    """Present the two-sided product on V (x) (A (x) C) by each remark that applies.
 
-    The product on V (x) (A (x) C) is built from the displayed expansion
+    Remark 1 (R1 = flip) builds B' = A (x)_R3 C and the mirror crossed product
+    V (x)~_{P,ν} B' with P((a⊗c)⊗v) = v_R2 ⊗ (a ⊗ c_R2) and
+    ν(v⊗v') = E_V(v,v') ⊗ (E_A(v,v') ⊗ E_C(v,v')).  Remark 2 (R3 = flip)
+    builds the L-R-style product from the displayed expansion
     ``(v⊗(a⊗c))•(v'⊗(a'⊗c')) = E_V(v_R1,v'_R2) ⊗ (a a'_R1 E_A(v_R1,v'_R2) ⊗
-    E_C(v_R1,v'_R2) c_R2 c')`` and asserted equal to the permuted two-sided
-    product.  The report also carries an informational witness showing this
-    product is generally not a mirror crossed product: a basis tuple with
-    (v⊗(a⊗c))•(1_V⊗(a'⊗c')) different from v ⊗ (a⊗c)(a'⊗c').
+    E_C(v_R1,v'_R2) c_R2 c')``; its J is the mirror P.
+
+    Validates the two-sided product once and permutes it to V (x) A (x) C.
+    Each presentation has its own conditions but no validation, and must equal
+    the permuted product exactly, else :class:`InternalCheckError`; all units
+    are 1_V ⊗ 1_A ⊗ 1_C.  Returns the permuted product, the data of each
+    remark that applies (``"remark1"``: :class:`MirrorData`, ``"remark2"``:
+    :class:`LRData`) and their report entries, prefixed ``remark1:`` and
+    ``remark2:``.  Remark 2's report also carries an informational witness
+    showing the product is generally not a mirror crossed product: a basis
+    tuple with (v⊗(a⊗c))•(1_V⊗(a'⊗c')) different from v ⊗ (a⊗c)(a'⊗c').
     """
+    mirror, lr = _is_flip(d.R1), _is_flip(d.R3)
+    if not (mirror or lr):
+        raise PreconditionFail("neither R1 nor R3 is the flip map")
     f = d.field
     a, v, c = d.A, d.V, d.C
     na, nv, nc = a.dim, v.dim, c.dim
-    _require_flip(d.R3, "R3")
-    transported = _transport_to_vac(build_twosided(d), na, nv, nc)
-    ac = ordinary_tensor(a, c)
-    nac = ac.dim
-    ida = identity(f, shape(na))
-    idv = identity(f, shape(nv))
-    idc = identity(f, shape(nc))
+    nac, n = na * nc, na * nv * nc
     to_vac = permute_factors(f, (na, nv, nc), (1, 0, 2))
-    j_map = compose(to_vac, tensor(ida, d.R2)).reshaped(
+    to_avc = permute_factors(f, (nv, na, nc) * 2, (1, 0, 2, 4, 3, 5))
+    moved = FinAlgebra(f, n, compose(to_vac, build_twosided(d).mul, to_avc).reshaped(
+        shape(n, n), shape(n)), tensor_vec(f, v.unit, a.unit, c.unit))
+    ida = identity(f, shape(na))
+    p_map = compose(to_vac, tensor(ida, d.R2)).reshaped(
         domain=shape(nac, nv), codomain=shape(nv, nac))
-    t_map = compose(to_vac, tensor(d.R1, idc)).reshaped(
-        domain=shape(nv, nac), codomain=shape(nv, nac))
-    gamma = tensor(idv, idv, vector_map(f, ac.unit)).reshaped(
-        domain=shape(nv, nv), codomain=shape(nv, nv, nac))
-    to_vca = permute_factors(f, (na, nv, nc), (1, 2, 0))
-    insert_units = tensor(idv, vector_map(f, a.unit), idc, ida, vector_map(f, c.unit))
-    eta = compose(insert_units.reshaped(domain=shape(nv, nc, na)),
-                  to_vca, d.E).reshaped(codomain=shape(nv, nac, nac))
-    lr = LRData(j_map, t_map, gamma, eta)
+    data, entries = {}, []
+    if mirror:
+        nu_map = compose(to_vac, d.E).reshaped(codomain=shape(nv, nac))
+        mir = data["remark1"] = MirrorData(v, build_ttp(a, c, d.R3), p_map, nu_map)
+        try:
+            mul, conditions = _mirror_product(mir)
+        except AxiomFailure as exc:
+            raise InternalCheckError(
+                f"transported mirror data fails its own conditions: {exc}") from exc
+        if mul.cols != moved.mul.cols:
+            raise InternalCheckError("mirror presentation differs from the permuted product")
+        entries += _prefixed("remark1:mirror", conditions).entries
+        entries.append(ConditionResult("remark1:transport-equality", True))
+    if lr:
+        ac = ordinary_tensor(a, c)
+        idv, idc = identity(f, shape(nv)), identity(f, shape(nc))
+        t_map = compose(to_vac, tensor(d.R1, idc)).reshaped(
+            domain=shape(nv, nac), codomain=shape(nv, nac))
+        gamma = tensor(idv, idv, vector_map(f, ac.unit)).reshaped(
+            domain=shape(nv, nv), codomain=shape(nv, nv, nac))
+        to_vca = permute_factors(f, (na, nv, nc), (1, 2, 0))
+        insert_units = tensor(idv, vector_map(f, a.unit), idc, ida, vector_map(f, c.unit))
+        eta = compose(insert_units.reshaped(domain=shape(nv, nc, na)),
+                      to_vca, d.E).reshaped(codomain=shape(nv, nac, nac))
+        data["remark2"] = LRData(p_map, t_map, gamma, eta)
 
-    def chain(t):
-        t = t.permute((0, 4, 1, 2, 3, 5))      # v, a', a, c, v', c'
-        t = t.map_at(d.R1, 0)                  # a'_R1, v_R1, a, c, v', c'
-        t = t.map_at(d.R2, 3)                  # ..., v'_R2, c_R2, c'
-        t = t.permute((2, 0, 1, 3, 4, 5))      # a, a'_R1, v_R1, v'_R2, c_R2, c'
-        t = t.map_at(d.E, 2)                   # a, a'_R1, E_A, E_V, E_C, c_R2, c'
-        t = t.mul_at(a, 0).mul_at(a, 0)
-        t = t.mul_at(c, 2).mul_at(c, 2)        # E_C c_R2 c'
-        return t.permute((1, 0, 2))            # V, A, C
+        def chain(t):
+            t = t.permute((0, 4, 1, 2, 3, 5))      # v, a', a, c, v', c'
+            t = t.map_at(d.R1, 0)                  # a'_R1, v_R1, a, c, v', c'
+            t = t.map_at(d.R2, 3)                  # ..., v'_R2, c_R2, c'
+            t = t.permute((2, 0, 1, 3, 4, 5))      # a, a'_R1, v_R1, v'_R2, c_R2, c'
+            t = t.map_at(d.E, 2)                   # a, a'_R1, E_A, E_V, E_C, c_R2, c'
+            t = t.mul_at(a, 0).mul_at(a, 0)
+            t = t.mul_at(c, 2).mul_at(c, 2)        # E_C c_R2 c'
+            return t.permute((1, 0, 2))            # V, A, C
 
-    n = nv * nac
-    mul = _chain_map(f, (nv, na, nc) * 2, chain).reshaped(shape(n, n), shape(n))
-    if mul.cols != transported.cols:  # both units are 1_V ⊗ 1_A ⊗ 1_C
-        raise InternalCheckError("L-R presentation differs from the permuted product")
-    lr_alg = FinAlgebra(f, n, mul, tensor_vec(f, v.unit, ac.unit))
-
-    info = _column_witness((
-        compose(lr_alg.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
-        tensor(idv, ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
-        "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')"))
-    report = Report((
-        ConditionResult("transport-equality", True),
-        ConditionResult("lr-differs-from-mirror", True, info, informational=True),
-    ))
-    return lr, lr_alg, report
+        if _chain_map(f, (nv, na, nc) * 2, chain).cols != moved.mul.cols:
+            raise InternalCheckError("L-R presentation differs from the permuted product")
+        info = _column_witness((
+            compose(moved.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
+            tensor(idv, ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
+            "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')"))
+        entries += (ConditionResult("remark2:transport-equality", True),
+                    ConditionResult("remark2:lr-differs-from-mirror", True, info,
+                                    informational=True))
+    return moved, data, Report(tuple(entries))
 
 
 # -- finite-field search ------------------------------------------------------
@@ -538,6 +518,8 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         raise PreconditionFail(f"unknown search mode {spec.mode!r}")
     if spec.budget < 0:
         raise PreconditionFail(f"search budget must be nonnegative, got {spec.budget}")
+    if spec.seed < 0:
+        raise PreconditionFail(f"search seed must be nonnegative, got {spec.seed}")
     for name in spec.frozen:
         if name not in SEARCH_MAP_NAMES:
             raise PreconditionFail(f"frozen label {name!r} is not among R1, R2, R3, E")

@@ -255,10 +255,10 @@ def _mirror_mul(d: MirrorData) -> TensorMap:
                    tensor(d.nu, idb, idb), tensor(idw, d.P, idb))
 
 
-def _mirror_product(d: MirrorData) -> TensorMap:
-    """The mirror product's multiplication, not validated: its five conditions
-    must hold, and then (w⊗b)(1_W⊗b') = w⊗bb' on basis tuples (b, b', w),
-    reported as (w, b, b')."""
+def _mirror_product(d: MirrorData) -> tuple[TensorMap, Report]:
+    """The mirror product's multiplication, not validated, and the report of
+    its five conditions: they must hold, and then (w⊗b)(1_W⊗b') = w⊗bb' on
+    basis tuples (b, b', w), reported as (w, b, b')."""
     rep = check_mirror(d)
     if not rep.all_pass:
         raise AxiomFailure(rep, "mirror crossed product conditions fail")
@@ -270,12 +270,12 @@ def _mirror_product(d: MirrorData) -> TensorMap:
     if witness is not None:
         i, k, j = witness.indices
         raise InternalCheckError(f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")
-    return mul
+    return mul, rep
 
 
 def build_mirror(d: MirrorData) -> FinAlgebra:
     """Mirror crossed product on W (x) B: (w⊗b)(w'⊗b') = ν1(w,w'_P) ⊗ ν2(w,w'_P) b_P b'."""
-    return product_algebra(_mirror_product(d), d.W.unit, d.B.unit)
+    return product_algebra(_mirror_product(d)[0], d.W.unit, d.B.unit)
 
 
 def lift_twisting_to_brzezinski(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> BrzData:

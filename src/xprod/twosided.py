@@ -445,6 +445,12 @@ def build_twosided(d: TwoSidedData) -> FinAlgebra:
     rep = check_twosided(d)
     if not rep.all_pass:
         raise AxiomFailure(rep, "two-sided crossed product conditions fail")
+    return _validated_product(d)
+
+
+def _validated_product(d: TwoSidedData) -> FinAlgebra:
+    """The validated two-sided product of data already known to pass every
+    condition."""
     mul, unit = _raw_product(d)
     return new_algebra(d.field, len(unit), mul, unit)
 
@@ -494,7 +500,7 @@ def presentations_agree(d: TwoSidedData) -> Report:
             a, vc,
             derived.R.reshaped(domain=shape(vc.dim, a.dim), codomain=shape(a.dim, vc.dim)),
             derived.sigma.reshaped(domain=shape(vc.dim, vc.dim), codomain=shape(a.dim, vc.dim)))),
-        ("mirror-presentation", "mirror", _mirror_product, MirrorData(
+        ("mirror-presentation", "mirror", lambda m: _mirror_product(m)[0], MirrorData(
             av, c,
             derived.P.reshaped(domain=shape(c.dim, av.dim), codomain=shape(av.dim, c.dim)),
             derived.nu.reshaped(domain=shape(av.dim, av.dim), codomain=shape(av.dim, c.dim)))),

@@ -33,9 +33,8 @@ from xprod import (
     is_algebra_map,
     iterated_ttp,
     presentations_agree,
-    remark1_transport,
-    remark2_lr,
     search_fp,
+    transport,
     universal_map,
 )
 from xprod.algebra import associativity_witness, unit_witness
@@ -136,14 +135,16 @@ def test_criterion_4_remark_transports():
     r3_flip = TwoSidedData(d, d.as_pointed(), d, gf, gf, flip(Q, 2, 2), conn)
     cases_r1 = [CORPUS["q-dual-flip-trivial"], r1_flip] + list(searched_f2_fixtures())
     for data in cases_r1:
-        _, rep = remark1_transport(data)  # asserts exact equality internally
+        _, presentations, rep = transport(data)  # asserts exact equality internally
+        assert "remark1" in presentations
         assert rep.all_pass
     cases_r3 = [CORPUS["q-dual-flip-trivial"], r3_flip] + list(searched_f2_fixtures())
     witness_seen = False
     for data in cases_r3:
-        _, _, rep = remark2_lr(data)
+        _, presentations, rep = transport(data)
+        assert "remark2" in presentations
         assert rep.all_pass
-        if rep.get("lr-differs-from-mirror").witness is not None:
+        if rep.get("remark2:lr-differs-from-mirror").witness is not None:
             witness_seen = True
     assert witness_seen  # the bullet product is generally not a mirror product
     report(f"ACCEPTANCE 4 PASS: {len(cases_r1)} mirror and {len(cases_r3)} L-R "

@@ -355,6 +355,25 @@ def test_agree_and_transport(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("fixture, outputs, names", [
+    ("graded_r2_r3_fixture", {"remark1": "ok", "remark2": "not-applicable"},
+     ["remark1:mirror:mirtwunit", "remark1:mirror:mircocunit", "remark1:mirror:mirtwmap",
+      "remark1:mirror:mir1", "remark1:mirror:mir2", "remark1:transport-equality"]),
+    ("graded_r1_r2_fixture", {"remark1": "not-applicable", "remark2": "ok"},
+     ["remark2:transport-equality", "remark2:lr-differs-from-mirror"]),
+])
+def test_transport_with_one_remark(tmp_path, fixture, outputs, names):
+    # R1 = flip with graded R2, R3 (remark 1 only), or R3 = flip with graded
+    # R1, R2 (remark 2 only)
+    import test_constructions
+    data = getattr(test_constructions, fixture)()
+    rc, rep, _ = run(["transport", "--in", write_doc(tmp_path, twosided_doc(data, Q))],
+                     tmp_path)
+    assert rc == 0
+    assert rep["outputs"] == outputs
+    assert [c["name"] for c in rep["conditions"]] == names
+
+
 def search_doc():
     d = dual_numbers(F2)
     fl_matrix = [["1", "0", "0", "0"], ["0", "0", "1", "0"],
@@ -372,6 +391,16 @@ def search_doc():
                            "mode": "randomized", "budget": 40, "seed": 3,
                            "frozen": {"R1": "flVA", "R2": "flCV", "R3": "flCA"}}},
     }
+
+
+def test_negative_seed_is_refused(tmp_path):
+    # random.Random(-5) seeds like Random(5): the report was that of --seed 5
+    doc = write_doc(tmp_path, search_doc())
+    rc, rep, _ = run(["search", "--in", doc, "--seed", "-5"], tmp_path)
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["error"] == {"type": "PreconditionFail",
+                            "message": "search seed must be nonnegative, got -5"}
 
 
 def test_search_reports_are_byte_identical_across_runs(tmp_path):
@@ -470,6 +499,25 @@ def test_dataset_required_when_ambiguous(tmp_path):
 def test_missing_file_is_input_error(tmp_path):
     rc, rep, _ = run(["check", "--in", str(tmp_path / "absent.json")], tmp_path)
     assert rc == 2
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, where):
+    # the report goes to stdout instead, naming --out; it used to escape main
+    # as a traceback with exit 1
+    doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-flip-trivial"], Q))
+    out = tmp_path / "absent" / "report.json" if where == "missing directory" else tmp_path
+    rc = main(["check", "--in", doc, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert captured.out == canonical_json(rep)
+    assert rep["status"] == "error" and rep["dataset"] == "d"
+    assert rep["conditions"] == [] and rep["outputs"] == {}
+    assert rep["error"]["type"] == "DocumentError"
+    assert rep["error"]["message"] == "--out: cannot write output: " + (
+        "No such file or directory" if where == "missing directory" else "Is a directory")
 
 
 def all_kinds_doc():

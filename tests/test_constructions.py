@@ -30,11 +30,10 @@ from xprod import (
     ma_build,
     ordinary_tensor,
     presentations_agree,
-    remark1_transport,
-    remark2_lr,
     same_algebra,
     scalar_algebra as scalar_alg,
     search_fp,
+    transport,
 )
 from xprod.algebra import associativity_witness
 from xprod.record import replace
@@ -326,7 +325,8 @@ def graded_r2_r3_fixture():
 
 def test_remark1_transport_flip_and_graded():
     for data in (CORPUS["q-dual-flip-trivial"], graded_r2_r3_fixture()):
-        mir, rep = remark1_transport(data)
+        _, presentations, rep = transport(data)
+        mir = presentations["remark1"]
         assert rep.all_pass
         # P((a (x) c) (x) v) = v_R2 (x) (a (x) c_R2) on basis vectors
         f = Q
@@ -348,11 +348,6 @@ def test_remark1_transport_flip_and_graded():
             assert got == tuple(dense)
 
 
-def test_remark1_requires_flip_r1():
-    with pytest.raises(PreconditionFail):
-        remark1_transport(CORPUS["q-dual-graded-super"])
-
-
 def graded_r1_r2_fixture():
     d = dual_numbers(Q)
     gf = graded_flip(Q, 2, 2, (0, 1), (0, 1))
@@ -362,19 +357,22 @@ def graded_r1_r2_fixture():
 
 def test_remark2_lr_flip_and_graded():
     for data in (CORPUS["q-dual-flip-trivial"], graded_r1_r2_fixture()):
-        lr, lralg, rep = remark2_lr(data)
+        _, presentations, rep = transport(data)
+        assert "remark2" in presentations
         assert rep.all_pass
 
 
-def test_remark2_requires_flip_r3():
-    with pytest.raises(PreconditionFail):
-        remark2_lr(CORPUS["q-dual-graded-super"])
+def test_transport_requires_flip_r1_or_r3():
+    # R1 and R3 are both graded flips here, so neither remark applies
+    with pytest.raises(PreconditionFail) as exc:
+        transport(CORPUS["q-dual-graded-super"])
+    assert str(exc.value) == "neither R1 nor R3 is the flip map"
 
 
 def test_remark2_informational_witness_for_nontrivial_r1():
     data = graded_r1_r2_fixture()
-    lr, lralg, rep = remark2_lr(data)
-    info = rep.get("lr-differs-from-mirror")
+    lralg, _, rep = transport(data)
+    info = rep.get("remark2:lr-differs-from-mirror")
     assert info.informational and info.passed
     w = info.witness
     assert w is not None
@@ -392,8 +390,8 @@ def test_remark2_informational_witness_for_nontrivial_r1():
 
 def test_remark2_flip_everything_has_no_divergence_witness():
     data = CORPUS["q-dual-flip-trivial"]
-    _, _, rep = remark2_lr(data)
-    assert rep.get("lr-differs-from-mirror").witness is None
+    _, _, rep = transport(data)
+    assert rep.get("remark2:lr-differs-from-mirror").witness is None
 
 
 def oracle_lr_product(lr, ac, nv, x_idx, y_idx):
@@ -434,7 +432,8 @@ def oracle_lr_product(lr, ac, nv, x_idx, y_idx):
 
 def test_remark2_general_jtge_chain_matches_built_product():
     data = graded_r1_r2_fixture()
-    lr, lralg, _ = remark2_lr(data)
+    lralg, presentations, _ = transport(data)
+    lr = presentations["remark2"]
     ac = ordinary_tensor(data.A, data.C)
     f = Q
     nv, nac = data.V.dim, ac.dim
@@ -451,10 +450,9 @@ def test_remark2_general_jtge_chain_matches_built_product():
 def test_transport_equalities_on_searched_fixtures():
     # searched solutions freeze all three R maps to flips, so both transports apply
     for data in searched_f2_fixtures():
-        _, rep1 = remark1_transport(data)
-        assert rep1.all_pass
-        _, _, rep2 = remark2_lr(data)
-        assert rep2.all_pass
+        _, presentations, rep = transport(data)
+        assert set(presentations) == {"remark1", "remark2"}
+        assert rep.all_pass
 
 
 def test_permutation_transport_preserves_associativity_both_ways():
@@ -507,6 +505,9 @@ def full_frozen_search():
     # a negative budget used to draw nothing and report no solutions
     (SearchSpec(F2, (2, 2, 2), mode="randomized", budget=-1),
      PreconditionFail, "search budget must be nonnegative, got -1"),
+    # random.Random(-5) seeds like Random(5), so a negative seed was read as 5
+    (SearchSpec(F2, (2, 2, 2), mode="randomized", seed=-5),
+     PreconditionFail, "search seed must be nonnegative, got -5"),
     (SearchSpec(PrimeField(3), (2, 2, 2)), FieldMismatch, "search algebras over a different field"),
     (SearchSpec(F2, (2, 2, 1)), ShapeMismatch, "spec dims (2, 2, 1) do not match the algebras"),
     (SearchSpec(F2, (2, 2, 2), mode="sideways"), PreconditionFail,

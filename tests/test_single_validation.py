@@ -9,12 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 from fixtures import corpus, twosided_doc
+from test_cli import all_kinds_doc
 from test_pinned_witnesses import with_entry
-from xprod import algebra, cli, constructions, twosided
+from xprod import algebra, cli, constructions, crossed, twosided
 from xprod.algebra import FinAlgebra
 from xprod.cli import main
-from xprod.constructions import remark1_transport, remark2_lr
-from xprod.errors import InternalCheckError, RoundTripMismatch
+from xprod.constructions import transport
+from xprod.errors import AxiomFailure, InternalCheckError, RoundTripMismatch
+from xprod.record import replace
 from xprod.exactla import TensorMap
 from xprod.twosided import build_twosided, extract, presentations_agree
 
@@ -59,14 +61,13 @@ def test_agree_reports_the_first_differing_column(monkeypatch, tmp_path):
     assert [c["passed"] for c in obj["conditions"]] == [False, True]
 
 
-@pytest.mark.parametrize("module, name, transport, message", [
-    (constructions, "_mirror_product", remark1_transport,
-     "mirror presentation differs from the permuted product"),
-    (constructions, "_chain_map", remark2_lr,
-     "L-R presentation differs from the permuted product"),
+@pytest.mark.parametrize("module, name, message", [
+    # column 5 of [V, B', V, B'] is (v, b, v', b') = (0, 0, 1, 1): no post-build
+    # identity of the mirror product reads it, since v' is not 1_V
+    (crossed, "_mirror_mul", "mirror presentation differs from the permuted product"),
+    (constructions, "_chain_map", "L-R presentation differs from the permuted product"),
 ])
-def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, name,
-                                                transport, message):
+def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, name, message):
     corrupt(monkeypatch, module, name, 5)
     with pytest.raises(InternalCheckError) as exc:
         transport(FLIP_FLIP)
@@ -75,6 +76,15 @@ def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, n
     assert rc == 3
     assert obj["status"] == "internal-error"
     assert obj["error"] == {"type": "InternalCheckError", "message": message}
+
+
+def test_transport_refuses_data_failing_the_twosided_conditions():
+    # E(1_V⊗x) gains a 1_A⊗1_V⊗1_C term: the one validation of the two-sided
+    # product refuses the data before either presentation is built
+    data = replace(FLIP_FLIP, E=bumped(FLIP_FLIP.E, 1))
+    with pytest.raises(AxiomFailure) as exc:
+        transport(data)
+    assert str(exc.value) == "two-sided crossed product conditions fail: unit-E, equiv6"
 
 
 def test_extract_cross_checks_the_rebuilt_product(monkeypatch):
@@ -97,15 +107,48 @@ def test_extract_compares_the_rebuilt_product_with_m():
     assert str(exc.value) == "rebuilt product differs from the input algebra"
 
 
-@pytest.mark.parametrize("command, scans", [("agree", 1), ("transport", 4), ("extract", 1)])
-def test_associativity_scans_per_command(monkeypatch, command, scans):
-    # the two-sided product, and the ordinary or twisted tensor product that
-    # a transport builds on, are validated; nothing that must equal them is
+def count_calls(monkeypatch, fn):
+    """The argument tuples of every call of ``fn`` made through any package
+    module that binds it."""
     calls = []
-    honest = algebra.associativity_witness
-    monkeypatch.setattr(algebra, "associativity_witness",
-                        lambda alg: calls.append(alg.dim) or honest(alg))
-    doc = SimpleNamespace(field=FLIP_FLIP.field)
-    rep, _ = cli._HANDLERS[command](doc, "d", "twosided", FLIP_FLIP, None)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in (algebra, cli, constructions, crossed, twosided):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+ALL_KINDS = cli.parse_document(json.dumps(all_kinds_doc()))
+
+
+@pytest.mark.parametrize("command, dataset, counts", [
+    ("agree", "d", [1, 1, 1, 1]), ("transport", "d", [3, 1, 1, 1]),
+    ("extract", "d", [1, 2, 2, 0]), ("build", "g", [1, 1, 1, 0])])
+def test_associativity_scans_per_command(monkeypatch, command, dataset, counts):
+    # counts: associativity scans, then calls of check_twosided, _raw_product
+    # and check_mirror.  "d" has flips for R1, R2 and R3; "g" is coalgebra-based
+    # (ma) data.  The two-sided product, and the ordinary or twisted tensor
+    # product that a transport builds on, are validated; nothing that must
+    # equal them is.  extract also checks and rebuilds the maps it extracts.
+    calls = [count_calls(monkeypatch, fn) for fn in (
+        algebra.associativity_witness, twosided.check_twosided, twosided._raw_product,
+        crossed.check_mirror)]
+    kind, entry = ALL_KINDS.datasets[dataset]
+    rep, _ = cli._HANDLERS[command](ALL_KINDS, dataset, kind, entry,
+                                    SimpleNamespace(force=False))
     assert rep.all_pass
-    assert len(calls) == scans
+    assert [len(c) for c in calls] == counts
+
+
+def test_failing_ma_build_keeps_its_message():
+    kind, entry = ALL_KINDS.datasets["g"]
+    # tau(h⊗h') = 0 breaks the unit law of E
+    tau = replace(entry.tau, cols=((),) * len(entry.tau.cols))
+    with pytest.raises(AxiomFailure) as exc:
+        cli.DATASET_TYPES[kind].build(replace(entry, tau=tau))
+    assert str(exc.value) == "coalgebra-based data fails two-sided conditions: unit-E"
