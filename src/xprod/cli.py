@@ -23,6 +23,7 @@ import re
 import sys
 from collections.abc import Callable
 from itertools import accumulate
+from json.encoder import encode_basestring  # the C encoder where _json is built
 
 from .algebra import (
     FinAlgebra,
@@ -31,6 +32,7 @@ from .algebra import (
     new_coalgebra,
 )
 from .constructions import (
+    SEARCH_MAP_NAMES,
     MaData,
     SearchSpec,
     _iterated_twists,
@@ -401,15 +403,42 @@ def parse_document(text: str) -> Document:
 # -- canonical serialization --------------------------------------------------
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+    newline, byte for byte, for the str-keyed dicts, lists, tuples, strings,
+    integers, booleans and None that reports are made of.
+
+    ``json`` takes its pure-Python encoder whenever it indents.  Here each
+    string goes through the C ``encode_basestring`` and each array is one
+    join; a tuple of strings, a matrix row that recurs across search
+    solutions, is written once per indent and looked up by itself after.
+    """
+    rows = {}  # (tuple of strings, indent) -> its text, for this call only
+
+    def write(x, nl):  # nl: the newline and indent of the line x starts on
+        if isinstance(x, str):
+            return encode_basestring(x)
+        if isinstance(x, dict) and x:
+            inner = nl + "  "
+            return "{" + inner + ("," + inner).join(
+                [encode_basestring(k) + ": " + write(v, inner)
+                 for k, v in sorted(x.items())]) + nl + "}"
+        if not isinstance(x, (list, tuple)) or not x:
+            return json.dumps(x)
+        inner = nl + "  "
+        if not all(isinstance(y, str) for y in x):
+            return "[" + inner + ("," + inner).join([write(y, inner) for y in x]) + nl + "]"
+        text = rows.get((x, nl)) if type(x) is tuple else None
+        if text is None:
+            text = "[" + inner + ("," + inner).join(map(encode_basestring, x)) + nl + "]"
+            if type(x) is tuple:
+                rows[x, nl] = text
+        return text
+
+    return write(obj, "\n") + "\n"
 
 
 def _vec_obj(field, v):
     return [field.fmt(x) for x in v]
-
-
-def _matrix_obj(field, m: TensorMap):
-    return [[field.fmt(x) for x in row] for row in m.rows]
 
 
 def _mul_obj(field, mul: TensorMap, n):
@@ -477,9 +506,8 @@ def _run_agree(doc, name, kind, entry, args):
     return presentations_agree(entry), {}
 
 
-def _maps_obj(field, data: TwoSidedData):
-    return {"R1": _matrix_obj(field, data.R1), "R2": _matrix_obj(field, data.R2),
-            "R3": _matrix_obj(field, data.R3), "E": _matrix_obj(field, data.E)}
+def _maps_obj(data: TwoSidedData):
+    return {name: getattr(data, name).formatted_rows for name in SEARCH_MAP_NAMES}
 
 
 def _run_extract(doc, name, kind, entry, args):
@@ -494,7 +522,7 @@ def _run_extract(doc, name, kind, entry, args):
         rep = Report((ConditionResult("extracted-and-rebuilt", True),))
     else:
         raise PreconditionFail("extract applies to twosided or extraction datasets")
-    return rep, {"maps": _maps_obj(doc.field, got)}
+    return rep, {"maps": _maps_obj(got)}
 
 
 def _run_universal(doc, name, kind, entry, args):
@@ -502,14 +530,14 @@ def _run_universal(doc, name, kind, entry, args):
     f = universal_map(entry["data"], entry["X"], entry["fA"], entry["fV"], entry["fC"])
     labels = ("fA", "fC", "unit-fV", "premise-1", "premise-2", "algebra-map")
     return (Report(tuple(ConditionResult(l, True) for l in labels)),
-            {"matrix": _matrix_obj(doc.field, f)})
+            {"matrix": f.formatted_rows})
 
 
 def _run_search(doc, name, kind, entry, args):
     _only(kind, "search", "search")
     spec = entry["spec"] if args.seed is None else replace(entry["spec"], seed=args.seed)
     results = search_fp(spec, entry["A"], entry["V"], entry["C"])
-    sols = [_maps_obj(doc.field, d) for d in results]
+    sols = [_maps_obj(d) for d in results]
     return (Report((ConditionResult("search-complete", True),)),
             {"count": len(results), "solutions": sols})
 

@@ -15,9 +15,9 @@ finite-field search that doubles as a fixture oracle.
   :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
   from, stops each candidate at its first failing condition, and decides a
   condition that does not mention an unfrozen E once per distinct choice of
-  the unfrozen maps it mentions.  For each R-triple drawn often enough, the
-  conditions that mention E become one exact polynomial of degree at most 2
-  in E's free digits, read off the scans at a few design points.
+  the unfrozen maps it mentions.  For each R-triple sure to be drawn often
+  enough, the conditions that mention E become exact polynomials of degree 1
+  or 2 in E's free digits, read off the scans at a few design points.
   Candidates are drawn one at a time in a single thread.
 """
 
@@ -72,6 +72,7 @@ from .record import record
 from .report import ConditionResult, Report, merge
 from .twosided import (
     CONDITIONS,
+    E_DEGREE,
     TWIST_LEGS,
     TwoSidedData,
     _chain_map,
@@ -433,8 +434,11 @@ def _residual(f, a, v, c, conds, maps) -> dict:
     return _combo(f.p, parts)
 
 
-def _design_size(p, d):
-    """The number of points :func:`_compile` evaluates a residual at."""
+def _design_size(p, d, degree):
+    """The number of points :func:`_compile` evaluates a residual of ``degree``
+    1 or 2 at."""
+    if degree == 1:
+        return 1 + d
     return 1 + d * (1 if p == 2 else 2) + d * (d - 1) // 2
 
 
@@ -445,13 +449,15 @@ def _weights(x):
             *(x[i] * x[j] for i, j in itertools.combinations(range(len(x)), 2))]
 
 
-def _compile(residual, p, d):
-    """A residual of total degree at most 2 in ``d`` base-p digits, as the
-    nonzero rows of its Newton coefficients.
+def _compile(residual, p, d, degree):
+    """A residual of total degree at most ``degree`` (1 or 2) in ``d`` base-p
+    digits, as the nonzero rows of its Newton coefficients, read off
+    :func:`_design_size` points.
 
     Such a polynomial equals r(x) = c + Σ x_i Δ_i + Σ C(x_i, 2) Δ²_i +
     Σ_{i<j} x_i x_j Δ_ij, exactly mod p, where c = r(0), Δ_i = r(e_i) − c,
     Δ²_i = r(2e_i) − 2r(e_i) + c and Δ_ij = r(e_i + e_j) − r(e_i) − r(e_j) + c.
+    An affine residual has no Δ²_i or Δ_ij, so 0 and each e_i determine it.
     On digits below 2, C(x_i, 2) = 0, so over F2 the 2e_i points are skipped.
     Each row lists (term, coefficient) for one residual entry, terms numbered
     as :func:`_weights` orders them; equal rows are kept once.
@@ -465,10 +471,11 @@ def _compile(residual, p, d):
     zero = at()
     ones = [at(i) for i in range(d)]
     terms = [zero, *(_combo(p, ((1, r), (-1, zero))) for r in ones)]
-    terms += [_combo(p, ((1, at(i, i)), (-2, ones[i]), (1, zero))) if p > 2 else {}
-              for i in range(d)]
-    terms += [_combo(p, ((1, at(i, j)), (-1, ones[i]), (-1, ones[j]), (1, zero)))
-              for i, j in itertools.combinations(range(d), 2)]
+    if degree == 2:
+        terms += [_combo(p, ((1, at(i, i)), (-2, ones[i]), (1, zero))) if p > 2 else {}
+                  for i in range(d)]
+        terms += [_combo(p, ((1, at(i, j)), (-1, ones[i]), (-1, ones[j]), (1, zero)))
+                  for i, j in itertools.combinations(range(d), 2)]
     rows = {}
     for t, vec in enumerate(terms):
         for key, x in vec.items():
@@ -494,18 +501,26 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     skipped.  A condition that does not mention an unfrozen E is decided once
     per distinct digit slice of the unfrozen maps it mentions, and each
     unfrozen R map is decoded once per distinct slice.  The conditions that
-    mention an unfrozen E come last.  Once an R-triple has reached them D
-    times (:func:`_design_size`: 1 + d + C(d, 2) over F2 and 1 + 2d + C(d, 2)
-    otherwise, for E's d free digits), they are compiled for that triple into
-    one residual of degree at most 2 in those digits (:func:`_compile`), which
-    decides its later candidates.  The candidate that triggers a compile is
-    scanned as well, and a disagreement raises
-    :class:`~xprod.errors.InternalCheckError`.  Memory grows with the distinct
-    R-triples drawn, not with the space.  In exhaustive mode an R-triple that
-    fails a condition without E is skipped with all its E values, which are
-    consecutive numbers.  Results are deduplicated by exact matrix equality
-    and returned in a canonical order (sorted by their serialized matrices),
-    so the output is byte-stable for a fixed spec and seed.
+    mention an unfrozen E come last.  They are compiled for an R-triple into
+    residuals in E's d free digits (:func:`_compile`), each condition at its
+    degree in :data:`~xprod.twosided.E_DEGREE`: equiv4 and equiv5 from 1 + d
+    points, equiv6 from D (:func:`_design_size`: 1 + d + C(d, 2) over F2 and
+    1 + 2d + C(d, 2) otherwise).  The residuals decide the triple's later
+    candidates.  A triple is compiled on its first visit to these conditions
+    when it is sure to make D of them: in exhaustive mode, where it meets all
+    p^d of its E values, and in randomized mode with no unfrozen R map and a
+    budget of at least D, where the one triple meets every draw.  Otherwise it
+    is compiled on its D-th visit, so that a compile, which costs about D
+    scans, never costs more than about twice the scans it replaces.  The
+    candidate that triggers a compile is scanned as well, and a disagreement
+    raises :class:`~xprod.errors.InternalCheckError`.  Memory grows with the
+    distinct R-triples drawn, not with the space.  In exhaustive mode an
+    R-triple that fails a condition without E is skipped with all its E
+    values, which are consecutive numbers.  Results are deduplicated by exact
+    matrix equality and returned in a canonical order, sorted by their
+    matrices as the report writes them
+    (:attr:`~xprod.exactla.TensorMap.formatted_rows`, kept on each map for the
+    report), so the output is byte-stable for a fixed spec and seed.
     """
     f = spec.field
     if not isinstance(f, PrimeField):
@@ -551,7 +566,13 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
     r_names = [name for name in templates if name != "E"]
     d = _width(templates["E"]) if "E" in templates else 0
-    design = _design_size(f.p, d)
+    # the visit to the E conditions on which a triple is compiled: the first
+    # when the triple is sure to make D of them (in exhaustive mode it meets all
+    # p^d >= D of its E values; with no R map unfrozen the one triple meets
+    # every draw), else the D-th
+    compile_at = _design_size(f.p, d, 2)
+    if spec.mode == "exhaustive" or (not r_names and spec.budget >= compile_at):
+        compile_at = 1
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
     r_maps = {}    # (name, digit slice) -> decoded R map
     visits = {}    # R-triple -> candidates that reached the E conditions
@@ -577,10 +598,12 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
                       for cond in e_conds)
         visits[triple] = visits.get(triple, 0) + 1
-        if visits[triple] == design:
-            rows = compiled[triple] = _compile(
-                lambda y: _residual(f, a, v, c, e_conds,
-                                    {**maps, "E": _fill(f, templates["E"], y)}), f.p, d)
+        if visits[triple] == compile_at:
+            rows = compiled[triple] = tuple(itertools.chain.from_iterable(
+                _compile(lambda y, cond=cond: _residual(
+                    f, a, v, c, (cond,), {**maps, "E": _fill(f, templates["E"], y)}),
+                    f.p, d, E_DEGREE[cond.label])
+                for cond in e_conds))
             if _holds(rows, x, f.p) != scanned:
                 where = ", ".join(f"{m} #{parts[m]}" if m in parts else f"{m} frozen"
                                   for m in ("R1", "R2", "R3"))
@@ -588,11 +611,6 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
                     "search: scanned and compiled routes disagree on the E conditions "
                     f"of R-triple ({where}) at E digits {x}")
         return scanned
-
-    def canonical(data: TwoSidedData):
-        return tuple(
-            tuple(tuple(f.fmt(x) for x in row) for row in m.rows)
-            for m in (data.R1, data.R2, data.R3, data.E))
 
     # runs of candidates with one R-triple: all its E values, or one draw
     width = layout["E"][1] if "E" in layout else 1
@@ -619,7 +637,8 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
                 if not e_conds or e_holds(maps, parts):
                     data = TwoSidedData(a, v, c, **maps, **{
                         m: decode(m, parts[m]) for m in templates if m not in maps})
-                    unique.setdefault(canonical(data), data)
+                    unique.setdefault(tuple(getattr(data, m).formatted_rows
+                                            for m in SEARCH_MAP_NAMES), data)
                 continue
             break  # no E value passes an R-triple that fails without E
     return [unique[k] for k in sorted(unique)]

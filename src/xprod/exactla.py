@@ -330,6 +330,13 @@ class TensorMap:
     def rows(self) -> tuple[tuple, ...]:
         return tuple(zip(*map(self.column, range(self.domain.total))))
 
+    @cached_property
+    def formatted_rows(self) -> tuple[tuple[str, ...], ...]:
+        """``rows`` with each entry as the field writes it, built once: the
+        search sorts its solutions by these and the report lists them."""
+        fmt = self.field.fmt
+        return tuple(tuple(map(fmt, row)) for row in self.rows)
+
     def apply(self, vec) -> tuple:
         if len(vec) != self.domain.total:
             raise ShapeMismatch(

@@ -332,6 +332,10 @@ CONDITIONS = (
 
 CONDITION_LABELS = tuple(cond.label for cond in CONDITIONS)
 
+# The most times a side of a condition that mentions E applies E: for fixed R1,
+# R2, R3 the condition is an identity of at most this degree in E's entries.
+E_DEGREE = {"unit-E": 1, "equiv4": 1, "equiv5": 1, "equiv6": 2}
+
 
 def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
     """The same twelve conditions as whole-matrix composite identities."""

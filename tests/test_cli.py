@@ -26,6 +26,7 @@ from fixtures import (
     dual_numbers,
     twosided_doc as shared_twosided_doc,
 )
+from xprod import PrimeField
 from xprod.cli import canonical_json, main, parse_document
 
 CORPUS = dict(corpus())
@@ -374,13 +375,16 @@ def test_transport_with_one_remark(tmp_path, fixture, outputs, names):
     assert [c["name"] for c in rep["conditions"]] == names
 
 
-def search_doc():
-    d = dual_numbers(F2)
+def search_doc(field=F2, frozen=("R1", "R2", "R3"), **dataset):
+    """A search over the dual numbers with the named maps frozen to the flip;
+    ``dataset`` overrides the randomized mode, budget 40 and seed 3."""
+    d = dual_numbers(field)
     fl_matrix = [["1", "0", "0", "0"], ["0", "0", "1", "0"],
                  ["0", "1", "0", "0"], ["0", "0", "0", "1"]]
+    flips = {"R1": "flVA", "R2": "flCV", "R3": "flCA"}
     return {
-        "field": {"kind": "prime", "p": 2},
-        "algebras": {"A": fmt_alg(F2, d), "C": fmt_alg(F2, d)},
+        "field": {"kind": "prime", "p": field.p},
+        "algebras": {"A": fmt_alg(field, d), "C": fmt_alg(field, d)},
         "spaces": {"V": {"dim": 2, "unit": ["1", "0"]}},
         "maps": {
             "flVA": {"domain": ["V", "A"], "codomain": ["A", "V"], "matrix": fl_matrix},
@@ -389,7 +393,7 @@ def search_doc():
         },
         "datasets": {"s": {"type": "search", "A": "A", "V": "V", "C": "C",
                            "mode": "randomized", "budget": 40, "seed": 3,
-                           "frozen": {"R1": "flVA", "R2": "flCV", "R3": "flCA"}}},
+                           "frozen": {m: flips[m] for m in frozen}, **dataset}},
     }
 
 
@@ -431,12 +435,43 @@ def test_exhaustive_search_via_cli_pinned_count(tmp_path):
     assert rep["outputs"]["count"] == 256
 
 
+# sha256 and solution count of the report of each search, taken before the E
+# conditions were compiled on a triple's first visit and before the report
+# writer replaced json.dumps; they guard both on reports of 0.2-0.9 MB.
+SEARCH_DIGESTS = {
+    "frozen-f2-exhaustive": (
+        {"mode": "exhaustive"}, 256,
+        "40a6b601ab51af0d7457e1e7dddf240bdc0194083805ed5abdd14f69fdbf9637"),
+    "frozen-f3-budget-500": (
+        {"field": PrimeField(3), "budget": 500, "seed": 41}, 482,
+        "b6b2db6a51d6edab692dcd936605cd73a9e029be85bbda0c124c5e47cfbacc94"),
+    "unfrozen-r1-f2-exhaustive": (
+        {"frozen": ("R2", "R3"), "mode": "exhaustive"}, 300,
+        "2aa9cb7e85e878e3d4a9a3fa57af929e0f363d3ceb47390423f6a82da282099e"),
+    "unfrozen-r1-f2-budget-1500": (
+        {"frozen": ("R2", "R3"), "budget": 1500, "seed": 5}, 97,
+        "267b3dcf61cdb6b3da1740880ec3f99a82f3a7e6bca3fe351530d336d1f5f5dc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_report_bytes_pinned(tmp_path, monkeypatch, name):
+    checked = checked_against_json(monkeypatch)
+    options, count, digest = SEARCH_DIGESTS[name]
+    rc, rep, raw = run(["search", "--in", write_doc(tmp_path, search_doc(**options))],
+                       tmp_path)
+    assert rc == 0
+    assert rep["outputs"]["count"] == count
+    assert hashlib.sha256(raw).hexdigest() == digest
+    assert checked == [True]
+
+
 def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypatch):
     import xprod.constructions
     honest = xprod.constructions._compile
 
-    def corrupted(residual, p, d):
-        return (((0, 1),), *honest(residual, p, d))  # a nonzero constant term
+    def corrupted(residual, p, d, degree):
+        return (((0, 1),), *honest(residual, p, d, degree))  # a nonzero constant term
 
     monkeypatch.setattr(xprod.constructions, "_compile", corrupted)
     obj = search_doc()
@@ -770,10 +805,12 @@ def report_digest(tmp_path, obj):
 
 
 @pytest.mark.parametrize("doc_name", sorted(PINNED_DIGESTS))
-def test_report_bytes_pinned(tmp_path, doc_name):
+def test_report_bytes_pinned(tmp_path, monkeypatch, doc_name):
+    checked = checked_against_json(monkeypatch)
     obj = (all_kinds_doc() if doc_name == "all-kinds"
            else twosided_doc(CORPUS[doc_name], None))
     assert report_digest(tmp_path, obj) == PINNED_DIGESTS[doc_name]
+    assert len(checked) == len(obj["datasets"]) * len(PIN_COMMANDS) and all(checked)
 
 
 # Malformed edits of all_kinds_doc, one refusal each, as (keys to the edited
@@ -858,6 +895,49 @@ def test_refusal_bytes_pinned(tmp_path):
         assert (rc, rep["error"]["type"]) == (2, "DocumentError"), keys
         digest.update(f"{rc}\n".encode() + raw)
     assert digest.hexdigest() == REFUSED_DIGEST
+
+
+# -- canonical_json writes what json.dumps writes -----------------------------
+
+def json_reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def checked_against_json(monkeypatch):
+    """Make every report that ``main`` writes compare its bytes with
+    :func:`json_reference`; the returned list collects one verdict per report."""
+    import xprod.cli
+    checked, writer = [], xprod.cli.canonical_json
+
+    def compared(obj):
+        text = writer(obj)
+        checked.append(text == json_reference(obj))
+        return text
+
+    monkeypatch.setattr(xprod.cli, "canonical_json", compared)
+    return checked
+
+
+TEXTS = (st.text(max_size=6)
+         | st.sampled_from(['', '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é ü 中 😀",
+                            "\u2028\u2029", "\ud800"]))
+ROWS = st.lists(TEXTS, max_size=4)  # a row of a matrix, as a list or a tuple
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXTS | ROWS | ROWS.map(tuple),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(TEXTS, kids, max_size=4)),
+    max_leaves=24)
+
+
+def shared(x):
+    # one object at several depths and places, as the search shares its rows
+    return st.sampled_from([[x, x], {"a": x, "b": [x, (x,)]}, (x, [[x]], {"": x})])
+
+
+@given(JSON_VALUES | JSON_VALUES.flatmap(shared))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_canonical_json_equals_json_dumps(x):
+    assert canonical_json(x) == json_reference(x)
 
 
 # -- fuzz: mutated documents never crash the command line ---------------------

@@ -37,7 +37,7 @@ from xprod import (
 )
 from xprod.algebra import associativity_witness
 from xprod.record import replace
-from xprod.twosided import CONDITIONS, Condition
+from xprod.twosided import CONDITIONS, E_DEGREE, Condition
 from xprod.constructions import (
     _PINNED_LAWS,
     SEARCH_MAP_NAMES,
@@ -668,7 +668,7 @@ F3 = PrimeField(3)
 
 def test_frozen_flip_f3_exhaustive_count_pinned():
     # every E value of the frozen-flip space over F3 passes, as over F2; the
-    # compiled E conditions decide all but the first 45 of the 3^8 candidates
+    # compiled E conditions decide all but the first of the 3^8 candidates
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
     spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
@@ -699,10 +699,15 @@ def test_map_templates_satisfy_the_unit_laws_they_pin(field):
                 assert cond.witness(a, v, c, _fill(field, template, digits)) is None
 
 
+def test_e_degrees_cover_the_conditions_that_mention_e():
+    assert set(E_DEGREE) == {cond.label for cond in CONDITIONS if "E" in cond.maps}
+
+
 def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
     rng = random.Random(3)
-    kinds = set()      # which Newton terms the compiled residuals over F3 have
-    verdicts = set()   # the scanned verdicts met
+    kinds = set()      # which Newton terms the joint residuals over F3 have
+    split_kinds = {}   # degree -> which Newton terms its residuals over F3 have
+    verdicts = set()   # the (label, scanned verdict) pairs met
     for field, (a, v, c) in ((F2, (dual_numbers(F2),) * 3),
                              (F2, (dual_numbers(F2), dual_numbers(F2), scalar_alg(F2))),
                              (F3, (scalar_alg(F3), dual_numbers(F3), dual_numbers(F3))),
@@ -724,42 +729,127 @@ def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
             def with_e(x):
                 return {**r_maps, "E": _fill(field, templates["E"], x)}
 
-            rows = _compile(lambda x: _residual(field, a, v, c, e_conds, with_e(x)), p, d)
+            # all three at degree 2, and each at its own degree as the search does
+            joint = _compile(lambda x: _residual(field, a, v, c, e_conds, with_e(x)), p, d, 2)
+            split = {cond.label: _compile(
+                lambda x, cond=cond: _residual(field, a, v, c, (cond,), with_e(x)),
+                p, d, E_DEGREE[cond.label]) for cond in e_conds}
             for x in product(range(p), repeat=d):
                 maps = with_e(x)
-                scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
-                              for cond in e_conds)
-                assert _holds(rows, x, p) == scanned
-                verdicts.add(scanned)
-            if p == 3:
-                kinds |= {(t > 0) + (t > d) + (t > 2 * d) for row in rows for t, _ in row}
-    assert verdicts == {True, False}
+                scanned = {cond.label: cond.witness(a, v, c, *(maps[m] for m in cond.maps))
+                           is None for cond in e_conds}
+                assert _holds(joint, x, p) == all(scanned.values())
+                for label, holds in scanned.items():
+                    assert _holds(split[label], x, p) == holds
+                    verdicts.add((label, holds))
+            for label, rows in (("joint", joint), *split.items()):
+                terms = {(t > 0) + (t > d) + (t > 2 * d) for row in rows for t, _ in row}
+                if label == "joint":
+                    kinds |= terms if p == 3 else set()
+                    continue
+                if E_DEGREE[label] == 1:
+                    assert terms <= {0, 1}  # only the 1 + d points were evaluated
+                if p == 3:
+                    split_kinds.setdefault(E_DEGREE[label], set()).update(terms)
+    assert verdicts == {(cond.label, holds) for cond in CONDITIONS[-3:]
+                        for holds in (True, False)}
     assert kinds == {0, 1, 2, 3}  # constant, linear, square and cross terms all occur
+    # the affine laws have constant and linear terms, equiv6 square and cross terms
+    assert split_kinds[1] == {0, 1} and {2, 3} <= split_kinds[2]
 
 
 def test_design_size():
-    assert _design_size(2, 8) == 37
-    assert _design_size(3, 8) == 45
+    assert _design_size(2, 8, 2) == 37
+    assert _design_size(3, 8, 2) == 45
+    assert _design_size(2, 8, 1) == _design_size(3, 8, 1) == 9
     for p, d in ((2, 0), (2, 5), (3, 0), (3, 4), (7, 3)):
-        points = []
-        _compile(lambda x: points.append(tuple(x)) or {}, p, d)
-        assert len(set(points)) == len(points) == _design_size(p, d)
+        for degree in (1, 2):
+            points = []
+            _compile(lambda x: points.append(tuple(x)) or {}, p, d, degree)
+            assert len(set(points)) == len(points) == _design_size(p, d, degree)
+            if degree == 1:  # 0 and each e_i
+                assert sorted(points) == sorted(
+                    [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)])
 
 
-def test_search_compiles_after_the_design_size_and_cross_checks(monkeypatch):
+def scans_per_r1(monkeypatch, label, spec, a, v, c):
+    """The search's results, and how often it scans the E condition ``label``
+    per R1 value.  equiv4 comes first of them, so it counts the candidates that
+    are scanned rather than compiled."""
+    counts, witness = {}, Condition.witness
+
+    def counted(cond, *args):
+        if cond.label == label:
+            key = args[3].cols  # (A, V, C, R1, ...) for equiv4 and equiv6
+            counts[key] = counts.get(key, 0) + 1
+        return witness(cond, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Condition, "witness", counted)
+        got = search_fp(spec, a, v, c)
+    return got, counts
+
+
+def test_search_compiles_on_the_first_visit_when_d_visits_are_sure(monkeypatch):
+    # frozen R maps drawn at least D times, and every passing triple of an
+    # exhaustive search: the E conditions are scanned on the visit that
+    # compiles, once (every E value passes the frozen-flip space)
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    frozen = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
+                        mode="randomized", budget=_design_size(3, 8, 2), seed=1)
+    for label in ("equiv4", "equiv6"):
+        got, counts = scans_per_r1(monkeypatch, label, frozen, d, d.as_pointed(), d)
+        assert list(counts.values()) == [1] and len(got) > 1
+    # fewer draws than D: no compile, every draw is scanned
+    few = replace(frozen, budget=_design_size(3, 8, 2) - 1)
+    got, counts = scans_per_r1(monkeypatch, "equiv6", few, d, d.as_pointed(), d)
+    assert list(counts.values()) == [few.budget]
+    d2 = dual_numbers(F2)
+    fl2 = flip(F2, 2, 2)
+    exhaustive = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl2, "R3": fl2})
+    got, counts = scans_per_r1(monkeypatch, "equiv4", exhaustive, d2, d2.as_pointed(), d2)
+    assert len(counts) > 1 and set(counts.values()) == {1} and len(got) > len(counts)
+
+
+def test_search_compiles_the_affine_laws_from_1_plus_d_points(monkeypatch):
     import xprod.constructions
+    points, residual = {}, xprod.constructions._residual
+
+    def counted(f, a, v, c, conds, maps):
+        for cond in conds:
+            points[cond.label] = points.get(cond.label, 0) + 1
+        return residual(f, a, v, c, conds, maps)
+
+    monkeypatch.setattr(xprod.constructions, "_residual", counted)
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
     spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
-                      mode="randomized", budget=200, seed=1)
-    with scanned_conditions(monkeypatch) as calls:
-        got = search_fp(spec, d, d.as_pointed(), d)
-    # one R-triple: its E conditions are scanned on the first 45 draws only
-    assert [label for label, *_ in calls].count("equiv6") == _design_size(3, 8) == 45
-    assert len(got) > 45
+                      mode="randomized", budget=100, seed=1)
+    search_fp(spec, d, d.as_pointed(), d)
+    assert points == {"equiv4": 9, "equiv5": 9, "equiv6": 45}
 
-    def corrupt(residual, p, d):
-        return (((0, 1),), *_compile(residual, p, d))
+
+def test_search_with_an_unfrozen_r_compiles_after_d_visits_and_cross_checks(monkeypatch):
+    import xprod.constructions
+    d = dual_numbers(F2)
+    fl = flip(F2, 2, 2)
+    spec = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl, "R3": fl},
+                      mode="randomized", budget=1500, seed=5)
+    got, counts = scans_per_r1(monkeypatch, "equiv4", spec, d, d.as_pointed(), d)
+    # R1's 4 free digits lead each candidate number, above E's 8
+    template = _map_template(F2, "R1", 2, 2, 2, 0, 0, 0)
+    slices = [_fill(F2, template, [t >> 3 - i & 1 for i in range(4)]).cols
+              for t in range(16)]
+    rng = random.Random(spec.seed)
+    draws = [slices[rng.randrange(2 ** 12) >> 8] for _ in range(spec.budget)]
+    design = _design_size(2, 8, 2)
+    assert counts == {key: min(draws.count(key), design) for key in counts}
+    assert max(draws.count(key) for key in counts) > design  # some triple compiled
+    assert len(got) == 97
+
+    def corrupt(residual, p, d, degree):
+        return (((0, 1),), *_compile(residual, p, d, degree))
 
     with monkeypatch.context() as patch:
         patch.setattr(xprod.constructions, "_compile", corrupt)
