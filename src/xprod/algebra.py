@@ -193,7 +193,8 @@ def ordinary_tensor(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
 def _require_maps(what: str, parts, maps):
     """Refuse a data tuple unless its parts and maps share one field and each
     map, listed as (name, map, domain dims, codomain dims), has its shape."""
-    if len({x.field for x in parts} | {m.field for _, m, _, _ in maps}) != 1:
+    fields = [x.field for x in parts] + [m.field for _, m, _, _ in maps]
+    if any(f != fields[0] for f in fields):
         raise FieldMismatch(f"{what} across different fields")
     for name, m, dom, cod in maps:
         if m.domain.dims != tuple(dom) or m.codomain.dims != tuple(cod):

@@ -89,6 +89,8 @@ from .report import ConditionResult, Report, Witness
 from .twosided import (
     TwoSidedData,
     _extraction_shapes,
+    _round_trip,
+    _split,
     _universal_shapes,
     _validated_product,
     build_twosided,
@@ -217,7 +219,7 @@ def _search_entry(refs, spec, path, resolve):
             "frozen must map labels to map names")
     frozen = {}
     for label, ref in frozen_spec.items():
-        _expect(label in ("R1", "R2", "R3", "E"), f"{path}.frozen.{label}",
+        _expect(label in SEARCH_MAP_NAMES, f"{path}.frozen.{label}",
                 "frozen labels must be among R1, R2, R3, E")
         frozen[label] = resolve("map", ref, f"{path}.frozen.{label}")
     counts = {key: spec[key] for key in ("budget", "seed", "cap") if key in spec}
@@ -512,7 +514,10 @@ def _maps_obj(data: TwoSidedData):
 
 def _run_extract(doc, name, kind, entry, args):
     if kind == "twosided":
-        got = extract(build_twosided(entry), entry.A, entry.V, entry.C)
+        m = build_twosided(entry)
+        got = _split(m, entry.A, entry.V, entry.C)
+        if got != entry:  # the dataset's own maps passed and built m already
+            _round_trip(got, m)
         rep = Report(tuple(
             ConditionResult(f"roundtrip-{label}", getattr(got, label).cols ==
                             getattr(entry, label).cols)

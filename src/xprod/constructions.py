@@ -15,16 +15,18 @@ finite-field search that doubles as a fixture oracle.
   :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
   from, stops each candidate at its first failing condition, and decides a
   condition that does not mention an unfrozen E once per distinct choice of
-  the unfrozen maps it mentions.  For each R-triple sure to be drawn often
-  enough, the conditions that mention E become exact polynomials of degree 1
-  or 2 in E's free digits, read off the scans at a few design points.
-  Candidates are drawn one at a time in a single thread.
+  the unfrozen maps it mentions.  For each R-triple drawn twice, the
+  conditions that mention E become polynomials in E's free digits, read off
+  one run of their own chains over a symbolic E.  Candidates are drawn one at
+  a time in a single thread.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from math import prod
 from types import MappingProxyType
 
 from .algebra import (
@@ -72,7 +74,6 @@ from .record import record
 from .report import ConditionResult, Report, merge
 from .twosided import (
     CONDITIONS,
-    E_DEGREE,
     TWIST_LEGS,
     TwoSidedData,
     _chain_map,
@@ -410,83 +411,74 @@ def _candidates(spec: SearchSpec, space: int):
     return (rng.randrange(space) for _ in range(spec.budget))
 
 
-def _combo(p, parts) -> dict:
-    """Σ k·vec mod p over the (k, vec) pairs of sparse vectors, zeros dropped."""
-    out = {}
-    for k, vec in parts:
-        for key, x in vec.items():
-            out[key] = (out.get(key, 0) + k * x) % p
-    return {key: x for key, x in out.items() if x}
+class _Poly:
+    """Polynomials over F_p in E's free digits, with the ``one``, ``add``,
+    ``mul`` and ``is_zero`` that the sparse tensor chains of
+    :mod:`~xprod.twosided` use: a constant is its residue, any other
+    polynomial a dict from monomials (sorted tuples of digit numbers, a square
+    repeats its number) to nonzero coefficients, so zero is ``0``."""
+
+    one = 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def terms(self, a):
+        return a.items() if isinstance(a, dict) else (((), a),) if a else ()
+
+    def add(self, a, b):
+        if not (isinstance(a, dict) or isinstance(b, dict)):
+            return (a + b) % self.p
+        out = {}
+        for m, x in itertools.chain(self.terms(a), self.terms(b)):
+            out[m] = (out.get(m, 0) + x) % self.p
+        out = {m: x for m, x in out.items() if x}
+        return out if out.keys() - {()} else out.get((), 0)
+
+    def mul(self, a, b):
+        if not isinstance(a, dict):
+            a, b = b, a
+        if not isinstance(a, dict):
+            return a * b % self.p
+        if not isinstance(b, dict):  # a constant scales every coefficient
+            return a if b == 1 else {m: x * b % self.p for m, x in a.items()} if b else 0
+        return functools.reduce(self.add, ({tuple(sorted(m + n)): x * y % self.p}
+                                           for m, x in a.items() for n, y in b.items()))
+
+    def is_zero(self, a):
+        return a == 0
 
 
-def _residual(f, a, v, c, conds, maps) -> dict:
-    """lhs − rhs of every side of ``conds`` on every basis tuple, as one sparse
-    vector keyed by (side, column, row)."""
-    parts = []
-    for cond in conds:
-        for dims, sides in cond.scans(a, v, c, *(maps[m] for m in cond.maps)):
-            for lhs, rhs, _ in sides:
-                k = len(parts) // 2
-                parts += [(sign, {(k, j, i): x
-                                  for j, col in enumerate(_chain_map(f, dims, chain).cols)
-                                  for i, x in col})
-                          for sign, chain in ((1, lhs), (-1, rhs))]
-    return _combo(f.p, parts)
+def _compile(a, v, c, conds, maps, template):
+    """The residual lhs − rhs of every side of ``conds`` as polynomials in E's
+    free digits, for the maps other than E in ``maps``.
 
-
-def _design_size(p, d, degree):
-    """The number of points :func:`_compile` evaluates a residual of ``degree``
-    1 or 2 at."""
-    if degree == 1:
-        return 1 + d
-    return 1 + d * (1 if p == 2 else 2) + d * (d - 1) // 2
-
-
-def _weights(x):
-    """The Newton monomials 1, x_i, C(x_i, 2), x_i x_j (i < j) at digits x, in
-    :func:`_compile`'s term order."""
-    return [1, *x, *(t * (t - 1) // 2 for t in x),
-            *(x[i] * x[j] for i, j in itertools.combinations(range(len(x)), 2))]
-
-
-def _compile(residual, p, d, degree):
-    """A residual of total degree at most ``degree`` (1 or 2) in ``d`` base-p
-    digits, as the nonzero rows of its Newton coefficients, read off
-    :func:`_design_size` points.
-
-    Such a polynomial equals r(x) = c + Σ x_i Δ_i + Σ C(x_i, 2) Δ²_i +
-    Σ_{i<j} x_i x_j Δ_ij, exactly mod p, where c = r(0), Δ_i = r(e_i) − c,
-    Δ²_i = r(2e_i) − 2r(e_i) + c and Δ_ij = r(e_i + e_j) − r(e_i) − r(e_j) + c.
-    An affine residual has no Δ²_i or Δ_ij, so 0 and each e_i determine it.
-    On digits below 2, C(x_i, 2) = 0, so over F2 the 2e_i points are skipped.
-    Each row lists (term, coefficient) for one residual entry, terms numbered
-    as :func:`_weights` orders them; equal rows are kept once.
+    E is filled from ``template`` with its free digits as variables, and each
+    side's own chain runs once over it (:func:`~xprod.twosided._chain_map`),
+    so a residual's degree is at most the number of times a side applies E:
+    1 for equiv4 and equiv5, 2 for equiv6.  Returns the nonzero residual
+    entries as rows of (monomial, coefficient); equal rows are kept once.
     """
-    def at(*units):
-        x = [0] * d
-        for i in units:
-            x[i] += 1
-        return residual(x)
-
-    zero = at()
-    ones = [at(i) for i in range(d)]
-    terms = [zero, *(_combo(p, ((1, r), (-1, zero))) for r in ones)]
-    if degree == 2:
-        terms += [_combo(p, ((1, at(i, i)), (-2, ones[i]), (1, zero))) if p > 2 else {}
-                  for i in range(d)]
-        terms += [_combo(p, ((1, at(i, j)), (-1, ones[i]), (-1, ones[j]), (1, zero)))
-                  for i, j in itertools.combinations(range(d), 2)]
+    ring = _Poly(a.field.p)
+    e = _fill(ring, template, [{(i,): 1} for i in range(_width(template))])
     rows = {}
-    for t, vec in enumerate(terms):
-        for key, x in vec.items():
-            rows.setdefault(key, []).append((t, x))
-    return tuple(dict.fromkeys(tuple(row) for row in rows.values()))
+    for cond in conds:
+        for dims, sides in cond.scans(a, v, c, *(e if m == "E" else maps[m]
+                                                 for m in cond.maps)):
+            for lhs, rhs, _ in sides:
+                for left, right in zip(_chain_map(ring, dims, lhs).cols,
+                                       _chain_map(ring, dims, rhs).cols):
+                    residual = dict(left)
+                    for i, x in right:
+                        residual[i] = ring.add(residual.get(i, 0), ring.mul(a.field.p - 1, x))
+                    rows.update((tuple(sorted(ring.terms(r))), None) for r in residual.values())
+    rows.pop((), None)  # the row of a vanishing entry
+    return tuple(rows)
 
 
 def _holds(rows, x, p) -> bool:
-    """Whether the compiled residual ``rows`` vanishes at digits x."""
-    w = _weights(x)
-    return all(sum(w[t] * k for t, k in row) % p == 0 for row in rows)
+    """Whether the compiled residual ``rows`` vanishes at E's digits x."""
+    return all(sum(k * prod(x[i] for i in m) for m, k in row) % p == 0 for row in rows)
 
 
 def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
@@ -501,26 +493,17 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     skipped.  A condition that does not mention an unfrozen E is decided once
     per distinct digit slice of the unfrozen maps it mentions, and each
     unfrozen R map is decoded once per distinct slice.  The conditions that
-    mention an unfrozen E come last.  They are compiled for an R-triple into
-    residuals in E's d free digits (:func:`_compile`), each condition at its
-    degree in :data:`~xprod.twosided.E_DEGREE`: equiv4 and equiv5 from 1 + d
-    points, equiv6 from D (:func:`_design_size`: 1 + d + C(d, 2) over F2 and
-    1 + 2d + C(d, 2) otherwise).  The residuals decide the triple's later
-    candidates.  A triple is compiled on its first visit to these conditions
-    when it is sure to make D of them: in exhaustive mode, where it meets all
-    p^d of its E values, and in randomized mode with no unfrozen R map and a
-    budget of at least D, where the one triple meets every draw.  Otherwise it
-    is compiled on its D-th visit, so that a compile, which costs about D
-    scans, never costs more than about twice the scans it replaces.  The
-    candidate that triggers a compile is scanned as well, and a disagreement
-    raises :class:`~xprod.errors.InternalCheckError`.  Memory grows with the
-    distinct R-triples drawn, not with the space.  In exhaustive mode an
-    R-triple that fails a condition without E is skipped with all its E
-    values, which are consecutive numbers.  Results are deduplicated by exact
-    matrix equality and returned in a canonical order, sorted by their
+    mention an unfrozen E come last: an R-triple's first two visits scan
+    them, and the second also compiles them (:func:`_compile`) to decide the
+    triple's later candidates, raising :class:`~xprod.errors.InternalCheckError`
+    if the two routes disagree.  In exhaustive mode an R-triple that fails a
+    condition without E is skipped with all its E values, which are
+    consecutive numbers.  Memory grows with the distinct R-triples drawn, not
+    with the space.  A solution is built once per candidate number, distinct
+    numbers filling distinct maps, and the solutions are sorted by their
     matrices as the report writes them
-    (:attr:`~xprod.exactla.TensorMap.formatted_rows`, kept on each map for the
-    report), so the output is byte-stable for a fixed spec and seed.
+    (:attr:`~xprod.exactla.TensorMap.formatted_rows`), so the output is
+    byte-stable for a fixed spec and seed.
     """
     f = spec.field
     if not isinstance(f, PrimeField):
@@ -565,18 +548,9 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     cached = [step for step in plan if "E" not in step[1]]
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
     r_names = [name for name in templates if name != "E"]
-    d = _width(templates["E"]) if "E" in templates else 0
-    # the visit to the E conditions on which a triple is compiled: the first
-    # when the triple is sure to make D of them (in exhaustive mode it meets all
-    # p^d >= D of its E values; with no R map unfrozen the one triple meets
-    # every draw), else the D-th
-    compile_at = _design_size(f.p, d, 2)
-    if spec.mode == "exhaustive" or (not r_names and spec.budget >= compile_at):
-        compile_at = 1
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
     r_maps = {}    # (name, digit slice) -> decoded R map
-    visits = {}    # R-triple -> candidates that reached the E conditions
-    compiled = {}  # R-triple -> the E conditions' residual, compiled
+    compiled = {}  # R-triple -> None after one visit to the E conditions, then their residual
 
     def decode(name, part):
         m = r_maps.get((name, part))
@@ -589,7 +563,7 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     def e_holds(maps, parts):
         """Whether the conditions that mention E hold on this candidate."""
         triple = tuple(parts[m] for m in r_names)
-        x = _digits(parts["E"], f.p, d)
+        x = _digits(parts["E"], f.p, _width(templates["E"]))
         rows = compiled.get(triple)
         if rows is not None:
             return _holds(rows, x, f.p)
@@ -597,19 +571,16 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
             maps[m] = decode(m, parts[m])
         scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
                       for cond in e_conds)
-        visits[triple] = visits.get(triple, 0) + 1
-        if visits[triple] == compile_at:
-            rows = compiled[triple] = tuple(itertools.chain.from_iterable(
-                _compile(lambda y, cond=cond: _residual(
-                    f, a, v, c, (cond,), {**maps, "E": _fill(f, templates["E"], y)}),
-                    f.p, d, E_DEGREE[cond.label])
-                for cond in e_conds))
-            if _holds(rows, x, f.p) != scanned:
-                where = ", ".join(f"{m} #{parts[m]}" if m in parts else f"{m} frozen"
-                                  for m in ("R1", "R2", "R3"))
-                raise InternalCheckError(
-                    "search: scanned and compiled routes disagree on the E conditions "
-                    f"of R-triple ({where}) at E digits {x}")
+        if triple not in compiled:
+            compiled[triple] = None
+            return scanned
+        rows = compiled[triple] = _compile(a, v, c, e_conds, maps, templates["E"])
+        if _holds(rows, x, f.p) != scanned:
+            where = ", ".join(f"{m} #{parts[m]}" if m in parts else f"{m} frozen"
+                              for m in ("R1", "R2", "R3"))
+            raise InternalCheckError(
+                "search: scanned and compiled routes disagree on the E conditions "
+                f"of R-triple ({where}) at E digits {x}")
         return scanned
 
     # runs of candidates with one R-triple: all its E values, or one draw
@@ -618,7 +589,7 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         runs = (range(t * width, (t + 1) * width) for t in _candidates(spec, space // width))
     else:
         runs = ((n,) for n in _candidates(spec, space))
-    unique = {}
+    kept = {}  # candidate number -> its solution; distinct numbers fill distinct maps
     for run in runs:
         for n in run:
             parts = {name: n // div % mod for name, (div, mod) in layout.items()}
@@ -634,11 +605,10 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
                 if not holds:
                     break
             else:
-                if not e_conds or e_holds(maps, parts):
-                    data = TwoSidedData(a, v, c, **maps, **{
+                if (not e_conds or e_holds(maps, parts)) and n not in kept:
+                    kept[n] = TwoSidedData(a, v, c, **maps, **{
                         m: decode(m, parts[m]) for m in templates if m not in maps})
-                    unique.setdefault(tuple(getattr(data, m).formatted_rows
-                                            for m in SEARCH_MAP_NAMES), data)
                 continue
             break  # no E value passes an R-triple that fails without E
-    return [unique[k] for k in sorted(unique)]
+    return sorted(kept.values(), key=lambda data: tuple(
+        getattr(data, m).formatted_rows for m in SEARCH_MAP_NAMES))

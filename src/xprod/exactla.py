@@ -205,12 +205,6 @@ class TensorShape:
     def concat(self, other: "TensorShape") -> "TensorShape":
         return TensorShape(self.dims + other.dims)
 
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self):
-        return len(self.dims)
-
 
 def shape(*dims: int) -> TensorShape:
     return TensorShape(tuple(dims))

@@ -332,10 +332,6 @@ CONDITIONS = (
 
 CONDITION_LABELS = tuple(cond.label for cond in CONDITIONS)
 
-# The most times a side of a condition that mentions E applies E: for fixed R1,
-# R2, R3 the condition is an identity of at most this degree in E's entries.
-E_DEGREE = {"unit-E": 1, "equiv4": 1, "equiv5": 1, "equiv6": 2}
-
 
 def _composite_conditions(d: TwoSidedData) -> dict[str, bool]:
     """The same twelve conditions as whole-matrix composite identities."""
@@ -547,6 +543,11 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     fibre must equal (w_s / u_s) u), E(v⊗v') = (1⊗v⊗1)(1⊗v'⊗1), and the
     extracted data must pass :func:`check_twosided` and rebuild M exactly.
     """
+    return _round_trip(_split(m, a, v, c), m)
+
+
+def _split(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoSidedData:
+    """:func:`extract` up to ajut4: the maps read off M, not yet checked."""
     _extraction_shapes(m, a, v, c)
     f = m.field
     avc = shape(a.dim, v.dim, c.dim)
@@ -590,11 +591,15 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
                                identity(f, avc), "a⊗v⊗c = a·v·c"))
     if witness is not None:
         raise SplitFail("ajut4", witness)
-    data = TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
+    return TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
+
+
+def _round_trip(data: TwoSidedData, m: FinAlgebra) -> TwoSidedData:
+    """:func:`extract`'s tail: the split maps, unless they fail or do not rebuild M."""
     failed = check_twosided(data).failed_names()
     if failed:
         raise RoundTripMismatch("extracted maps fail conditions: " + ", ".join(failed))
-    if _raw_product(data)[0].cols != m.mul.cols:  # the units agree: checked above
+    if _raw_product(data)[0].cols != m.mul.cols:  # the units agree: _split checked
         raise RoundTripMismatch("rebuilt product differs from the input algebra")
     return data
 

@@ -470,8 +470,8 @@ def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypa
     import xprod.constructions
     honest = xprod.constructions._compile
 
-    def corrupted(residual, p, d, degree):
-        return (((0, 1),), *honest(residual, p, d, degree))  # a nonzero constant term
+    def corrupted(*args):
+        return ((((), 1),), *honest(*args))  # a nonzero constant residual
 
     monkeypatch.setattr(xprod.constructions, "_compile", corrupted)
     obj = search_doc()

@@ -1,6 +1,7 @@
 """Iterated products, coalgebra-based builders, remark transports, search."""
 
 import contextlib
+import hashlib
 import random
 from itertools import islice, product
 
@@ -37,17 +38,15 @@ from xprod import (
 )
 from xprod.algebra import associativity_witness
 from xprod.record import replace
-from xprod.twosided import CONDITIONS, E_DEGREE, Condition
+from xprod.twosided import CONDITIONS, Condition
 from xprod.constructions import (
     _PINNED_LAWS,
     SEARCH_MAP_NAMES,
     _candidates,
     _compile,
-    _design_size,
     _fill,
     _holds,
     _map_template,
-    _residual,
     _width,
     ma_connector,
     product_connector,
@@ -668,11 +667,24 @@ F3 = PrimeField(3)
 
 def test_frozen_flip_f3_exhaustive_count_pinned():
     # every E value of the frozen-flip space over F3 passes, as over F2; the
-    # compiled E conditions decide all but the first of the 3^8 candidates
+    # compiled E conditions decide all but the first two of the 3^8 candidates
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
     spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
     assert len(search_fp(spec, d, d.as_pointed(), d)) == 3 ** 8
+
+
+def test_unfrozen_f2_exhaustive_solutions_pinned():
+    # the whole (2,2,2) space over the dual numbers: 4,096 R-triples, 48 of
+    # them compiled, 47 with residuals that do not vanish; the count and the
+    # sha of the solutions' rows are regression values taken before the
+    # compile read the residuals off the chains
+    d = dual_numbers(F2)
+    got = search_fp(SearchSpec(F2, (2, 2, 2), cap=1 << 20), d, d.as_pointed(), d)
+    rows = repr([tuple(getattr(x, m).formatted_rows for m in SEARCH_MAP_NAMES) for x in got])
+    assert len(got) == 620
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "8fae060d684f966193a65e15dacbe58485e50912ab85c6cb3096f0ac373d5287")
 
 
 def _unit_bases(field):
@@ -699,15 +711,33 @@ def test_map_templates_satisfy_the_unit_laws_they_pin(field):
                 assert cond.witness(a, v, c, _fill(field, template, digits)) is None
 
 
-def test_e_degrees_cover_the_conditions_that_mention_e():
-    assert set(E_DEGREE) == {cond.label for cond in CONDITIONS if "E" in cond.maps}
+def test_e_degrees_cover_the_conditions_that_mention_e(monkeypatch):
+    # the search compiles every condition that mentions E, bar the unit law its
+    # template pins, into residuals of degree at most 2 in E's digits
+    import xprod.constructions
+    compiled, honest = [], xprod.constructions._compile
+
+    def recorded(a, v, c, conds, maps, template):
+        rows = honest(a, v, c, conds, maps, template)
+        compiled.append(({cond.label for cond in conds}, rows))
+        return rows
+
+    monkeypatch.setattr(xprod.constructions, "_compile", recorded)
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    spec = SearchSpec(F3, (2, 2, 2), frozen={"R2": fl, "R3": fl},
+                      mode="randomized", budget=300, seed=1)
+    search_fp(spec, d, d.as_pointed(), d)
+    e_labels = {cond.label for cond in CONDITIONS if "E" in cond.maps}
+    assert e_labels - set(_PINNED_LAWS) == {"equiv4", "equiv5", "equiv6"}
+    assert compiled and all(labels == e_labels - set(_PINNED_LAWS) for labels, _ in compiled)
+    assert max(len(m) for _, rows in compiled for row in rows for m, _ in row) == 2
 
 
 def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
     rng = random.Random(3)
-    kinds = set()      # which Newton terms the joint residuals over F3 have
-    split_kinds = {}   # degree -> which Newton terms its residuals over F3 have
-    verdicts = set()   # the (label, scanned verdict) pairs met
+    degrees = {}      # (label, p) -> the (degree, distinct digits) of its monomials
+    verdicts = set()  # the (label, scanned verdict) pairs met
     for field, (a, v, c) in ((F2, (dual_numbers(F2),) * 3),
                              (F2, (dual_numbers(F2), dual_numbers(F2), scalar_alg(F2))),
                              (F3, (scalar_alg(F3), dual_numbers(F3), dual_numbers(F3))),
@@ -726,50 +756,29 @@ def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
             fl = flip(field, 2, 2)
             triples.append({"R1": fl, "R2": fl, "R3": fl})
         for r_maps in triples:
-            def with_e(x):
-                return {**r_maps, "E": _fill(field, templates["E"], x)}
-
-            # all three at degree 2, and each at its own degree as the search does
-            joint = _compile(lambda x: _residual(field, a, v, c, e_conds, with_e(x)), p, d, 2)
-            split = {cond.label: _compile(
-                lambda x, cond=cond: _residual(field, a, v, c, (cond,), with_e(x)),
-                p, d, E_DEGREE[cond.label]) for cond in e_conds}
+            # all three at once, as the search compiles them, and each alone
+            joint = _compile(a, v, c, e_conds, r_maps, templates["E"])
+            split = {cond.label: _compile(a, v, c, (cond,), r_maps, templates["E"])
+                     for cond in e_conds}
             for x in product(range(p), repeat=d):
-                maps = with_e(x)
+                maps = {**r_maps, "E": _fill(field, templates["E"], x)}
                 scanned = {cond.label: cond.witness(a, v, c, *(maps[m] for m in cond.maps))
                            is None for cond in e_conds}
                 assert _holds(joint, x, p) == all(scanned.values())
                 for label, holds in scanned.items():
                     assert _holds(split[label], x, p) == holds
                     verdicts.add((label, holds))
-            for label, rows in (("joint", joint), *split.items()):
-                terms = {(t > 0) + (t > d) + (t > 2 * d) for row in rows for t, _ in row}
-                if label == "joint":
-                    kinds |= terms if p == 3 else set()
-                    continue
-                if E_DEGREE[label] == 1:
-                    assert terms <= {0, 1}  # only the 1 + d points were evaluated
-                if p == 3:
-                    split_kinds.setdefault(E_DEGREE[label], set()).update(terms)
+            for label, rows in split.items():
+                degrees.setdefault((label, p), set()).update(
+                    (len(m), len(set(m))) for row in rows for m, _ in row)
     assert verdicts == {(cond.label, holds) for cond in CONDITIONS[-3:]
                         for holds in (True, False)}
-    assert kinds == {0, 1, 2, 3}  # constant, linear, square and cross terms all occur
-    # the affine laws have constant and linear terms, equiv6 square and cross terms
-    assert split_kinds[1] == {0, 1} and {2, 3} <= split_kinds[2]
-
-
-def test_design_size():
-    assert _design_size(2, 8, 2) == 37
-    assert _design_size(3, 8, 2) == 45
-    assert _design_size(2, 8, 1) == _design_size(3, 8, 1) == 9
-    for p, d in ((2, 0), (2, 5), (3, 0), (3, 4), (7, 3)):
-        for degree in (1, 2):
-            points = []
-            _compile(lambda x: points.append(tuple(x)) or {}, p, d, degree)
-            assert len(set(points)) == len(points) == _design_size(p, d, degree)
-            if degree == 1:  # 0 and each e_i
-                assert sorted(points) == sorted(
-                    [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)])
+    # equiv4 and equiv5 apply E once a side, so their residuals are affine in
+    # E's digits; equiv6 applies it twice, and over F3 its residuals have
+    # square and cross terms
+    for p in (2, 3):
+        assert degrees["equiv4", p] | degrees["equiv5", p] == {(0, 0), (1, 1)}
+    assert {(2, 1), (2, 2)} <= degrees["equiv6", 3]
 
 
 def scans_per_r1(monkeypatch, label, spec, a, v, c):
@@ -790,47 +799,31 @@ def scans_per_r1(monkeypatch, label, spec, a, v, c):
     return got, counts
 
 
-def test_search_compiles_on_the_first_visit_when_d_visits_are_sure(monkeypatch):
-    # frozen R maps drawn at least D times, and every passing triple of an
-    # exhaustive search: the E conditions are scanned on the visit that
-    # compiles, once (every E value passes the frozen-flip space)
+def test_search_compiles_on_the_second_visit_to_the_e_conditions(monkeypatch):
+    # the frozen R maps are one triple: its first two draws are scanned, and
+    # the second compiles the E conditions (every E value of the frozen-flip
+    # space passes)
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
     frozen = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
-                        mode="randomized", budget=_design_size(3, 8, 2), seed=1)
+                        mode="randomized", budget=45, seed=1)
     for label in ("equiv4", "equiv6"):
         got, counts = scans_per_r1(monkeypatch, label, frozen, d, d.as_pointed(), d)
-        assert list(counts.values()) == [1] and len(got) > 1
-    # fewer draws than D: no compile, every draw is scanned
-    few = replace(frozen, budget=_design_size(3, 8, 2) - 1)
-    got, counts = scans_per_r1(monkeypatch, "equiv6", few, d, d.as_pointed(), d)
-    assert list(counts.values()) == [few.budget]
+        assert list(counts.values()) == [2] and len(got) > 2
+    for budget in (0, 1, 2, 3):
+        _, counts = scans_per_r1(monkeypatch, "equiv6", replace(frozen, budget=budget),
+                                 d, d.as_pointed(), d)
+        assert sum(counts.values()) == min(budget, 2)
+    # every passing triple of an exhaustive search meets all its E values
     d2 = dual_numbers(F2)
     fl2 = flip(F2, 2, 2)
     exhaustive = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl2, "R3": fl2})
     got, counts = scans_per_r1(monkeypatch, "equiv4", exhaustive, d2, d2.as_pointed(), d2)
-    assert len(counts) > 1 and set(counts.values()) == {1} and len(got) > len(counts)
+    assert len(counts) > 1 and set(counts.values()) == {2} and len(got) > 2 * len(counts)
 
 
-def test_search_compiles_the_affine_laws_from_1_plus_d_points(monkeypatch):
-    import xprod.constructions
-    points, residual = {}, xprod.constructions._residual
-
-    def counted(f, a, v, c, conds, maps):
-        for cond in conds:
-            points[cond.label] = points.get(cond.label, 0) + 1
-        return residual(f, a, v, c, conds, maps)
-
-    monkeypatch.setattr(xprod.constructions, "_residual", counted)
-    d = dual_numbers(F3)
-    fl = flip(F3, 2, 2)
-    spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
-                      mode="randomized", budget=100, seed=1)
-    search_fp(spec, d, d.as_pointed(), d)
-    assert points == {"equiv4": 9, "equiv5": 9, "equiv6": 45}
-
-
-def test_search_with_an_unfrozen_r_compiles_after_d_visits_and_cross_checks(monkeypatch):
+def test_search_with_an_unfrozen_r_compiles_on_the_second_visit_and_cross_checks(
+        monkeypatch):
     import xprod.constructions
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
@@ -843,13 +836,14 @@ def test_search_with_an_unfrozen_r_compiles_after_d_visits_and_cross_checks(monk
               for t in range(16)]
     rng = random.Random(spec.seed)
     draws = [slices[rng.randrange(2 ** 12) >> 8] for _ in range(spec.budget)]
-    design = _design_size(2, 8, 2)
-    assert counts == {key: min(draws.count(key), design) for key in counts}
-    assert max(draws.count(key) for key in counts) > design  # some triple compiled
+    assert counts == {key: min(draws.count(key), 2) for key in counts}
+    assert max(draws.count(key) for key in counts) > 2  # some triple compiled
     assert len(got) == 97
 
-    def corrupt(residual, p, d, degree):
-        return (((0, 1),), *_compile(residual, p, d, degree))
+    honest = xprod.constructions._compile
+
+    def corrupt(*args):
+        return ((((), 1),), *honest(*args))  # a nonzero constant residual
 
     with monkeypatch.context() as patch:
         patch.setattr(xprod.constructions, "_compile", corrupt)

@@ -128,13 +128,14 @@ ALL_KINDS = cli.parse_document(json.dumps(all_kinds_doc()))
 
 @pytest.mark.parametrize("command, dataset, counts", [
     ("agree", "d", [1, 1, 1, 1]), ("transport", "d", [3, 1, 1, 1]),
-    ("extract", "d", [1, 2, 2, 0]), ("build", "g", [1, 1, 1, 0])])
+    ("extract", "d", [1, 1, 1, 0]), ("build", "g", [1, 1, 1, 0])])
 def test_associativity_scans_per_command(monkeypatch, command, dataset, counts):
     # counts: associativity scans, then calls of check_twosided, _raw_product
     # and check_mirror.  "d" has flips for R1, R2 and R3; "g" is coalgebra-based
     # (ma) data.  The two-sided product, and the ordinary or twisted tensor
     # product that a transport builds on, are validated; nothing that must
-    # equal them is.  extract also checks and rebuilds the maps it extracts.
+    # equal them is.  extract checks and rebuilds the maps it extracts only
+    # when they differ from the dataset's.
     calls = [count_calls(monkeypatch, fn) for fn in (
         algebra.associativity_witness, twosided.check_twosided, twosided._raw_product,
         crossed.check_mirror)]
@@ -143,6 +144,21 @@ def test_associativity_scans_per_command(monkeypatch, command, dataset, counts):
                                     SimpleNamespace(force=False))
     assert rep.all_pass
     assert [len(c) for c in calls] == counts
+
+
+def test_extract_command_round_trips_split_maps_that_differ(monkeypatch):
+    # a wrong split is still refused: the maps differ from the dataset's, so
+    # they are checked and rebuilt
+    kind, entry = ALL_KINDS.datasets["d"]
+    split = cli._split
+
+    def wrong(m, a, v, c):
+        got = split(m, a, v, c)
+        return replace(got, E=bumped(got.E, len(got.E.cols) - 1))
+
+    monkeypatch.setattr(cli, "_split", wrong)
+    with pytest.raises(RoundTripMismatch, match="extracted maps fail conditions|rebuilt"):
+        cli._HANDLERS["extract"](ALL_KINDS, "d", kind, entry, SimpleNamespace(force=False))
 
 
 def test_failing_ma_build_keeps_its_message():
