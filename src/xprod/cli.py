@@ -411,10 +411,15 @@ def canonical_json(obj) -> str:
 
     ``json`` takes its pure-Python encoder whenever it indents.  Here each
     string goes through the C ``encode_basestring`` and each array is one
-    join; a tuple of strings, a matrix row that recurs across search
-    solutions, is written once per indent and looked up by itself after.
+    join.  A tuple is looked up by (value, indent), and its text is kept when
+    each of its items is a string or a tuple whose text was kept: a matrix or
+    a matrix row that recurs across search solutions.  A value equal to such
+    a tuple is built the same way from equal strings, so it writes the same
+    bytes.  Other equal values need not: ``(1,) == (True,)`` and their hashes
+    agree, yet they write ``[1]`` and ``[true]``.  A tuple that holds a list
+    or a dict cannot be hashed and is written each time.
     """
-    rows = {}  # (tuple of strings, indent) -> its text, for this call only
+    texts = {}  # (tuple of strings and kept tuples, indent) -> its text, for this call only
 
     def write(x, nl):  # nl: the newline and indent of the line x starts on
         if isinstance(x, str):
@@ -426,14 +431,17 @@ def canonical_json(obj) -> str:
                  for k, v in sorted(x.items())]) + nl + "}"
         if not isinstance(x, (list, tuple)) or not x:
             return json.dumps(x)
+        key = (x, nl) if type(x) is tuple else None
+        try:
+            text = texts.get(key)
+        except TypeError:  # a tuple that holds a list or a dict
+            text = key = None
+        if text is not None:
+            return text
         inner = nl + "  "
-        if not all(isinstance(y, str) for y in x):
-            return "[" + inner + ("," + inner).join([write(y, inner) for y in x]) + nl + "]"
-        text = rows.get((x, nl)) if type(x) is tuple else None
-        if text is None:
-            text = "[" + inner + ("," + inner).join(map(encode_basestring, x)) + nl + "]"
-            if type(x) is tuple:
-                rows[x, nl] = text
+        text = "[" + inner + ("," + inner).join([write(y, inner) for y in x]) + nl + "]"
+        if key is not None and all(type(y) is str or (y, inner) in texts for y in x):
+            texts[key] = text
         return text
 
     return write(obj, "\n") + "\n"

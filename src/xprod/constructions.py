@@ -59,10 +59,8 @@ from .exactla import (
     Field,
     PrimeField,
     TensorMap,
-    basis_vector,
     compose,
     flip,
-    from_columns,
     identity,
     permute_factors,
     shape,
@@ -348,49 +346,53 @@ _PINNED_LAWS = ("twR31", "unit-R1", "unit-R2", "unit-E")
 
 
 def _map_template(f, name, na, nv, nc, ua, uv, uc):
-    """Pinned columns plus the list of free column inputs for one map.
+    """The domain and codomain of one map, its columns in domain order (a
+    pinned column as its sparse nonzeros, a free one as None), and the number
+    of base-p digits its free columns take.
 
     The unit conditions pin R(1⊗y) = y⊗1 and R(x⊗1) = 1⊗x for a twisting map
     R: x⊗y -> y⊗x, and E(1⊗v) = E(v⊗1) = 1⊗v⊗1 for the connector.
     """
-    pin = {}
+    one = f.one
     if name == "E":
         dom, cod = shape(nv, nv), shape(na, nv, nc)
-        for j, jp in itertools.product(range(nv), repeat=2):
-            if j == uv or jp == uv:
-                other = jp if j == uv else j
-                pin[(j, jp)] = tensor_vec(
-                    f, basis_vector(f, na, ua), basis_vector(f, nv, other),
-                    basis_vector(f, nc, uc))
+
+        def pinned(j, jp):
+            if uv not in (j, jp):
+                return None
+            return (((ua * nv + (jp if j == uv else j)) * nc + uc, one),)
     else:
         legs = ((na, ua), (nv, uv), (nc, uc))
         (nx, ux), (ny, uy) = (legs[t] for t in TWIST_LEGS[name])
         dom, cod = shape(nx, ny), shape(ny, nx)
-        for i, j in itertools.product(range(nx), range(ny)):
+
+        def pinned(i, j):
             if i == ux:
-                pin[(i, j)] = tensor_vec(f, basis_vector(f, ny, j), basis_vector(f, nx, ux))
-            elif j == uy:
-                pin[(i, j)] = tensor_vec(f, basis_vector(f, ny, uy), basis_vector(f, nx, i))
-    free = [idx for idx in itertools.product(*(range(x) for x in dom.dims))
-            if idx not in pin]
-    return dom, cod, pin, free
+                return ((j * nx + ux, one),)
+            return ((uy * nx + i, one),) if j == uy else None
+    cols = tuple(itertools.starmap(pinned, itertools.product(*map(range, dom.dims))))
+    return dom, cod, cols, cols.count(None) * cod.total
 
 
 def _width(template):
     """The number of base-p digits a map's free columns take."""
-    _, cod, _, free = template
-    return len(free) * cod.total
+    return template[3]
 
 
 def _fill(f, template, digits):
-    """A map with its pinned columns, and its free columns, in domain order,
-    read from consecutive runs of ``digits``."""
-    dom, cod, pin, _ = template
-    digits = iter(digits)
-    cols = tuple(
-        pin[idx] if idx in pin else tuple(itertools.islice(digits, cod.total))
-        for idx in itertools.product(*(range(x) for x in dom.dims)))
-    return from_columns(f, dom, cod, cols)
+    """The map with the template's pinned columns and its free columns, in
+    domain order, read from consecutive runs of the sequence ``digits``: each
+    run's nonzero digits are its column's entries, so no dense column is
+    built.  A digit is an F_p residue, or a :class:`_Poly` polynomial when
+    :func:`_compile` fills E symbolically."""
+    dom, cod, pinned, _ = template
+    n, k, cols = cod.total, 0, []
+    for col in pinned:
+        if col is None:
+            col = tuple((i, x) for i, x in enumerate(digits[k:k + n]) if x)
+            k += n
+        cols.append(col)
+    return TensorMap(f, dom, cod, tuple(cols))
 
 
 def _digits(n, p, width):
@@ -487,21 +489,25 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     tuples passing every two-sided condition.
 
     Candidate n carries the free digits of every unfrozen map, R1, R2, R3, E
-    in that order, most significant first.  Each candidate meets the
-    conditions of :data:`~xprod.twosided.CONDITIONS` and is dropped at its
-    first failure; the unit laws that an unfrozen map's template pins are
-    skipped.  A condition that does not mention an unfrozen E is decided once
-    per distinct digit slice of the unfrozen maps it mentions, and each
-    unfrozen R map is decoded once per distinct slice.  The conditions that
-    mention an unfrozen E come last: an R-triple's first two visits scan
-    them, and the second also compiles them (:func:`_compile`) to decide the
-    triple's later candidates, raising :class:`~xprod.errors.InternalCheckError`
-    if the two routes disagree.  In exhaustive mode an R-triple that fails a
-    condition without E is skipped with all its E values, which are
-    consecutive numbers.  Memory grows with the distinct R-triples drawn, not
-    with the space.  A solution is built once per candidate number, distinct
-    numbers filling distinct maps, and the solutions are sorted by their
-    matrices as the report writes them
+    in that order, most significant first, so E's d digits are the lowest and
+    n // p^d numbers its R-triple.  Each candidate meets the conditions of
+    :data:`~xprod.twosided.CONDITIONS` and is dropped at its first failure;
+    the unit laws that an unfrozen map's template pins are skipped.  The
+    conditions that do not mention an unfrozen E come first, and an R-triple
+    meets them once: each is decided once per distinct digit slice of the
+    unfrozen maps it mentions, each unfrozen R map is decoded once per
+    distinct slice, and a passing triple keeps its maps, so a later candidate
+    of it costs its E digits and the E conditions.  (A failing triple drawn
+    again reads its verdicts back.)  The conditions that mention an unfrozen
+    E come last: an R-triple's first two visits scan them, and the second
+    also compiles them (:func:`_compile`) to decide the triple's later
+    candidates, raising :class:`~xprod.errors.InternalCheckError` if the two
+    routes disagree.  In exhaustive mode each R-triple is one run of
+    consecutive candidates, its E digits stepped in order, and a triple that
+    fails a condition without E is skipped with the whole run.  Memory grows
+    with the distinct R-triples drawn, not with the space.  A solution is
+    built once per candidate number, distinct numbers filling distinct maps,
+    and the solutions are sorted by their matrices as the report writes them
     (:attr:`~xprod.exactla.TensorMap.formatted_rows`), so the output is
     byte-stable for a fixed spec and seed.
     """
@@ -537,78 +543,92 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     if spec.mode == "exhaustive" and space > spec.cap:
         raise SearchSpaceTooLarge(space, spec.cap)
 
-    layout = {}  # name -> (divisor, modulus) of its digit slice in a candidate
-    low = slots
+    d = _width(templates["E"]) if "E" in templates else 0
+    width = f.p ** d  # E's digits are the lowest, so candidate n has R-triple n // width
+    layout = {}  # R name -> (divisor, modulus) of its digit slice in an R-triple number
+    low = slots - d
     for name, template in templates.items():
-        low -= _width(template)
-        layout[name] = (f.p ** low, f.p ** _width(template))
+        if name != "E":
+            low -= _width(template)
+            layout[name] = (f.p ** low, f.p ** _width(template))
     # the unit laws of an unfrozen map hold by its template, so they are skipped
     plan = [(cond, tuple(m for m in cond.maps if m in templates)) for cond in CONDITIONS
             if not (cond.label in _PINNED_LAWS and cond.maps[0] in templates)]
     cached = [step for step in plan if "E" not in step[1]]
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
-    r_names = [name for name in templates if name != "E"]
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
     r_maps = {}    # (name, digit slice) -> decoded R map
+    triples = {}   # R-triple passing every condition without E -> its maps
     compiled = {}  # R-triple -> None after one visit to the E conditions, then their residual
 
     def decode(name, part):
         m = r_maps.get((name, part))
         if m is None:
-            m = _fill(f, templates[name], _digits(part, f.p, _width(templates[name])))
-            if name != "E":
-                r_maps[name, part] = m
+            m = r_maps[name, part] = _fill(
+                f, templates[name], _digits(part, f.p, _width(templates[name])))
         return m
 
-    def e_holds(maps, parts):
-        """Whether the conditions that mention E hold on this candidate."""
-        triple = tuple(parts[m] for m in r_names)
-        x = _digits(parts["E"], f.p, _width(templates["E"]))
-        rows = compiled.get(triple)
+    def triple_maps(t):
+        """The maps of R-triple t, a frozen E among them, if it passes every
+        condition without E, else None."""
+        maps = triples.get(t)
+        if maps is not None:
+            return maps
+        parts = {name: t // div % mod for name, (div, mod) in layout.items()}
+        maps = dict(frozen)
+        for cond, unfrozen in cached:
+            key = (cond.label, *(parts[m] for m in unfrozen))
+            holds = verdicts.get(key)
+            if holds is None:
+                for m in unfrozen:
+                    maps[m] = decode(m, parts[m])
+                holds = verdicts[key] = cond.witness(
+                    a, v, c, *(maps[m] for m in cond.maps)) is None
+            if not holds:
+                return None
+        for name, part in parts.items():
+            maps[name] = decode(name, part)
+        triples[t] = maps
+        return maps
+
+    def e_holds(t, maps, x):
+        """Whether the conditions that mention E hold at E digits x of R-triple t."""
+        rows = compiled.get(t)
         if rows is not None:
             return _holds(rows, x, f.p)
-        for m in templates:
-            maps[m] = decode(m, parts[m])
-        scanned = all(cond.witness(a, v, c, *(maps[m] for m in cond.maps)) is None
-                      for cond in e_conds)
-        if triple not in compiled:
-            compiled[triple] = None
+        e = _fill(f, templates["E"], x)
+        scanned = all(cond.witness(a, v, c, *(e if m == "E" else maps[m] for m in cond.maps))
+                      is None for cond in e_conds)
+        if t not in compiled:
+            compiled[t] = None
             return scanned
-        rows = compiled[triple] = _compile(a, v, c, e_conds, maps, templates["E"])
+        rows = compiled[t] = _compile(a, v, c, e_conds, maps, templates["E"])
         if _holds(rows, x, f.p) != scanned:
-            where = ", ".join(f"{m} #{parts[m]}" if m in parts else f"{m} frozen"
-                              for m in ("R1", "R2", "R3"))
+            where = ", ".join(f"{m} #{t // layout[m][0] % layout[m][1]}" if m in layout
+                              else f"{m} frozen" for m in ("R1", "R2", "R3"))
             raise InternalCheckError(
                 "search: scanned and compiled routes disagree on the E conditions "
-                f"of R-triple ({where}) at E digits {x}")
+                f"of R-triple ({where}) at E digits {list(x)}")
         return scanned
 
-    # runs of candidates with one R-triple: all its E values, or one draw
-    width = layout["E"][1] if "E" in layout else 1
+    # runs of candidates with one R-triple, as (n, E digits): all its E values
+    # in candidate order, or one draw
     if spec.mode == "exhaustive":
-        runs = (range(t * width, (t + 1) * width) for t in _candidates(spec, space // width))
+        runs = ((t, enumerate(itertools.product(range(f.p), repeat=d), t * width))
+                for t in _candidates(spec, space // width))
     else:
-        runs = ((n,) for n in _candidates(spec, space))
+        runs = ((n // width, ((n, _digits(n % width, f.p, d)),))
+                for n in _candidates(spec, space))
     kept = {}  # candidate number -> its solution; distinct numbers fill distinct maps
-    for run in runs:
-        for n in run:
-            parts = {name: n // div % mod for name, (div, mod) in layout.items()}
-            maps = dict(frozen)
-            for cond, unfrozen in cached:
-                key = (cond.label, *(parts[m] for m in unfrozen))
-                holds = verdicts.get(key)
-                if holds is None:
-                    for m in unfrozen:
-                        maps[m] = decode(m, parts[m])
-                    holds = verdicts[key] = cond.witness(
-                        a, v, c, *(maps[m] for m in cond.maps)) is None
-                if not holds:
-                    break
-            else:
-                if (not e_conds or e_holds(maps, parts)) and n not in kept:
-                    kept[n] = TwoSidedData(a, v, c, **maps, **{
-                        m: decode(m, parts[m]) for m in templates if m not in maps})
+    for t, run in runs:
+        maps = triple_maps(t)
+        if maps is None:
+            continue  # no E value passes an R-triple that fails without E
+        for n, x in run:
+            if e_conds and not e_holds(t, maps, x):
                 continue
-            break  # no E value passes an R-triple that fails without E
+            if n not in kept:
+                e = maps["E"] if "E" in frozen else _fill(f, templates["E"], x)
+                kept[n] = TwoSidedData(a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
     return sorted(kept.values(), key=lambda data: tuple(
         getattr(data, m).formatted_rows for m in SEARCH_MAP_NAMES))

@@ -327,9 +327,16 @@ class TensorMap:
     @cached_property
     def formatted_rows(self) -> tuple[tuple[str, ...], ...]:
         """``rows`` with each entry as the field writes it, built once: the
-        search sorts its solutions by these and the report lists them."""
-        fmt = self.field.fmt
-        return tuple(tuple(map(fmt, row)) for row in self.rows)
+        search sorts its solutions by these and the report lists them.  Every
+        entry starts as the formatted zero, and only the stored nonzeros are
+        formatted, so the dense ``rows`` are not built."""
+        fmt, n = self.field.fmt, self.domain.total
+        zero = fmt(self.field.zero)
+        out = [[zero] * n for _ in range(self.codomain.total)]
+        for j, col in enumerate(self.cols):
+            for i, x in col:
+                out[i][j] = fmt(x)
+        return tuple(map(tuple, out))
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.domain.total:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import xprod
@@ -934,8 +934,17 @@ def shared(x):
     return st.sampled_from([[x, x], {"a": x, "b": [x, (x,)]}, (x, [[x]], {"": x})])
 
 
+MATRIX = (("a", "b"), ("c", "d"))
+
+
 @given(JSON_VALUES | JSON_VALUES.flatmap(shared))
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+# equal and equally hashed, yet written [1] and [true], [0] and [false]
+@example([(1,), (True,)])
+@example([(0,), (False,)])
+# one matrix of strings at two indents, and a tuple that cannot be hashed
+@example([MATRIX, {"m": [MATRIX]}, MATRIX])
+@example((None, [[None]], {"": None}))
 def test_canonical_json_equals_json_dumps(x):
     assert canonical_json(x) == json_reference(x)
 

@@ -687,6 +687,20 @@ def test_unfrozen_f2_exhaustive_solutions_pinned():
         "8fae060d684f966193a65e15dacbe58485e50912ab85c6cb3096f0ac373d5287")
 
 
+def test_r2_r3_frozen_f3_exhaustive_solutions_pinned():
+    # R1 and E searched over F3 (3^12 candidates, 81 R-triples, each with its
+    # 6,561 E values in one run); the count and the sha of the solutions' rows
+    # are regression values taken before each R-triple was decided once
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    spec = SearchSpec(F3, (2, 2, 2), cap=1 << 20, frozen={"R2": fl, "R3": fl})
+    got = search_fp(spec, d, d.as_pointed(), d)
+    rows = repr([tuple(getattr(x, m).formatted_rows for m in SEARCH_MAP_NAMES) for x in got])
+    assert len(got) == 6921
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "f91c40dc43083b73d8903231ee44381f24ff3d07ba31f3901c73abb403a4a5f4")
+
+
 def _unit_bases(field):
     """(A, V, C) with their units at different basis positions."""
     dual, trunc, k = dual_numbers(field), truncated_polynomials3(field), scalar_alg(field)
@@ -814,6 +828,15 @@ def test_search_compiles_on_the_second_visit_to_the_e_conditions(monkeypatch):
         _, counts = scans_per_r1(monkeypatch, "equiv6", replace(frozen, budget=budget),
                                  d, d.as_pointed(), d)
         assert sum(counts.values()) == min(budget, 2)
+
+    def repeats(seed):  # the frozen-flip F3 space has 3^8 candidates
+        rng = random.Random(seed)
+        return rng.randrange(3 ** 8) == rng.randrange(3 ** 8)
+
+    # a repeated draw is a visit too: it is scanned again, though it adds no solution
+    twice = replace(frozen, budget=2, seed=next(filter(repeats, range(10 ** 5))))
+    got, counts = scans_per_r1(monkeypatch, "equiv6", twice, d, d.as_pointed(), d)
+    assert len(got) == 1 and list(counts.values()) == [2]
     # every passing triple of an exhaustive search meets all its E values
     d2 = dual_numbers(F2)
     fl2 = flip(F2, 2, 2)

@@ -1,6 +1,7 @@
 """Scalar arithmetic, index conventions, composition, Kronecker products."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -347,3 +348,33 @@ def test_sparse_columns_match_dense_oracles_with_cancellation(which, n0, n1, n2,
     for b in (same, other, compose(identity(field, shape(n2)), gf)):
         assert (gf.cols == b.cols) == (gf.rows == b.rows)
     assert gf.cols == same.cols
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(2), PrimeField(3), PrimeField(7)],
+                         ids=["Q", "F2", "F3", "F7"])
+def test_formatted_rows_equal_the_dense_rows_formatted(field):
+    # formatted_rows formats only the stored nonzeros; the oracle formats
+    # every entry of the dense matrix
+    rng = random.Random(16)
+    if field is Q:  # negative and non-integral entries
+        values = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 6)]
+    else:
+        values = list(range(field.p))
+    shapes = [((1,), (1,)), ((1,), (3,)), ((3,), (1,)), ((2, 2), (2, 2)), ((2, 3), (3,)),
+              ((2,), (2, 2, 2))]
+    for dom, cod in shapes:
+        dom, cod = shape(*dom), shape(*cod)
+        for trial in range(12):
+            rows = [[rng.choice(values) if rng.random() < 0.6 else field.zero
+                     for _ in range(dom.total)] for _ in range(cod.total)]
+            if trial % 3 == 1:  # an all-zero row and an all-zero column
+                rows[rng.randrange(cod.total)] = [field.zero] * dom.total
+                j = rng.randrange(dom.total)
+                for row in rows:
+                    row[j] = field.zero
+            elif trial % 3 == 2:  # the zero map
+                rows = [[field.zero] * dom.total for _ in range(cod.total)]
+            m = from_rows(field, dom, cod, rows)
+            assert m.formatted_rows == tuple(tuple(map(field.fmt, r)) for r in m.rows)
+        zero_row = (field.fmt(field.zero),) * dom.total
+        assert zero_map(field, dom, cod).formatted_rows == (zero_row,) * cod.total
