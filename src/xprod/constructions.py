@@ -36,7 +36,6 @@ from .algebra import (
     _column_witness,
     _require_maps,
     _unit_legs,
-    ordinary_tensor,
 )
 from .crossed import (
     MirrorData,
@@ -95,8 +94,7 @@ def _prefixed(prefix: str, rep: Report) -> Report:
         for e in rep.entries))
 
 
-def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap,
-                 a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> Report:
+def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
     """The hexagon identity for three twisting maps, checked columnwise."""
     return Report((_columns_equal("braid", _braid(
         r1, r2, r3, "(id⊗R2)∘(R3⊗id)∘(id⊗R1)=(R1⊗id)∘(id⊗R3)∘(R2⊗id)")),))
@@ -120,7 +118,7 @@ def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
     return merge(
         *(_prefixed(name, check_twisting(r, a_, b_))
           for name, r, a_, b_ in _iterated_twists(a, b, c, r1, r2, r3)),
-        braid_report(r1, r2, r3, a, b, c),
+        braid_report(r1, r2, r3),
     )
 
 
@@ -143,7 +141,7 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
         t = t.map_at(r3, 2)            # (c, a') -> a'_R3, c_R3
         t = t.map_at(r1, 1)            # (b, a'_R3) -> (a'_R3)_R1, b_R1
         t = t.map_at(r2, 3)            # (c_R3, b') -> b'_R2, (c_R3)_R2
-        return t.mul_at(a, 0).mul_at(b, 1).mul_at(c, 2)
+        return t.map_at(a.mul, 0).map_at(b.mul, 1).map_at(c.mul, 2)
 
     witness = _column_witness((_chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul, ""))
     if witness is not None:
@@ -232,22 +230,23 @@ class LRData:
 def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
     """Present the two-sided product on V (x) (A (x) C) by each remark that applies.
 
-    Remark 1 (R1 = flip) builds B' = A (x)_R3 C and the mirror crossed product
-    V (x)~_{P,ν} B' with P((a⊗c)⊗v) = v_R2 ⊗ (a ⊗ c_R2) and
-    ν(v⊗v') = E_V(v,v') ⊗ (E_A(v,v') ⊗ E_C(v,v')).  Remark 2 (R3 = flip)
-    builds the L-R-style product from the displayed expansion
+    Both build on B' = A (x)_R3 C.  Remark 1 (R1 = flip) builds the mirror
+    crossed product V (x)~_{P,ν} B' with P((a⊗c)⊗v) = v_R2 ⊗ (a ⊗ c_R2) and
+    ν(v⊗v') = E_V(v,v') ⊗ (E_A(v,v') ⊗ E_C(v,v')).  Remark 2 (R3 = flip, so
+    B' = A (x) C) builds the L-R-style product from the displayed expansion
     ``(v⊗(a⊗c))•(v'⊗(a'⊗c')) = E_V(v_R1,v'_R2) ⊗ (a a'_R1 E_A(v_R1,v'_R2) ⊗
     E_C(v_R1,v'_R2) c_R2 c')``; its J is the mirror P.
 
-    Validates the two-sided product once and permutes it to V (x) A (x) C.
-    Each presentation has its own conditions but no validation, and must equal
-    the permuted product exactly, else :class:`InternalCheckError`; all units
-    are 1_V ⊗ 1_A ⊗ 1_C.  Returns the permuted product, the data of each
-    remark that applies (``"remark1"``: :class:`MirrorData`, ``"remark2"``:
-    :class:`LRData`) and their report entries, prefixed ``remark1:`` and
-    ``remark2:``.  Remark 2's report also carries an informational witness
-    showing the product is generally not a mirror crossed product: a basis
-    tuple with (v⊗(a⊗c))•(1_V⊗(a'⊗c')) different from v ⊗ (a⊗c)(a'⊗c').
+    Validates the two-sided product and B' once each, and permutes the product
+    to V (x) A (x) C.  Each presentation has its own conditions but no
+    validation, and must equal the permuted product exactly, else
+    :class:`InternalCheckError`; all units are 1_V ⊗ 1_A ⊗ 1_C.  Returns the
+    permuted product, the data of each remark that applies (``"remark1"``:
+    :class:`MirrorData`, ``"remark2"``: :class:`LRData`) and their report
+    entries, prefixed ``remark1:`` and ``remark2:``.  Remark 2's report also
+    carries an informational witness showing the product is generally not a
+    mirror crossed product: a basis tuple with (v⊗(a⊗c))•(1_V⊗(a'⊗c'))
+    different from v ⊗ (a⊗c)(a'⊗c').
     """
     mirror, lr = _is_flip(d.R1), _is_flip(d.R3)
     if not (mirror or lr):
@@ -260,13 +259,13 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
     to_avc = permute_factors(f, (nv, na, nc) * 2, (1, 0, 2, 4, 3, 5))
     moved = FinAlgebra(f, n, compose(to_vac, build_twosided(d).mul, to_avc).reshaped(
         shape(n, n), shape(n)), tensor_vec(f, v.unit, a.unit, c.unit))
-    ida = identity(f, shape(na))
-    p_map = compose(to_vac, tensor(ida, d.R2)).reshaped(
+    p_map = compose(to_vac, tensor(identity(f, shape(na)), d.R2)).reshaped(
         domain=shape(nac, nv), codomain=shape(nv, nac))
+    ac = build_ttp(a, c, d.R3)
     data, entries = {}, []
     if mirror:
         nu_map = compose(to_vac, d.E).reshaped(codomain=shape(nv, nac))
-        mir = data["remark1"] = MirrorData(v, build_ttp(a, c, d.R3), p_map, nu_map)
+        mir = data["remark1"] = MirrorData(v, ac, p_map, nu_map)
         try:
             mul, conditions = _mirror_product(mir)
         except AxiomFailure as exc:
@@ -277,16 +276,12 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
         entries += _prefixed("remark1:mirror", conditions).entries
         entries.append(ConditionResult("remark1:transport-equality", True))
     if lr:
-        ac = ordinary_tensor(a, c)
-        idv, idc = identity(f, shape(nv)), identity(f, shape(nc))
-        t_map = compose(to_vac, tensor(d.R1, idc)).reshaped(
+        t_map = compose(to_vac, tensor(d.R1, identity(f, shape(nc)))).reshaped(
             domain=shape(nv, nac), codomain=shape(nv, nac))
-        gamma = tensor(idv, idv, vector_map(f, ac.unit)).reshaped(
-            domain=shape(nv, nv), codomain=shape(nv, nv, nac))
-        to_vca = permute_factors(f, (na, nv, nc), (1, 2, 0))
-        insert_units = tensor(idv, vector_map(f, a.unit), idc, ida, vector_map(f, c.unit))
-        eta = compose(insert_units.reshaped(domain=shape(nv, nc, na)),
-                      to_vca, d.E).reshaped(codomain=shape(nv, nac, nac))
+        gamma = _unit_legs(f, (v.unit, v.unit, ac.unit), (0, 1))
+        eta = compose(_unit_legs(f, (v.unit, a.unit, c.unit, a.unit, c.unit), (0, 2, 3)),
+                      permute_factors(f, (na, nv, nc), (1, 2, 0)), d.E).reshaped(
+            codomain=shape(nv, nac, nac))
         data["remark2"] = LRData(p_map, t_map, gamma, eta)
 
         def chain(t):
@@ -295,15 +290,15 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
             t = t.map_at(d.R2, 3)                  # ..., v'_R2, c_R2, c'
             t = t.permute((2, 0, 1, 3, 4, 5))      # a, a'_R1, v_R1, v'_R2, c_R2, c'
             t = t.map_at(d.E, 2)                   # a, a'_R1, E_A, E_V, E_C, c_R2, c'
-            t = t.mul_at(a, 0).mul_at(a, 0)
-            t = t.mul_at(c, 2).mul_at(c, 2)        # E_C c_R2 c'
+            t = t.map_at(a.mul, 0).map_at(a.mul, 0)
+            t = t.map_at(c.mul, 2).map_at(c.mul, 2)  # E_C c_R2 c'
             return t.permute((1, 0, 2))            # V, A, C
 
         if _chain_map(f, (nv, na, nc) * 2, chain).cols != moved.mul.cols:
             raise InternalCheckError("L-R presentation differs from the permuted product")
         info = _column_witness((
             compose(moved.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
-            tensor(idv, ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
+            tensor(identity(f, shape(nv)), ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
             "(v⊗(a⊗c))•(1_V⊗(a'⊗c')) vs v⊗(a⊗c)(a'⊗c')"))
         entries += (ConditionResult("remark2:transport-equality", True),
                     ConditionResult("remark2:lr-differs-from-mirror", True, info,
@@ -414,11 +409,11 @@ def _candidates(spec: SearchSpec, space: int):
 
 
 class _Poly:
-    """Polynomials over F_p in E's free digits, with the ``one``, ``add``,
-    ``mul`` and ``is_zero`` that the sparse tensor chains of
-    :mod:`~xprod.twosided` use: a constant is its residue, any other
-    polynomial a dict from monomials (sorted tuples of digit numbers, a square
-    repeats its number) to nonzero coefficients, so zero is ``0``."""
+    """Polynomials over F_p in E's free digits, with the ``one`` and the
+    :class:`Field` operations ``add``, ``mul`` and ``is_zero`` that the sparse
+    tensor chains of :mod:`~xprod.twosided` use: a constant is its residue, any
+    other polynomial a dict from monomials (sorted tuples of digit numbers, a
+    square repeats its number) to nonzero coefficients, so zero is ``0``."""
 
     one = 1
 

@@ -2,8 +2,9 @@
 
 Scalars are plain values: ``fractions.Fraction`` over the rationals (always
 reduced, positive denominator) and ``int`` residues in ``[0, p)`` over a prime
-field.  All arithmetic goes through a :class:`Field` instance so results stay
-canonical, and equality of canonical values is structural equality.
+field.  All arithmetic goes through the operations that :class:`Field` names,
+so results stay canonical, and equality of canonical values is structural
+equality.
 
 Tensor conventions used everywhere in the package:
 
@@ -40,30 +41,11 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Exact arithmetic on canonical scalar values."""
+    """Exact arithmetic on canonical scalar values: ``add``, ``sub``, ``mul``,
+    ``neg``, ``inv``, ``from_int``, ``parse`` (document text to a value),
+    ``fmt`` (a value to document text) and ``is_zero``."""
 
     kind: str
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
 
     @staticmethod
     def _exact(value):
@@ -71,9 +53,6 @@ class Field:
         if isinstance(value, (bool, float)):
             raise ValueError("expected a string or an integer")
         return value
-
-    def fmt(self, a) -> str:
-        raise NotImplementedError
 
     @property
     def zero(self):

@@ -169,10 +169,6 @@ class _Ten:
                     out[new_key] = t
         return _Ten(f, out_dims, out)
 
-    def mul_at(self, alg: FinAlgebra, pos: int) -> "_Ten":
-        """Multiply the factors at pos and pos+1 inside the given algebra."""
-        return self.map_at(alg.mul, pos)
-
     def insert(self, pos: int, vec) -> "_Ten":
         """Insert the vector ``vec`` as a new factor at position pos."""
         f = self.field
@@ -231,16 +227,16 @@ def _mult_left_scan(r, alg, identity_text):
     """R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist R: X (x) A -> A (x) X, on
     basis tuples (x, a, a')."""
     return _one_scan((r.domain.dims[0], alg.dim, alg.dim), (
-        lambda t: t.mul_at(alg, 1).map_at(r, 0),
-        lambda t: t.map_at(r, 0).map_at(r, 1).mul_at(alg, 0), identity_text))
+        lambda t: t.map_at(alg.mul, 1).map_at(r, 0),
+        lambda t: t.map_at(r, 0).map_at(r, 1).map_at(alg.mul, 0), identity_text))
 
 
 def _mult_right_scan(r, alg, identity_text):
     """R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist R: C (x) X -> X (x) C, on
     basis tuples (c, c', x)."""
     return _one_scan((alg.dim, alg.dim, r.domain.dims[1]), (
-        lambda t: t.mul_at(alg, 0).map_at(r, 0),
-        lambda t: t.map_at(r, 1).map_at(r, 0).mul_at(alg, 1), identity_text))
+        lambda t: t.map_at(alg.mul, 0).map_at(r, 0),
+        lambda t: t.map_at(r, 1).map_at(r, 0).map_at(alg.mul, 1), identity_text))
 
 
 def _twist_unit_scans(r, units, legs, texts):
@@ -315,18 +311,18 @@ CONDITIONS = (
             "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))),
     Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _one_scan(
         (v.dim, v.dim, a.dim), (
-            lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0),
-            lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).mul_at(a, 0),
+            lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).map_at(a.mul, 0),
+            lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).map_at(a.mul, 0),
             "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))),
     Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _one_scan(
         (c.dim, v.dim, v.dim), (
-            lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).mul_at(c, 2),
-            lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).mul_at(c, 2),
+            lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).map_at(c.mul, 2),
+            lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).map_at(c.mul, 2),
             "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))),
     Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _one_scan(
         (v.dim, v.dim, v.dim), (
-            lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
-            lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).mul_at(a, 0).mul_at(c, 2),
+            lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).map_at(a.mul, 0).map_at(c.mul, 2),
+            lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).map_at(a.mul, 0).map_at(c.mul, 2),
             "E-chain of (v v') v'' = E-chain of v (v' v'')"))),
 )
 
@@ -419,7 +415,7 @@ def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
         t = t.map_at(d.R1, 1)   # (v, a'_R3) -> (a'_R3)_R1, v_R1
         t = t.map_at(d.R2, 3)   # (c_R3, v') -> v'_R2, (c_R3)_R2
         t = t.map_at(d.E, 2)    # E(v_R1, v'_R2)
-        return t.mul_at(d.A, 0).mul_at(d.A, 0).mul_at(d.C, 2).mul_at(d.C, 2)
+        return t.map_at(d.A.mul, 0).map_at(d.A.mul, 0).map_at(d.C.mul, 2).map_at(d.C.mul, 2)
 
     mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, chain).reshaped(shape(n, n), shape(n))
     # composite route for the same multiplication, kept as an internal check

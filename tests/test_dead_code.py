@@ -1,7 +1,7 @@
 """Every function and method of the package is named somewhere besides its
 own ``def``: in the package or in the tests.  Dunder methods are called by
 Python itself and are exempt.  Every field of a value class is read somewhere,
-and every import is named."""
+every import is named, and every parameter is read by its function."""
 
 import ast
 import re
@@ -84,3 +84,34 @@ def test_every_import_is_named():
     unused = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
               for entry in unused_imports(path)]
     assert not unused, f"imported but never named: {unused}"
+
+
+def unread_parameters(path):
+    """(qualified name, parameter) of every parameter that a module-level
+    function or a method of a module-level class never reads.  ``self`` and
+    ``cls`` are exempt, and so are the functions stored as values of a
+    module-level dict (``_HANDLERS``, ``_SECTIONS``): the dispatch fixes their
+    signature."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dispatched = {value.id for node in tree.body
+                  if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                  for value in node.value.values if isinstance(value, ast.Name)}
+    functions = [(None, node) for node in tree.body] + [
+        (node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body]
+    for cls, fn in functions:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in dispatched:
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read and p.arg not in ("self", "cls"):
+                yield fn.name if cls is None else f"{cls}.{fn.name}", p.arg
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}: {qualified}({name})" for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in unread_parameters(path)]
+    assert not unread, f"parameters never read: {unread}"

@@ -1,8 +1,8 @@
 """Failure paths that only malformed input reaches, pinned exactly: the unit
 and counit laws that fail on the right only, the axiom failures of
 ``build_brzezinski`` and ``build_mirror``, the CLI's refusals of a malformed
-algebra, space or coalgebra, and a forced build of a two-sided product that
-is not unital."""
+algebra, space or coalgebra, a forced build of a two-sided product that is
+not unital, and the exit code of every error class."""
 
 import hashlib
 import json
@@ -16,6 +16,8 @@ from xprod import (
     TwoSidedData,
     build_brzezinski,
     build_mirror,
+    cli,
+    errors,
     flip,
     grouplike_coalgebra,
     lift_twisting_to_brzezinski,
@@ -108,6 +110,12 @@ NOT_UNITAL = {"dim": 2, "unit": ["1", "0"],
               "mul": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]]}
 COUNIT_RIGHT = {"dim": 2, "comul": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
                 "counit": [["1", "0"]], "unit": ["1", "0"]}
+# comul(e_1) = e_0⊗e_1 + e_1⊗e_1: (comul⊗id) and (id⊗comul) differ by e_1⊗e_0⊗e_1
+NOT_COASSOCIATIVE = {"dim": 2, "comul": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "1"]],
+                     "counit": [["1", "0"]], "unit": ["1", "0"]}
+# two grouplikes: their sum is counital but not grouplike
+NOT_GROUPLIKE = {"dim": 2, "comul": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]],
+                 "counit": [["1", "1"]], "unit": ["1", "1"]}
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -119,7 +127,12 @@ COUNIT_RIGHT = {"dim": 2, "comul": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0
      "$.spaces.V: distinguished element must be nonzero"),
     (doc_with("coalgebras", "H", COUNIT_RIGHT),
      "$.coalgebras.H: right counit law fails at basis vector 1"),
-], ids=["not-associative", "not-unital", "zero-unit", "counit-right"])
+    (doc_with("coalgebras", "H", NOT_COASSOCIATIVE),
+     "$.coalgebras.H: coassociativity fails at basis vector 1"),
+    (doc_with("coalgebras", "H", NOT_GROUPLIKE),
+     "$.coalgebras.H: comul(1_H) != 1_H (x) 1_H"),
+], ids=["not-associative", "not-unital", "zero-unit", "counit-right", "not-coassociative",
+        "unit-not-grouplike"])
 def test_cli_refuses_malformed_structures_with_their_path(tmp_path, obj, message):
     rc, raw = run_cli(tmp_path, obj)
     assert rc == 2
@@ -144,3 +157,31 @@ def test_forced_build_of_a_product_that_is_not_unital_on_the_right(tmp_path):
     assert rep["conditions"][0]["witness"]["identity"] == "right unit law"
     assert hashlib.sha256(raw).hexdigest() == (
         "f58ae1222332aa92a2f8eca0dae82d981d35958d42d83c121f7ab40192990d18")
+
+
+EXIT_CODES = {
+    1: ("AxiomFailure", "SplitFail", "NotAlgebraMap", "UnitMismatch", "PremiseFail",
+        "NotAssociative", "NotUnital", "NotCoassociative", "CounitFail", "UnitNotGrouplike"),
+    2: ("DocumentError", "ShapeMismatch", "FieldMismatch", "PreconditionFail",
+        "SearchSpaceTooLarge"),
+    3: ("InternalCheckError", "RoundTripMismatch", "NotAlgebraMapResult"),
+}
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, tmp_path):
+    # a class added to errors.py fails here until it is classified, rather
+    # than exiting 3 as an unknown exception
+    classes = {name: cls for name, cls in vars(errors).items() if isinstance(cls, type)
+               and issubclass(cls, errors.XprodError) and cls is not errors.XprodError}
+    table = {name: code for code, names in EXIT_CODES.items() for name in names}
+    assert sorted(table) == sorted(classes)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(twosided_doc(dict(corpus())["q-dual-flip-trivial"])),
+                   encoding="utf-8")
+    for name, code in table.items():
+        def raise_it(*_, cls=classes[name]):
+            raise cls.__new__(cls)
+
+        monkeypatch.setitem(cli._HANDLERS, "check", raise_it)
+        rc = main(["check", "--in", str(doc), "--out", str(tmp_path / "report.json")])
+        assert rc == code, name

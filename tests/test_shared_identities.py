@@ -79,7 +79,7 @@ def test_twisting_and_braid_checks_agree_with_the_twosided_conditions():
         count += 1
         two = {e.name: e for e in check_twosided(d).entries}
         tw = {e.name: e for e in check_twisting(d.R3, d.A, d.C).entries}
-        braid = braid_report(d.R1, d.R2, d.R3, d.A, d.V, d.C).entries[0]
+        braid = braid_report(d.R1, d.R2, d.R3).entries[0]
 
         # twR31 scans the C leg, R3(c⊗1_A), before the A leg, R3(1_C⊗a)
         units = [tw["twisting-unit-right"], tw["twisting-unit-left"]]

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fixtures import corpus, twosided_doc
+from fixtures import Q, corpus, dual_numbers, twosided_doc, twosided_graded
 from test_cli import all_kinds_doc
 from test_pinned_witnesses import with_entry
 from xprod import algebra, cli, constructions, crossed, twosided
@@ -124,24 +124,31 @@ def count_calls(monkeypatch, fn):
 
 
 ALL_KINDS = cli.parse_document(json.dumps(all_kinds_doc()))
+# R1 the sign-twisted flip of odd x in A and V, R2 and R3 flips (C is even):
+# only remark 2 of transport applies
+_dq = dual_numbers(Q)
+_r1_super = twosided_doc(twosided_graded(_dq, _dq, _dq, (0, 1), (0, 1), (0, 0)))
+_r1_super["datasets"] = {"r1-super": _r1_super["datasets"]["d"]}
+R1_SUPER = cli.parse_document(json.dumps(_r1_super))
 
 
 @pytest.mark.parametrize("command, dataset, counts", [
-    ("agree", "d", [1, 1, 1, 1]), ("transport", "d", [3, 1, 1, 1]),
-    ("extract", "d", [1, 1, 1, 0]), ("build", "g", [1, 1, 1, 0])])
+    ("agree", "d", [1, 1, 1, 1]), ("transport", "d", [2, 1, 1, 1]),
+    ("extract", "d", [1, 1, 1, 0]), ("build", "g", [1, 1, 1, 0]),
+    ("transport", "r1-super", [2, 1, 1, 0])])
 def test_associativity_scans_per_command(monkeypatch, command, dataset, counts):
     # counts: associativity scans, then calls of check_twosided, _raw_product
     # and check_mirror.  "d" has flips for R1, R2 and R3; "g" is coalgebra-based
-    # (ma) data.  The two-sided product, and the ordinary or twisted tensor
-    # product that a transport builds on, are validated; nothing that must
-    # equal them is.  extract checks and rebuilds the maps it extracts only
-    # when they differ from the dataset's.
+    # (ma) data; "r1-super" has R3 but not R1 the flip.  The two-sided product,
+    # and the one A (x)_R3 C that both remarks of a transport build on, are
+    # validated; nothing that must equal them is.  extract checks and rebuilds
+    # the maps it extracts only when they differ from the dataset's.
     calls = [count_calls(monkeypatch, fn) for fn in (
         algebra.associativity_witness, twosided.check_twosided, twosided._raw_product,
         crossed.check_mirror)]
-    kind, entry = ALL_KINDS.datasets[dataset]
-    rep, _ = cli._HANDLERS[command](ALL_KINDS, dataset, kind, entry,
-                                    SimpleNamespace(force=False))
+    doc = ALL_KINDS if dataset in ALL_KINDS.datasets else R1_SUPER
+    kind, entry = doc.datasets[dataset]
+    rep, _ = cli._HANDLERS[command](doc, dataset, kind, entry, SimpleNamespace(force=False))
     assert rep.all_pass
     assert [len(c) for c in calls] == counts
 
