@@ -12,18 +12,19 @@ structure constants are nested arrays ``c[i][j][k]`` with
 Reports are canonical JSON: sorted keys, normalized scalars, LF endings, no
 timestamps, so output bytes depend only on the input document and seed.
 Exit codes: 0 all conditions pass, 1 axiom failure, 2 input error, 3 internal
-error (two internal routes disagreed, or any other unexpected exception).
+error (two internal routes disagreed, or any other unexpected exception).  A
+refused command line also exits 2, with the usage and the reason on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from collections.abc import Callable
 from itertools import accumulate
 from json.encoder import encode_basestring  # the C encoder where _json is built
+from types import SimpleNamespace
 
 from .algebra import (
     FinAlgebra,
@@ -584,24 +585,131 @@ def _pick_dataset(doc: Document, wanted):
                         "--dataset is required when a document has several datasets")
 
 
+# The command line reads as ``argparse`` read it, without its import and set-up
+# cost: one positional command and these options, each also named by any unique
+# prefix and given its value as ``--name=VALUE``.  Each option maps to its
+# destination and the conversion of its value, None for a flag.
+_OPTIONS = {"-h": ("help", None), "--help": ("help", None), "--in": ("infile", str),
+            "--out": ("outfile", str), "--dataset": ("dataset", str),
+            "--condition": ("condition", str), "--seed": ("seed", int),
+            "--force": ("force", None)}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # an argument, not an option
+_CHOICES = "{" + ",".join(COMMANDS) + "}"
+_USAGE = f"""usage: xprod [-h] --in FILE [--out FILE] [--dataset NAME] [--condition LABEL]
+             [--seed N] [--force]
+             {_CHOICES}
+"""
+_HELP = f"""{_USAGE}
+Check, build, transport and search crossed-product structures.
+
+positional arguments:
+  {_CHOICES}
+
+options:
+  -h, --help            show this help message and exit
+  --in FILE             input document (JSON)
+  --out FILE            write the report here instead of stdout
+  --dataset NAME        dataset to operate on (default: the only one)
+  --condition LABEL     restrict the report to one named condition
+  --seed N              override the search seed
+  --force               build without requiring the checks to pass
+"""
+
+
+def _refuse(message):
+    sys.stderr.write(f"{_USAGE}xprod: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg):
+    """How one argument before any ``--`` reads: None for an argument, else
+    (the option it names, None for an unknown one; its ``=`` value or None)."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if eq and name in _OPTIONS:
+        return name, explicit
+    if arg.startswith("--"):
+        matches = [opt for opt in _OPTIONS if opt.startswith(name)]
+        if len(matches) > 1:
+            _refuse(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
+
+
+def _parse_argv(argv):
+    """The command and the option values of ``argv``, read left to right.
+    Help exits 0 where it is read.  A refusal exits 2: an ambiguous prefix
+    before anything is read, a bad value or command where it is read, and a
+    missing command or ``--in``, then an unrecognized argument, at the end."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "O" an option, "A" an argument, "-" the first "--", after which all are "A"
+    kinds, options = "", {}
+    for i, arg in enumerate(argv):
+        if "-" in kinds:
+            kinds += "A"
+        elif arg == "--":
+            kinds += "-"
+        else:
+            options[i] = _option(arg)
+            kinds += "A" if options[i] is None else "O"
+    values = dict.fromkeys(("command", "infile", "outfile", "dataset", "condition", "seed"))
+    values["force"] = False
+    extras, i = [], 0
+    while i < len(argv):
+        if kinds[i] == "O":
+            opt, explicit = options[i]
+            i += 1
+            if opt is None:
+                extras.append(argv[i - 1])
+                continue
+            dest, convert = _OPTIONS[opt]
+            name = "-h/--help" if dest == "help" else opt
+            if convert is None:
+                if opt == "-h" and explicit:  # -hh is -h -h
+                    explicit = explicit.lstrip("h") or None
+                if explicit is not None:
+                    _refuse(f"argument {name}: ignored explicit argument {explicit!r}")
+                if dest == "help":
+                    sys.stdout.write(_HELP)
+                    raise SystemExit(0)
+                values[dest] = True
+                continue
+            if explicit is None:
+                if kinds[i:i + 1] != "A":
+                    _refuse(f"argument {name}: expected one argument")
+                explicit, i = argv[i], i + 1
+            try:  # argparse drops the first "--" of an option's values: --seed=-- is []
+                values[dest] = [] if explicit == "--" else convert(explicit)
+            except ValueError:
+                _refuse(f"argument {name}: invalid int value: {explicit!r}")
+        elif values["command"] is not None or kinds[i:] == "-":
+            extras.append(argv[i])
+            i += 1
+        else:  # the command, with the "--" just before or after it
+            i += kinds[i] == "-"
+            if argv[i] not in _HANDLERS:
+                _refuse(f"argument command: invalid choice: {argv[i]!r} "
+                        f"(choose from {', '.join(map(repr, COMMANDS))})")
+            values["command"] = argv[i]
+            i += 1 + (kinds[i + 1:i + 2] == "-")
+    missing = [name for name, dest in (("command", "command"), ("--in", "infile"))
+               if values[dest] is None]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="xprod",
-        description="Check, build, transport and search crossed-product structures.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                        help="input document (JSON)")
-    parser.add_argument("--out", dest="outfile", metavar="FILE",
-                        help="write the report here instead of stdout")
-    parser.add_argument("--dataset", metavar="NAME",
-                        help="dataset to operate on (default: the only one)")
-    parser.add_argument("--condition", metavar="LABEL",
-                        help="restrict the report to one named condition")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="override the search seed")
-    parser.add_argument("--force", action="store_true",
-                        help="build without requiring the checks to pass")
-    args = parser.parse_args(argv)
+    args = _parse_argv(argv)
 
     report_skeleton = {"command": args.command, "dataset": None}
     field = None  # known once the document parses; only witnesses need it

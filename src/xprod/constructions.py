@@ -42,8 +42,8 @@ from .crossed import (
     _braid,
     _columns_equal,
     _mirror_product,
+    _ttp_product,
     _twisting_shapes,
-    build_ttp,
     check_twisting,
 )
 from .errors import (
@@ -261,7 +261,7 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
         shape(n, n), shape(n)), tensor_vec(f, v.unit, a.unit, c.unit))
     p_map = compose(to_vac, tensor(identity(f, shape(na)), d.R2)).reshaped(
         domain=shape(nac, nv), codomain=shape(nv, nac))
-    ac = build_ttp(a, c, d.R3)
+    ac = _ttp_product(a, c, d.R3)  # build_twosided decided R3's twisting laws as twR31-33
     data, entries = {}, []
     if mirror:
         nu_map = compose(to_vac, d.E).reshaped(codomain=shape(nv, nac))

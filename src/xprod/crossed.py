@@ -129,6 +129,12 @@ def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     rep = check_twisting(r, a, b)
     if not rep.all_pass:
         raise AxiomFailure(rep, "twisting map conditions fail")
+    return _ttp_product(a, b, r)
+
+
+def _ttp_product(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
+    """The validated algebra A (x)_R B of :func:`build_ttp`, for a twist whose
+    conditions the caller has already decided."""
     ida, idb = identity(a.field, shape(a.dim)), identity(a.field, shape(b.dim))
     return product_algebra(compose(tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
 

@@ -1,10 +1,11 @@
 """Exact scalars and sparse multilinear algebra over Q and prime fields.
 
-Scalars are plain values: ``fractions.Fraction`` over the rationals (always
-reduced, positive denominator) and ``int`` residues in ``[0, p)`` over a prime
-field.  All arithmetic goes through the operations that :class:`Field` names,
-so results stay canonical, and equality of canonical values is structural
-equality.
+Scalars are plain values.  Over the rationals a scalar is an ``int`` when it
+is integral and a reduced ``fractions.Fraction`` (positive denominator)
+otherwise; ``fractions`` is imported only when a value needs it.  Over a prime
+field a scalar is an ``int`` residue in ``[0, p)``.  All arithmetic goes
+through the operations that :class:`Field` names, so results stay canonical,
+and equality of canonical values is structural equality.
 
 Tensor conventions used everywhere in the package:
 
@@ -19,7 +20,6 @@ Tensor conventions used everywhere in the package:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 
@@ -63,6 +63,11 @@ class Field:
         return self.from_int(1)
 
 
+def _integral(x):
+    """A ``Fraction`` as a canonical scalar: its ``int`` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @record
 class Rationals(Field):
     """The field of arbitrary-precision rationals."""
@@ -70,13 +75,16 @@ class Rationals(Field):
     kind = "rationals"
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _integral(s)
 
     def sub(self, a, b):
-        return a - b
+        d = a - b
+        return d if type(d) is int else _integral(d)
 
     def mul(self, a, b):
-        return a * b
+        p = a * b
+        return p if type(p) is int else _integral(p)
 
     def neg(self, a):
         return -a
@@ -84,25 +92,31 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        if a == 1 or a == -1:  # its own inverse: a unit coordinate needs no Fraction
+            return a
+        from fractions import Fraction
+        return _integral(Fraction(1) / a)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
         if isinstance(self._exact(text), int):
-            return Fraction(text)
+            return text
         text = str(text).strip()
+        try:
+            return int(text)
+        except ValueError:  # not an integer literal: Fraction reads it or refuses it
+            pass
+        from fractions import Fraction
         if "/" in text:
             # accept a signed denominator, e.g. "3/-6"
             num, _, den = text.partition("/")
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(text)
+            return _integral(Fraction(int(num.strip()), int(den.strip())))
+        return _integral(Fraction(text))
 
     def fmt(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return str(a)  # "-1/2" for a Fraction
 
     def is_zero(self, a):
         return not a

@@ -1038,3 +1038,174 @@ def test_readme_dataset_table_matches_the_cli_table():
     rows = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)`", readme.read_text("utf-8"), re.M))
     assert rows == {kind: " ".join(key for key, _ in t.keys)
                     for kind, t in DATASET_TYPES.items()}
+
+
+# -- argv ---------------------------------------------------------------------
+#
+# Each outcome was recorded from the argparse parser that the table-driven one
+# replaced.  "help" exits 0 with the usage on stdout and nothing on stderr;
+# "refused" exits 2 with the usage and the reason on stderr and nothing on
+# stdout; (code, argv) exits with that code and the report bytes of that
+# canonical argv.  DOC names a passing twosided document, SEARCH a search
+# document and MISSING an absent file.
+
+CHECK = ["check", "--in", "DOC"]
+EQUIV6 = CHECK + ["--condition", "equiv6"]
+SEED_7 = ["search", "--in", "SEARCH", "--seed", "7"]
+NEGATIVE_SEED = ["search", "--in", "SEARCH", "--seed", "-1"]
+ARGV_CASES = [
+    (["--help"], "help"),
+    (["-h"], "help"),
+    (["-hh"], "help"),
+    (["--he"], "help"),
+    (CHECK + ["--help"], "help"),
+    (["check", "--bogus", "--help"], "help"),  # an unknown flag is refused only at the end
+    (["check", "extra", "--help"], "help"),
+    (["--help", "--seed", "x"], "help"),
+    (["--seed", "x", "--help"], "refused"),
+    (["bogus", "--help"], "refused"),  # the command is refused as it is read
+    (["-hx"], "refused"),
+    (["-h="], "refused"),
+    (["--help=yes"], "refused"),
+    ([], "refused"),
+    (["bogus", "--in", "DOC"], "refused"),
+    (["check"], "refused"),
+    (["--in", "DOC"], "refused"),
+    (CHECK + ["--bogus"], "refused"),
+    (CHECK + ["-x"], "refused"),
+    (CHECK + ["--dataset"], "refused"),
+    (["check", "--in", "--force", "DOC"], "refused"),
+    (["check", "--in", "--", "DOC"], "refused"),
+    (CHECK + ["--force=yes"], "refused"),
+    (CHECK + ["--force="], "refused"),
+    (CHECK + ["extra"], "refused"),
+    (CHECK + ["--=x"], "refused"),  # a prefix of every option
+    (CHECK + ["--"], "refused"),
+    (["check", "--", "--in", "DOC"], "refused"),
+    (["search", "--in", "SEARCH", "--seed", "x"], "refused"),
+    (["search", "--in", "SEARCH", "--seed", "1.5"], "refused"),
+    (["search", "--in", "SEARCH", "--seed="], "refused"),
+    (["search", "--in", "SEARCH", "--seed", "-x"], "refused"),
+    (["check", "--in=DOC"], (0, CHECK)),
+    (["check", "--i", "DOC"], (0, CHECK)),
+    (["check", "--in", "MISSING", "--in", "DOC"], (0, CHECK)),  # the last value wins
+    (CHECK + ["--in", "MISSING"], (2, ["check", "--in", "MISSING"])),
+    (CHECK + ["--cond", "equiv6"], (0, EQUIV6)),
+    (CHECK + ["--c=equiv6"], (0, EQUIV6)),
+    (["--in", "DOC", "--condition", "equiv6", "check"], (0, EQUIV6)),
+    (["--condition=equiv6", "--in=DOC", "check"], (0, EQUIV6)),
+    (["--in", "DOC", "--", "check"], (0, CHECK)),
+    (["--", "check", "--in", "DOC"], "refused"),
+    (["--in", "DOC", "check", "--"], (0, CHECK)),
+    (["--force", "--in", "DOC", "build"], (0, ["build", "--in", "DOC", "--force"])),
+    (["build", "--f", "--in", "DOC"], (0, ["build", "--in", "DOC", "--force"])),
+    (CHECK + ["--dataset", "d"], (0, CHECK)),
+    (CHECK + ["--dataset=-d"], (2, CHECK + ["--d=-d"])),
+    (CHECK + ["--dataset", "-d"], "refused"),
+    (CHECK + ["--dataset", "-d x"], (2, CHECK + ["--dataset=-d x"])),  # a space makes an argument
+    (CHECK + ["--seed", "5"], (0, CHECK)),
+    (CHECK + ["--seed=--"], (0, CHECK)),  # argparse drops "--" from a value: not an int error
+    (["search", "--s=7", "--in", "SEARCH"], (0, SEED_7)),
+    (["search", "--in", "SEARCH", "--seed", " 7 "], (0, SEED_7)),
+    (["search", "--in", "SEARCH", "--seed", "0_7"], (0, SEED_7)),
+    (["search", "--in", "SEARCH", "--seed", "x", "--seed", "7"], "refused"),
+    (["search", "--in", "SEARCH", "--seed", "-1"], (2, NEGATIVE_SEED)),
+    (["search", "--in", "SEARCH", "--seed=-1"], (2, NEGATIVE_SEED)),
+    (["-1", "--in", "DOC"], "refused"),
+]
+
+
+def run_argv(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    return {"DOC": write_doc(tmp, twosided_doc(CORPUS["q-dual-flip-trivial"], Q)),
+            "SEARCH": write_doc(tmp, search_doc(), "search.json"),
+            "MISSING": str(tmp / "absent.json")}
+
+
+@pytest.mark.parametrize("argv, outcome", ARGV_CASES, ids=lambda x: repr(x)[:60])
+def test_argv_outcomes_match_the_argparse_parser(capsys, argv_paths, argv, outcome):
+    def filled(args):
+        return [argv_paths.get(a, a.replace("DOC", argv_paths["DOC"])) for a in args]
+
+    code, out, err = run_argv(capsys, filled(argv))
+    assert "Traceback" not in err
+    if outcome == "help":
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: xprod [-h] --in FILE") and "--condition LABEL" in out
+    elif outcome == "refused":
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: xprod") and "\nxprod: error: " in err
+    else:
+        want_code, canonical = outcome
+        assert (code, out, err) == run_argv(capsys, filled(canonical))
+        assert code == want_code
+
+
+def test_negative_seed_reaches_the_handler_refusal(capsys, argv_paths):
+    for argv in (NEGATIVE_SEED, ["search", "--in", "SEARCH", "--seed=-1"]):
+        code, out, err = run_argv(capsys, [argv_paths.get(a, a) for a in argv])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == {
+            "type": "PreconditionFail", "message": "search seed must be nonnegative, got -1"}
+
+
+# -- fixed cost -----------------------------------------------------------------
+
+def child_imports(argv):
+    """Run ``python -X importtime -m xprod argv``: its exit code, its stdout and
+    the names of the modules it imported beyond a bare interpreter's."""
+    src = str(Path(xprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def imported(args):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, env=env)
+        lines = proc.stderr.decode().splitlines()
+        return proc, {line.rsplit("|", 1)[1].strip() for line in lines[1:]
+                      if line.startswith("import time:")}
+
+    proc, names = imported(["-m", "xprod", *argv])
+    return proc.returncode, proc.stdout, names - imported(["-c", "pass"])[1]
+
+
+def half_unit_doc():
+    """k with e0 e0 = 2 e0 and unit 1/2, as the twisted tensor product with k."""
+    k = {"dim": 1, "unit": ["1"], "mul": [[["1"]]]}
+    return {"field": {"kind": "rationals"},
+            "algebras": {"h": {"dim": 1, "unit": ["1/2"], "mul": [[["2"]]]}, "k": k},
+            "maps": {"R": {"domain": ["k", "h"], "codomain": ["h", "k"], "matrix": [["1"]]}},
+            "datasets": {"t": {"type": "ttp", "A": "h", "B": "k", "R": "R"}}}
+
+
+@pytest.mark.parametrize("name, command, loads_fractions", [
+    ("fp-search", "search", False), ("q-integral-ladder", "check", False),
+    ("q-integral-ladder", "extract", False), ("q-half-unit", "build", True)])
+def test_fixed_cost_modules_load_only_when_needed(tmp_path, capsys, name, command,
+                                                   loads_fractions):
+    # argparse is never imported; fractions, and decimal with it, only when a
+    # document has a scalar that is not an integer (extract inverts the unit
+    # coordinates, which are 1 here)
+    from fixtures import truncated_polynomials3, twosided_flip_trivial
+    t3 = truncated_polynomials3(Q)
+    obj = {"fp-search": search_doc, "q-half-unit": half_unit_doc,
+           "q-integral-ladder": lambda: twosided_doc(twosided_flip_trivial(t3, t3, t3), Q),
+           }[name]()
+    argv = [command, "--in", write_doc(tmp_path, obj)]
+    code, out, names = child_imports(argv)
+    assert (code, out.decode()) == run_argv(capsys, argv)[:2]
+    assert code == 0
+    assert "argparse" not in names
+    assert names & {"fractions", "decimal"} == ({"fractions", "decimal"} if loads_fractions
+                                                 else set())

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xprod.errors import ShapeMismatch
@@ -99,6 +99,77 @@ def test_prime_field_matches_bigint_reduction_oracle(x, y):
     assert f.sub(a, b) == (x - y) % p
     if b != 0:
         assert f.mul(f.inv(b), b) == 1
+
+
+# Q scalars are an int when integral and a reduced Fraction otherwise: every
+# operation agrees with Fraction arithmetic and returns the canonical type.
+Q_SCALARS = st.integers(-10**6, 10**6) | st.fractions(max_denominator=60).filter(
+    lambda x: x.denominator != 1)
+
+
+def assert_canonical(got, want):
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@given(Q_SCALARS, Q_SCALARS)
+@example(Fraction(1, 2), Fraction(1, 2))
+@example(Fraction(1, 2), 2)
+@example(Fraction(-2, 3), Fraction(3, 2))
+@example(0, Fraction(1, 3))
+def test_rational_operations_match_fraction_arithmetic(a, b):
+    x, y = Fraction(a), Fraction(b)
+    assert_canonical(Q.add(a, b), x + y)
+    assert_canonical(Q.sub(a, b), x - y)
+    assert_canonical(Q.mul(a, b), x * y)
+    assert_canonical(Q.neg(a), -x)
+    assert Q.fmt(a) == str(x)
+    if b:
+        assert_canonical(Q.inv(b), 1 / y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Q.inv(b)
+
+
+def parse_before_ints(text):
+    """The rational parser as it was when every Q scalar was a Fraction."""
+    if isinstance(text, int):
+        return Fraction(text)
+    text = str(text).strip()
+    if "/" in text:
+        num, _, den = text.partition("/")
+        return Fraction(int(num.strip()), int(den.strip()))
+    return Fraction(text)
+
+
+SCALAR_TEXT = st.text(st.sampled_from("0123456789+-/._eE \t\xa0x٣１"), max_size=9)
+
+
+@given(SCALAR_TEXT | st.integers(-10**30, 10**30))
+@example("-0")
+@example(" +007 ")
+@example("٣")
+@example("1_0")
+@example("1__0")
+@example("1_0/2")
+@example("1/0")
+@example("3/-6")
+@example(" 3 / 6 ")
+@example("0.5")
+@example("2.0")
+@example("1e3")
+@example("7" * 5000)
+def test_rational_parse_matches_the_fraction_parser(text):
+    # the same value, now canonical, or the same exception and message, which
+    # a report quotes
+    try:
+        want = parse_before_ints(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            Q.parse(text)
+        assert (got.type, str(got.value)) == (type(exc), str(exc))
+    else:
+        assert_canonical(Q.parse(text), want)
 
 
 # -- flat indices -------------------------------------------------------------
