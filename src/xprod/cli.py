@@ -411,41 +411,74 @@ def canonical_json(obj) -> str:
     integers, booleans and None that reports are made of.
 
     ``json`` takes its pure-Python encoder whenever it indents.  Here each
-    string goes through the C ``encode_basestring`` and each array is one
-    join.  A tuple is looked up by (value, indent), and its text is kept when
-    each of its items is a string or a tuple whose text was kept: a matrix or
-    a matrix row that recurs across search solutions.  A value equal to such
-    a tuple is built the same way from equal strings, so it writes the same
-    bytes.  Other equal values need not: ``(1,) == (True,)`` and their hashes
-    agree, yet they write ``[1]`` and ``[true]``.  A tuple that holds a list
-    or a dict cannot be hashed and is written each time.
+    string goes through the C ``encode_basestring``, and the text is built
+    once, as the pieces of :func:`_json_pieces`.  A list or tuple of strings
+    (a matrix row) is one join, and a tuple of strings is kept by (value,
+    indent), since rows recur across search solutions.  A matrix, a tuple of
+    such rows, is kept from its second visit at an indent on: the ``R``
+    matrices that every solution shares are kept, and a distinct ``E`` never
+    is.  A value equal to a kept tuple is built the same way from equal
+    strings, so it writes the same bytes.  Other equal values need not:
+    ``(1,) == (True,)`` and their hashes agree, yet they write ``[1]`` and
+    ``[true]``, so only tuples whose leaves are exactly ``str`` are kept or
+    counted as visited.  A tuple that holds a list or a dict cannot be hashed
+    and is written each time.
     """
-    texts = {}  # (tuple of strings and kept tuples, indent) -> its text, for this call only
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj) -> list:
+    """The strings whose join is ``canonical_json(obj)``, in order."""
+    pieces, texts, seen = [], {}, set()  # kept texts and visited matrices, by (tuple, indent)
+    put = pieces.append
 
     def write(x, nl):  # nl: the newline and indent of the line x starts on
-        if isinstance(x, str):
-            return encode_basestring(x)
+        inner = nl + "  "
         if isinstance(x, dict) and x:
-            inner = nl + "  "
-            return "{" + inner + ("," + inner).join(
-                [encode_basestring(k) + ": " + write(v, inner)
-                 for k, v in sorted(x.items())]) + nl + "}"
+            sep = "{" + inner
+            for k, v in sorted(x.items()):
+                put(sep + encode_basestring(k) + ": ")
+                write(v, inner)
+                sep = "," + inner
+            put(nl + "}")
+            return
         if not isinstance(x, (list, tuple)) or not x:
-            return json.dumps(x)
+            put(encode_basestring(x) if isinstance(x, str) else json.dumps(x))
+            return
         key = (x, nl) if type(x) is tuple else None
         try:
             text = texts.get(key)
         except TypeError:  # a tuple that holds a list or a dict
             text = key = None
+        if text is None and all(type(y) is str for y in x):  # a row
+            text = "[" + inner + ("," + inner).join(map(encode_basestring, x)) + nl + "]"
+            if key is not None:
+                texts[key] = text
         if text is not None:
-            return text
-        inner = nl + "  "
-        text = "[" + inner + ("," + inner).join([write(y, inner) for y in x]) + nl + "]"
-        if key is not None and all(type(y) is str or (y, inner) in texts for y in x):
-            texts[key] = text
-        return text
+            put(text)
+            return
+        start, sep, comma = len(pieces), "[" + inner, "," + inner
+        for y in x:
+            put(sep)
+            write(y, inner)
+            sep = comma
+        put(nl + "]")
+        if key is not None and all(type(y) is tuple and (y, inner) in texts for y in x):
+            if key in seen:  # a matrix's second visit: keep its text from now on
+                texts[key] = text = "".join(pieces[start:])
+                pieces[start:] = [text]
+            seen.add(key)
 
-    return write(obj, "\n") + "\n"
+    write(obj, "\n")
+    put("\n")
+    return pieces
+
+
+def _write_pieces(stream, pieces):
+    # one join and one write per 4096 pieces, so neither the whole text nor its
+    # encoded bytes exist at once, and a piece costs no write call of its own
+    for i in range(0, len(pieces), 4096):
+        stream.write("".join(pieces[i:i + 4096]))
 
 
 def _vec_obj(field, v):
@@ -715,22 +748,26 @@ def main(argv=None) -> int:
     field = None  # known once the document parses; only witnesses need it
 
     def finish(obj, code):
-        text = canonical_json(obj)
+        pieces = _json_pieces(obj)
         if args.outfile:
             try:
                 with open(args.outfile, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                    _write_pieces(fh, pieces)
             except OSError as exc:  # the report goes to stdout as an input error
-                code, text = 2, canonical_json(dict(
+                code, pieces = 2, _json_pieces(dict(
                     report_skeleton, status=_STATUS[2], conditions=[], outputs={},
                     error=_error_obj(field, DocumentError(
                         "--out", f"cannot write output: {exc.strerror}"))))
             else:
                 return code
-        sys.stdout.write(text)
+        _write_pieces(sys.stdout, pieces)
         return code
 
     try:
+        # argparse reads --in=-- as the option given no value: [] where a string is due
+        for opt in ("--in", "--dataset", "--condition") + ("--seed",) * (args.command == "search"):
+            if getattr(args, _OPTIONS[opt][0]) == []:
+                raise DocumentError(opt, "expected a value, got '--'")
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
