@@ -175,6 +175,13 @@ def product_algebra(mul: TensorMap, *units) -> FinAlgebra:
     return new_algebra(mul.field, n, mul.reshaped(shape(n, n), shape(n)), unit)
 
 
+def _ttp_product(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
+    """The validated twisted tensor product A (x)_R B, (a⊗b)(a'⊗b') = a a'_R ⊗ b_R b',
+    for a twist R: B (x) A -> A (x) B whose conditions the caller has decided."""
+    ida, idb = identity(a.field, shape(a.dim)), identity(a.field, shape(b.dim))
+    return product_algebra(compose(tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
+
+
 def scalar_algebra(field: Field) -> FinAlgebra:
     """The ground field as a one-dimensional algebra."""
     mul = TensorMap(field, shape(1, 1), shape(1), (((0, field.one),),))
@@ -185,9 +192,7 @@ def ordinary_tensor(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """Componentwise product algebra on A (x) B with unit 1_A (x) 1_B."""
     if a.field != b.field:
         raise FieldMismatch("tensor product of algebras over different fields")
-    f = a.field
-    swap = tensor(identity(f, shape(a.dim)), flip(f, b.dim, a.dim), identity(f, shape(b.dim)))
-    return product_algebra(compose(tensor(a.mul, b.mul), swap), a.unit, b.unit)
+    return _ttp_product(a, b, flip(a.field, b.dim, a.dim))
 
 
 def _require_maps(what: str, parts, maps):

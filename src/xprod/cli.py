@@ -55,26 +55,7 @@ from .crossed import (
     check_mirror,
     check_twisting,
 )
-from .errors import (
-    AxiomFailure,
-    DocumentError,
-    FieldMismatch,
-    InternalCheckError,
-    NotAlgebraMap,
-    NotAlgebraMapResult,
-    NotAssociative,
-    NotCoassociative,
-    CounitFail,
-    NotUnital,
-    PreconditionFail,
-    PremiseFail,
-    RoundTripMismatch,
-    SearchSpaceTooLarge,
-    ShapeMismatch,
-    SplitFail,
-    UnitMismatch,
-    UnitNotGrouplike,
-)
+from .errors import DocumentError, PreconditionFail, XprodError
 from .exactla import (
     Field,
     PrimeField,
@@ -102,15 +83,7 @@ from .twosided import (
     universal_map,
 )
 
-# exit code of each error class; the report status of each nonzero code
-_EXIT_CODES = {
-    AxiomFailure: 1, SplitFail: 1, NotAlgebraMap: 1, UnitMismatch: 1, PremiseFail: 1,
-    NotAssociative: 1, NotUnital: 1, NotCoassociative: 1, CounitFail: 1,
-    UnitNotGrouplike: 1,
-    DocumentError: 2, ShapeMismatch: 2, FieldMismatch: 2, PreconditionFail: 2,
-    SearchSpaceTooLarge: 2,
-    InternalCheckError: 3, RoundTripMismatch: 3, NotAlgebraMapResult: 3,
-}
+# the report status of each nonzero exit code
 _STATUS = {1: "fail", 2: "error", 3: "internal-error"}
 
 
@@ -339,8 +312,6 @@ def _dataset_entry(field, spec, path, resolve):
 
 _SECTIONS = {"algebras": _algebra_entry, "spaces": _space_entry,
              "coalgebras": _coalgebra_entry, "maps": _map_entry, "datasets": _dataset_entry}
-_REFUSALS = (ShapeMismatch, FieldMismatch, NotAssociative, NotUnital, NotCoassociative,
-             CounitFail, UnitNotGrouplike)
 
 
 # Deeper nesting is refused before decoding, so that the verdict does not depend
@@ -394,7 +365,9 @@ def parse_document(text: str) -> Document:
             path = f"$.{section}.{name}"
             try:
                 entries[name], dim = parse_entry(field, spec, path, resolve)
-            except _REFUSALS as exc:
+            except DocumentError:
+                raise
+            except XprodError as exc:  # a library refusal of the entry
                 raise DocumentError(path, str(exc)) from exc
             if dim is not None:
                 _expect(isinstance(name, str) and name, path, "names must be nonempty strings")
@@ -563,7 +536,7 @@ def _run_extract(doc, name, kind, entry, args):
         rep = Report(tuple(
             ConditionResult(f"roundtrip-{label}", getattr(got, label).cols ==
                             getattr(entry, label).cols)
-            for label in ("R1", "R2", "R3", "E")))
+            for label in SEARCH_MAP_NAMES))
     elif kind == "extraction":
         got = extract(entry["M"], entry["A"], entry["V"], entry["C"])
         rep = Report((ConditionResult("extracted-and-rebuilt", True),))
@@ -765,7 +738,8 @@ def main(argv=None) -> int:
 
     try:
         # argparse reads --in=-- as the option given no value: [] where a string is due
-        for opt in ("--in", "--dataset", "--condition") + ("--seed",) * (args.command == "search"):
+        for opt in ("--in", "--out", "--dataset", "--condition") + ("--seed",) * (
+                args.command == "search"):
             if getattr(args, _OPTIONS[opt][0]) == []:
                 raise DocumentError(opt, "expected a value, got '--'")
         try:
@@ -790,8 +764,8 @@ def main(argv=None) -> int:
                            conditions=_report_obj(field, rep), outputs=outputs),
                       0 if rep.all_pass else 1)
 
-    except Exception as exc:  # any exception outside _EXIT_CODES is a bug: exit 3
-        code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 3)
+    except Exception as exc:  # any exception but an XprodError is a bug: exit 3
+        code = exc.exit_code if isinstance(exc, XprodError) else 3
         return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
                            outputs={}, error=_error_obj(field, exc)), code)
 

@@ -35,6 +35,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _ttp_product,
     _unit_legs,
 )
 from .crossed import (
@@ -42,7 +43,6 @@ from .crossed import (
     _braid,
     _columns_equal,
     _mirror_product,
-    _ttp_product,
     _twisting_shapes,
     check_twisting,
 )
@@ -68,7 +68,7 @@ from .exactla import (
     vector_map,
 )
 from .record import record
-from .report import ConditionResult, Report, merge
+from .report import ConditionResult, Report
 from .twosided import (
     CONDITIONS,
     TWIST_LEGS,
@@ -88,10 +88,9 @@ def product_connector(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> TensorMap:
         domain=shape(b.dim, b.dim))
 
 
-def _prefixed(prefix: str, rep: Report) -> Report:
-    return Report(tuple(
-        ConditionResult(f"{prefix}:{e.name}", e.passed, e.witness, e.informational)
-        for e in rep.entries))
+def _prefixed(prefix: str, rep: Report) -> tuple:
+    return tuple(ConditionResult(f"{prefix}:{e.name}", e.passed, e.witness, e.informational)
+                 for e in rep.entries)
 
 
 def braid_report(r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
@@ -115,11 +114,10 @@ def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
                     r1: TensorMap, r2: TensorMap, r3: TensorMap) -> Report:
     """The preconditions of :func:`iterated_ttp`: each R is a twisting map
     (prefixed R1, R2, R3) and the three satisfy the braid relation."""
-    return merge(
-        *(_prefixed(name, check_twisting(r, a_, b_))
-          for name, r, a_, b_ in _iterated_twists(a, b, c, r1, r2, r3)),
-        braid_report(r1, r2, r3),
-    )
+    return Report(tuple(
+        entry for name, r, a_, b_ in _iterated_twists(a, b, c, r1, r2, r3)
+        for entry in _prefixed(name, check_twisting(r, a_, b_)))
+        + braid_report(r1, r2, r3).entries)
 
 
 def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
@@ -273,7 +271,7 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
                 f"transported mirror data fails its own conditions: {exc}") from exc
         if mul.cols != moved.mul.cols:
             raise InternalCheckError("mirror presentation differs from the permuted product")
-        entries += _prefixed("remark1:mirror", conditions).entries
+        entries += _prefixed("remark1:mirror", conditions)
         entries.append(ConditionResult("remark1:transport-equality", True))
     if lr:
         t_map = compose(to_vac, tensor(d.R1, identity(f, shape(nc)))).reshaped(
@@ -552,16 +550,12 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     cached = [step for step in plan if "E" not in step[1]]
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
-    r_maps = {}    # (name, digit slice) -> decoded R map
     triples = {}   # R-triple passing every condition without E -> its maps
     compiled = {}  # R-triple -> None after one visit to the E conditions, then their residual
 
-    def decode(name, part):
-        m = r_maps.get((name, part))
-        if m is None:
-            m = r_maps[name, part] = _fill(
-                f, templates[name], _digits(part, f.p, _width(templates[name])))
-        return m
+    @functools.cache
+    def decode(name, part):  # the R map ``name`` of a digit slice
+        return _fill(f, templates[name], _digits(part, f.p, _width(templates[name])))
 
     def triple_maps(t):
         """The maps of R-triple t, a frozen E among them, if it passes every

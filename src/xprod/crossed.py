@@ -23,6 +23,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _ttp_product,
     _unit_legs,
     product_algebra,
 )
@@ -130,13 +131,6 @@ def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     if not rep.all_pass:
         raise AxiomFailure(rep, "twisting map conditions fail")
     return _ttp_product(a, b, r)
-
-
-def _ttp_product(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
-    """The validated algebra A (x)_R B of :func:`build_ttp`, for a twist whose
-    conditions the caller has already decided."""
-    ida, idb = identity(a.field, shape(a.dim)), identity(a.field, shape(b.dim))
-    return product_algebra(compose(tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
 
 
 @record

@@ -1,21 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class names the command
+line's exit code for it: 1 an axiom failure, 2 an input error, 3 an internal error."""
 
 from __future__ import annotations
 
 
 class XprodError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  A subclass must name
+    its code, as in ``class ShapeMismatch(XprodError, exit_code=2)``; the base
+    itself is never raised, and would be an internal error."""
+
+    exit_code = 3
+
+    def __init_subclass__(cls, exit_code, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exit_code = exit_code
 
 
-class ShapeMismatch(XprodError):
+class ShapeMismatch(XprodError, exit_code=2):
     """Dimensions of maps, vectors or shapes do not line up."""
 
 
-class FieldMismatch(XprodError):
+class FieldMismatch(XprodError, exit_code=2):
     """Operands live over different fields."""
 
 
-class NotAssociative(XprodError):
+class NotAssociative(XprodError, exit_code=1):
     """Structure constants fail associativity on a basis triple."""
 
     def __init__(self, witness, left, right):
@@ -25,7 +34,7 @@ class NotAssociative(XprodError):
         super().__init__(f"associativity fails at basis triple {self.witness}")
 
 
-class NotUnital(XprodError):
+class NotUnital(XprodError, exit_code=1):
     """The designated unit fails a unit law on a basis vector."""
 
     def __init__(self, witness, side, left, right):
@@ -36,7 +45,7 @@ class NotUnital(XprodError):
         super().__init__(f"{side} unit law fails at basis vector {witness}")
 
 
-class NotCoassociative(XprodError):
+class NotCoassociative(XprodError, exit_code=1):
     """Comultiplication fails coassociativity on a basis vector."""
 
     def __init__(self, witness):
@@ -44,7 +53,7 @@ class NotCoassociative(XprodError):
         super().__init__(f"coassociativity fails at basis vector {witness}")
 
 
-class CounitFail(XprodError):
+class CounitFail(XprodError, exit_code=1):
     """Counit law fails on a basis vector."""
 
     def __init__(self, witness, side):
@@ -53,11 +62,11 @@ class CounitFail(XprodError):
         super().__init__(f"{side} counit law fails at basis vector {witness}")
 
 
-class UnitNotGrouplike(XprodError):
+class UnitNotGrouplike(XprodError, exit_code=1):
     """The distinguished coalgebra element is not grouplike or not counital."""
 
 
-class AxiomFailure(XprodError):
+class AxiomFailure(XprodError, exit_code=1):
     """A precondition check produced a failing report."""
 
     def __init__(self, report, message="axiom check failed"):
@@ -66,11 +75,11 @@ class AxiomFailure(XprodError):
         super().__init__(f"{message}: {failed}")
 
 
-class UnitMismatch(XprodError):
+class UnitMismatch(XprodError, exit_code=1):
     """The algebra unit is not the expected tensor of component units."""
 
 
-class NotAlgebraMap(XprodError):
+class NotAlgebraMap(XprodError, exit_code=1):
     """A map required to be a unital algebra map is not one."""
 
     def __init__(self, which, report):
@@ -79,7 +88,7 @@ class NotAlgebraMap(XprodError):
         super().__init__(f"{which} is not a unital algebra map")
 
 
-class SplitFail(XprodError):
+class SplitFail(XprodError, exit_code=1):
     """A product escapes the subspace required by a splitting condition."""
 
     def __init__(self, which, witness):
@@ -88,11 +97,11 @@ class SplitFail(XprodError):
         super().__init__(f"splitting condition {which} fails at {witness.indices}")
 
 
-class RoundTripMismatch(XprodError):
+class RoundTripMismatch(XprodError, exit_code=3):
     """Extraction followed by rebuilding did not reproduce the input algebra."""
 
 
-class PremiseFail(XprodError):
+class PremiseFail(XprodError, exit_code=1):
     """A premise of the universal factorization does not hold."""
 
     def __init__(self, which, witness):
@@ -101,11 +110,11 @@ class PremiseFail(XprodError):
         super().__init__(f"premise {which} fails at {witness.indices}")
 
 
-class NotAlgebraMapResult(XprodError):
+class NotAlgebraMapResult(XprodError, exit_code=3):
     """Internal bug signal: the induced map failed its guaranteed property."""
 
 
-class SearchSpaceTooLarge(XprodError):
+class SearchSpaceTooLarge(XprodError, exit_code=2):
     """Exhaustive enumeration would exceed the configured cap."""
 
     def __init__(self, size, cap):
@@ -114,15 +123,15 @@ class SearchSpaceTooLarge(XprodError):
         super().__init__(f"search space has {size} candidates, cap is {cap}")
 
 
-class PreconditionFail(XprodError):
+class PreconditionFail(XprodError, exit_code=2):
     """An operation was called on data outside its stated domain."""
 
 
-class InternalCheckError(XprodError):
+class InternalCheckError(XprodError, exit_code=3):
     """Two internally redundant evaluation routes disagreed."""
 
 
-class DocumentError(XprodError):
+class DocumentError(XprodError, exit_code=2):
     """Input document is syntactically or semantically invalid."""
 
     def __init__(self, path, message):

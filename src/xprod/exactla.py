@@ -3,9 +3,10 @@
 Scalars are plain values.  Over the rationals a scalar is an ``int`` when it
 is integral and a reduced ``fractions.Fraction`` (positive denominator)
 otherwise; ``fractions`` is imported only when a value needs it.  Over a prime
-field a scalar is an ``int`` residue in ``[0, p)``.  All arithmetic goes
-through the operations that :class:`Field` names, so results stay canonical,
-and equality of canonical values is structural equality.
+field a scalar is an ``int`` residue in ``[0, p)``.  So every field's zero and
+one are the constants ``0`` and ``1``.  All arithmetic goes through the
+operations that :class:`Field` names, so results stay canonical, and equality
+of canonical values is structural equality.
 
 Tensor conventions used everywhere in the package:
 
@@ -43,9 +44,10 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Exact arithmetic on canonical scalar values: ``add``, ``sub``, ``mul``,
     ``neg``, ``inv``, ``from_int``, ``parse`` (document text to a value),
-    ``fmt`` (a value to document text) and ``is_zero``."""
+    ``fmt`` (a value to document text), ``is_zero``, and ``zero`` and ``one``."""
 
     kind: str
+    zero, one = 0, 1  # constants, canonical in every field
 
     @staticmethod
     def _exact(value):
@@ -53,14 +55,6 @@ class Field:
         if isinstance(value, (bool, float)):
             raise ValueError("expected a string or an integer")
         return value
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
 
 def _integral(x):
@@ -179,7 +173,9 @@ class TensorShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        if any(type(d) is not int for d in self.dims):
+            raise ShapeMismatch(f"factor dimensions must be integers, got {self.dims}")
         if not self.dims:
             raise ShapeMismatch("empty tensor shape")
         if any(d < 1 for d in self.dims):
@@ -194,9 +190,6 @@ class TensorShape:
 
     def multi(self, flat: int) -> tuple[int, ...]:
         return unflatten(self, flat)
-
-    def concat(self, other: "TensorShape") -> "TensorShape":
-        return TensorShape(self.dims + other.dims)
 
 
 def shape(*dims: int) -> TensorShape:
@@ -452,8 +445,8 @@ def tensor(*maps: TensorMap) -> TensorMap:
                 cols.append(tuple(
                     (r * p + s, b if a == one else a if b == one else mul(a, b))
                     for r, a in fcol for s, b in gcol))
-        out = TensorMap(field, out.domain.concat(g.domain),
-                        out.codomain.concat(g.codomain), tuple(cols))
+        out = TensorMap(field, TensorShape(out.domain.dims + g.domain.dims),
+                        TensorShape(out.codomain.dims + g.codomain.dims), tuple(cols))
     return out
 
 

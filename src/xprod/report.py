@@ -52,10 +52,3 @@ class Report:
     def restricted(self, names) -> "Report":
         wanted = set(names)
         return Report(tuple(e for e in self.entries if e.name in wanted))
-
-
-def merge(*reports: Report) -> Report:
-    entries: list[ConditionResult] = []
-    for r in reports:
-        entries.extend(r.entries)
-    return Report(tuple(entries))

@@ -1204,6 +1204,7 @@ def test_negative_seed_reaches_the_handler_refusal(capsys, argv_paths):
     ["search", "--in", "SEARCH", "--dataset=--"],
     CHECK + ["--condition=--"],
     ["search", "--in", "SEARCH", "--seed=--"],
+    CHECK + ["--out=--"],
 ], ids=lambda argv: " ".join(a for a in argv if "=" in a) + f" {argv[0]}")
 def test_option_left_without_its_value_is_an_input_error(capsys, argv_paths, argv):
     code, out, err = run_argv(capsys, [argv_paths.get(a, a) for a in argv])

@@ -192,6 +192,14 @@ def test_empty_shape_forbidden():
         TensorShape(())
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), (True, 2), ("3",), (2.0,)])
+def test_dimension_that_is_not_an_int_is_refused_not_coerced(dims):
+    with pytest.raises(ShapeMismatch, match="must be integers"):
+        TensorShape(dims)
+    with pytest.raises(ShapeMismatch, match="must be integers"):
+        shape(*dims)
+
+
 @pytest.mark.parametrize("dims", [
     (1,), (7,), (2, 3), (4, 5, 6), (2, 2, 2, 2), (10, 10, 10), (1, 9, 1, 11), (9973,),
 ])

@@ -175,6 +175,10 @@ def test_every_error_class_has_its_exit_code(monkeypatch, tmp_path):
                and issubclass(cls, errors.XprodError) and cls is not errors.XprodError}
     table = {name: code for code, names in EXIT_CODES.items() for name in names}
     assert sorted(table) == sorted(classes)
+    assert {name: cls.exit_code for name, cls in classes.items()} == table
+    with pytest.raises(TypeError):  # a class that names no exit code cannot be defined
+        class Unclassified(errors.XprodError):
+            pass
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(twosided_doc(dict(corpus())["q-dual-flip-trivial"])),
                    encoding="utf-8")
@@ -185,3 +189,14 @@ def test_every_error_class_has_its_exit_code(monkeypatch, tmp_path):
         monkeypatch.setitem(cli._HANDLERS, "check", raise_it)
         rc = main(["check", "--in", str(doc), "--out", str(tmp_path / "report.json")])
         assert rc == code, name
+
+
+def test_any_library_refusal_of_an_entry_is_an_input_error_at_its_path(monkeypatch, tmp_path):
+    # not only the refusals that a section parser raises today: any XprodError
+    def refuse(*_):
+        raise errors.PreconditionFail("boom")
+
+    monkeypatch.setattr(cli, "PointedSpace", refuse)
+    rc, raw = run_cli(tmp_path, twosided_doc(dict(corpus())["q-dual-flip-trivial"]))
+    assert rc == 2
+    assert json.loads(raw)["error"] == {"type": "DocumentError", "message": "$.spaces.V: boom"}
