@@ -15,6 +15,7 @@ from functools import cached_property
 from .errors import (
     CounitFail,
     FieldMismatch,
+    InternalCheckError,
     NotAssociative,
     NotCoassociative,
     NotUnital,
@@ -216,6 +217,13 @@ def _column_witness(*sides) -> Witness | None:
             if lhs.cols[j] != rhs.cols[j]:
                 return Witness(lhs.domain.multi(j), lhs.column(j), rhs.column(j), text)
     return None
+
+
+def _routes_agree(what: str, routes, first: TensorMap, second: TensorMap):
+    """Raise :class:`InternalCheckError` unless two routes' maps to ``what`` are
+    equal, with the smallest differing basis tuple, sought only then."""
+    if first.cols != second.cols:
+        raise InternalCheckError(what, routes, _column_witness((first, second, what)))
 
 
 def _unit_legs(field, units, keep) -> TensorMap:

@@ -772,6 +772,8 @@ def main(argv=None) -> int:
 
 def _error_obj(field, exc):
     obj = {"type": type(exc).__name__, "message": str(exc)}
+    if hasattr(exc, "routes"):  # an internal error: the two routes that disagreed
+        obj["routes"] = list(exc.routes)
     witness = getattr(exc, "witness", None)
     if isinstance(witness, tuple):  # a basis tuple, its two sides kept on the error
         witness = Witness(witness, getattr(exc, "left", ()), getattr(exc, "right", ()))

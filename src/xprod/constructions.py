@@ -35,6 +35,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _routes_agree,
     _ttp_product,
     _unit_legs,
 )
@@ -129,9 +130,8 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
     by 1_B and E(b⊗b') = 1_A ⊗ bb' ⊗ 1_C, then verifies the multiplication
     against its own displayed formula.
     """
-    rep = iterated_report(a, b, c, r1, r2, r3)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "iterated twisted tensor product preconditions fail")
+    iterated_report(a, b, c, r1, r2, r3).require(
+        "iterated twisted tensor product preconditions fail")
     data = TwoSidedData(a, b.as_pointed(), c, r1, r2, r3, product_connector(a, b, c))
     out = build_twosided(data)
 
@@ -141,10 +141,8 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
         t = t.map_at(r2, 3)            # (c_R3, b') -> b'_R2, (c_R3)_R2
         return t.map_at(a.mul, 0).map_at(b.mul, 1).map_at(c.mul, 2)
 
-    witness = _column_witness((_chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul, ""))
-    if witness is not None:
-        raise InternalCheckError(
-            f"iterated product disagrees with its formula at {witness.indices}")
+    _routes_agree("iterated twisted tensor product", ("displayed formula", "two-sided product"),
+                  _chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul)
     return out
 
 
@@ -194,9 +192,7 @@ def ma_build(d: MaData) -> TwoSidedData:
     carrying the full report.
     """
     data = ma_twosided(d)
-    rep = check_twosided(data)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "coalgebra-based data fails two-sided conditions")
+    check_twosided(data).require("coalgebra-based data fails two-sided conditions")
     return data
 
 
@@ -267,10 +263,10 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
         try:
             mul, conditions = _mirror_product(mir)
         except AxiomFailure as exc:
-            raise InternalCheckError(
-                f"transported mirror data fails its own conditions: {exc}") from exc
-        if mul.cols != moved.mul.cols:
-            raise InternalCheckError("mirror presentation differs from the permuted product")
+            raise exc.report.disagreement("the transported mirror data", (
+                "two-sided conditions", "mirror conditions")) from exc
+        _routes_agree("transported product", ("mirror presentation", "permuted product"),
+                      mul, moved.mul)
         entries += _prefixed("remark1:mirror", conditions)
         entries.append(ConditionResult("remark1:transport-equality", True))
     if lr:
@@ -292,8 +288,8 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
             t = t.map_at(c.mul, 2).map_at(c.mul, 2)  # E_C c_R2 c'
             return t.permute((1, 0, 2))            # V, A, C
 
-        if _chain_map(f, (nv, na, nc) * 2, chain).cols != moved.mul.cols:
-            raise InternalCheckError("L-R presentation differs from the permuted product")
+        _routes_agree("transported product", ("L-R presentation", "permuted product"),
+                      _chain_map(f, (nv, na, nc) * 2, chain), moved.mul)
         info = _column_witness((
             compose(moved.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
             tensor(identity(f, shape(nv)), ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
@@ -595,9 +591,8 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         if _holds(rows, x, f.p) != scanned:
             where = ", ".join(f"{m} #{t // layout[m][0] % layout[m][1]}" if m in layout
                               else f"{m} frozen" for m in ("R1", "R2", "R3"))
-            raise InternalCheckError(
-                "search: scanned and compiled routes disagree on the E conditions "
-                f"of R-triple ({where}) at E digits {list(x)}")
+            raise InternalCheckError(f"search: E conditions of R-triple ({where}) at E digits "
+                                     f"{list(x)}", ("scanned", "compiled"))
         return scanned
 
     # runs of candidates with one R-triple, as (n, E digits): all its E values

@@ -23,11 +23,12 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _routes_agree,
     _ttp_product,
     _unit_legs,
     product_algebra,
 )
-from .errors import AxiomFailure, InternalCheckError, ShapeMismatch
+from .errors import ShapeMismatch
 from .exactla import (
     TensorMap,
     compose,
@@ -127,9 +128,7 @@ def check_twisting(r: TensorMap, a: FinAlgebra, b: FinAlgebra) -> Report:
 
 def build_ttp(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     """Twisted tensor product algebra on A (x) B, (a⊗b)(a'⊗b') = a a'_R ⊗ b_R b'."""
-    rep = check_twisting(r, a, b)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "twisting map conditions fail")
+    check_twisting(r, a, b).require("twisting map conditions fail")
     return _ttp_product(a, b, r)
 
 
@@ -187,15 +186,12 @@ def _brz_mul(d: BrzData) -> TensorMap:
 def _brz_product(d: BrzData) -> TensorMap:
     """The crossed product's multiplication, not validated: brz1..brz5 must
     hold, and then (a⊗1_V)(b⊗v) = ab⊗v on basis tuples (a, b, v)."""
-    rep = check_brzezinski(d)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "crossed product conditions fail")
+    check_brzezinski(d).require("crossed product conditions fail")
     a, v = d.A, d.V
     mul = _brz_mul(d)
-    lhs = compose(mul, _unit_legs(a.field, (a.unit, v.unit) * 2, (0, 2, 3)))
-    witness = _column_witness((lhs, tensor(a.mul, identity(a.field, shape(v.dim))), ""))
-    if witness is not None:
-        raise InternalCheckError(f"(a⊗1_V)(b⊗v)=ab⊗v fails at basis {witness.indices}")
+    _routes_agree("(a⊗1_V)(b⊗v)=ab⊗v", ("crossed product", "product of A"),
+                  compose(mul, _unit_legs(a.field, (a.unit, v.unit) * 2, (0, 2, 3))),
+                  tensor(a.mul, identity(a.field, shape(v.dim))))
     return mul
 
 
@@ -258,18 +254,14 @@ def _mirror_mul(d: MirrorData) -> TensorMap:
 def _mirror_product(d: MirrorData) -> tuple[TensorMap, Report]:
     """The mirror product's multiplication, not validated, and the report of
     its five conditions: they must hold, and then (w⊗b)(1_W⊗b') = w⊗bb' on
-    basis tuples (b, b', w), reported as (w, b, b')."""
-    rep = check_mirror(d)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "mirror crossed product conditions fail")
+    basis tuples (b, b', w), in that order."""
+    rep = check_mirror(d).require("mirror crossed product conditions fail")
     w, b, f = d.W, d.B, d.B.field
     mul = _mirror_mul(d)
     order = permute_factors(f, (b.dim, b.dim, w.dim), (2, 0, 1))
-    lhs = compose(mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order)
-    witness = _column_witness((lhs, compose(tensor(identity(f, shape(w.dim)), b.mul), order), ""))
-    if witness is not None:
-        i, k, j = witness.indices
-        raise InternalCheckError(f"(w⊗b)(1_W⊗b')=w⊗bb' fails at basis {(j, i, k)}")
+    _routes_agree("(w⊗b)(1_W⊗b')=w⊗bb' on (b, b', w)", ("mirror product", "product of B"),
+                  compose(mul, _unit_legs(f, (w.unit, b.unit) * 2, (0, 1, 3)), order),
+                  compose(tensor(identity(f, shape(w.dim)), b.mul), order))
     return mul, rep
 
 

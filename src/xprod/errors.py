@@ -1,5 +1,5 @@
-"""Exception types shared across the package.  Each class names the command
-line's exit code for it: 1 an axiom failure, 2 an input error, 3 an internal error."""
+"""Exception types shared across the package.  Each class names the command line's
+exit code: 1 an axiom failure, 2 an input error, 3 :class:`InternalCheckError` alone."""
 
 from __future__ import annotations
 
@@ -69,10 +69,9 @@ class UnitNotGrouplike(XprodError, exit_code=1):
 class AxiomFailure(XprodError, exit_code=1):
     """A precondition check produced a failing report."""
 
-    def __init__(self, report, message="axiom check failed"):
+    def __init__(self, report, message):
         self.report = report
-        failed = ", ".join(e.name for e in report.entries if not e.passed)
-        super().__init__(f"{message}: {failed}")
+        super().__init__(f"{message}: {', '.join(report.failed_names())}")
 
 
 class UnitMismatch(XprodError, exit_code=1):
@@ -97,10 +96,6 @@ class SplitFail(XprodError, exit_code=1):
         super().__init__(f"splitting condition {which} fails at {witness.indices}")
 
 
-class RoundTripMismatch(XprodError, exit_code=3):
-    """Extraction followed by rebuilding did not reproduce the input algebra."""
-
-
 class PremiseFail(XprodError, exit_code=1):
     """A premise of the universal factorization does not hold."""
 
@@ -108,10 +103,6 @@ class PremiseFail(XprodError, exit_code=1):
         self.which = which
         self.witness = witness
         super().__init__(f"premise {which} fails at {witness.indices}")
-
-
-class NotAlgebraMapResult(XprodError, exit_code=3):
-    """Internal bug signal: the induced map failed its guaranteed property."""
 
 
 class SearchSpaceTooLarge(XprodError, exit_code=2):
@@ -128,7 +119,13 @@ class PreconditionFail(XprodError, exit_code=2):
 
 
 class InternalCheckError(XprodError, exit_code=3):
-    """Two internally redundant evaluation routes disagreed."""
+    """Two routes to ``what`` disagreed: ``routes`` names them, and ``witness``
+    (or None) holds the first basis tuple where they differ, and both sides."""
+
+    def __init__(self, what, routes, witness=None):
+        self.routes, self.witness = tuple(routes), witness
+        at = "" if witness is None else f" at {witness.indices}"
+        super().__init__(f"{what}: {' and '.join(self.routes)} disagree{at}")
 
 
 class DocumentError(XprodError, exit_code=2):

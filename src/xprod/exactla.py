@@ -107,6 +107,8 @@ class Rationals(Field):
             # accept a signed denominator, e.g. "3/-6"
             num, _, den = text.partition("/")
             return _integral(Fraction(int(num.strip()), int(den.strip())))
+        if _exponent_form_is_zero(text):
+            return 0
         return _integral(Fraction(text))
 
     def fmt(self, a):
@@ -164,6 +166,31 @@ class PrimeField(Field):
 
 
 RATIONALS = Rationals()
+
+# Fraction's exponent form: sign, digits with an optional point, exponent
+_EXPONENT_FORM = (r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                  r"[eE]([-+]?\d+(?:_\d+)*)")
+_DIGIT_LIMIT = 4300  # Python's default limit on the digits of an int read or written
+
+
+def _exponent_form_is_zero(text) -> bool:
+    """Whether ``text``, stripped, is an exponent form with a zero mantissa.
+    Refuses, with ValueError, one whose power of ten 10^|s| would need more
+    than 4,300 digits, s being the exponent less the digits after the point;
+    decided before any power is built.  Its integers are read in Fraction's
+    order, so a literal past the limit is refused as Fraction refuses it."""
+    import re
+    form = re.fullmatch(_EXPONENT_FORM, text)
+    if form is None:
+        return False
+    num, decimal, exp = form.groups(default="")
+    decimal = decimal.replace("_", "")
+    zero = int(num or "0") == 0 and int(decimal or "0") == 0
+    scale = int(exp) - len(decimal)
+    if not zero and abs(scale) >= _DIGIT_LIMIT:
+        raise ValueError(f"exponent form scales by 10^{abs(scale)}, "
+                         f"more than {_DIGIT_LIMIT} digits")
+    return zero
 
 
 @record

@@ -1,7 +1,8 @@
-"""Condition reports with deterministic smallest witnesses."""
+"""Condition reports with deterministic smallest witnesses, and the errors they raise."""
 
 from __future__ import annotations
 
+from .errors import AxiomFailure, InternalCheckError
 from .record import record
 
 
@@ -48,6 +49,17 @@ class Report:
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries if not e.passed and not e.informational)
+
+    def require(self, message: str) -> "Report":
+        """This report when every entry passes, else :class:`AxiomFailure`."""
+        if not self.all_pass:
+            raise AxiomFailure(self, message)
+        return self
+
+    def disagreement(self, what: str, routes) -> InternalCheckError:
+        """The error for ``what`` failing this report though the first route implies it passes."""
+        witness = next(e.witness for e in self.entries if not e.passed and not e.informational)
+        return InternalCheckError(f"{', '.join(self.failed_names())} of {what}", routes, witness)
 
     def restricted(self, names) -> "Report":
         wanted = set(names)

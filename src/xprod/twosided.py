@@ -41,6 +41,7 @@ from .algebra import (
     PointedSpace,
     _column_witness,
     _require_maps,
+    _routes_agree,
     _unit_legs,
     is_algebra_map,
     new_algebra,
@@ -61,11 +62,9 @@ from .errors import (
     FieldMismatch,
     InternalCheckError,
     NotAlgebraMap,
-    NotAlgebraMapResult,
     NotAssociative,
     NotUnital,
     PremiseFail,
-    RoundTripMismatch,
     ShapeMismatch,
     SplitFail,
     UnitMismatch,
@@ -381,8 +380,7 @@ def check_twosided(d: TwoSidedData) -> Report:
     composite = _composite_conditions(d)
     for entry in entries:
         if composite[entry.name] != entry.passed:
-            raise InternalCheckError(
-                f"elementwise and composite evaluation disagree on {entry.name}")
+            raise InternalCheckError(entry.name, ("elementwise", "composite"), entry.witness)
     return Report(tuple(entries))
 
 
@@ -417,7 +415,7 @@ def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
         t = t.map_at(d.E, 2)    # E(v_R1, v'_R2)
         return t.map_at(d.A.mul, 0).map_at(d.A.mul, 0).map_at(d.C.mul, 2).map_at(d.C.mul, 2)
 
-    mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, chain).reshaped(shape(n, n), shape(n))
+    mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, chain)
     # composite route for the same multiplication, kept as an internal check
     ida = identity(f, shape(d.A.dim))
     idv = identity(f, shape(d.V.dim))
@@ -430,17 +428,13 @@ def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
         tensor(ida, d.R1, d.R2, idc),
         tensor(ida, idv, d.R3, idv, idc),
     )
-    if composite.cols != mul.cols:
-        raise InternalCheckError("two-sided product: chain and composite routes disagree")
-    unit = tensor_vec(f, d.A.unit, d.V.unit, d.C.unit)
-    return mul, unit
+    _routes_agree("two-sided product", ("chain", "composite"), mul, composite)
+    return mul.reshaped(shape(n, n), shape(n)), tensor_vec(f, d.A.unit, d.V.unit, d.C.unit)
 
 
 def build_twosided(d: TwoSidedData) -> FinAlgebra:
     """Build the two-sided crossed product; requires an all-pass check."""
-    rep = check_twosided(d)
-    if not rep.all_pass:
-        raise AxiomFailure(rep, "two-sided crossed product conditions fail")
+    check_twosided(d).require("two-sided crossed product conditions fail")
     return _validated_product(d)
 
 
@@ -483,7 +477,7 @@ def presentations_agree(d: TwoSidedData) -> Report:
     V (x) C pointed by 1_V ⊗ 1_C and (A (x) V) (x)~_{P,ν} C with A (x) V
     pointed by 1_A ⊗ 1_V, each with its own conditions and post-build
     identity but no validation of its own, and compares their structure
-    constants with it exactly; the witness is the first differing column.  The
+    constants with it exactly: a failure of either is an internal error.  The
     units are 1_A ⊗ 1_V ⊗ 1_C in all three by construction.
     """
     a, v, c = d.A, d.V, d.C
@@ -501,16 +495,15 @@ def presentations_agree(d: TwoSidedData) -> Report:
             derived.P.reshaped(domain=shape(c.dim, av.dim), codomain=shape(av.dim, c.dim)),
             derived.nu.reshaped(domain=shape(av.dim, av.dim), codomain=shape(av.dim, c.dim)))),
     )
-    entries = []
-    for name, what, product, data in presentations:
+    for _, what, product, data in presentations:
         try:
             mul = product(data)
         except AxiomFailure as exc:
-            raise InternalCheckError(
-                f"derived {what} data fails its own conditions: {exc}") from exc
-        witness = _column_witness((main.mul, mul, "structure constants differ"))
-        entries.append(ConditionResult(name, witness is None, witness))
-    return Report(tuple(entries))
+            raise exc.report.disagreement(f"the derived {what} data", (
+                "two-sided conditions", f"{what} conditions")) from exc
+        _routes_agree("structure constants", ("two-sided product", f"{what} presentation"),
+                      main.mul, mul)
+    return Report(tuple(ConditionResult(name, True) for name, *_ in presentations))
 
 
 # -- converse: extraction from a suitably split algebra ----------------------
@@ -592,11 +585,11 @@ def _split(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoS
 
 def _round_trip(data: TwoSidedData, m: FinAlgebra) -> TwoSidedData:
     """:func:`extract`'s tail: the split maps, unless they fail or do not rebuild M."""
-    failed = check_twosided(data).failed_names()
-    if failed:
-        raise RoundTripMismatch("extracted maps fail conditions: " + ", ".join(failed))
-    if _raw_product(data)[0].cols != m.mul.cols:  # the units agree: _split checked
-        raise RoundTripMismatch("rebuilt product differs from the input algebra")
+    rep = check_twosided(data)
+    if not rep.all_pass:
+        raise rep.disagreement("the extracted maps", ("splitting", "two-sided conditions"))
+    # the units agree: _split checked
+    _routes_agree("the split algebra", ("input", "rebuilt product"), m.mul, _raw_product(data)[0])
     return data
 
 
@@ -657,9 +650,8 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     result = triple.reshaped(domain=shape(built.dim), codomain=shape(x.dim))
     rep = is_algebra_map(result, built, x)
     if not rep.all_pass:
-        raise NotAlgebraMapResult("induced map is not an algebra map (internal bug)")
-    for leg, mp in enumerate((f_a, f_v, f_c)):
-        if compose(result, _unit_legs(fld, (a.unit, v.unit, c.unit), (leg,))).cols != mp.cols:
-            raise NotAlgebraMapResult(
-                "induced map does not restrict to the given maps (internal bug)")
+        raise rep.disagreement("the induced map", ("premises", "algebra-map check"))
+    for leg, (name, mp) in enumerate((("fA", f_a), ("fV", f_v), ("fC", f_c))):
+        _routes_agree(f"induced map on {'AVC'[leg]}", ("restriction", name),
+                      compose(result, _unit_legs(fld, (a.unit, v.unit, c.unit), (leg,))), mp)
     return result

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -249,6 +250,25 @@ def test_short_refused_scalar_message_unchanged(tmp_path):
     rc, rep, _ = run(["check", "--in", write_doc(tmp_path, obj)], tmp_path)
     assert rc == 2
     assert rep["error"]["message"] == "$.spaces.V.unit[0]: bad scalar '1/0': Fraction(1, 0)"
+
+
+@pytest.mark.parametrize("scalar, message", [
+    # refused from the text: 10**10000000 is never built
+    ("1e10000000", ".unit[0]: bad scalar '1e10000000': exponent form scales by "
+                   "10^10000000, more than 4300 digits"),
+    ("1e-10000000", ".unit[0]: bad scalar '1e-10000000': exponent form scales by "
+                    "10^10000000, more than 4300 digits"),
+    # a zero mantissa is 0 whatever its exponent, which a unit may not be
+    ("0E600000", ": distinguished element must be nonzero"),
+], ids=["1e10000000", "1e-10000000", "0E600000"])
+def test_exponent_form_scalar_costs_no_power_of_ten(tmp_path, scalar, message):
+    obj = {"field": {"kind": "rationals"}, "spaces": {"V": {"dim": 1, "unit": [scalar]}}}
+    doc = write_doc(tmp_path, obj)
+    start = time.process_time()
+    rc, rep, _ = run(["check", "--in", doc], tmp_path)
+    assert time.process_time() - start < 0.1
+    assert rc == 2
+    assert rep["error"]["message"] == "$.spaces.V" + message
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ValueError], ids=lambda t: t.__name__)
@@ -513,6 +533,34 @@ def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypa
     message = rep["error"]["message"]
     assert "scanned" in message and "compiled" in message
     assert "R-triple (R1 frozen, R2 frozen, R3 frozen)" in message
+
+
+def test_internal_error_names_its_routes_and_first_differing_column(tmp_path, monkeypatch):
+    # the L-R chain of transport gains e_0 in column 5, (v, a, c, v', a', c') =
+    # (0, 0, 0, 1, 0, 1): the error object names both routes and holds that
+    # column of each
+    import xprod.constructions
+    from test_pinned_witnesses import with_entry
+
+    data = CORPUS["q-dual-flip-trivial"]
+    honest = [str(x) for x in xprod.constructions.transport(data)[0].mul.column(5)]
+    chain_map = xprod.constructions._chain_map
+
+    def corrupted(*args):
+        m = chain_map(*args)
+        return with_entry(m, 5, 0, Q.add(m.column(5)[0], Q.one))
+
+    monkeypatch.setattr(xprod.constructions, "_chain_map", corrupted)
+    rc, rep, _ = run(["transport", "--in", write_doc(tmp_path, twosided_doc(data, Q))], tmp_path)
+    assert rc == 3
+    assert rep["status"] == "internal-error"
+    assert rep["error"] == {
+        "type": "InternalCheckError",
+        "message": "transported product: L-R presentation and permuted product disagree "
+                   "at (0, 0, 0, 1, 0, 1)",
+        "routes": ["L-R presentation", "permuted product"],
+        "witness": {"indices": [0, 0, 0, 1, 0, 1], "identity": "transported product",
+                    "left": [str(int(honest[0]) + 1)] + honest[1:], "right": honest}}
 
 
 def test_universal_dataset_via_cli(tmp_path):

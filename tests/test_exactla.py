@@ -1,5 +1,6 @@
 """Scalar arithmetic, index conventions, composition, Kronecker products."""
 
+import fractions
 import itertools
 import random
 import time
@@ -132,13 +133,26 @@ def test_rational_operations_match_fraction_arithmetic(a, b):
 
 
 def parse_before_ints(text):
-    """The rational parser as it was when every Q scalar was a Fraction."""
+    """The rational parser as it was when every Q scalar was a Fraction, with
+    one rule for the exponent form, read off Fraction's own grammar: a zero
+    mantissa is 0 whatever the exponent, and a power of ten 10^|s| of more
+    than 4,300 digits is refused, s being the exponent less the digits after
+    the point."""
     if isinstance(text, int):
         return Fraction(text)
     text = str(text).strip()
     if "/" in text:
         num, _, den = text.partition("/")
         return Fraction(int(num.strip()), int(den.strip()))
+    form = fractions._RATIONAL_FORMAT.match(text)
+    if form is not None and form["exp"]:
+        decimal = form["decimal"] or ""
+        mantissa = int(form["num"] or "0"), int(decimal or "0")
+        scale = int(form["exp"]) - len(decimal.replace("_", ""))
+        if mantissa == (0, 0):
+            return Fraction(0)
+        if abs(scale) + 1 > 4300:  # the digits of 10^|scale|
+            raise ValueError(f"exponent form scales by 10^{abs(scale)}, more than 4300 digits")
     return Fraction(text)
 
 
@@ -159,6 +173,12 @@ SCALAR_TEXT = st.text(st.sampled_from("0123456789+-/._eE \t\xa0x٣１"), max_siz
 @example("2.0")
 @example("1e3")
 @example("7" * 5000)
+@example("0E600000")
+@example("1e10000000")
+@example("1e-10000000")
+@example("1e4299")
+@example("1e4300")
+@example("0.25e-4300")
 def test_rational_parse_matches_the_fraction_parser(text):
     # the same value, now canonical, or the same exception and message, which
     # a report quotes

@@ -2,10 +2,13 @@
 and counit laws that fail on the right only, the axiom failures of
 ``build_brzezinski`` and ``build_mirror``, the CLI's refusals of a malformed
 algebra, space or coalgebra, a forced build of a two-sided product that is
-not unital, and the exit code of every error class."""
+not unital, the exit code of every error class, and the one way each kind of
+failure is raised."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -164,7 +167,7 @@ EXIT_CODES = {
         "NotAssociative", "NotUnital", "NotCoassociative", "CounitFail", "UnitNotGrouplike"),
     2: ("DocumentError", "ShapeMismatch", "FieldMismatch", "PreconditionFail",
         "SearchSpaceTooLarge"),
-    3: ("InternalCheckError", "RoundTripMismatch", "NotAlgebraMapResult"),
+    3: ("InternalCheckError",),
 }
 
 
@@ -189,6 +192,70 @@ def test_every_error_class_has_its_exit_code(monkeypatch, tmp_path):
         monkeypatch.setitem(cli._HANDLERS, "check", raise_it)
         rc = main(["check", "--in", str(doc), "--out", str(tmp_path / "report.json")])
         assert rc == code, name
+
+
+PACKAGE = Path(errors.__file__).parent
+# the function and the Report method that build an InternalCheckError from
+# a ``routes`` argument
+ROUTE_HELPERS = ("_routes_agree", "disagreement")
+
+
+def called_name(node):
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def package_calls(*names):
+    """(module, enclosing top-level definition, call node) of every call of a
+    function or method named in ``names`` in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and called_name(node) in names:
+                    yield path.stem, getattr(top, "name", None), node
+
+
+def test_one_internal_error_class_and_each_raise_names_two_routes():
+    # exit 3 is one class, and every internal error names the two routes that
+    # disagreed: a literal pair, or the pair a route helper was given
+    assert [name for name, cls in vars(errors).items() if isinstance(cls, type)
+            and issubclass(cls, errors.XprodError) and cls.exit_code == 3
+            and cls is not errors.XprodError] == ["InternalCheckError"]
+    calls = list(package_calls("InternalCheckError", *ROUTE_HELPERS))
+    assert {called_name(node) for _, _, node in calls} >= set(ROUTE_HELPERS)
+    for module, top, node in calls:
+        routes = node.args[1]
+        assert (isinstance(routes, ast.Tuple) and len(routes.elts) == 2) or (
+            top in ("_routes_agree", "Report") and isinstance(routes, ast.Name)
+            and routes.id == "routes"), (module, top, ast.unparse(node))
+    # a function that builds one by hand compares no two maps' columns: every
+    # comparison of two maps goes through _routes_agree
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if getattr(top, "name", None) in ROUTE_HELPERS or not any(
+                    isinstance(node, ast.Call) and called_name(node) == "InternalCheckError"
+                    for node in ast.walk(top)):
+                continue
+            assert not any(isinstance(node, ast.Attribute) and node.attr == "cols"
+                           for node in ast.walk(top)), (path.stem, top.name)
+    # and a failing report stops a construction one way, Report.require
+    assert [(module, top) for module, top, _ in package_calls("AxiomFailure")] == [
+        ("report", "Report")]
+
+
+def test_routes_agree_looks_for_a_witness_only_when_the_maps_differ(monkeypatch):
+    from xprod import algebra
+
+    honest = algebra._column_witness
+    monkeypatch.setattr(algebra, "_column_witness", lambda *sides: pytest.fail("scanned"))
+    m = flip(Q, 2, 3)
+    algebra._routes_agree("flip", ("left", "right"), m, m)
+    monkeypatch.setattr(algebra, "_column_witness", honest)
+    other = from_columns(Q, m.domain, m.codomain, [m.column(j) for j in (0, 2, 1, 3, 4, 5)])
+    with pytest.raises(errors.InternalCheckError) as exc:
+        algebra._routes_agree("flip", ("left", "right"), m, other)
+    assert str(exc.value) == "flip: left and right disagree at (0, 1)"
+    assert (exc.value.routes, exc.value.witness.left, exc.value.witness.right) == (
+        ("left", "right"), m.column(1), m.column(2))
 
 
 def test_any_library_refusal_of_an_entry_is_an_input_error_at_its_path(monkeypatch, tmp_path):

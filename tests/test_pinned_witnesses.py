@@ -19,7 +19,7 @@ from xprod.crossed import (
     lift_twisting_to_brzezinski,
     lift_twisting_to_mirror,
 )
-from xprod.errors import InternalCheckError, RoundTripMismatch, SplitFail
+from xprod.errors import InternalCheckError, SplitFail
 from xprod.exactla import (
     TensorMap,
     TensorShape,
@@ -132,8 +132,9 @@ def test_split_witness_matches_basis_completion(name):
             w = exc.witness
             if exc.which != "ajut4":
                 got = (exc.which, w.indices, w.left, w.right)
-        except RoundTripMismatch:
-            pass
+        except InternalCheckError as exc:  # only the round trip's two checks
+            assert exc.routes in {("splitting", "two-sided conditions"),
+                                  ("input", "rebuilt product")}
         assert got == first_split_failure(mutant, d)
         seen.add(got and got[0])
     assert expected <= seen
@@ -168,28 +169,40 @@ def test_brzezinski_post_build_check_names_first_failing_tuple(monkeypatch):
     corrupt_builds(monkeypatch, crossed, [((1 * 3 + 2) * 6 + (0 * 3 + 1), 0, Q.one)])
     with pytest.raises(InternalCheckError) as exc:
         build_brzezinski(d)
-    assert str(exc.value) == "(a⊗1_V)(b⊗v)=ab⊗v fails at basis (1, 0, 1)"
+    assert str(exc.value) == (
+        "(a⊗1_V)(b⊗v)=ab⊗v: crossed product and product of A disagree at (1, 0, 1)")
+    assert exc.value.routes == ("crossed product", "product of A")
+    assert exc.value.witness.indices == (1, 0, 1)
 
 
 def test_mirror_post_build_check_names_first_failing_tuple(monkeypatch):
     # W = upper triangular matrices (1_W = e11 + e22), B = k[x]/x^2; the entry
-    # sits in column (w⊗b)(e22⊗b') with w = e22, b = 1, b' = x
+    # sits in column (w⊗b)(e22⊗b') with w = e22, b = 1, b' = x; the witness
+    # is in scan order (b, b', w)
     d = lift_twisting_to_mirror(UT, DQ, flip(Q, 2, 3))
     corrupt_builds(monkeypatch, crossed, [((2 * 2 + 0) * 6 + (2 * 2 + 1), 3, Q.one)])
     with pytest.raises(InternalCheckError) as exc:
         build_mirror(d)
-    assert str(exc.value) == "(w⊗b)(1_W⊗b')=w⊗bb' fails at basis (2, 0, 1)"
+    assert str(exc.value) == (
+        "(w⊗b)(1_W⊗b')=w⊗bb' on (b, b', w): mirror product and product of B disagree "
+        "at (0, 1, 2)")
+    assert exc.value.routes == ("mirror product", "product of B")
+    assert exc.value.witness.indices == (0, 1, 2)
 
 
 def test_mirror_post_build_check_scans_b_b_prime_w(monkeypatch):
-    # two failing tuples: (w, b, b') = (2, 0, 1) comes first in the scan over
-    # (b, b', w), (0, 1, 0) would come first in the order of the report
+    # two failing tuples: (w, b, b') = (2, 0, 1), which is (b, b', w) =
+    # (0, 1, 2), comes first in the scan over (b, b', w); (w, b, b') =
+    # (0, 1, 0) would come first in the order (w, b, b')
     d = lift_twisting_to_mirror(UT, DQ, flip(Q, 2, 3))
     corrupt_builds(monkeypatch, crossed, [((2 * 2 + 0) * 6 + (2 * 2 + 1), 3, Q.one),
                                           ((0 * 2 + 1) * 6 + (2 * 2 + 0), 0, Q.one)])
     with pytest.raises(InternalCheckError) as exc:
         build_mirror(d)
-    assert str(exc.value) == "(w⊗b)(1_W⊗b')=w⊗bb' fails at basis (2, 0, 1)"
+    assert str(exc.value) == (
+        "(w⊗b)(1_W⊗b')=w⊗bb' on (b, b', w): mirror product and product of B disagree "
+        "at (0, 1, 2)")
+    assert exc.value.witness.indices == (0, 1, 2)
 
 
 def test_iterated_ttp_formula_check_names_first_failing_tuple(monkeypatch):
@@ -198,4 +211,6 @@ def test_iterated_ttp_formula_check_names_first_failing_tuple(monkeypatch):
     corrupt_builds(monkeypatch, twosided, [(col, 5, Q.from_int(7))])
     with pytest.raises(InternalCheckError) as exc:
         iterated_ttp(DQ, UT, DQ, flip(Q, 3, 2), flip(Q, 2, 3), flip(Q, 2, 2))
-    assert str(exc.value) == "iterated product disagrees with its formula at (1, 2, 0, 0, 1, 1)"
+    assert str(exc.value) == ("iterated twisted tensor product: displayed formula and "
+                              "two-sided product disagree at (1, 2, 0, 0, 1, 1)")
+    assert exc.value.witness.indices == (1, 2, 0, 0, 1, 1)

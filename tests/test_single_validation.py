@@ -15,7 +15,7 @@ from xprod import algebra, cli, constructions, crossed, twosided
 from xprod.algebra import FinAlgebra
 from xprod.cli import main
 from xprod.constructions import transport
-from xprod.errors import AxiomFailure, InternalCheckError, RoundTripMismatch
+from xprod.errors import AxiomFailure, InternalCheckError
 from xprod.record import replace
 from xprod.exactla import TensorMap
 from xprod.twosided import build_twosided, extract, presentations_agree
@@ -45,37 +45,75 @@ def run_cli(tmp_path, command):
 
 
 def test_agree_reports_the_first_differing_column(monkeypatch, tmp_path):
+    # a presentation that differs from the validated product is an internal
+    # error, exit 3, whose witness is the first differing column
+    assert [(e.name, e.passed, e.witness) for e in presentations_agree(FLIP_FLIP).entries] == [
+        ("brzezinski-presentation", True, None), ("mirror-presentation", True, None)]
     corrupt(monkeypatch, twosided, "_brz_product", 37, 9)
     main_mul = build_twosided(FLIP_FLIP).mul
-    rep = presentations_agree(FLIP_FLIP)
-    brz, mirror = rep.entries
-    assert brz.name == "brzezinski-presentation" and not brz.passed
-    assert mirror.name == "mirror-presentation" and mirror.passed
-    w = brz.witness
+    with pytest.raises(InternalCheckError) as exc:
+        presentations_agree(FLIP_FLIP)
+    assert exc.value.routes == ("two-sided product", "crossed-product presentation")
+    w = exc.value.witness
     assert w.indices == (1, 1)  # column 9 of the [8, 8] product
     assert w.left == main_mul.column(9)
     assert w.right == (main_mul.column(9)[0] + 1,) + main_mul.column(9)[1:]
-    assert w.identity == "structure constants differ"
+    assert w.identity == "structure constants"
     rc, obj = run_cli(tmp_path, "agree")
-    assert rc == 1
-    assert [c["passed"] for c in obj["conditions"]] == [False, True]
+    assert rc == 3
+    assert obj["status"] == "internal-error" and obj["conditions"] == []
+    assert obj["error"]["routes"] == ["two-sided product", "crossed-product presentation"]
+    assert obj["error"]["witness"] == {
+        "indices": [1, 1], "identity": "structure constants",
+        "left": [str(x) for x in w.left], "right": [str(x) for x in w.right]}
 
 
-@pytest.mark.parametrize("module, name, message", [
+def test_agree_derived_data_failing_its_conditions_is_internal(monkeypatch, tmp_path):
+    # σ gains e_0 in column 9: the derived crossed-product data fail brz4,
+    # though the two-sided conditions that imply it pass; the error carries
+    # that entry's witness
+    honest = twosided.derive_maps
+    monkeypatch.setattr(twosided, "derive_maps",
+                        lambda d: replace(honest(d), sigma=bumped(honest(d).sigma, 9)))
+    with pytest.raises(InternalCheckError) as exc:
+        presentations_agree(FLIP_FLIP)
+    failure = exc.value.__cause__
+    assert isinstance(failure, AxiomFailure) and failure.report.failed_names() == ("brz4",)
+    assert exc.value.witness == failure.report.get("brz4").witness
+    assert str(exc.value) == ("brz4 of the derived crossed-product data: two-sided conditions "
+                              "and crossed-product conditions disagree at (1, 2, 1)")
+    rc, obj = run_cli(tmp_path, "agree")
+    assert rc == 3
+    assert obj["error"]["routes"] == ["two-sided conditions", "crossed-product conditions"]
+    assert obj["error"]["witness"]["indices"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("module, name, route, indices", [
     # column 5 of [V, B', V, B'] is (v, b, v', b') = (0, 0, 1, 1): no post-build
     # identity of the mirror product reads it, since v' is not 1_V
-    (crossed, "_mirror_mul", "mirror presentation differs from the permuted product"),
-    (constructions, "_chain_map", "L-R presentation differs from the permuted product"),
+    pytest.param(crossed, "_mirror_mul", "mirror presentation", (0, 0, 1, 1),
+                 id="xprod.crossed-_mirror_mul-mirror presentation differs from the permuted "
+                    "product"),
+    # column 5 of [V, A, C, V, A, C]
+    pytest.param(constructions, "_chain_map", "L-R presentation", (0, 0, 0, 1, 0, 1),
+                 id="xprod.constructions-_chain_map-L-R presentation differs from the permuted "
+                    "product"),
 ])
-def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, name, message):
+def test_transport_equality_failure_is_internal(monkeypatch, tmp_path, module, name, route,
+                                                indices):
     corrupt(monkeypatch, module, name, 5)
     with pytest.raises(InternalCheckError) as exc:
         transport(FLIP_FLIP)
+    message = f"transported product: {route} and permuted product disagree at {indices}"
     assert str(exc.value) == message
+    assert exc.value.witness.indices == indices
     rc, obj = run_cli(tmp_path, "transport")
     assert rc == 3
     assert obj["status"] == "internal-error"
-    assert obj["error"] == {"type": "InternalCheckError", "message": message}
+    assert {key: obj["error"][key] for key in ("type", "message", "routes")} == {
+        "type": "InternalCheckError", "message": message,
+        "routes": [route, "permuted product"]}
+    assert obj["error"]["witness"]["indices"] == list(indices)
 
 
 def test_transport_refuses_data_failing_the_twosided_conditions():
@@ -93,7 +131,7 @@ def test_extract_cross_checks_the_rebuilt_product(monkeypatch):
     corrupt(monkeypatch, twosided, "_chain_map", 5)
     with pytest.raises(InternalCheckError) as exc:
         extract(m, d.A, d.V, d.C)
-    assert str(exc.value) == "two-sided product: chain and composite routes disagree"
+    assert str(exc.value) == "two-sided product: chain and composite disagree at (0, 0, 0, 1, 0, 1)"
 
 
 def test_extract_compares_the_rebuilt_product_with_m():
@@ -102,9 +140,13 @@ def test_extract_compares_the_rebuilt_product_with_m():
     d = FLIP_FLIP
     m = build_twosided(d)
     mutant = FinAlgebra(m.field, m.dim, bumped(m.mul, m.dim * m.dim - 1), m.unit)
-    with pytest.raises(RoundTripMismatch) as exc:
+    with pytest.raises(InternalCheckError) as exc:
         extract(mutant, d.A, d.V, d.C)
-    assert str(exc.value) == "rebuilt product differs from the input algebra"
+    last = m.dim - 1
+    assert str(exc.value) == (
+        f"the split algebra: input and rebuilt product disagree at {(last, last)}")
+    assert exc.value.witness.left == mutant.mul.column(m.dim * m.dim - 1)
+    assert exc.value.witness.right == m.mul.column(m.dim * m.dim - 1)
 
 
 def count_calls(monkeypatch, fn):
@@ -164,7 +206,7 @@ def test_extract_command_round_trips_split_maps_that_differ(monkeypatch):
         return replace(got, E=bumped(got.E, len(got.E.cols) - 1))
 
     monkeypatch.setattr(cli, "_split", wrong)
-    with pytest.raises(RoundTripMismatch, match="extracted maps fail conditions|rebuilt"):
+    with pytest.raises(InternalCheckError, match="of the extracted maps|rebuilt"):
         cli._HANDLERS["extract"](ALL_KINDS, "d", kind, entry, SimpleNamespace(force=False))
 
 

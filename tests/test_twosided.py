@@ -43,9 +43,9 @@ from xprod.record import replace
 from xprod.twosided import CONDITIONS, TWIST_LEGS
 from xprod.errors import (
     AxiomFailure,
+    InternalCheckError,
     NotAlgebraMap,
     PremiseFail,
-    RoundTripMismatch,
     SplitFail,
     UnitMismatch,
 )
@@ -418,7 +418,7 @@ def test_extract_bicocycle_round_trip():
 
 def test_extract_checks_the_extracted_data_once(monkeypatch):
     # the rebuild checks the extracted data, and extract does not check it
-    # again; a failing check becomes a round-trip mismatch that names it
+    # again; a failing check is an internal error that names it
     import xprod.twosided
     honest, reports = xprod.twosided.check_twosided, []
     monkeypatch.setattr(xprod.twosided, "check_twosided",
@@ -437,11 +437,13 @@ def test_extract_checks_the_extracted_data_once(monkeypatch):
     mutant = FinAlgebra(Q, m.dim, TensorMap(Q, m.mul.domain, m.mul.codomain, tuple(cols)),
                         m.unit)
     reports.clear()
-    with pytest.raises(RoundTripMismatch) as exc:
+    with pytest.raises(InternalCheckError) as exc:
         extract(mutant, d.A, d.V, d.C)
     assert len(reports) == 1
     assert reports[0].failed_names() == ("equiv2", "equiv5")
-    assert str(exc.value) == "extracted maps fail conditions: equiv2, equiv5"
+    assert str(exc.value) == ("equiv2, equiv5 of the extracted maps: splitting and two-sided "
+                              "conditions disagree at (1, 1, 1)")
+    assert exc.value.witness == reports[0].get("equiv2").witness
 
 
 def test_extract_unit_mismatch():
