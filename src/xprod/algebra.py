@@ -113,14 +113,14 @@ def new_algebra(field: Field, dim: int, mul: TensorMap, unit) -> FinAlgebra:
     alg = FinAlgebra(field, dim, mul, unit)
     w = associativity_witness(alg)
     if w is not None:
-        raise NotAssociative(*w)
+        raise NotAssociative(w.indices, w.left, w.right)
     w = unit_witness(alg)
     if w is not None:
-        raise NotUnital(*w)
+        raise NotUnital(w)
     return alg
 
 
-def associativity_witness(alg: FinAlgebra):
+def associativity_witness(alg: FinAlgebra) -> Witness | None:
     """Smallest basis triple (i, j, k) where (e_i e_j) e_k != e_i (e_j e_k).
 
     Both sides are accumulated as sparse dicts; dense vectors are built only
@@ -154,18 +154,17 @@ def associativity_witness(alg: FinAlgebra):
                     left = {m: x for m, x in left.items() if not is_zero(x)}
                     right = {m: x for m, x in right.items() if not is_zero(x)}
                     if left != right:
-                        return (i, j, k), dense(left), dense(right)
+                        return Witness((i, j, k), dense(left), dense(right), "(xy)z=x(yz)")
     return None
 
 
-def unit_witness(alg: FinAlgebra):
-    """Smallest basis index i where 1·e_i != e_i (side "left") or e_i·1 != e_i
-    (side "right"), the left law first, as (i, side, got, e_i); or None."""
+def unit_witness(alg: FinAlgebra) -> Witness | None:
+    """Smallest basis index i where 1·e_i != e_i (the left unit law) or e_i·1 !=
+    e_i (the right one), the left law first; or None."""
     f, units = alg.field, (alg.unit, alg.unit)
     ident = identity(f, shape(alg.dim))
-    w = _column_witness(*((compose(alg.mul, _unit_legs(f, units, (leg,))), ident, side)
-                          for leg, side in ((1, "left"), (0, "right"))))
-    return None if w is None else (w.indices[0], w.identity, w.left, w.right)
+    return _column_witness(*((compose(alg.mul, _unit_legs(f, units, (leg,))), ident,
+                              f"{side} unit law") for leg, side in ((1, "left"), (0, "right"))))
 
 
 def product_algebra(mul: TensorMap, *units) -> FinAlgebra:
@@ -300,13 +299,13 @@ def new_coalgebra(field: Field, dim: int, comul: TensorMap, counit: TensorMap,
         raise ShapeMismatch("unit vector length does not match dimension")
     ident = identity(field, shape(dim))
     w = _column_witness((compose(tensor(comul, ident), comul),
-                         compose(tensor(ident, comul), comul), ""))
+                         compose(tensor(ident, comul), comul), "coassociativity"))
     if w is not None:
-        raise NotCoassociative(w.indices[0])
-    w = _column_witness((compose(tensor(counit, ident), comul), ident, "left"),
-                        (compose(tensor(ident, counit), comul), ident, "right"))
+        raise NotCoassociative(w)
+    w = _column_witness((compose(tensor(counit, ident), comul), ident, "left counit law"),
+                        (compose(tensor(ident, counit), comul), ident, "right counit law"))
     if w is not None:
-        raise CounitFail(w.indices[0], w.identity)
+        raise CounitFail(w)
     if comul.apply(unit) != tensor_vec(field, unit, unit):
         raise UnitNotGrouplike("comul(1_H) != 1_H (x) 1_H")
     if counit.apply(unit) != (field.one,):

@@ -766,8 +766,12 @@ def main(argv=None) -> int:
 
     except Exception as exc:  # any exception but an XprodError is a bug: exit 3
         code = exc.exit_code if isinstance(exc, XprodError) else 3
+        try:
+            error = _error_obj(field, exc)
+        except PreconditionFail as refusal:  # its witness has a scalar too long to write
+            code, error = refusal.exit_code, _error_obj(field, refusal)
         return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
-                           outputs={}, error=_error_obj(field, exc)), code)
+                           outputs={}, error=error), code)
 
 
 def _error_obj(field, exc):

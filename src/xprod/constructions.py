@@ -227,9 +227,10 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
     Both build on B' = A (x)_R3 C.  Remark 1 (R1 = flip) builds the mirror
     crossed product V (x)~_{P,ν} B' with P((a⊗c)⊗v) = v_R2 ⊗ (a ⊗ c_R2) and
     ν(v⊗v') = E_V(v,v') ⊗ (E_A(v,v') ⊗ E_C(v,v')).  Remark 2 (R3 = flip, so
-    B' = A (x) C) builds the L-R-style product from the displayed expansion
-    ``(v⊗(a⊗c))•(v'⊗(a'⊗c')) = E_V(v_R1,v'_R2) ⊗ (a a'_R1 E_A(v_R1,v'_R2) ⊗
-    E_C(v_R1,v'_R2) c_R2 c')``; its J is the mirror P.
+    B' = A (x) C) builds the L-R-style product from its maps J, T, γ, η and the
+    product of A (x) C: (v⊗x)•(v'⊗x') = E_V ⊗ (1_A⊗E_C) x_J x'_T (E_A⊗1_C), with
+    E = η(v_T⊗v'_J), that is ``(v⊗(a⊗c))•(v'⊗(a'⊗c')) = E_V(v_R1,v'_R2) ⊗ (a
+    a'_R1 E_A(v_R1,v'_R2) ⊗ E_C(v_R1,v'_R2) c_R2 c')``; its J is the mirror P.
 
     Validates the two-sided product and B' once each, and permutes the product
     to V (x) A (x) C.  Each presentation has its own conditions but no
@@ -276,20 +277,18 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
         eta = compose(_unit_legs(f, (v.unit, a.unit, c.unit, a.unit, c.unit), (0, 2, 3)),
                       permute_factors(f, (na, nv, nc), (1, 2, 0)), d.E).reshaped(
             codomain=shape(nv, nac, nac))
-        data["remark2"] = LRData(p_map, t_map, gamma, eta)
+        lr = data["remark2"] = LRData(p_map, t_map, gamma, eta)
 
-        def chain(t):
-            t = t.permute((0, 4, 1, 2, 3, 5))      # v, a', a, c, v', c'
-            t = t.map_at(d.R1, 0)                  # a'_R1, v_R1, a, c, v', c'
-            t = t.map_at(d.R2, 3)                  # ..., v'_R2, c_R2, c'
-            t = t.permute((2, 0, 1, 3, 4, 5))      # a, a'_R1, v_R1, v'_R2, c_R2, c'
-            t = t.map_at(d.E, 2)                   # a, a'_R1, E_A, E_V, E_C, c_R2, c'
-            t = t.map_at(a.mul, 0).map_at(a.mul, 0)
-            t = t.map_at(c.mul, 2).map_at(c.mul, 2)  # E_C c_R2 c'
-            return t.permute((1, 0, 2))            # V, A, C
+        def chain(t):  # v, x, v', x', each x in A (x) C, multiplied by ac
+            t = t.permute((0, 2, 1, 3)).map_at(lr.gamma, 0)       # v, v', 1, x, x'
+            t = t.permute((0, 4, 3, 1, 2)).map_at(lr.T, 0)        # v_T, x'_T, x, v', 1
+            t = t.map_at(lr.J, 2).permute((0, 2, 3, 4, 1))        # v_T, v'_J, x_J, 1, x'_T
+            t = t.map_at(ac.mul, 2).map_at(ac.mul, 2).map_at(lr.eta, 0)
+            t = t.permute((0, 1, 3, 2))                           # E_V, 1⊗E_C, x_J 1 x'_T, E_A⊗1
+            return t.map_at(ac.mul, 1).map_at(ac.mul, 1)
 
         _routes_agree("transported product", ("L-R presentation", "permuted product"),
-                      _chain_map(f, (nv, na, nc) * 2, chain), moved.mul)
+                      _chain_map(f, (nv, nac) * 2, chain), moved.mul)
         info = _column_witness((
             compose(moved.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
             tensor(identity(f, shape(nv)), ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),

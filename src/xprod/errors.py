@@ -1,5 +1,8 @@
 """Exception types shared across the package.  Each class names the command line's
-exit code: 1 an axiom failure, 2 an input error, 3 :class:`InternalCheckError` alone."""
+exit code: 1 an axiom failure, 2 an input error, 3 :class:`InternalCheckError` alone.
+A law that fails at a basis tuple raises a :class:`LawFailure` holding the
+``Witness`` its check found; :class:`NotAssociative` alone holds a basis triple
+and both sides."""
 
 from __future__ import annotations
 
@@ -34,32 +37,28 @@ class NotAssociative(XprodError, exit_code=1):
         super().__init__(f"associativity fails at basis triple {self.witness}")
 
 
-class NotUnital(XprodError, exit_code=1):
+class LawFailure(XprodError, exit_code=1):
+    """A law fails at a basis tuple: ``witness`` is the :class:`~xprod.report.Witness`
+    its check found, and ``which`` names the condition where a subclass reports
+    several.  The message is the subclass's ``template`` read off both."""
+
+    template = "{w.identity} fails at basis vector {w.indices[0]}"
+
+    def __init__(self, witness, which=None):
+        self.witness, self.which = witness, which
+        super().__init__(self.template.format(w=witness, which=which))
+
+
+class NotUnital(LawFailure, exit_code=1):
     """The designated unit fails a unit law on a basis vector."""
 
-    def __init__(self, witness, side, left, right):
-        self.witness = witness
-        self.side = side
-        self.left = tuple(left)
-        self.right = tuple(right)
-        super().__init__(f"{side} unit law fails at basis vector {witness}")
 
-
-class NotCoassociative(XprodError, exit_code=1):
+class NotCoassociative(LawFailure, exit_code=1):
     """Comultiplication fails coassociativity on a basis vector."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"coassociativity fails at basis vector {witness}")
 
-
-class CounitFail(XprodError, exit_code=1):
+class CounitFail(LawFailure, exit_code=1):
     """Counit law fails on a basis vector."""
-
-    def __init__(self, witness, side):
-        self.witness = witness
-        self.side = side
-        super().__init__(f"{side} counit law fails at basis vector {witness}")
 
 
 class UnitNotGrouplike(XprodError, exit_code=1):
@@ -87,22 +86,16 @@ class NotAlgebraMap(XprodError, exit_code=1):
         super().__init__(f"{which} is not a unital algebra map")
 
 
-class SplitFail(XprodError, exit_code=1):
+class SplitFail(LawFailure, exit_code=1):
     """A product escapes the subspace required by a splitting condition."""
 
-    def __init__(self, which, witness):
-        self.which = which
-        self.witness = witness
-        super().__init__(f"splitting condition {which} fails at {witness.indices}")
+    template = "splitting condition {which} fails at {w.indices}"
 
 
-class PremiseFail(XprodError, exit_code=1):
+class PremiseFail(LawFailure, exit_code=1):
     """A premise of the universal factorization does not hold."""
 
-    def __init__(self, which, witness):
-        self.which = which
-        self.witness = witness
-        super().__init__(f"premise {which} fails at {witness.indices}")
+    template = "premise {which} fails at {w.indices}"
 
 
 class SearchSpaceTooLarge(XprodError, exit_code=2):

@@ -24,7 +24,7 @@ import itertools
 from functools import cached_property
 from math import prod
 
-from .errors import FieldMismatch, ShapeMismatch
+from .errors import FieldMismatch, PreconditionFail, ShapeMismatch
 from .record import record
 
 MAX_PRIME = 2**31
@@ -112,6 +112,11 @@ class Rationals(Field):
         return _integral(Fraction(text))
 
     def fmt(self, a):
+        # refused from its size, since str() raises ValueError past the limit
+        for n in (a,) if type(a) is int else (a.numerator, a.denominator):
+            if n.bit_length() > _DIGIT_BITS and abs(n) >= 10 ** _DIGIT_LIMIT:
+                raise PreconditionFail(f"a report scalar needs more than {_DIGIT_LIMIT} "
+                                       "digits, the most Python writes")
         return str(a)  # "-1/2" for a Fraction
 
     def is_zero(self, a):
@@ -171,6 +176,7 @@ RATIONALS = Rationals()
 _EXPONENT_FORM = (r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
                   r"[eE]([-+]?\d+(?:_\d+)*)")
 _DIGIT_LIMIT = 4300  # Python's default limit on the digits of an int read or written
+_DIGIT_BITS = _DIGIT_LIMIT * 3321 // 1000  # 2**_DIGIT_BITS < 10**_DIGIT_LIMIT
 
 
 def _exponent_form_is_zero(text) -> bool:

@@ -464,9 +464,7 @@ def force_build_twosided(d: TwoSidedData) -> BuildOutcome:
         return BuildOutcome(mul, unit, "not-associative",
                             Witness(exc.witness, exc.left, exc.right, "(xy)z=x(yz)"))
     except NotUnital as exc:
-        return BuildOutcome(mul, unit, "not-unital",
-                            Witness((exc.witness,), exc.left, exc.right,
-                                    f"{exc.side} unit law"))
+        return BuildOutcome(mul, unit, "not-unital", exc.witness)
     return BuildOutcome(mul, unit, None, None)
 
 
@@ -574,12 +572,12 @@ def _split(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoS
         witness = _column_witness((xy, compose(legs(y, x), r),
                                    "component outside the allowed span"))
         if witness is not None:
-            raise SplitFail(f"ajut{t}", witness)
+            raise SplitFail(witness, f"ajut{t}")
         maps[name] = r
     witness = _column_witness((compose(m.mul, tensor(product(legs(0), legs(1)), legs(2))),
                                identity(f, avc), "a⊗v⊗c = a·v·c"))
     if witness is not None:
-        raise SplitFail("ajut4", witness)
+        raise SplitFail(witness, "ajut4")
     return TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
 
 
@@ -625,10 +623,10 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     for name, mp, alg in (("fA", f_a, a), ("fC", f_c, c)):
         rep = is_algebra_map(mp.reshaped(shape(alg.dim), shape(x.dim)), alg, x)
         if not rep.all_pass:
-            raise PremiseFail(name, next(e.witness for e in rep.entries if not e.passed))
+            raise PremiseFail(next(e.witness for e in rep.entries if not e.passed), name)
     got = f_v.apply(v.unit)
     if got != x.unit:
-        raise PremiseFail("unit-fV", Witness((), got, x.unit, "f_V(1_V)=1_X"))
+        raise PremiseFail(Witness((), got, x.unit, "f_V(1_V)=1_X"), "unit-fV")
 
     idx = identity(fld, shape(x.dim))
     mul2x = compose(x.mul, tensor(idx, x.mul))
@@ -644,7 +642,7 @@ def universal_map(d: TwoSidedData, x: FinAlgebra, f_a: TensorMap, f_v: TensorMap
     for name, *side in premises:
         witness = _column_witness(side)
         if witness is not None:
-            raise PremiseFail(name, witness)
+            raise PremiseFail(witness, name)
 
     built = build_twosided(d)
     result = triple.reshaped(domain=shape(built.dim), codomain=shape(x.dim))

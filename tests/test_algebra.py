@@ -46,6 +46,7 @@ from xprod.exactla import (
     shape,
     tensor_vec,
 )
+from xprod.report import Witness
 
 
 def oracle_associativity_witness(table, field):
@@ -121,7 +122,7 @@ def test_cancelling_triple_is_not_a_witness():
     table[3][1] = (z, z, m, z)
     assert oracle_associativity_witness(table, Q) == ((2, 1, 1), e[2], zero)
     alg = algebra_from_table(Q, table, e[0], validate=False)
-    assert associativity_witness(alg) == ((2, 1, 1), e[2], zero)
+    assert associativity_witness(alg) == Witness((2, 1, 1), e[2], zero, "(xy)z=x(yz)")
 
 
 def test_broken_n27_product_gives_smallest_witness_and_dense_vectors():
@@ -148,7 +149,8 @@ def test_zero_unit_rejected():
     ]
     with pytest.raises(NotUnital) as exc:
         algebra_from_table(Q, table, (Q.zero, Q.zero))
-    assert exc.value.witness == 0
+    assert exc.value.witness.indices == (0,)
+    assert exc.value.witness.identity == "left unit law"
 
 
 def test_algebra_mul_matches_contraction_oracle():

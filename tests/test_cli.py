@@ -49,10 +49,8 @@ def run(args, tmp_path, capsys=None):
     return rc, json.loads(out.read_text(encoding="utf-8")), out.read_bytes()
 
 
-MINIMAL = {
-    "field": {"kind": "rationals"},
-    "algebras": {"k": {"dim": 1, "unit": ["1"], "mul": [[["1"]]]}},
-}
+MINIMAL_K = {"dim": 1, "unit": ["1"], "mul": [[["1"]]]}
+MINIMAL = {"field": {"kind": "rationals"}, "algebras": {"k": MINIMAL_K}}
 
 
 def test_minimal_document_parses():
@@ -269,6 +267,49 @@ def test_exponent_form_scalar_costs_no_power_of_ten(tmp_path, scalar, message):
     assert time.process_time() - start < 0.1
     assert rc == 2
     assert rep["error"]["message"] == "$.spaces.V" + message
+
+
+def one_by_one(dom, cod, entry="1"):
+    return {"domain": dom, "codomain": cod, "matrix": [[entry]]}
+
+
+# k with e0 e0 = 10^-4299 e0 and unit 10^4299, each 4,300 digits or fewer
+HUGE_UNIT = {"dim": 1, "unit": ["1e4299"], "mul": [[["1e-4299"]]]}
+# the unit of K (x) K is 10^8598
+HUGE_TTP = {"field": {"kind": "rationals"}, "algebras": {"k": HUGE_UNIT},
+            "maps": {"R": one_by_one(["k", "k"], ["k", "k"])},
+            "datasets": {"t": {"type": "ttp", "A": "k", "B": "k", "R": "R"}}}
+# f_A(1_A) = 10^4299 · 10^4299 is not 1_X: premise fA fails with that value
+# in its witness, which the error object would hold
+HUGE_PREMISE = {
+    "field": {"kind": "rationals"}, "algebras": {"a": HUGE_UNIT, "k": MINIMAL_K},
+    "maps": {"R1": one_by_one(["k", "a"], ["a", "k"]), "R2": one_by_one(["k", "k"], ["k", "k"]),
+             "R3": one_by_one(["k", "a"], ["a", "k"]),
+             "E": one_by_one(["k", "k"], ["a", "k", "k"], "1e4299"),
+             "fA": one_by_one(["a"], ["k"], "1e4299"), "fV": one_by_one(["k"], ["k"]),
+             "fC": one_by_one(["k"], ["k"])},
+    "datasets": {"d": {"type": "twosided", "A": "a", "V": "k", "C": "k", "R1": "R1",
+                       "R2": "R2", "R3": "R3", "E": "E"},
+                 "u": {"type": "universal", "data": "d", "X": "k", "fA": "fA", "fV": "fV",
+                       "fC": "fC"}}}
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["build"], HUGE_TTP), (["universal", "--dataset", "u"], HUGE_PREMISE),
+], ids=["ttp-unit", "premise-witness"])
+def test_report_scalar_too_long_to_write_is_an_input_error(tmp_path, argv, obj):
+    # refused from its size, before str() would raise Python's int-string
+    # ValueError: in the report's outputs for the first document, and in the
+    # error object, written by main's exception handler, for the second
+    doc = write_doc(tmp_path, obj)
+    start = time.process_time()
+    rc, rep, _ = run(argv + ["--in", doc], tmp_path)
+    assert time.process_time() - start < 0.1
+    assert rc == 2
+    assert rep["status"] == "error" and rep["outputs"] == {}
+    assert rep["error"] == {
+        "type": "PreconditionFail",
+        "message": "a report scalar needs more than 4300 digits, the most Python writes"}
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ValueError], ids=lambda t: t.__name__)
@@ -536,9 +577,9 @@ def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypa
 
 
 def test_internal_error_names_its_routes_and_first_differing_column(tmp_path, monkeypatch):
-    # the L-R chain of transport gains e_0 in column 5, (v, a, c, v', a', c') =
-    # (0, 0, 0, 1, 0, 1): the error object names both routes and holds that
-    # column of each
+    # the L-R chain of transport gains e_0 in column 5, (v, a⊗c, v', a'⊗c') =
+    # (0, 0, 1, 1): the error object names both routes and holds that column of
+    # each
     import xprod.constructions
     from test_pinned_witnesses import with_entry
 
@@ -557,9 +598,9 @@ def test_internal_error_names_its_routes_and_first_differing_column(tmp_path, mo
     assert rep["error"] == {
         "type": "InternalCheckError",
         "message": "transported product: L-R presentation and permuted product disagree "
-                   "at (0, 0, 0, 1, 0, 1)",
+                   "at (0, 0, 1, 1)",
         "routes": ["L-R presentation", "permuted product"],
-        "witness": {"indices": [0, 0, 0, 1, 0, 1], "identity": "transported product",
+        "witness": {"indices": [0, 0, 1, 1], "identity": "transported product",
                     "left": [str(int(honest[0]) + 1)] + honest[1:], "right": honest}}
 
 

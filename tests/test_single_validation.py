@@ -88,14 +88,62 @@ def test_agree_derived_data_failing_its_conditions_is_internal(monkeypatch, tmp_
     assert obj["error"]["witness"]["indices"] == [1, 2, 1]
 
 
+def test_transported_mirror_data_failing_its_conditions_is_internal(monkeypatch, tmp_path):
+    # ν(1_V⊗x) gains e_0: the mirror data that transport derives fail
+    # mircocunit and mir1, though the two-sided conditions that imply them
+    # pass; the error carries mircocunit's witness
+    honest = constructions.MirrorData
+    monkeypatch.setattr(constructions, "MirrorData",
+                        lambda w, b, p, nu: honest(w, b, p, bumped(nu, 1)))
+    with pytest.raises(InternalCheckError) as exc:
+        transport(FLIP_FLIP)
+    routes = ("two-sided conditions", "mirror conditions")
+    assert exc.value.routes == routes
+    assert str(exc.value) == ("mircocunit, mir1 of the transported mirror data: two-sided "
+                              "conditions and mirror conditions disagree at (1,)")
+    witness = {"indices": [1], "identity": "ν(1_W⊗w)=w⊗1_B",
+               "left": ["1", "0", "0", "0", "1", "0", "0", "0"],
+               "right": ["0", "0", "0", "0", "1", "0", "0", "0"]}
+    rc, obj = run_cli(tmp_path, "transport")
+    assert rc == 3
+    assert obj["status"] == "internal-error"
+    assert obj["error"]["routes"] == list(routes)
+    assert obj["error"]["witness"] == witness
+
+
+def test_induced_map_failing_the_algebra_map_check_is_internal(monkeypatch, tmp_path):
+    # the product the induced map is checked against gains e_0 in its last
+    # column, (x⊗x⊗x)(x⊗x⊗x): the premises pass, so f must be an algebra map
+    # out of it, and the check that it is one fails at (7, 7)
+    honest = twosided.build_twosided
+
+    def corrupted(d):
+        m = honest(d)
+        return replace(m, mul=bumped(m.mul, m.dim * m.dim - 1))
+
+    monkeypatch.setattr(twosided, "build_twosided", corrupted)
+    doc, out = tmp_path / "doc.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(all_kinds_doc()), encoding="utf-8")
+    rc = main(["universal", "--dataset", "u", "--in", str(doc), "--out", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert rc == 3
+    assert obj["status"] == "internal-error"
+    assert obj["error"] == {
+        "type": "InternalCheckError",
+        "message": "mult of the induced map: premises and algebra-map check disagree at (7, 7)",
+        "routes": ["premises", "algebra-map check"],
+        "witness": {"indices": [7, 7], "identity": "f(ab)=f(a)f(b)",
+                    "left": ["1", "0", "0", "0", "0", "0", "0", "0"], "right": ["0"] * 8}}
+
+
 @pytest.mark.parametrize("module, name, route, indices", [
     # column 5 of [V, B', V, B'] is (v, b, v', b') = (0, 0, 1, 1): no post-build
     # identity of the mirror product reads it, since v' is not 1_V
     pytest.param(crossed, "_mirror_mul", "mirror presentation", (0, 0, 1, 1),
                  id="xprod.crossed-_mirror_mul-mirror presentation differs from the permuted "
                     "product"),
-    # column 5 of [V, A, C, V, A, C]
-    pytest.param(constructions, "_chain_map", "L-R presentation", (0, 0, 0, 1, 0, 1),
+    # column 5 of [V, A⊗C, V, A⊗C], the domain of the chain through J, T, γ, η
+    pytest.param(constructions, "_chain_map", "L-R presentation", (0, 0, 1, 1),
                  id="xprod.constructions-_chain_map-L-R presentation differs from the permuted "
                     "product"),
 ])
