@@ -1,11 +1,11 @@
 """Structure-constant algebras, pointed spaces, coalgebras, algebra maps.
 
-A finite-dimensional unital associative algebra is stored as its
-multiplication map ``[n, n] -> [n]`` (columns are the structure constants
-``e_i e_j = sum_k c[i][j][k] e_k``) plus the coordinates of the unit, which
-may be any nonzero vector, not necessarily a basis vector.  Validation is
-eager and exhaustive on basis tuples, so everything downstream may assume
-well-formed inputs.
+An algebra is stored as its multiplication map ``[n, n] -> [n]`` (columns are
+the structure constants ``e_i e_j = sum_k c[i][j][k] e_k``) and the
+coordinates of its unit, any nonzero vector.  :func:`new_algebra` validates
+exhaustively on basis tuples, and a :class:`FinAlgebra` handed to a
+construction is an algebra: a product built from passing conditions that
+fails a law is an internal error (:func:`product_algebra`).
 """
 
 from __future__ import annotations
@@ -167,19 +167,36 @@ def unit_witness(alg: FinAlgebra) -> Witness | None:
                               f"{side} unit law") for leg, side in ((1, "left"), (0, "right"))))
 
 
-def product_algebra(mul: TensorMap, *units) -> FinAlgebra:
-    """The validated algebra on the tensor product of legs with these units,
-    from a multiplication that keeps the legs split: [legs, legs] -> [legs]."""
+def _product_verdict(mul: TensorMap, *units) -> tuple[FinAlgebra, str | None, Witness | None]:
+    """The algebra on the tensor product of legs with these units, from a multiplication
+    that keeps the legs split, [legs, legs] -> [legs], and the name and witness of the
+    first law it fails: validated with (None, None), else not validated."""
     unit = tensor_vec(mul.field, *units)
     n = len(unit)
-    return new_algebra(mul.field, n, mul.reshaped(shape(n, n), shape(n)), unit)
+    alg = FinAlgebra(mul.field, n, mul.reshaped(shape(n, n), shape(n)), unit)
+    try:
+        return new_algebra(alg.field, n, alg.mul, unit), None, None
+    except NotAssociative as exc:
+        return alg, "not-associative", Witness(exc.witness, exc.left, exc.right, "(xy)z=x(yz)")
+    except NotUnital as exc:
+        return alg, "not-unital", exc.witness
+
+
+def product_algebra(conditions: str, mul: TensorMap, *units) -> FinAlgebra:
+    """:func:`_product_verdict`'s algebra for data that pass ``conditions``, which make it
+    associative and unital: a law that fails is an internal error between the two."""
+    alg, failure, witness = _product_verdict(mul, *units)
+    if failure is not None:
+        raise InternalCheckError(witness.identity, (conditions, "built product"), witness)
+    return alg
 
 
 def _ttp_product(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> FinAlgebra:
     """The validated twisted tensor product A (x)_R B, (a⊗b)(a'⊗b') = a a'_R ⊗ b_R b',
     for a twist R: B (x) A -> A (x) B whose conditions the caller has decided."""
     ida, idb = identity(a.field, shape(a.dim)), identity(a.field, shape(b.dim))
-    return product_algebra(compose(tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
+    return product_algebra("twisting map conditions", compose(
+        tensor(a.mul, b.mul), tensor(ida, r, idb)), a.unit, b.unit)
 
 
 def scalar_algebra(field: Field) -> FinAlgebra:

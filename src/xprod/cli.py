@@ -29,6 +29,7 @@ from types import SimpleNamespace
 from .algebra import (
     FinAlgebra,
     PointedSpace,
+    _routes_agree,
     new_algebra,
     new_coalgebra,
 )
@@ -71,7 +72,6 @@ from .report import ConditionResult, Report, Witness
 from .twosided import (
     TwoSidedData,
     _extraction_shapes,
-    _round_trip,
     _split,
     _universal_shapes,
     _validated_product,
@@ -505,8 +505,8 @@ def _run_build(doc, name, kind, entry, args):
         if kind != "twosided":
             raise PreconditionFail("--force applies only to twosided datasets")
         outcome = force_build_twosided(entry)
-        n = entry.A.dim * entry.V.dim * entry.C.dim
-        outputs = {"mul": _mul_obj(field, outcome.mul, n), "unit": _vec_obj(field, outcome.unit)}
+        alg = outcome.algebra
+        outputs = {"mul": _mul_obj(field, alg.mul, alg.dim), "unit": _vec_obj(field, alg.unit)}
         if outcome.failure is not None:
             outputs["failure"] = outcome.failure
         return Report((ConditionResult("built-associative-unital", outcome.failure is None,
@@ -528,15 +528,12 @@ def _maps_obj(data: TwoSidedData):
 
 
 def _run_extract(doc, name, kind, entry, args):
-    if kind == "twosided":
-        m = build_twosided(entry)
-        got = _split(m, entry.A, entry.V, entry.C)
-        if got != entry:  # the dataset's own maps passed and built m already
-            _round_trip(got, m)
-        rep = Report(tuple(
-            ConditionResult(f"roundtrip-{label}", getattr(got, label).cols ==
-                            getattr(entry, label).cols)
-            for label in SEARCH_MAP_NAMES))
+    if kind == "twosided":  # the split of the dataset's own product gives its maps back
+        got = _split(build_twosided(entry), entry.A, entry.V, entry.C)
+        for label in SEARCH_MAP_NAMES:
+            _routes_agree(f"split map {label}", ("dataset", "split product"),
+                          getattr(entry, label), getattr(got, label))
+        rep = Report(tuple(ConditionResult(f"roundtrip-{label}", True) for label in SEARCH_MAP_NAMES))
     elif kind == "extraction":
         got = extract(entry["M"], entry["A"], entry["V"], entry["C"])
         rep = Report((ConditionResult("extracted-and-rebuilt", True),))
@@ -769,7 +766,8 @@ def main(argv=None) -> int:
         try:
             error = _error_obj(field, exc)
         except PreconditionFail as refusal:  # its witness has a scalar too long to write
-            code, error = refusal.exit_code, _error_obj(field, refusal)
+            code, error = refusal.exit_code, _error_obj(field, PreconditionFail(
+                f"{exc}; its witness cannot be written: {refusal}"))
         return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
                            outputs={}, error=error), code)
 
@@ -778,11 +776,8 @@ def _error_obj(field, exc):
     obj = {"type": type(exc).__name__, "message": str(exc)}
     if hasattr(exc, "routes"):  # an internal error: the two routes that disagreed
         obj["routes"] = list(exc.routes)
-    witness = getattr(exc, "witness", None)
-    if isinstance(witness, tuple):  # a basis tuple, its two sides kept on the error
-        witness = Witness(witness, getattr(exc, "left", ()), getattr(exc, "right", ()))
-    if isinstance(witness, Witness):
-        obj["witness"] = _witness_obj(field, witness)
+    if isinstance(getattr(exc, "witness", None), Witness):
+        obj["witness"] = _witness_obj(field, exc.witness)
     report = getattr(exc, "report", None)
     if report is not None:
         obj["failed"] = list(report.failed_names())

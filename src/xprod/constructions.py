@@ -75,6 +75,7 @@ from .twosided import (
     TWIST_LEGS,
     TwoSidedData,
     _chain_map,
+    _validated_product,
     build_twosided,
     check_twosided,
 )
@@ -127,13 +128,17 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
 
     Requires R1, R2, R3 to be pairwise twisting maps satisfying the braid
     relation; delegates to the two-sided product with the middle slot pointed
-    by 1_B and E(b⊗b') = 1_A ⊗ bb' ⊗ 1_C, then verifies the multiplication
-    against its own displayed formula.
+    by 1_B and E(b⊗b') = 1_A ⊗ bb' ⊗ 1_C, whose twelve conditions these imply
+    (an internal error otherwise: equiv6, for one, is the associativity of B),
+    then verifies the multiplication against its own displayed formula.
     """
     iterated_report(a, b, c, r1, r2, r3).require(
         "iterated twisted tensor product preconditions fail")
     data = TwoSidedData(a, b.as_pointed(), c, r1, r2, r3, product_connector(a, b, c))
-    out = build_twosided(data)
+    rep = check_twosided(data)
+    if not rep.all_pass:
+        raise rep.disagreement("iterated data", ("iterated preconditions", "two-sided conditions"))
+    out = _validated_product(data)
 
     def chain(t):
         t = t.map_at(r3, 2)            # (c, a') -> a'_R3, c_R3

@@ -197,7 +197,7 @@ def _brz_product(d: BrzData) -> TensorMap:
 
 def build_brzezinski(d: BrzData) -> FinAlgebra:
     """Crossed product on A (x) V: (a⊗v)(a'⊗v') = a a'_R σ1(v_R,v') ⊗ σ2(v_R,v')."""
-    return product_algebra(_brz_product(d), d.A.unit, d.V.unit)
+    return product_algebra("crossed product conditions", _brz_product(d), d.A.unit, d.V.unit)
 
 
 @record
@@ -267,7 +267,7 @@ def _mirror_product(d: MirrorData) -> tuple[TensorMap, Report]:
 
 def build_mirror(d: MirrorData) -> FinAlgebra:
     """Mirror crossed product on W (x) B: (w⊗b)(w'⊗b') = ν1(w,w'_P) ⊗ ν2(w,w'_P) b_P b'."""
-    return product_algebra(_mirror_product(d)[0], d.W.unit, d.B.unit)
+    return product_algebra("mirror conditions", _mirror_product(d)[0], d.W.unit, d.B.unit)
 
 
 def lift_twisting_to_brzezinski(a: FinAlgebra, b: FinAlgebra, r: TensorMap) -> BrzData:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.  Each class names the command line's
-exit code: 1 an axiom failure, 2 an input error, 3 :class:`InternalCheckError` alone.
-A law that fails at a basis tuple raises a :class:`LawFailure` holding the
-``Witness`` its check found; :class:`NotAssociative` alone holds a basis triple
-and both sides."""
+exit code: 1 an axiom failure, 2 an input error, 3 :class:`InternalCheckError` alone,
+also for a check the paper's theorems settle.  A law that fails at a basis tuple
+raises a :class:`LawFailure` holding its check's ``Witness``; :class:`NotAssociative`,
+which escapes only for a given table, holds a basis triple and both sides."""
 
 from __future__ import annotations
 

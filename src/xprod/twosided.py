@@ -40,11 +40,12 @@ from .algebra import (
     FinAlgebra,
     PointedSpace,
     _column_witness,
+    _product_verdict,
     _require_maps,
     _routes_agree,
     _unit_legs,
     is_algebra_map,
-    new_algebra,
+    product_algebra,
 )
 from .crossed import (
     BrzData,
@@ -62,8 +63,6 @@ from .errors import (
     FieldMismatch,
     InternalCheckError,
     NotAlgebraMap,
-    NotAssociative,
-    NotUnital,
     PremiseFail,
     ShapeMismatch,
     SplitFail,
@@ -404,9 +403,9 @@ def derive_maps(d: TwoSidedData) -> DerivedMaps:
     return DerivedMaps(r, p, sigma, nu)
 
 
-def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
+def _raw_product(d: TwoSidedData) -> TensorMap:
+    """The two-sided product's multiplication, [A,V,C,A,V,C] -> [A,V,C], not validated."""
     f = d.field
-    n = d.A.dim * d.V.dim * d.C.dim
 
     def chain(t):
         t = t.map_at(d.R3, 2)   # (c, a') -> a'_R3, c_R3
@@ -429,7 +428,7 @@ def _raw_product(d: TwoSidedData) -> tuple[TensorMap, tuple]:
         tensor(ida, idv, d.R3, idv, idc),
     )
     _routes_agree("two-sided product", ("chain", "composite"), mul, composite)
-    return mul.reshaped(shape(n, n), shape(n)), tensor_vec(f, d.A.unit, d.V.unit, d.C.unit)
+    return mul
 
 
 def build_twosided(d: TwoSidedData) -> FinAlgebra:
@@ -439,33 +438,22 @@ def build_twosided(d: TwoSidedData) -> FinAlgebra:
 
 
 def _validated_product(d: TwoSidedData) -> FinAlgebra:
-    """The validated two-sided product of data already known to pass every
-    condition."""
-    mul, unit = _raw_product(d)
-    return new_algebra(d.field, len(unit), mul, unit)
+    """The validated two-sided product of data known to pass every condition."""
+    return product_algebra("two-sided conditions", _raw_product(d), d.A.unit, d.V.unit, d.C.unit)
 
 
 @record
 class BuildOutcome:
-    """Result of a forced build: the raw product plus any validation failure."""
+    """Result of a forced build: the product, and the law it fails with its witness, if any."""
 
-    mul: TensorMap
-    unit: tuple
+    algebra: FinAlgebra
     failure: str | None
     witness: Witness | None
 
 
 def force_build_twosided(d: TwoSidedData) -> BuildOutcome:
     """Build without requiring the checks, then validate and report as data."""
-    mul, unit = _raw_product(d)
-    try:
-        new_algebra(d.field, len(unit), mul, unit)
-    except NotAssociative as exc:
-        return BuildOutcome(mul, unit, "not-associative",
-                            Witness(exc.witness, exc.left, exc.right, "(xy)z=x(yz)"))
-    except NotUnital as exc:
-        return BuildOutcome(mul, unit, "not-unital", exc.witness)
-    return BuildOutcome(mul, unit, None, None)
+    return BuildOutcome(*_product_verdict(_raw_product(d), d.A.unit, d.V.unit, d.C.unit))
 
 
 def presentations_agree(d: TwoSidedData) -> Report:
@@ -530,7 +518,13 @@ def extract(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Two
     fibre must equal (w_s / u_s) u), E(v⊗v') = (1⊗v⊗1)(1⊗v'⊗1), and the
     extracted data must pass :func:`check_twosided` and rebuild M exactly.
     """
-    return _round_trip(_split(m, a, v, c), m)
+    data = _split(m, a, v, c)
+    rep = check_twosided(data)
+    if not rep.all_pass:
+        raise rep.disagreement("the extracted maps", ("splitting", "two-sided conditions"))
+    # the units agree: _split checked
+    _routes_agree("the split algebra", ("input", "rebuilt product"), m.mul, _raw_product(data))
+    return data
 
 
 def _split(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoSidedData:
@@ -579,16 +573,6 @@ def _split(m: FinAlgebra, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> TwoS
     if witness is not None:
         raise SplitFail(witness, "ajut4")
     return TwoSidedData(a, v, c, E=product(legs(1), legs(1)), **maps)
-
-
-def _round_trip(data: TwoSidedData, m: FinAlgebra) -> TwoSidedData:
-    """:func:`extract`'s tail: the split maps, unless they fail or do not rebuild M."""
-    rep = check_twosided(data)
-    if not rep.all_pass:
-        raise rep.disagreement("the extracted maps", ("splitting", "two-sided conditions"))
-    # the units agree: _split checked
-    _routes_agree("the split algebra", ("input", "rebuilt product"), m.mul, _raw_product(data)[0])
-    return data
 
 
 # -- universal property -------------------------------------------------------

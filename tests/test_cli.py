@@ -294,22 +294,26 @@ HUGE_PREMISE = {
                        "fC": "fC"}}}
 
 
-@pytest.mark.parametrize("argv, obj", [
-    (["build"], HUGE_TTP), (["universal", "--dataset", "u"], HUGE_PREMISE),
+TOO_LONG = "a report scalar needs more than 4300 digits, the most Python writes"
+
+
+@pytest.mark.parametrize("argv, obj, message", [
+    (["build"], HUGE_TTP, TOO_LONG),
+    (["universal", "--dataset", "u"], HUGE_PREMISE,
+     f"premise fA fails at (); its witness cannot be written: {TOO_LONG}"),
 ], ids=["ttp-unit", "premise-witness"])
-def test_report_scalar_too_long_to_write_is_an_input_error(tmp_path, argv, obj):
+def test_report_scalar_too_long_to_write_is_an_input_error(tmp_path, argv, obj, message):
     # refused from its size, before str() would raise Python's int-string
     # ValueError: in the report's outputs for the first document, and in the
-    # error object, written by main's exception handler, for the second
+    # error object, written by main's exception handler, for the second,
+    # whose message still names the law that failed
     doc = write_doc(tmp_path, obj)
     start = time.process_time()
     rc, rep, _ = run(argv + ["--in", doc], tmp_path)
     assert time.process_time() - start < 0.1
     assert rc == 2
     assert rep["status"] == "error" and rep["outputs"] == {}
-    assert rep["error"] == {
-        "type": "PreconditionFail",
-        "message": "a report scalar needs more than 4300 digits, the most Python writes"}
+    assert rep["error"] == {"type": "PreconditionFail", "message": message}
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ValueError], ids=lambda t: t.__name__)

@@ -10,7 +10,7 @@ from functools import reduce
 import pytest
 
 from fixtures import Q, dual_numbers, twosided_flip_trivial, upper_triangular2
-from xprod import crossed, twosided
+from xprod import algebra, crossed
 from xprod.algebra import FinAlgebra
 from xprod.constructions import iterated_ttp
 from xprod.crossed import (
@@ -208,7 +208,7 @@ def test_mirror_post_build_check_scans_b_b_prime_w(monkeypatch):
 def test_iterated_ttp_formula_check_names_first_failing_tuple(monkeypatch):
     shp = TensorShape((2, 3, 2))
     col = shp.index((1, 2, 0)) * 12 + shp.index((0, 1, 1))
-    corrupt_builds(monkeypatch, twosided, [(col, 5, Q.from_int(7))])
+    corrupt_builds(monkeypatch, algebra, [(col, 5, Q.from_int(7))])
     with pytest.raises(InternalCheckError) as exc:
         iterated_ttp(DQ, UT, DQ, flip(Q, 3, 2), flip(Q, 2, 3), flip(Q, 2, 2))
     assert str(exc.value) == ("iterated twisted tensor product: displayed formula and "

@@ -244,8 +244,8 @@ def test_associativity_scans_per_command(monkeypatch, command, dataset, counts):
 
 
 def test_extract_command_round_trips_split_maps_that_differ(monkeypatch):
-    # a wrong split is still refused: the maps differ from the dataset's, so
-    # they are checked and rebuilt
+    # a wrong split is refused: the dataset's own maps built the product, so a
+    # split map that differs from them is an internal error
     kind, entry = ALL_KINDS.datasets["d"]
     split = cli._split
 
@@ -254,8 +254,11 @@ def test_extract_command_round_trips_split_maps_that_differ(monkeypatch):
         return replace(got, E=bumped(got.E, len(got.E.cols) - 1))
 
     monkeypatch.setattr(cli, "_split", wrong)
-    with pytest.raises(InternalCheckError, match="of the extracted maps|rebuilt"):
+    with pytest.raises(InternalCheckError) as exc:
         cli._HANDLERS["extract"](ALL_KINDS, "d", kind, entry, SimpleNamespace(force=False))
+    assert str(exc.value) == "split map E: dataset and split product disagree at (1, 1)"
+    assert exc.value.routes == ("dataset", "split product")
+    assert exc.value.witness.identity == "split map E"
 
 
 def test_failing_ma_build_keeps_its_message():
