@@ -56,7 +56,15 @@ from .crossed import (
     check_mirror,
     check_twisting,
 )
-from .errors import DocumentError, PreconditionFail, XprodError
+from .errors import (
+    DocumentError,
+    InternalCheckError,
+    NotAlgebraMap,
+    PreconditionFail,
+    SplitFail,
+    UnitMismatch,
+    XprodError,
+)
 from .exactla import (
     Field,
     PrimeField,
@@ -385,35 +393,53 @@ def canonical_json(obj) -> str:
 
     ``json`` takes its pure-Python encoder whenever it indents.  Here each
     string goes through the C ``encode_basestring``, and the text is built
-    once, as the pieces of :func:`_json_pieces`.  A list or tuple of strings
-    (a matrix row) is one join, and a tuple of strings is kept by (value,
-    indent), since rows recur across search solutions.  A matrix, a tuple of
-    such rows, is kept from its second visit at an indent on: the ``R``
-    matrices that every solution shares are kept, and a distinct ``E`` never
-    is.  A value equal to a kept tuple is built the same way from equal
-    strings, so it writes the same bytes.  Other equal values need not:
-    ``(1,) == (True,)`` and their hashes agree, yet they write ``[1]`` and
-    ``[true]``, so only tuples whose leaves are exactly ``str`` are kept or
-    counted as visited.  A tuple that holds a list or a dict cannot be hashed
-    and is written each time.
+    once, as the pieces that :func:`_json_write` hands on.  A list or tuple of
+    strings (a matrix row) is one join, and a tuple of strings is kept by
+    (value, indent), since rows recur across search solutions.  A matrix, a
+    tuple of such rows, is kept from its second visit at an indent on, joined
+    from its rows' kept texts: the ``R`` matrices that every solution shares
+    are kept, and a distinct ``E`` never is.  A value equal to a kept tuple is
+    built the same way from equal strings, so it writes the same bytes.  Other
+    equal values need not: ``(1,) == (True,)`` and their hashes agree, yet they
+    write ``[1]`` and ``[true]``, so only tuples whose leaves are exactly
+    ``str`` are kept or counted as visited.  A tuple that holds a list or a
+    dict cannot be hashed and is written each time.
     """
-    return "".join(_json_pieces(obj))
+    texts = []
+    _json_write(obj, texts.append)
+    return "".join(texts)
 
 
-def _json_pieces(obj) -> list:
-    """The strings whose join is ``canonical_json(obj)``, in order."""
+_BATCH = 256  # pieces per text handed to a sink
+
+
+def _json_write(obj, sink):
+    """Hand ``canonical_json(obj)`` to ``sink`` as consecutive texts, each the
+    join of about ``_BATCH`` pieces, so the whole text never exists at once.
+    A key's head and an indent's brackets are one string per call."""
     pieces, texts, seen = [], {}, set()  # kept texts and visited matrices, by (tuple, indent)
+    marks, heads = {}, {}  # an indent's brackets; a key's head, by (separator, key)
     put = pieces.append
 
     def write(x, nl):  # nl: the newline and indent of the line x starts on
-        inner = nl + "  "
+        if len(pieces) >= _BATCH:
+            sink("".join(pieces))
+            pieces.clear()
+        mark = marks.get(nl)
+        if mark is None:
+            inner = nl + "  "
+            mark = marks[nl] = (inner, "{" + inner, "[" + inner, "," + inner, nl + "}", nl + "]")
+        inner, brace, bracket, comma, close_brace, close_bracket = mark
         if isinstance(x, dict) and x:
-            sep = "{" + inner
+            sep = brace
             for k, v in sorted(x.items()):
-                put(sep + encode_basestring(k) + ": ")
+                head = heads.get((sep, k))
+                if head is None:
+                    head = heads[sep, k] = sep + encode_basestring(k) + ": "
+                put(head)
                 write(v, inner)
-                sep = "," + inner
-            put(nl + "}")
+                sep = comma
+            put(close_brace)
             return
         if not isinstance(x, (list, tuple)) or not x:
             put(encode_basestring(x) if isinstance(x, str) else json.dumps(x))
@@ -424,34 +450,26 @@ def _json_pieces(obj) -> list:
         except TypeError:  # a tuple that holds a list or a dict
             text = key = None
         if text is None and all(type(y) is str for y in x):  # a row
-            text = "[" + inner + ("," + inner).join(map(encode_basestring, x)) + nl + "]"
+            text = bracket + comma.join(map(encode_basestring, x)) + close_bracket
             if key is not None:
                 texts[key] = text
         if text is not None:
             put(text)
             return
-        start, sep, comma = len(pieces), "[" + inner, "," + inner
+        sep = bracket
         for y in x:
             put(sep)
             write(y, inner)
             sep = comma
-        put(nl + "]")
+        put(close_bracket)
         if key is not None and all(type(y) is tuple and (y, inner) in texts for y in x):
             if key in seen:  # a matrix's second visit: keep its text from now on
-                texts[key] = text = "".join(pieces[start:])
-                pieces[start:] = [text]
+                texts[key] = bracket + comma.join([texts[y, inner] for y in x]) + close_bracket
             seen.add(key)
 
     write(obj, "\n")
     put("\n")
-    return pieces
-
-
-def _write_pieces(stream, pieces):
-    # one join and one write per 4096 pieces, so neither the whole text nor its
-    # encoded bytes exist at once, and a piece costs no write call of its own
-    for i in range(0, len(pieces), 4096):
-        stream.write("".join(pieces[i:i + 4096]))
+    sink("".join(pieces))
 
 
 def _vec_obj(field, v):
@@ -529,7 +547,12 @@ def _maps_obj(data: TwoSidedData):
 
 def _run_extract(doc, name, kind, entry, args):
     if kind == "twosided":  # the split of the dataset's own product gives its maps back
-        got = _split(build_twosided(entry), entry.A, entry.V, entry.C)
+        product = build_twosided(entry)
+        try:
+            got = _split(product, entry.A, entry.V, entry.C)
+        except (SplitFail, NotAlgebraMap, UnitMismatch) as exc:  # the conditions rule these out
+            raise InternalCheckError(str(exc), ("dataset", "split product"),
+                                     getattr(exc, "witness", None)) from exc
         for label in SEARCH_MAP_NAMES:
             _routes_agree(f"split map {label}", ("dataset", "split product"),
                           getattr(entry, label), getattr(got, label))
@@ -718,19 +741,18 @@ def main(argv=None) -> int:
     field = None  # known once the document parses; only witnesses need it
 
     def finish(obj, code):
-        pieces = _json_pieces(obj)
         if args.outfile:
             try:
                 with open(args.outfile, "w", encoding="utf-8", newline="\n") as fh:
-                    _write_pieces(fh, pieces)
+                    _json_write(obj, fh.write)
             except OSError as exc:  # the report goes to stdout as an input error
-                code, pieces = 2, _json_pieces(dict(
+                code, obj = 2, dict(
                     report_skeleton, status=_STATUS[2], conditions=[], outputs={},
                     error=_error_obj(field, DocumentError(
-                        "--out", f"cannot write output: {exc.strerror}"))))
+                        "--out", f"cannot write output: {exc.strerror}")))
             else:
                 return code
-        _write_pieces(sys.stdout, pieces)
+        _json_write(obj, sys.stdout.write)
         return code
 
     try:

@@ -68,7 +68,7 @@ from .exactla import (
     tensor_vec,
     vector_map,
 )
-from .record import record
+from .record import record, unchecked
 from .report import ConditionResult, Report
 from .twosided import (
     CONDITIONS,
@@ -372,17 +372,20 @@ def _width(template):
     return template[3]
 
 
-def _fill(f, template, digits):
+def _fill(f, template, digits, entries=None):
     """The map with the template's pinned columns and its free columns, in
     domain order, read from consecutive runs of the sequence ``digits``: each
     run's nonzero digits are its column's entries, so no dense column is
     built.  A digit is an F_p residue, or a :class:`_Poly` polynomial when
-    :func:`_compile` fills E symbolically."""
+    :func:`_compile` fills E symbolically.  Given ``entries``, a dict, the
+    (row, residue) entries are taken from it, and added to it, so the maps
+    filled through one dict share them."""
     dom, cod, pinned, _ = template
     n, k, cols = cod.total, 0, []
     for col in pinned:
         if col is None:
-            col = tuple((i, x) for i, x in enumerate(digits[k:k + n]) if x)
+            col = tuple(e if entries is None else entries.setdefault(e, e)
+                        for e in enumerate(digits[k:k + n]) if e[1])
             k += n
         cols.append(col)
     return TensorMap(f, dom, cod, tuple(cols))
@@ -500,9 +503,13 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     fails a condition without E is skipped with the whole run.  Memory grows
     with the distinct R-triples drawn, not with the space.  A solution is
     built once per candidate number, distinct numbers filling distinct maps,
-    and the solutions are sorted by their matrices as the report writes them
-    (:attr:`~xprod.exactla.TensorMap.formatted_rows`), so the output is
-    byte-stable for a fixed spec and seed.
+    without checking its shapes again: the templates fix them, and a probe
+    candidate checks the frozen maps once.  The solutions are sorted by their
+    matrices as the report writes them
+    (:meth:`~xprod.exactla.TensorMap.format_rows`), so the output is
+    byte-stable for a fixed spec and seed.  The maps' column entries, and
+    their rows as the report writes them, are shared through memos of this
+    call, so solutions hold only their distinct parts.
     """
     f = spec.field
     if not isinstance(f, PrimeField):
@@ -550,12 +557,13 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     cached = [step for step in plan if "E" not in step[1]]
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
+    entries, texts = {}, {}  # the solutions' shared column entries and row texts
     triples = {}   # R-triple passing every condition without E -> its maps
     compiled = {}  # R-triple -> None after one visit to the E conditions, then their residual
 
     @functools.cache
     def decode(name, part):  # the R map ``name`` of a digit slice
-        return _fill(f, templates[name], _digits(part, f.p, _width(templates[name])))
+        return _fill(f, templates[name], _digits(part, f.p, _width(templates[name])), entries)
 
     def triple_maps(t):
         """The maps of R-triple t, a frozen E among them, if it passes every
@@ -585,7 +593,7 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         rows = compiled.get(t)
         if rows is not None:
             return _holds(rows, x, f.p)
-        e = _fill(f, templates["E"], x)
+        e = _fill(f, templates["E"], x, entries)
         scanned = all(cond.witness(a, v, c, *(e if m == "E" else maps[m] for m in cond.maps))
                       is None for cond in e_conds)
         if t not in compiled:
@@ -616,7 +624,7 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
             if e_conds and not e_holds(t, maps, x):
                 continue
             if n not in kept:
-                e = maps["E"] if "E" in frozen else _fill(f, templates["E"], x)
-                kept[n] = TwoSidedData(a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
+                e = maps["E"] if "E" in frozen else _fill(f, templates["E"], x, entries)
+                kept[n] = unchecked(TwoSidedData, a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
     return sorted(kept.values(), key=lambda data: tuple(
-        getattr(data, m).formatted_rows for m in SEARCH_MAP_NAMES))
+        getattr(data, m).format_rows(texts) for m in SEARCH_MAP_NAMES))

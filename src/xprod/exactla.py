@@ -346,16 +346,34 @@ class TensorMap:
     @cached_property
     def formatted_rows(self) -> tuple[tuple[str, ...], ...]:
         """``rows`` with each entry as the field writes it, built once: the
-        search sorts its solutions by these and the report lists them.  Every
-        entry starts as the formatted zero, and only the stored nonzeros are
-        formatted, so the dense ``rows`` are not built."""
+        search sorts its solutions by these and the report lists them."""
+        return self.format_rows({})
+
+    def format_rows(self, memo: dict) -> tuple[tuple[str, ...], ...]:
+        """:attr:`formatted_rows`, built on the first call or read, whose rows
+        and scalar texts are taken from ``memo`` where an equal one is there and
+        added to it where not, so the maps formatted through one memo share
+        them.  The dense ``rows`` are not built: a row of values is made from
+        the stored nonzeros only to look its text up."""
+        rows = self.__dict__.get("formatted_rows")
+        if rows is not None:
+            return rows
         fmt, n = self.field.fmt, self.domain.total
-        zero = fmt(self.field.zero)
-        out = [[zero] * n for _ in range(self.codomain.total)]
+        values = [[self.field.zero] * n for _ in range(self.codomain.total)]
         for j, col in enumerate(self.cols):
             for i, x in col:
-                out[i][j] = fmt(x)
-        return tuple(map(tuple, out))
+                values[i][j] = x
+        out = []
+        for row in map(tuple, values):  # a row of values never equals a scalar
+            text = memo.get(row)
+            if text is None:
+                for x in row:
+                    if x not in memo:
+                        memo[x] = fmt(x)
+                text = memo[row] = tuple([memo[x] for x in row])
+            out.append(text)
+        rows = self.__dict__["formatted_rows"] = tuple(out)
+        return rows
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.domain.total:

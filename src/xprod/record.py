@@ -50,3 +50,14 @@ def record(cls):
 def replace(obj, **changes):
     """A new record like ``obj`` with ``changes`` applied; ``__post_init__`` runs again."""
     return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
+def unchecked(cls, *values):
+    """A record of ``cls`` with one positional value per field, without
+    ``__post_init__``: for values whose checks their maker has already made."""
+    if len(values) != len(cls._fields):
+        raise TypeError(f"{cls.__name__} has {len(cls._fields)} fields")
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj

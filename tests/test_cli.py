@@ -533,10 +533,12 @@ def test_search_report_bytes_pinned(tmp_path, monkeypatch, name):
 
 def test_search_report_is_written_without_whole_text_copies(tmp_path):
     # The F3 search keeps 482 solutions, 0.94 MB of report.  The Python
-    # allocations of main peak at about 1.6 MB when the report is written in
-    # batches of pieces and no distinct E matrix's text is kept.  A writer that
-    # joins each nesting level's texts again, keeps every E's text and writes
-    # the whole text at once peaks at 2.9 MB.
+    # allocations of main peak at about 0.5 MB when the report is streamed in
+    # batches of a few hundred pieces and the solutions share their column
+    # entries, rows and scalar texts.  With a whole list of pieces and a copy of
+    # every E row the peak was 1.6 MB; a writer that joins each nesting level's
+    # texts again, keeps every E's text and writes the whole text at once
+    # peaks at 2.9 MB.
     import tracemalloc
     doc = write_doc(tmp_path, search_doc(PrimeField(3), budget=500, seed=41))
     args, out = ["search", "--in", doc], tmp_path / "report.json"
@@ -556,7 +558,65 @@ def test_search_report_is_written_without_whole_text_copies(tmp_path):
         finally:
             tracemalloc.stop()
         assert (rc, out.stat().st_size) == (0, size)
-        assert peak < 2.3 * 2**20, (to_stdout, peak)
+        assert peak < 0.8 * 2**20, (to_stdout, peak)
+
+
+@pytest.mark.parametrize("case", ["f3-search", "input-error"])
+def test_report_bytes_equal_on_stdout_and_in_out(tmp_path, capsys, case):
+    # the F3 search report, 0.94 MB, and an input error naming a dataset that
+    # is not ASCII: the streamed writer gives both sinks the same bytes
+    if case == "f3-search":
+        args = ["search", "--in", write_doc(tmp_path, search_doc(PrimeField(3), budget=500,
+                                                                 seed=41))]
+    else:
+        args = ["check", "--in", write_doc(tmp_path, search_doc()), "--dataset", "né"]
+    out = tmp_path / "report.json"
+    code = main(args + ["--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert main(args) == code == (0 if case == "f3-search" else 2)
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_repeated_search_leaves_no_memo_behind(tmp_path, monkeypatch):
+    # The search shares column entries (constructions._fill) and formatted
+    # rows (TensorMap.format_rows) through memos that one call owns.  Running
+    # the same search twice, each run's memos are new dicts that nothing
+    # holds once main returns, the second run's are no larger than the
+    # first's, and no module-level container of the package has grown.
+    import gc
+    import xprod.constructions
+    from xprod.exactla import TensorMap
+    memos = {}  # id -> memo, every dict handed to either function
+
+    def keep(memo):
+        if memo is not None:
+            memos.setdefault(id(memo), memo)
+
+    fill, format_rows = xprod.constructions._fill, TensorMap.format_rows
+    monkeypatch.setattr(xprod.constructions, "_fill",
+                        lambda f, t, d, entries=None: keep(entries) or fill(f, t, d, entries))
+    monkeypatch.setattr(TensorMap, "format_rows",
+                        lambda m, memo: keep(memo) or format_rows(m, memo))
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("xprod")]
+
+    def module_containers():
+        return {(m.__name__, name): len(value) for m in modules
+                for name, value in vars(m).items() if isinstance(value, (dict, list, set))}
+
+    doc = write_doc(tmp_path, search_doc(PrimeField(3), budget=500, seed=41))
+    args = ["search", "--in", doc, "--out", str(tmp_path / "report.json")]
+    sizes = []
+    for _ in range(2):
+        containers = module_containers()
+        assert main(args) == 0
+        gc.collect()
+        assert memos
+        for memo in memos.values():  # held by memos, this loop and the argument alone
+            assert sys.getrefcount(memo) == 3
+        assert module_containers() == containers
+        sizes.append(sorted(map(len, memos.values())))
+        memos.clear()
+    assert sizes[1] == sizes[0]
 
 
 def test_corrupted_compiled_search_exits_3_naming_both_routes(tmp_path, monkeypatch):
@@ -658,13 +718,15 @@ def test_missing_file_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
-def test_unwritable_out_is_input_error(tmp_path, capsys, where):
+def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, where):
     # the report goes to stdout instead, naming --out; it used to escape main
     # as a traceback with exit 1
+    checked = checked_against_json(monkeypatch)
     doc = write_doc(tmp_path, twosided_doc(CORPUS["q-dual-flip-trivial"], Q))
     out = tmp_path / "absent" / "report.json" if where == "missing directory" else tmp_path
     rc = main(["check", "--in", doc, "--out", str(out)])
     captured = capsys.readouterr()
+    assert checked == [True]  # the writer saw the fallback report, and only it
     assert rc == 2
     assert captured.err == ""
     rep = json.loads(captured.out)
@@ -1028,14 +1090,19 @@ def checked_against_json(monkeypatch):
     """Make every report that ``main`` writes compare its bytes with
     :func:`json_reference`; the returned list collects one verdict per report."""
     import xprod.cli
-    checked, writer = [], xprod.cli._json_pieces
+    checked, writer = [], xprod.cli._json_write
 
-    def compared(obj):
-        pieces = writer(obj)
-        checked.append("".join(pieces) == json_reference(obj))
-        return pieces
+    def compared(obj, sink):
+        texts = []
 
-    monkeypatch.setattr(xprod.cli, "_json_pieces", compared)
+        def both(text):
+            texts.append(text)
+            sink(text)
+
+        writer(obj, both)
+        checked.append("".join(texts) == json_reference(obj))
+
+    monkeypatch.setattr(xprod.cli, "_json_write", compared)
     return checked
 
 

@@ -15,9 +15,11 @@ from xprod import algebra, cli, constructions, crossed, twosided
 from xprod.algebra import FinAlgebra
 from xprod.cli import main
 from xprod.constructions import transport
-from xprod.errors import AxiomFailure, InternalCheckError
+from xprod.errors import (AxiomFailure, InternalCheckError, NotAlgebraMap, SplitFail,
+                          UnitMismatch)
 from xprod.record import replace
 from xprod.exactla import TensorMap
+from xprod.report import ConditionResult, Report, Witness
 from xprod.twosided import build_twosided, extract, presentations_agree
 
 CORPUS = dict(corpus())
@@ -259,6 +261,37 @@ def test_extract_command_round_trips_split_maps_that_differ(monkeypatch):
     assert str(exc.value) == "split map E: dataset and split product disagree at (1, 1)"
     assert exc.value.routes == ("dataset", "split product")
     assert exc.value.witness.identity == "split map E"
+
+
+SPLIT_WITNESS = Witness((0, 1), (1, 0), (0, 0), "component outside the allowed span")
+
+
+@pytest.mark.parametrize("error", [
+    SplitFail(SPLIT_WITNESS, "ajut1"),
+    NotAlgebraMap("a ↦ a⊗1_V⊗1_C", Report((ConditionResult("unit", False),))),
+    UnitMismatch("unit of M is not 1_A ⊗ 1_V ⊗ 1_C")], ids=lambda e: type(e).__name__)
+def test_extract_command_failing_split_is_an_internal_error(tmp_path, monkeypatch, error):
+    # the dataset's maps pass the twelve conditions and built the product, so a
+    # split of it that fails is xprod's own fault: exit 3 naming both routes
+    def failing(m, a, v, c):
+        raise error
+
+    monkeypatch.setattr(cli, "_split", failing)
+    doc, out = tmp_path / "doc.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(all_kinds_doc()), encoding="utf-8")
+    rc = main(["extract", "--in", str(doc), "--dataset", "d", "--out", str(out)])
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert (rc, rep["status"]) == (3, "internal-error")
+    assert rep["error"]["type"] == "InternalCheckError"
+    assert rep["error"]["routes"] == ["dataset", "split product"]
+    assert rep["error"]["message"] == f"{error}: dataset and split product disagree" + (
+        " at (0, 1)" if isinstance(error, SplitFail) else "")
+    if isinstance(error, SplitFail):
+        assert rep["error"]["witness"] == {"indices": [0, 1], "left": ["1", "0"],
+                                           "right": ["0", "0"],
+                                           "identity": "component outside the allowed span"}
+    else:
+        assert "witness" not in rep["error"]
 
 
 def test_failing_ma_build_keeps_its_message():
