@@ -42,7 +42,7 @@ from .constructions import (
     iterated_ttp,
     ma_build,
     ma_twosided,
-    search_fp,
+    search_rows,
     transport,
 )
 from .crossed import (
@@ -389,7 +389,8 @@ def parse_document(text: str) -> Document:
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
     newline, byte for byte, for the str-keyed dicts, lists, tuples, strings,
-    integers, booleans and None that reports are made of.
+    integers, booleans and None that reports are made of, a search's
+    :class:`_Solutions` written as the list it stands for.
 
     ``json`` takes its pure-Python encoder whenever it indents.  Here each
     string goes through the C ``encode_basestring``, and the text is built
@@ -397,7 +398,7 @@ def canonical_json(obj) -> str:
     strings (a matrix row) is one join, and a tuple of strings is kept by
     (value, indent), since rows recur across search solutions.  A matrix, a
     tuple of such rows, is kept from its second visit at an indent on, joined
-    from its rows' kept texts: the ``R`` matrices that every solution shares
+    from its rows' kept texts: the ``R`` matrices that solutions share
     are kept, and a distinct ``E`` never is.  A value equal to a kept tuple is
     built the same way from equal strings, so it writes the same bytes.  Other
     equal values need not: ``(1,) == (True,)`` and their hashes agree, yet they
@@ -441,8 +442,11 @@ def _json_write(obj, sink):
                 sep = comma
             put(close_brace)
             return
-        if not isinstance(x, (list, tuple)) or not x:
+        if not isinstance(x, (list, tuple, _Solutions)):
             put(encode_basestring(x) if isinstance(x, str) else json.dumps(x))
+            return
+        if not x:
+            put("[]")
             return
         key = (x, nl) if type(x) is tuple else None
         try:
@@ -541,10 +545,6 @@ def _run_agree(doc, name, kind, entry, args):
     return presentations_agree(entry), {}
 
 
-def _maps_obj(data: TwoSidedData):
-    return {name: getattr(data, name).formatted_rows for name in SEARCH_MAP_NAMES}
-
-
 def _run_extract(doc, name, kind, entry, args):
     if kind == "twosided":  # the split of the dataset's own product gives its maps back
         product = build_twosided(entry)
@@ -562,7 +562,7 @@ def _run_extract(doc, name, kind, entry, args):
         rep = Report((ConditionResult("extracted-and-rebuilt", True),))
     else:
         raise PreconditionFail("extract applies to twosided or extraction datasets")
-    return rep, {"maps": _maps_obj(got)}
+    return rep, {"maps": {label: getattr(got, label).formatted_rows for label in SEARCH_MAP_NAMES}}
 
 
 def _run_universal(doc, name, kind, entry, args):
@@ -576,10 +576,26 @@ def _run_universal(doc, name, kind, entry, args):
 def _run_search(doc, name, kind, entry, args):
     _only(kind, "search", "search")
     spec = entry["spec"] if args.seed is None else replace(entry["spec"], seed=args.seed)
-    results = search_fp(spec, entry["A"], entry["V"], entry["C"])
-    sols = [_maps_obj(d) for d in results]
+    found, _ = search_rows(spec, entry["A"], entry["V"], entry["C"])
     return (Report((ConditionResult("search-complete", True),)),
-            {"count": len(results), "solutions": sols})
+            {"count": len(found), "solutions": _Solutions(found)})
+
+
+class _Solutions:
+    """A search's solutions as its report lists them, each one's dict made from
+    its kept rows as the writer reaches it, so at most one exists at a time.
+    An ``E`` is handed on as a list: it is distinct per solution, and the
+    writer marks only a tuple of rows as visited."""
+
+    def __init__(self, found):
+        self.found = found
+
+    def __len__(self):
+        return len(self.found)
+
+    def __iter__(self):
+        return (dict(zip(SEARCH_MAP_NAMES, (*rows, list(e_rows))))
+                for rows, e_rows, _ in self.found)
 
 
 def _run_transport(doc, name, kind, entry, args):

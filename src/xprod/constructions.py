@@ -18,7 +18,8 @@ finite-field search that doubles as a fixture oracle.
   the unfrozen maps it mentions.  For each R-triple drawn twice, the
   conditions that mention E become polynomials in E's free digits, read off
   one run of their own chains over a symbolic E.  Candidates are drawn one at
-  a time in a single thread.
+  a time in a single thread.  :func:`search_rows` is the same search, each
+  solution kept as its rows as a report writes them.
 """
 
 from __future__ import annotations
@@ -502,15 +503,25 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     consecutive candidates, its E digits stepped in order, and a triple that
     fails a condition without E is skipped with the whole run.  Memory grows
     with the distinct R-triples drawn, not with the space.  A solution is
-    built once per candidate number, distinct numbers filling distinct maps,
-    without checking its shapes again: the templates fix them, and a probe
-    candidate checks the frozen maps once.  The solutions are sorted by their
-    matrices as the report writes them
-    (:meth:`~xprod.exactla.TensorMap.format_rows`), so the output is
-    byte-stable for a fixed spec and seed.  The maps' column entries, and
-    their rows as the report writes them, are shared through memos of this
-    call, so solutions hold only their distinct parts.
+    kept as its rows (:func:`search_rows`), about 200 bytes: its R-triple's rows,
+    which the triple's solutions share, a tuple of its E rows, each shared
+    with every equal row through a memo of this call, and its number.  The
+    solutions are sorted by those rows, the matrices as the report writes
+    them (:meth:`~xprod.exactla.TensorMap.format_rows`), so the output is
+    byte-stable for a fixed spec and seed, and each is then built from its
+    number without checking its shapes again: the templates fix them, and a
+    probe candidate checks the frozen maps once.
     """
+    found, solution = search_rows(spec, a, v, c)
+    return [solution(n) for _, _, n in found]
+
+
+def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra):
+    """The search of :func:`search_fp`, its solutions kept as the report
+    writes them: the sorted list of each solution's (R rows, E rows, n), where
+    R rows are the (R1, R2, R3) rows of its R-triple and n its candidate
+    number, and ``solution(n)``, which builds the :class:`TwoSidedData` of a
+    listed n."""
     f = spec.field
     if not isinstance(f, PrimeField):
         raise PreconditionFail("search requires a prime field")
@@ -557,8 +568,8 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     cached = [step for step in plan if "E" not in step[1]]
     e_conds = [cond for cond, unfrozen in plan if "E" in unfrozen]
     verdicts = {}  # (label, digit slices of its unfrozen maps) -> holds
-    entries, texts = {}, {}  # the solutions' shared column entries and row texts
-    triples = {}   # R-triple passing every condition without E -> its maps
+    entries, texts = {}, {}  # the maps' shared column entries and row texts
+    triples = {}   # R-triple passing every condition without E -> its maps, R rows
     compiled = {}  # R-triple -> None after one visit to the E conditions, then their residual
 
     @functools.cache
@@ -566,11 +577,11 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
         return _fill(f, templates[name], _digits(part, f.p, _width(templates[name])), entries)
 
     def triple_maps(t):
-        """The maps of R-triple t, a frozen E among them, if it passes every
-        condition without E, else None."""
-        maps = triples.get(t)
-        if maps is not None:
-            return maps
+        """The maps of R-triple t, a frozen E among them, and their R rows, if
+        it passes every condition without E, else None."""
+        hit = triples.get(t)
+        if hit is not None:
+            return hit
         parts = {name: t // div % mod for name, (div, mod) in layout.items()}
         maps = dict(frozen)
         for cond, unfrozen in cached:
@@ -585,8 +596,8 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
                 return None
         for name, part in parts.items():
             maps[name] = decode(name, part)
-        triples[t] = maps
-        return maps
+        hit = triples[t] = maps, tuple(maps[m].format_rows(texts) for m in ("R1", "R2", "R3"))
+        return hit
 
     def e_holds(t, maps, x):
         """Whether the conditions that mention E hold at E digits x of R-triple t."""
@@ -615,16 +626,27 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     else:
         runs = ((n // width, ((n, _digits(n % width, f.p, d)),))
                 for n in _candidates(spec, space))
-    kept = {}  # candidate number -> its solution; distinct numbers fill distinct maps
+    found, drawn = [], set()  # randomized mode's kept numbers, so a repeated draw is kept once
     for t, run in runs:
-        maps = triple_maps(t)
-        if maps is None:
+        hit = triple_maps(t)
+        if hit is None:
             continue  # no E value passes an R-triple that fails without E
+        maps, rows = hit
         for n, x in run:
             if e_conds and not e_holds(t, maps, x):
                 continue
-            if n not in kept:
-                e = maps["E"] if "E" in frozen else _fill(f, templates["E"], x, entries)
-                kept[n] = unchecked(TwoSidedData, a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
-    return sorted(kept.values(), key=lambda data: tuple(
-        getattr(data, m).format_rows(texts) for m in SEARCH_MAP_NAMES))
+            if spec.mode == "randomized":
+                if n in drawn:
+                    continue
+                drawn.add(n)
+            e = maps["E"] if "E" in frozen else _fill(f, templates["E"], x, entries)
+            found.append((rows, e.format_rows(texts), n))
+    found.sort()  # distinct numbers have distinct rows, so n is never compared
+
+    def solution(n):
+        maps = triples[n // width][0]
+        e = maps["E"] if "E" in frozen else _fill(
+            f, templates["E"], _digits(n % width, f.p, d), entries)
+        return unchecked(TwoSidedData, a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
+
+    return found, solution

@@ -27,8 +27,9 @@ from fixtures import (
     dual_numbers,
     twosided_doc as shared_twosided_doc,
 )
-from xprod import PrimeField
+from xprod import PrimeField, search_fp
 from xprod.cli import canonical_json, main, parse_document
+from xprod.constructions import SEARCH_MAP_NAMES
 
 CORPUS = dict(corpus())
 
@@ -533,12 +534,13 @@ def test_search_report_bytes_pinned(tmp_path, monkeypatch, name):
 
 def test_search_report_is_written_without_whole_text_copies(tmp_path):
     # The F3 search keeps 482 solutions, 0.94 MB of report.  The Python
-    # allocations of main peak at about 0.5 MB when the report is streamed in
-    # batches of a few hundred pieces and the solutions share their column
-    # entries, rows and scalar texts.  With a whole list of pieces and a copy of
-    # every E row the peak was 1.6 MB; a writer that joins each nesting level's
-    # texts again, keeps every E's text and writes the whole text at once
-    # peaks at 2.9 MB.
+    # allocations of main peak at about 0.23 MB when the report is streamed in
+    # batches of a few hundred pieces and each solution is kept as its shared
+    # rows, its dict made only as the writer reaches it.  Keeping each
+    # solution's two-sided data and dict peaked at 0.5 MB; with a whole list
+    # of pieces and a copy of every E row the peak was 1.6 MB; a writer that
+    # joins each nesting level's texts again, keeps every E's text and writes
+    # the whole text at once peaks at 2.9 MB.
     import tracemalloc
     doc = write_doc(tmp_path, search_doc(PrimeField(3), budget=500, seed=41))
     args, out = ["search", "--in", doc], tmp_path / "report.json"
@@ -558,7 +560,59 @@ def test_search_report_is_written_without_whole_text_copies(tmp_path):
         finally:
             tracemalloc.stop()
         assert (rc, out.stat().st_size) == (0, size)
-        assert peak < 0.8 * 2**20, (to_stdout, peak)
+        assert peak < 0.35 * 2**20, (to_stdout, peak)
+
+
+def test_search_memory_per_solution(tmp_path):
+    # The frozen-flip F3 space: all 6,561 candidates are solutions, 12.6 MB of
+    # report.  Each solution is kept as its rows while the report is written,
+    # about 200 bytes, so the Python allocations of main peak at about 1.8 MB
+    # (stdout and --out share the writer; the 482-solution test above
+    # measures both).  Marking each E matrix as visited peaked at 2.7 MB, and
+    # keeping each solution's two-sided data, E map and dict as well at
+    # 5.9 MB.
+    import tracemalloc
+    args = ["search", "--in", write_doc(tmp_path, search_doc(PrimeField(3), mode="exhaustive"))]
+    out = tmp_path / "report.json"
+    with open(out, "w", encoding="utf-8", newline="\n") as fh, contextlib.redirect_stdout(fh):
+        assert main(args) == 0  # warm-up: caches filled before the count
+    printed = out.read_bytes()
+    assert json.loads(printed)["outputs"]["count"] == 3 ** 8
+    tracemalloc.start()
+    try:
+        rc = main(args + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out.read_bytes() == printed) == (0, True)
+    assert peak < 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+def test_search_report_lists_search_fp_solutions_in_order(tmp_path, name):
+    # the command writes each solution from its rows, the library builds it
+    # as two-sided data: both give the same solutions in the same order
+    options, count, _ = SEARCH_DIGESTS[name]
+    obj = search_doc(**options)
+    rc, rep, _ = run(["search", "--in", write_doc(tmp_path, obj)], tmp_path)
+    _, entry = parse_document(json.dumps(obj)).datasets["s"]
+    got = search_fp(entry["spec"], entry["A"], entry["V"], entry["C"])
+    assert rc == 0 and len(got) == count
+    assert rep["outputs"]["solutions"] == [
+        {m: [list(row) for row in getattr(data, m).formatted_rows] for m in SEARCH_MAP_NAMES}
+        for data in got]
+
+
+def test_search_without_solutions_writes_an_empty_list(tmp_path, monkeypatch, capsys):
+    # budget 0 draws no candidate: the solutions are written as json writes []
+    checked = checked_against_json(monkeypatch)
+    args = ["search", "--in", write_doc(tmp_path, search_doc(budget=0))]
+    rc, rep, raw = run(args, tmp_path)
+    assert rc == main(args) == 0
+    assert rep["outputs"] == {"count": 0, "solutions": []}
+    assert b'"solutions": []' in raw
+    assert capsys.readouterr().out.encode("utf-8") == raw
+    assert checked == [True, True]
 
 
 @pytest.mark.parametrize("case", ["f3-search", "input-error"])
@@ -1083,7 +1137,8 @@ def test_refusal_bytes_pinned(tmp_path):
 # -- canonical_json writes what json.dumps writes -----------------------------
 
 def json_reference(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    # a search report's solutions are a lazy sequence, dumped as the list it stands for
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, default=list) + "\n"
 
 
 def checked_against_json(monkeypatch):

@@ -701,6 +701,26 @@ def test_r2_r3_frozen_f3_exhaustive_solutions_pinned():
         "f91c40dc43083b73d8903231ee44381f24ff3d07ba31f3901c73abb403a4a5f4")
 
 
+@pytest.mark.parametrize("field, frozen, count", [(F2, (), 620), (F3, ("R2", "R3"), 6921)])
+def test_search_solutions_equal_the_checked_constructor(field, frozen, count):
+    # search_fp builds each solution from its candidate number without the
+    # checks of TwoSidedData; the checked constructor, given the same maps,
+    # builds equal data for every F2 solution and a sample of the F3 ones,
+    # and each sampled solution passes every two-sided condition
+    d = dual_numbers(field)
+    fl = flip(field, 2, 2)
+    spec = SearchSpec(field, (2, 2, 2), cap=1 << 20, frozen={m: fl for m in frozen})
+    got = search_fp(spec, d, d.as_pointed(), d)
+    assert len(got) == count
+    rng = random.Random(11)
+    picked = got if field is F2 else rng.sample(got, 200)
+    for data in picked:
+        assert data == TwoSidedData(d, d.as_pointed(), d,
+                                    *(getattr(data, m) for m in SEARCH_MAP_NAMES))
+    for data in rng.sample(picked, 20):
+        assert check_twosided(data).all_pass
+
+
 def _unit_bases(field):
     """(A, V, C) with their units at different basis positions."""
     dual, trunc, k = dual_numbers(field), truncated_polynomials3(field), scalar_alg(field)

@@ -17,6 +17,7 @@ from xprod.algebra import (
     new_coalgebra,
     ordinary_tensor,
 )
+from xprod.crossed import BrzData, check_brzezinski, check_twisting
 from xprod.errors import DocumentError, FieldMismatch, ShapeMismatch
 from xprod.exactla import (
     PrimeField,
@@ -24,6 +25,7 @@ from xprod.exactla import (
     TensorShape,
     compose,
     flat_index,
+    flip,
     from_columns,
     from_rows,
     identity,
@@ -44,6 +46,7 @@ K_MUL = TensorMap(Q, shape(1, 1), shape(1), (((0, 1),),))  # the ground field's 
 # domain [4] rather than [2, 2]
 ZERO_UNIT = FinAlgebra(Q, 1, zero_map(Q, shape(1, 1), shape(1)), (0,))
 FLAT_MUL = FinAlgebra(Q, 2, DQ.mul.reshaped(shape(4)), DQ.unit)
+SHORT_UNIT = FinAlgebra(Q, 2, DQ.mul, (1,))  # a unit of length 1 for dimension 2
 FLIP_FLIP = dict(corpus())["q-dual-flip-trivial"]
 
 
@@ -107,6 +110,13 @@ REFUSALS = {
                           "tensoring maps over different fields"),
     "permutation": (lambda: permute_factors(Q, (2, 2), (0, 0)), ShapeMismatch,
                     "(0, 0) is not a permutation of the factors"),
+    # crossed: a unit law's side built from a unit of the wrong length is
+    # refused by compose, before its two sides are compared
+    "twist-unit-length": (lambda: check_twisting(flip(Q, 2, 2), SHORT_UNIT, DQ), ShapeMismatch,
+                          "compose: domain total 4 != codomain total 2"),
+    "brz-unit-length": (lambda: check_brzezinski(BrzData(
+        SHORT_UNIT, DQ.as_pointed(), flip(Q, 2, 2), identity(Q, shape(2, 2)))),
+        ShapeMismatch, "compose: domain total 4 != codomain total 2"),
     # report
     "report-entry": (lambda: Report(()).get("brz1"), KeyError, "'brz1'"),
     # twosided
