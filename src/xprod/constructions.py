@@ -14,10 +14,10 @@ finite-field search that doubles as a fixture oracle.
   ones passing every two-sided condition.  It reads the condition table
   :data:`~xprod.twosided.CONDITIONS` that :func:`check_twosided` reports
   from, stops each candidate at its first failing condition, and decides a
-  condition that does not mention an unfrozen E once per distinct choice of
-  the unfrozen maps it mentions.  For each R-triple drawn twice, the
-  conditions that mention E become polynomials in E's free digits, read off
-  one run of their own chains over a symbolic E.  Candidates are drawn one at
+  condition that does not read an unfrozen E once per distinct choice of
+  the unfrozen maps it reads.  For each R-triple drawn twice, the conditions
+  that read E become polynomials in E's free digits, read off one run of
+  their declared chains over a symbolic E.  Candidates are drawn one at
   a time in a single thread.  :func:`search_rows` is the same search, each
   solution kept as its rows as a report writes them.
 """
@@ -76,6 +76,7 @@ from .twosided import (
     TWIST_LEGS,
     TwoSidedData,
     _chain_map,
+    _named,
     _validated_product,
     build_twosided,
     check_twosided,
@@ -123,6 +124,14 @@ def iterated_report(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
         + braid_report(r1, r2, r3).entries)
 
 
+# the displayed formula of :func:`iterated_ttp` on (a, b, c, a', b', c')
+ITERATED_CHAIN = (
+    ("R3", 2),  # (c, a') -> a'_R3, c_R3
+    ("R1", 1),  # (b, a'_R3) -> (a'_R3)_R1, b_R1
+    ("R2", 3),  # (c_R3, b') -> b'_R2, (c_R3)_R2
+    ("μ_A", 0), ("μ_B", 1), ("μ_C", 2))
+
+
 def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
                  r1: TensorMap, r2: TensorMap, r3: TensorMap) -> FinAlgebra:
     """Iterated twisted tensor product of three algebras.
@@ -140,15 +149,9 @@ def iterated_ttp(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra,
     if not rep.all_pass:
         raise rep.disagreement("iterated data", ("iterated preconditions", "two-sided conditions"))
     out = _validated_product(data)
-
-    def chain(t):
-        t = t.map_at(r3, 2)            # (c, a') -> a'_R3, c_R3
-        t = t.map_at(r1, 1)            # (b, a'_R3) -> (a'_R3)_R1, b_R1
-        t = t.map_at(r2, 3)            # (c_R3, b') -> b'_R2, (c_R3)_R2
-        return t.map_at(a.mul, 0).map_at(b.mul, 1).map_at(c.mul, 2)
-
+    named = {"R1": r1, "R2": r2, "R3": r3, "μ_A": a.mul, "μ_B": b.mul, "μ_C": c.mul}
     _routes_agree("iterated twisted tensor product", ("displayed formula", "two-sided product"),
-                  _chain_map(a.field, (a.dim, b.dim, c.dim) * 2, chain), out.mul)
+                  _chain_map(a.field, (a.dim, b.dim, c.dim) * 2, ITERATED_CHAIN, named), out.mul)
     return out
 
 
@@ -227,6 +230,16 @@ class LRData:
     eta: TensorMap
 
 
+# the L-R product of :func:`transport` on (v, x, v', x'), x in A (x)_R3 C with product μ
+LR_CHAIN = (
+    ((0, 2, 1, 3), 0), ("gamma", 0),  # v, v', 1, x, x'
+    ((0, 4, 3, 1, 2), 0), ("T", 0),   # v_T, x'_T, x, v', 1
+    ("J", 2), ((0, 2, 3, 4, 1), 0),   # v_T, v'_J, x_J, 1, x'_T
+    ("μ", 2), ("μ", 2), ("eta", 0),
+    ((0, 1, 3, 2), 0),                # E_V, 1⊗E_C, x_J 1 x'_T, E_A⊗1
+    ("μ", 1), ("μ", 1))
+
+
 def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
     """Present the two-sided product on V (x) (A (x) C) by each remark that applies.
 
@@ -284,17 +297,9 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
                       permute_factors(f, (na, nv, nc), (1, 2, 0)), d.E).reshaped(
             codomain=shape(nv, nac, nac))
         lr = data["remark2"] = LRData(p_map, t_map, gamma, eta)
-
-        def chain(t):  # v, x, v', x', each x in A (x) C, multiplied by ac
-            t = t.permute((0, 2, 1, 3)).map_at(lr.gamma, 0)       # v, v', 1, x, x'
-            t = t.permute((0, 4, 3, 1, 2)).map_at(lr.T, 0)        # v_T, x'_T, x, v', 1
-            t = t.map_at(lr.J, 2).permute((0, 2, 3, 4, 1))        # v_T, v'_J, x_J, 1, x'_T
-            t = t.map_at(ac.mul, 2).map_at(ac.mul, 2).map_at(lr.eta, 0)
-            t = t.permute((0, 1, 3, 2))                           # E_V, 1⊗E_C, x_J 1 x'_T, E_A⊗1
-            return t.map_at(ac.mul, 1).map_at(ac.mul, 1)
-
+        named = {"J": lr.J, "T": lr.T, "gamma": lr.gamma, "eta": lr.eta, "μ": ac.mul}
         _routes_agree("transported product", ("L-R presentation", "permuted product"),
-                      _chain_map(f, (nv, nac) * 2, chain), moved.mul)
+                      _chain_map(f, (nv, nac) * 2, LR_CHAIN, named), moved.mul)
         info = _column_witness((
             compose(moved.mul, _unit_legs(f, (v.unit, a.unit, c.unit) * 2, (0, 1, 2, 4, 5))),
             tensor(identity(f, shape(nv)), ac.mul).reshaped(domain=shape(nv, na, nc, na, nc)),
@@ -450,23 +455,25 @@ class _Poly:
 
 def _compile(a, v, c, conds, maps, template):
     """The residual lhs − rhs of every side of ``conds`` as polynomials in E's
-    free digits, for the maps other than E in ``maps``.
+    free digits, for the maps other than E in ``maps``, keyed by name.
 
     E is filled from ``template`` with its free digits as variables, and each
-    side's own chain runs once over it (:func:`~xprod.twosided._chain_map`),
-    so a residual's degree is at most the number of times a side applies E:
-    1 for equiv4 and equiv5, 2 for equiv6.  Returns the nonzero residual
-    entries as rows of (monomial, coefficient); equal rows are kept once.
+    side's declared chains run once over it, by the interpreter of the scans
+    (:func:`~xprod.twosided._chain_map`), so a residual's degree is at most
+    the number of E steps in a side's chain: 1 for equiv4 and equiv5, 2 for
+    equiv6.  Returns the nonzero residual entries as rows of (monomial,
+    coefficient); equal rows are kept once.
     """
     ring = _Poly(a.field.p)
     e = _fill(ring, template, [{(i,): 1} for i in range(_width(template))])
+    named = _named(a, v, c, {**maps, "E": e})
     rows = {}
     for cond in conds:
-        for dims, sides in cond.scans(a, v, c, *(e if m == "E" else maps[m]
-                                                 for m in cond.maps)):
+        for legs, sides in cond.scans:
+            dims = tuple(named[x] for x in legs)
             for lhs, rhs, _ in sides:
-                for left, right in zip(_chain_map(ring, dims, lhs).cols,
-                                       _chain_map(ring, dims, rhs).cols):
+                for left, right in zip(_chain_map(ring, dims, lhs, named).cols,
+                                       _chain_map(ring, dims, rhs, named).cols):
                     residual = dict(left)
                     for i, x in right:
                         residual[i] = ring.add(residual.get(i, 0), ring.mul(a.field.p - 1, x))
@@ -490,23 +497,24 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     n // p^d numbers its R-triple.  Each candidate meets the conditions of
     :data:`~xprod.twosided.CONDITIONS` and is dropped at its first failure;
     the unit laws that an unfrozen map's template pins are skipped.  The
-    conditions that do not mention an unfrozen E come first, and an R-triple
-    meets them once: each is decided once per distinct digit slice of the
-    unfrozen maps it mentions, each unfrozen R map is decoded once per
-    distinct slice, and a passing triple keeps its maps, so a later candidate
-    of it costs its E digits and the E conditions.  (A failing triple drawn
-    again reads its verdicts back.)  The conditions that mention an unfrozen
-    E come last: an R-triple's first two visits scan them, and the second
-    also compiles them (:func:`_compile`) to decide the triple's later
+    conditions whose steps do not read an unfrozen E come first, and an
+    R-triple meets them once: each is decided once per distinct digit slice
+    of the unfrozen maps it reads (its ``maps``), each unfrozen R map is
+    decoded once per distinct slice, and a passing triple keeps its maps, so
+    a later candidate of it costs its E digits and the E conditions.  (A
+    failing triple drawn again reads its verdicts back.)  The conditions that
+    read an unfrozen E come last: an R-triple's first two visits scan them,
+    and the second also compiles them (:func:`_compile` runs their declared
+    chains over polynomials in E's digits) to decide the triple's later
     candidates, raising :class:`~xprod.errors.InternalCheckError` if the two
     routes disagree.  In exhaustive mode each R-triple is one run of
     consecutive candidates, its E digits stepped in order, and a triple that
     fails a condition without E is skipped with the whole run.  Memory grows
     with the distinct R-triples drawn, not with the space.  A solution is
-    kept as its rows (:func:`search_rows`), about 200 bytes: its R-triple's rows,
-    which the triple's solutions share, a tuple of its E rows, each shared
-    with every equal row through a memo of this call, and its number.  The
-    solutions are sorted by those rows, the matrices as the report writes
+    kept as its rows (:func:`search_rows`), about 200 bytes: its R-triple's
+    rows, which the triple's solutions share, a tuple of its E rows, each
+    shared with every equal row through a memo of this call, and its number.
+    The solutions are sorted by those rows, the matrices as the report writes
     them (:meth:`~xprod.exactla.TensorMap.format_rows`), so the output is
     byte-stable for a fixed spec and seed, and each is then built from its
     number without checking its shapes again: the templates fix them, and a
@@ -590,8 +598,7 @@ def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra)
             if holds is None:
                 for m in unfrozen:
                     maps[m] = decode(m, parts[m])
-                holds = verdicts[key] = cond.witness(
-                    a, v, c, *(maps[m] for m in cond.maps)) is None
+                holds = verdicts[key] = cond.witness(a, v, c, maps) is None
             if not holds:
                 return None
         for name, part in parts.items():
@@ -604,9 +611,8 @@ def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra)
         rows = compiled.get(t)
         if rows is not None:
             return _holds(rows, x, f.p)
-        e = _fill(f, templates["E"], x, entries)
-        scanned = all(cond.witness(a, v, c, *(e if m == "E" else maps[m] for m in cond.maps))
-                      is None for cond in e_conds)
+        named = {**maps, "E": _fill(f, templates["E"], x, entries)}
+        scanned = all(cond.witness(a, v, c, named) is None for cond in e_conds)
         if t not in compiled:
             compiled[t] = None
             return scanned

@@ -12,12 +12,16 @@ Input data is the tuple (A, V, C, R1, R2, R3, E) with
 ``equiv6``), each exhaustively on basis tuples with the lexicographically
 smallest witness.  A condition is one or more sides ``(lhs, rhs, identity
 text)`` in checking order, decided by two independent routes that must
-agree.  The elementwise route, :func:`_scan`, runs chains of sparse tensor
-states (``_Ten``, with :meth:`_Ten.insert` putting a unit into a leg) on each
-basis tuple; its table :data:`CONDITIONS` records for each label the maps it
-mentions and its scans as data, ``(dims, sides)``, and the finite-field
-search reads the same table.  The composite route compares whole-matrix
-sides with :func:`~xprod.algebra._column_witness`.
+agree.  The elementwise route, :func:`_scan`, runs each side's chains on the
+sparse tensor state (``_Ten``) of each basis tuple.  A chain is data, a tuple
+of steps that apply a named map at a leg, insert a named unit there, or
+permute the legs from there on.  One interpreter runs every chain over any
+field, :func:`_bind` turning each step into a call of a ``_Ten`` method: the
+sides of the table :data:`CONDITIONS` (whose search in
+:mod:`~xprod.constructions` runs the E sides over polynomials), the
+product's :data:`PRODUCT_CHAIN` and the chains of that module.  The
+composite route compares whole-matrix sides with
+:func:`~xprod.algebra._column_witness`.
 
 When all conditions hold, :func:`build_twosided` constructs the algebra on
 A (x) V (x) C whose multiplication is
@@ -34,7 +38,7 @@ as a mirror crossed product (A (x) V) (x)~_{P,ν} C.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from functools import cached_property
 
 from .algebra import (
     FinAlgebra,
@@ -125,21 +129,21 @@ class DerivedMaps:
     nu: TensorMap
 
 
-# -- sparse tensor states for elementwise Sweedler chains --------------------
+# -- declared chains and the sparse tensor states they run on ----------------
 
 class _Ten:
     """Sparse exact tensor with an explicit list of factor dimensions."""
 
     __slots__ = ("field", "dims", "data")
 
-    def __init__(self, field, dims, data):
+    def __init__(self, field, dims: tuple, data):
         self.field = field
-        self.dims = tuple(dims)
+        self.dims = dims
         self.data = data  # dict: multi-index tuple -> nonzero scalar
 
     @classmethod
-    def basis(cls, field, dims, idx):
-        return cls(field, dims, {tuple(idx): field.one})
+    def basis(cls, field, dims: tuple, idx: tuple):
+        return cls(field, dims, {idx: field.one})
 
     def map_at(self, m: TensorMap, pos: int) -> "_Ten":
         """Apply a map to consecutive factors starting at pos."""
@@ -167,7 +171,7 @@ class _Ten:
                     out[new_key] = t
         return _Ten(f, out_dims, out)
 
-    def insert(self, pos: int, vec) -> "_Ten":
+    def insert(self, vec, pos: int) -> "_Ten":
         """Insert the vector ``vec`` as a new factor at position pos."""
         f = self.field
         terms = [(i, x) for i, x in enumerate(vec) if not f.is_zero(x)]
@@ -175,11 +179,12 @@ class _Ten:
                 for key, coef in self.data.items() for i, x in terms}
         return _Ten(f, self.dims[:pos] + (len(vec),) + self.dims[pos:], data)
 
-    def permute(self, perm) -> "_Ten":
-        """Reorder factors: output factor t is current factor perm[t]."""
-        perm = tuple(perm)
-        dims = tuple(self.dims[p] for p in perm)
-        data = {tuple(key[p] for p in perm): v for key, v in self.data.items()}
+    def permute(self, perm: tuple, pos: int) -> "_Ten":
+        """Reorder the factors from pos on: factor pos + t becomes the current
+        factor pos + perm[t]."""
+        order = (*range(pos), *(pos + p for p in perm))
+        dims = tuple(self.dims[p] for p in order)
+        data = {tuple(key[p] for p in order): v for key, v in self.data.items()}
         return _Ten(self.field, dims, data)
 
     def vector(self) -> tuple:
@@ -190,138 +195,155 @@ class _Ten:
         return tuple(out)
 
 
-def _scan(field, dims, *sides):
-    """The first failing side at the smallest basis tuple of ``dims``, lex
-    order, as a witness, or None: each side is (lhs chain, rhs chain, identity
-    text), chains compared on each basis tuple's sparse state."""
-    for idx in itertools.product(*(range(d) for d in dims)):
-        start = _Ten.basis(field, dims, idx)
-        for lhs, rhs, text in sides:
-            left, right = lhs(start), rhs(start)
-            if left.data != right.data:  # both sparse with zeros dropped
-                return Witness(idx, left.vector(), right.vector(), text)
+def _bind(chain, named):
+    """The steps of ``chain`` as (method of :class:`_Ten`, argument, leg),
+    each run on a state t as ``t = method(t, argument, leg)``.  A step (x,
+    leg) applies the map ``named[x]`` to the factors from ``leg`` on, inserts
+    it there if it is a vector (a unit), or, if x is a tuple of numbers,
+    permutes the factors from ``leg`` on by it."""
+    return [(_Ten.permute, x, leg) if isinstance(x, tuple) else
+            (_Ten.map_at if isinstance(m := named[x], TensorMap) else _Ten.insert, m, leg)
+            for x, leg in chain]
+
+
+def _named(a, v, c, maps):
+    """What the chains of two-sided data read by name: ``maps``, ``μ_A``,
+    ``μ_C``, ``1_A``, ``1_V``, ``1_C``, and the dimensions of the legs A, V, C."""
+    return {**maps, "μ_A": a.mul, "μ_C": c.mul, "1_A": a.unit, "1_V": v.unit, "1_C": c.unit,
+            "A": a.dim, "V": v.dim, "C": c.dim}
+
+
+def _scan(field, scans, named):
+    """The witness of the first failing scan, or None: a scan is (legs,
+    sides), each side (lhs chain, rhs chain, identity text), and fails at the
+    smallest basis tuple of the legs, lex order, where the chains of a side
+    differ, and there at its first such side."""
+    for legs, sides in scans:
+        dims = tuple([named[x] for x in legs])
+        bound = [(_bind(lhs, named), _bind(rhs, named), text) for lhs, rhs, text in sides]
+        for idx in itertools.product(*(range(d) for d in dims)):
+            start = _Ten.basis(field, dims, idx)
+            for lhs, rhs, text in bound:
+                left = right = start
+                for op, x, leg in lhs:
+                    left = op(left, x, leg)
+                for op, x, leg in rhs:
+                    right = op(right, x, leg)
+                if left.data != right.data:  # both sparse with zeros dropped
+                    return Witness(idx, left.vector(), right.vector(), text)
     return None
 
 
-def _chain_map(field, dims, chain) -> TensorMap:
-    """The map whose column at each basis tuple of ``dims`` is ``chain``
-    applied to that tuple; its codomain is the chain's output factors."""
-    cod, cols = None, []
+def _chain_map(field, dims, chain, named) -> TensorMap:
+    """The map whose column at each basis tuple of ``dims`` is ``chain`` run
+    on that tuple; its codomain is the chain's output factors."""
+    bound, cod, cols = _bind(chain, named), None, []
     for idx in itertools.product(*(range(d) for d in dims)):
-        t = chain(_Ten.basis(field, dims, idx))
+        t = _Ten.basis(field, dims, idx)
+        for op, x, leg in bound:
+            t = op(t, x, leg)
         cod = cod or TensorShape(t.dims)
         cols.append(tuple((cod.index(key), x) for key, x in sorted(t.data.items())
                           if not field.is_zero(x)))
     return TensorMap(field, TensorShape(dims), cod, tuple(cols))
 
 
-def _one_scan(dims, *sides):
+def _one_scan(legs, *sides):
     """A condition that is one scan: its sides compared on the basis tuples of
-    ``dims``."""
-    return ((dims, sides),)
+    ``legs``, named "A", "V", "C"."""
+    return ((legs, sides),)
 
 
 def _mult_left_scan(r, alg, identity_text):
     """R∘(id⊗μ) = (μ⊗id)∘(id⊗R)∘(R⊗id) for a twist R: X (x) A -> A (x) X, on
-    basis tuples (x, a, a')."""
-    return _one_scan((r.domain.dims[0], alg.dim, alg.dim), (
-        lambda t: t.map_at(alg.mul, 1).map_at(r, 0),
-        lambda t: t.map_at(r, 0).map_at(r, 1).map_at(alg.mul, 0), identity_text))
+    basis tuples (x, a, a'); R and A given by name, as "R3" and "A"."""
+    mul = "μ_" + alg
+    return _one_scan(("AVC"[TWIST_LEGS[r][0]], alg, alg),
+                     (((mul, 1), (r, 0)), ((r, 0), (r, 1), (mul, 0)), identity_text))
 
 
 def _mult_right_scan(r, alg, identity_text):
     """R∘(μ⊗id) = (id⊗μ)∘(R⊗id)∘(id⊗R) for a twist R: C (x) X -> X (x) C, on
-    basis tuples (c, c', x)."""
-    return _one_scan((alg.dim, alg.dim, r.domain.dims[1]), (
-        lambda t: t.map_at(alg.mul, 0).map_at(r, 0),
-        lambda t: t.map_at(r, 1).map_at(r, 0).map_at(alg.mul, 1), identity_text))
+    basis tuples (c, c', x); R and C given by name."""
+    mul = "μ_" + alg
+    return _one_scan((alg, alg, "AVC"[TWIST_LEGS[r][1]]),
+                     (((mul, 0), (r, 0)), ((r, 1), (r, 0), (mul, 1)), identity_text))
 
 
-def _twist_unit_scans(r, units, legs, texts):
-    """The unit laws of a twist R: X (x) Y -> Y (x) X, units (1_X, 1_Y), one
-    scan per leg in the order given: R(x⊗1_Y) = 1_Y⊗x for leg 0, R(1_X⊗y) =
-    y⊗1_X for leg 1."""
-    def scan(leg, text):
-        u = units[1 - leg]
-        return (len(units[leg]),), (
-            (lambda t: t.insert(1 - leg, u).map_at(r, 0), lambda t: t.insert(leg, u), text),)
-    return tuple(map(scan, legs, texts))
+def _twist_unit_scans(r, legs, texts):
+    """The unit laws of a twist R: X (x) Y -> Y (x) X, given by name, one scan
+    per leg in the order given: R(x⊗1_Y) = 1_Y⊗x for leg 0, R(1_X⊗y) = y⊗1_X
+    for leg 1."""
+    xy = ["AVC"[t] for t in TWIST_LEGS[r]]
+    return sum((_one_scan((xy[leg],), ((("1_" + xy[1 - leg], 1 - leg), (r, 0)),
+                                       (("1_" + xy[1 - leg], leg),), text))
+                for leg, text in zip(legs, texts)), ())
 
 
 @record
 class Condition:
-    """One two-sided condition: its label, the maps among R1, R2, R3, E it
-    mentions, and its elementwise scans as data.
-
-    ``scans(A, V, C, *maps)`` takes the mentioned maps in the order of
-    ``maps`` and returns the condition's scans in checking order, each a pair
-    ``(dims, sides)`` that :func:`_scan` decides on the basis tuples of
-    ``dims``.  The verdict depends on nothing else, which is what lets
+    """One two-sided condition: its label and its elementwise scans as data,
+    in checking order, each a pair ``(legs, sides)`` that :func:`_scan`
+    decides on the basis tuples of the legs A, V, C, given by name.  The chains
+    of the sides read maps and units by name (:func:`_named`), and
+    :attr:`maps` lists the maps among R1, R2, R3, E that they read.  The
+    verdict depends on nothing else, which is what lets
     :func:`~xprod.constructions.search_fp` reuse verdicts across candidates
-    that share those maps, and compile the sides that mention E.
+    that share those maps, and compile the sides that read E.
     """
 
     label: str
-    maps: tuple[str, ...]
-    scans: Callable[..., tuple]
+    scans: tuple
 
-    def witness(self, a, v, c, *maps) -> Witness | None:
+    @cached_property
+    def maps(self) -> tuple[str, ...]:
+        """The maps among R1, R2, R3, E that the chains apply, in that order."""
+        read = {step[0] for _, sides in self.scans for lhs, rhs, _ in sides for step in lhs + rhs}
+        return tuple(m for m in (*TWIST_LEGS, "E") if m in read)
+
+    def witness(self, a, v, c, maps) -> Witness | None:
         """The smallest failing basis tuple's witness, or None when the
-        condition holds; ``maps`` in the order of ``self.maps``."""
-        for dims, sides in self.scans(a, v, c, *maps):
-            witness = _scan(a.field, dims, *sides)
-            if witness is not None:
-                return witness
-        return None
+        condition holds; ``maps`` holds at least :attr:`maps`, keyed by name."""
+        return _scan(a.field, self.scans, _named(a, v, c, maps))
 
     def evaluate(self, a, v, c, maps) -> ConditionResult:
         """The condition's report entry, with ``maps`` keyed by name."""
-        witness = self.witness(a, v, c, *(maps[name] for name in self.maps))
+        witness = self.witness(a, v, c, maps)
         return ConditionResult(self.label, witness is None, witness)
 
 
 # The twelve conditions, each identity written once, in report order.
 CONDITIONS = (
-    Condition("twR31", ("R3",), lambda a, v, c, r3: _twist_unit_scans(
-        r3, (c.unit, a.unit), (0, 1), ("R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
-    Condition("twR32", ("R3",), lambda a, v, c, r3: _mult_left_scan(
-        r3, a, "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
-    Condition("twR33", ("R3",), lambda a, v, c, r3: _mult_right_scan(
-        r3, c, "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
-    Condition("unit-R1", ("R1",), lambda a, v, c, r1: _twist_unit_scans(
-        r1, (v.unit, a.unit), (1, 0), ("R1(1_V⊗a)=a⊗1_V", "R1(v⊗1_A)=1_A⊗v"))),
-    Condition("unit-R2", ("R2",), lambda a, v, c, r2: _twist_unit_scans(
-        r2, (c.unit, v.unit), (0, 1), ("R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
-    Condition("unit-E", ("E",), lambda a, v, c, e: _one_scan(
-        (v.dim,),
-        (lambda t: t.insert(0, v.unit).map_at(e, 0),
-         lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(1_V⊗v)=1_A⊗v⊗1_C"),
-        (lambda t: t.insert(1, v.unit).map_at(e, 0),
-         lambda t: t.insert(0, a.unit).insert(2, c.unit), "E(v⊗1_V)=1_A⊗v⊗1_C"))),
-    Condition("equiv1", ("R1",), lambda a, v, c, r1: _mult_left_scan(
-        r1, a, "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
-    Condition("equiv2", ("R2",), lambda a, v, c, r2: _mult_right_scan(
-        r2, c, "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
-    Condition("equiv3", ("R1", "R2", "R3"), lambda a, v, c, r1, r2, r3: _one_scan(
-        (c.dim, v.dim, a.dim), (
-            lambda t: t.map_at(r1, 1).map_at(r3, 0).map_at(r2, 1),
-            lambda t: t.map_at(r2, 0).map_at(r3, 1).map_at(r1, 0),
-            "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))),
-    Condition("equiv4", ("R1", "R3", "E"), lambda a, v, c, r1, r3, e: _one_scan(
-        (v.dim, v.dim, a.dim), (
-            lambda t: t.map_at(r1, 1).map_at(r1, 0).map_at(e, 1).map_at(a.mul, 0),
-            lambda t: t.map_at(e, 0).map_at(r3, 2).map_at(r1, 1).map_at(a.mul, 0),
-            "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))),
-    Condition("equiv5", ("R2", "R3", "E"), lambda a, v, c, r2, r3, e: _one_scan(
-        (c.dim, v.dim, v.dim), (
-            lambda t: t.map_at(r2, 0).map_at(r2, 1).map_at(e, 0).map_at(c.mul, 2),
-            lambda t: t.map_at(e, 1).map_at(r3, 0).map_at(r2, 1).map_at(c.mul, 2),
-            "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))),
-    Condition("equiv6", ("R1", "R2", "E"), lambda a, v, c, r1, r2, e: _one_scan(
-        (v.dim, v.dim, v.dim), (
-            lambda t: t.map_at(e, 1).map_at(r1, 0).map_at(e, 1).map_at(a.mul, 0).map_at(c.mul, 2),
-            lambda t: t.map_at(e, 0).map_at(r2, 2).map_at(e, 1).map_at(a.mul, 0).map_at(c.mul, 2),
-            "E-chain of (v v') v'' = E-chain of v (v' v'')"))),
+    Condition("twR31", _twist_unit_scans(
+        "R3", (0, 1), ("R3(c⊗1_A)=1_A⊗c", "R3(1_C⊗a)=a⊗1_C"))),
+    Condition("twR32", _mult_left_scan("R3", "A", "(aa')_R3⊗c_R3 = a_R3 a'_r3⊗(c_R3)_r3")),
+    Condition("twR33", _mult_right_scan("R3", "C", "a_R3⊗(cc')_R3 = (a_R3)_r3⊗c_r3 c'_R3")),
+    Condition("unit-R1", _twist_unit_scans(
+        "R1", (1, 0), ("R1(1_V⊗a)=a⊗1_V", "R1(v⊗1_A)=1_A⊗v"))),
+    Condition("unit-R2", _twist_unit_scans(
+        "R2", (0, 1), ("R2(c⊗1_V)=1_V⊗c", "R2(1_C⊗v)=v⊗1_C"))),
+    Condition("unit-E", _one_scan(
+        ("V",),
+        ((("1_V", 0), ("E", 0)), (("1_A", 0), ("1_C", 2)), "E(1_V⊗v)=1_A⊗v⊗1_C"),
+        ((("1_V", 1), ("E", 0)), (("1_A", 0), ("1_C", 2)), "E(v⊗1_V)=1_A⊗v⊗1_C"))),
+    Condition("equiv1", _mult_left_scan("R1", "A", "(aa')_R1⊗v_R1 = a_R1 a'_r1⊗(v_R1)_r1")),
+    Condition("equiv2", _mult_right_scan("R2", "C", "v_R2⊗(cc')_R2 = (v_R2)_r2⊗c_r2 c'_R2")),
+    Condition("equiv3", _one_scan(("C", "V", "A"), (
+        (("R1", 1), ("R3", 0), ("R2", 1)),
+        (("R2", 0), ("R3", 1), ("R1", 0)),
+        "(a_R1)_R3⊗(v_R1)_R2⊗(c_R3)_R2 = (a_R3)_R1⊗(v_R2)_R1⊗(c_R2)_R3"))),
+    Condition("equiv4", _one_scan(("V", "V", "A"), (
+        (("R1", 1), ("R1", 0), ("E", 1), ("μ_A", 0)),
+        (("E", 0), ("R3", 2), ("R1", 1), ("μ_A", 0)),
+        "(a_R1)_r1 E(v_r1,v'_R1) ... = E_A(v,v')(a_R3)_R1⊗E_V(v,v')_R1⊗E_C(v,v')_R3"))),
+    Condition("equiv5", _one_scan(("C", "V", "V"), (
+        (("R2", 0), ("R2", 1), ("E", 0), ("μ_C", 2)),
+        (("E", 1), ("R3", 0), ("R2", 1), ("μ_C", 2)),
+        "E(v_R2,v'_r2)...(c_R2)_r2 = E_A(v,v')_R3⊗E_V(v,v')_R2⊗(c_R3)_R2 E_C(v,v')"))),
+    Condition("equiv6", _one_scan(("V", "V", "V"), (
+        (("E", 1), ("R1", 0), ("E", 1), ("μ_A", 0), ("μ_C", 2)),
+        (("E", 0), ("R2", 2), ("E", 1), ("μ_A", 0), ("μ_C", 2)),
+        "E-chain of (v v') v'' = E-chain of v (v' v'')"))),
 )
 
 CONDITION_LABELS = tuple(cond.label for cond in CONDITIONS)
@@ -403,18 +425,20 @@ def derive_maps(d: TwoSidedData) -> DerivedMaps:
     return DerivedMaps(r, p, sigma, nu)
 
 
+# the product's chain on (a, v, c, a', v', c')
+PRODUCT_CHAIN = (
+    ("R3", 2),  # (c, a') -> a'_R3, c_R3
+    ("R1", 1),  # (v, a'_R3) -> (a'_R3)_R1, v_R1
+    ("R2", 3),  # (c_R3, v') -> v'_R2, (c_R3)_R2
+    ("E", 2),   # E(v_R1, v'_R2)
+    ("μ_A", 0), ("μ_A", 0), ("μ_C", 2), ("μ_C", 2))
+
+
 def _raw_product(d: TwoSidedData) -> TensorMap:
     """The two-sided product's multiplication, [A,V,C,A,V,C] -> [A,V,C], not validated."""
     f = d.field
-
-    def chain(t):
-        t = t.map_at(d.R3, 2)   # (c, a') -> a'_R3, c_R3
-        t = t.map_at(d.R1, 1)   # (v, a'_R3) -> (a'_R3)_R1, v_R1
-        t = t.map_at(d.R2, 3)   # (c_R3, v') -> v'_R2, (c_R3)_R2
-        t = t.map_at(d.E, 2)    # E(v_R1, v'_R2)
-        return t.map_at(d.A.mul, 0).map_at(d.A.mul, 0).map_at(d.C.mul, 2).map_at(d.C.mul, 2)
-
-    mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, chain)
+    mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, PRODUCT_CHAIN,
+                     _named(d.A, d.V, d.C, {m: getattr(d, m) for m in (*TWIST_LEGS, "E")}))
     # composite route for the same multiplication, kept as an internal check
     ida = identity(f, shape(d.A.dim))
     idv = identity(f, shape(d.V.dim))

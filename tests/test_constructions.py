@@ -15,6 +15,7 @@ from fixtures import (
     group_algebra_z2,
     searched_f2_fixtures,
     truncated_polynomials3,
+    upper_triangular2,
 )
 from xprod import (
     MaData,
@@ -446,6 +447,46 @@ def test_remark2_general_jtge_chain_matches_built_product():
             assert got == want
 
 
+def inner_twist_fixture():
+    """A = upper triangular 2x2 matrices over Q, V = span(1_V, x), C = k, with
+    x a = (t a t^-1) x and x x = t^2 for t = e11 + e12 + 2 e22: R3 is the flip
+    and E_A(x, x) = t^2 is not central in A."""
+    f = Q
+    a, k = upper_triangular2(f), scalar_alg(f)
+    t, t_inv = (1, 1, 2), (1, f.parse("-1/2"), f.parse("1/2"))
+    assert a.mul_vec(t, t_inv) == a.unit
+    e0, x = basis_vector(f, 2, 0), basis_vector(f, 2, 1)
+    basis = [basis_vector(f, 3, j) for j in range(3)]
+    r1 = from_columns(f, shape(2, 3), shape(3, 2), [
+        *(tensor_vec(f, b, e0) for b in basis),
+        *(tensor_vec(f, a.mul_vec(a.mul_vec(t, b), t_inv), x) for b in basis)])
+    one_c = k.unit
+    e = from_columns(f, shape(2, 2), shape(3, 2, 1), [
+        tensor_vec(f, a.unit, e0, one_c), tensor_vec(f, a.unit, x, one_c),
+        tensor_vec(f, a.unit, x, one_c), tensor_vec(f, a.mul_vec(t, t), e0, one_c)])
+    return TwoSidedData(a, PointedSpace(f, 2, e0), k, r1, flip(f, 1, 2), flip(f, 1, 3), e)
+
+
+def test_remark2_chain_keeps_e_a_on_the_right():
+    # E_A(x, x) = t^2 does not commute with e12, so a product that moved E_A
+    # next to E_C, past x_J 1 x'_T, would differ from the built one
+    data = inner_twist_fixture()
+    a, t2 = data.A, data.E.column(3)[:3]
+    e12 = basis_vector(Q, 3, 1)
+    assert a.mul_vec(e12, t2) != a.mul_vec(t2, e12)
+    lralg, presentations, rep = transport(data)
+    assert set(presentations) == {"remark2"} and rep.all_pass
+    lr, nv, nac = presentations["remark2"], data.V.dim, a.dim
+    shp = shape(nv, nac)
+    for j, iac in product(range(nv), range(nac)):
+        for jp, ipac in product(range(nv), range(nac)):
+            got = lralg.mul_vec(
+                basis_vector(Q, lralg.dim, shp.index((j, iac))),
+                basis_vector(Q, lralg.dim, shp.index((jp, ipac))))
+            assert got == oracle_lr_product(lr, ordinary_tensor(a, scalar_alg(Q)), nv,
+                                            (j, iac), (jp, ipac))
+
+
 def test_transport_equalities_on_searched_fixtures():
     # searched solutions freeze all three R maps to flips, so both transports apply
     for data in searched_f2_fixtures():
@@ -742,7 +783,8 @@ def test_map_templates_satisfy_the_unit_laws_they_pin(field):
             fills = [[0] * width, [field.p - 1] * width,
                      *([rng.randrange(field.p) for _ in range(width)] for _ in range(20))]
             for digits in fills:
-                assert cond.witness(a, v, c, _fill(field, template, digits)) is None
+                filled = {cond.maps[0]: _fill(field, template, digits)}
+                assert cond.witness(a, v, c, filled) is None
 
 
 def test_e_degrees_cover_the_conditions_that_mention_e(monkeypatch):
@@ -796,8 +838,7 @@ def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
                      for cond in e_conds}
             for x in product(range(p), repeat=d):
                 maps = {**r_maps, "E": _fill(field, templates["E"], x)}
-                scanned = {cond.label: cond.witness(a, v, c, *(maps[m] for m in cond.maps))
-                           is None for cond in e_conds}
+                scanned = {cond.label: cond.witness(a, v, c, maps) is None for cond in e_conds}
                 assert _holds(joint, x, p) == all(scanned.values())
                 for label, holds in scanned.items():
                     assert _holds(split[label], x, p) == holds
@@ -823,7 +864,7 @@ def scans_per_r1(monkeypatch, label, spec, a, v, c):
 
     def counted(cond, *args):
         if cond.label == label:
-            key = args[3].cols  # (A, V, C, R1, ...) for equiv4 and equiv6
+            key = args[3]["R1"].cols  # (A, V, C, maps by name)
             counts[key] = counts.get(key, 0) + 1
         return witness(cond, *args)
 
