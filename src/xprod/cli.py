@@ -34,7 +34,6 @@ from .algebra import (
     new_coalgebra,
 )
 from .constructions import (
-    SEARCH_MAP_NAMES,
     MaData,
     SearchSpec,
     _iterated_twists,
@@ -42,7 +41,7 @@ from .constructions import (
     iterated_ttp,
     ma_build,
     ma_twosided,
-    search_rows,
+    search_fp,
     transport,
 )
 from .crossed import (
@@ -78,6 +77,7 @@ from .exactla import (
 from .record import record, replace
 from .report import ConditionResult, Report, Witness
 from .twosided import (
+    MAP_NAMES,
     TwoSidedData,
     _extraction_shapes,
     _split,
@@ -201,16 +201,14 @@ def _search_entry(refs, spec, path, resolve):
             "frozen must map labels to map names")
     frozen = {}
     for label, ref in frozen_spec.items():
-        _expect(label in SEARCH_MAP_NAMES, f"{path}.frozen.{label}",
+        _expect(label in MAP_NAMES, f"{path}.frozen.{label}",
                 "frozen labels must be among R1, R2, R3, E")
         frozen[label] = resolve("map", ref, f"{path}.frozen.{label}")
     counts = {key: spec[key] for key in ("budget", "seed", "cap") if key in spec}
     for key, value in counts.items():
         _expect(_is_int(value) and value >= 0, f"{path}.{key}",
                 "must be a nonnegative integer")
-    a, v, c = refs["A"], refs["V"], refs["C"]
-    return dict(refs, spec=SearchSpec(a.field, (a.dim, v.dim, c.dim), mode,
-                                      frozen=frozen, **counts))
+    return dict(refs, spec=SearchSpec(mode, frozen=frozen, **counts))
 
 
 _T = _DatasetType
@@ -553,16 +551,16 @@ def _run_extract(doc, name, kind, entry, args):
         except (SplitFail, NotAlgebraMap, UnitMismatch) as exc:  # the conditions rule these out
             raise InternalCheckError(str(exc), ("dataset", "split product"),
                                      getattr(exc, "witness", None)) from exc
-        for label in SEARCH_MAP_NAMES:
+        for label in MAP_NAMES:
             _routes_agree(f"split map {label}", ("dataset", "split product"),
                           getattr(entry, label), getattr(got, label))
-        rep = Report(tuple(ConditionResult(f"roundtrip-{label}", True) for label in SEARCH_MAP_NAMES))
+        rep = Report(tuple(ConditionResult(f"roundtrip-{label}", True) for label in MAP_NAMES))
     elif kind == "extraction":
         got = extract(entry["M"], entry["A"], entry["V"], entry["C"])
         rep = Report((ConditionResult("extracted-and-rebuilt", True),))
     else:
         raise PreconditionFail("extract applies to twosided or extraction datasets")
-    return rep, {"maps": {label: getattr(got, label).formatted_rows for label in SEARCH_MAP_NAMES}}
+    return rep, {"maps": {label: getattr(got, label).formatted_rows for label in MAP_NAMES}}
 
 
 def _run_universal(doc, name, kind, entry, args):
@@ -576,9 +574,9 @@ def _run_universal(doc, name, kind, entry, args):
 def _run_search(doc, name, kind, entry, args):
     _only(kind, "search", "search")
     spec = entry["spec"] if args.seed is None else replace(entry["spec"], seed=args.seed)
-    found, _ = search_rows(spec, entry["A"], entry["V"], entry["C"])
+    found = search_fp(spec, entry["A"], entry["V"], entry["C"])
     return (Report((ConditionResult("search-complete", True),)),
-            {"count": len(found), "solutions": _Solutions(found)})
+            {"count": len(found), "solutions": _Solutions(found.rows)})
 
 
 class _Solutions:
@@ -594,7 +592,7 @@ class _Solutions:
         return len(self.found)
 
     def __iter__(self):
-        return (dict(zip(SEARCH_MAP_NAMES, (*rows, list(e_rows))))
+        return (dict(zip(MAP_NAMES, (*rows, list(e_rows))))
                 for rows, e_rows, _ in self.found)
 
 

@@ -18,8 +18,8 @@ finite-field search that doubles as a fixture oracle.
   the unfrozen maps it reads.  For each R-triple drawn twice, the conditions
   that read E become polynomials in E's free digits, read off one run of
   their declared chains over a symbolic E.  Candidates are drawn one at
-  a time in a single thread.  :func:`search_rows` is the same search, each
-  solution kept as its rows as a report writes them.
+  a time in a single thread.  Each solution is kept as its rows as a report
+  writes them (:class:`Solutions`), and built as two-sided data when read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Sequence
 from math import prod
 from types import MappingProxyType
 
@@ -54,10 +55,8 @@ from .errors import (
     InternalCheckError,
     PreconditionFail,
     SearchSpaceTooLarge,
-    ShapeMismatch,
 )
 from .exactla import (
-    Field,
     PrimeField,
     TensorMap,
     compose,
@@ -73,6 +72,7 @@ from .record import record, unchecked
 from .report import ConditionResult, Report
 from .twosided import (
     CONDITIONS,
+    MAP_NAMES,
     TWIST_LEGS,
     TwoSidedData,
     _chain_map,
@@ -81,9 +81,6 @@ from .twosided import (
     build_twosided,
     check_twosided,
 )
-
-SEARCH_MAP_NAMES = ("R1", "R2", "R3", "E")
-
 
 def product_connector(a: FinAlgebra, b: FinAlgebra, c: FinAlgebra) -> TensorMap:
     """The map v ⊗ v' -> 1_A ⊗ vv' ⊗ 1_C built from the middle algebra."""
@@ -314,7 +311,8 @@ def transport(d: TwoSidedData) -> tuple[FinAlgebra, dict, Report]:
 
 @record
 class SearchSpec:
-    """Parameters of a finite-field search for valid two-sided data.
+    """Parameters of a finite-field search for valid two-sided data; the
+    field and the dimensions are those of the algebras searched over.
 
     ``frozen`` maps a subset of {"R1", "R2", "R3", "E"} to fixed maps; the
     remaining maps are enumerated.  Unit conditions pin every matrix column
@@ -323,8 +321,6 @@ class SearchSpec:
     the exhaustive space.
     """
 
-    field: Field
-    dims: tuple[int, int, int]
     mode: str = "exhaustive"
     budget: int = 256
     seed: int = 0
@@ -487,10 +483,26 @@ def _holds(rows, x, p) -> bool:
     return all(sum(k * prod(x[i] for i in m) for m, k in row) % p == 0 for row in rows)
 
 
-def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
-              c: FinAlgebra) -> list[TwoSidedData]:
-    """Enumerate or sample candidate (R1, R2, R3, E) over F_p and keep the
-    tuples passing every two-sided condition.
+class Solutions(Sequence):
+    """The solutions of :func:`search_fp` in order, kept as ``rows``: each one's
+    (R rows, E rows, n), its R-triple's (R1, R2, R3) and its E as a report
+    writes them and its candidate number.  An item read is built from n."""
+
+    def __init__(self, rows, solution):
+        self.rows, self._solution = rows, solution
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._solution(n) for _, _, n in self.rows[i]]
+        return self._solution(self.rows[i][2])
+
+
+def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra) -> Solutions:
+    """Enumerate or sample candidate (R1, R2, R3, E) over the prime field of
+    A, V and C, and keep the tuples passing every two-sided condition.
 
     Candidate n carries the free digits of every unfrozen map, R1, R2, R3, E
     in that order, most significant first, so E's d digits are the lowest and
@@ -511,32 +523,20 @@ def search_fp(spec: SearchSpec, a: FinAlgebra, v: PointedSpace,
     consecutive candidates, its E digits stepped in order, and a triple that
     fails a condition without E is skipped with the whole run.  Memory grows
     with the distinct R-triples drawn, not with the space.  A solution is
-    kept as its rows (:func:`search_rows`), about 200 bytes: its R-triple's
+    kept as its rows (:class:`Solutions`), about 200 bytes: its R-triple's
     rows, which the triple's solutions share, a tuple of its E rows, each
     shared with every equal row through a memo of this call, and its number.
     The solutions are sorted by those rows, the matrices as the report writes
     them (:meth:`~xprod.exactla.TensorMap.format_rows`), so the output is
-    byte-stable for a fixed spec and seed, and each is then built from its
+    byte-stable for a fixed spec and seed.  An item read is built from its
     number without checking its shapes again: the templates fix them, and a
     probe candidate checks the frozen maps once.
     """
-    found, solution = search_rows(spec, a, v, c)
-    return [solution(n) for _, _, n in found]
-
-
-def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra):
-    """The search of :func:`search_fp`, its solutions kept as the report
-    writes them: the sorted list of each solution's (R rows, E rows, n), where
-    R rows are the (R1, R2, R3) rows of its R-triple and n its candidate
-    number, and ``solution(n)``, which builds the :class:`TwoSidedData` of a
-    listed n."""
-    f = spec.field
+    f = a.field
     if not isinstance(f, PrimeField):
         raise PreconditionFail("search requires a prime field")
-    if {a.field, v.field, c.field} != {f}:
+    if {v.field, c.field} != {f}:
         raise FieldMismatch("search algebras over a different field")
-    if spec.dims != (a.dim, v.dim, c.dim):
-        raise ShapeMismatch(f"spec dims {spec.dims} do not match the algebras")
     if spec.mode not in ("exhaustive", "randomized"):
         raise PreconditionFail(f"unknown search mode {spec.mode!r}")
     if spec.budget < 0:
@@ -544,16 +544,16 @@ def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra)
     if spec.seed < 0:
         raise PreconditionFail(f"search seed must be nonnegative, got {spec.seed}")
     for name in spec.frozen:
-        if name not in SEARCH_MAP_NAMES:
+        if name not in MAP_NAMES:
             raise PreconditionFail(f"frozen label {name!r} is not among R1, R2, R3, E")
-    na, nv, nc = spec.dims
+    na, nv, nc = a.dim, v.dim, c.dim
     ua = _unit_basis_index(f, a.unit, "A")
     uv = _unit_basis_index(f, v.unit, "V")
     uc = _unit_basis_index(f, c.unit, "C")
 
     frozen = dict(spec.frozen)
     templates = {name: _map_template(f, name, na, nv, nc, ua, uv, uc)
-                 for name in SEARCH_MAP_NAMES if name not in frozen}
+                 for name in MAP_NAMES if name not in frozen}
     # check the frozen maps' shapes and fields once, on a probe candidate
     TwoSidedData(a, v, c, **frozen, **{name: _fill(f, t, [0] * _width(t))
                                        for name, t in templates.items()})
@@ -655,4 +655,4 @@ def search_rows(spec: SearchSpec, a: FinAlgebra, v: PointedSpace, c: FinAlgebra)
             f, templates["E"], _digits(n % width, f.p, d), entries)
         return unchecked(TwoSidedData, a, v, c, maps["R1"], maps["R2"], maps["R3"], e)
 
-    return found, solution
+    return Solutions(found, solution)

@@ -88,6 +88,7 @@ from .report import ConditionResult, Report, Witness
 
 # the domain legs (x, y) of each twisting map R: x⊗y -> y⊗x, as A, V, C = 0, 1, 2
 TWIST_LEGS = {"R1": (1, 0), "R2": (2, 1), "R3": (2, 0)}
+MAP_NAMES = (*TWIST_LEGS, "E")  # the maps of the data, in the order reports list them
 
 
 @record
@@ -299,7 +300,7 @@ class Condition:
     def maps(self) -> tuple[str, ...]:
         """The maps among R1, R2, R3, E that the chains apply, in that order."""
         read = {step[0] for _, sides in self.scans for lhs, rhs, _ in sides for step in lhs + rhs}
-        return tuple(m for m in (*TWIST_LEGS, "E") if m in read)
+        return tuple(m for m in MAP_NAMES if m in read)
 
     def witness(self, a, v, c, maps) -> Witness | None:
         """The smallest failing basis tuple's witness, or None when the
@@ -396,7 +397,7 @@ def check_twosided(d: TwoSidedData) -> Report:
     scan of equiv6 visits dim(V)^3 basis triples, and a composite pays for
     identity factors only by their dimension.
     """
-    maps = {"R1": d.R1, "R2": d.R2, "R3": d.R3, "E": d.E}
+    maps = {m: getattr(d, m) for m in MAP_NAMES}
     entries = [cond.evaluate(d.A, d.V, d.C, maps) for cond in CONDITIONS]
     composite = _composite_conditions(d)
     for entry in entries:
@@ -438,7 +439,7 @@ def _raw_product(d: TwoSidedData) -> TensorMap:
     """The two-sided product's multiplication, [A,V,C,A,V,C] -> [A,V,C], not validated."""
     f = d.field
     mul = _chain_map(f, (d.A.dim, d.V.dim, d.C.dim) * 2, PRODUCT_CHAIN,
-                     _named(d.A, d.V, d.C, {m: getattr(d, m) for m in (*TWIST_LEGS, "E")}))
+                     _named(d.A, d.V, d.C, {m: getattr(d, m) for m in MAP_NAMES}))
     # composite route for the same multiplication, kept as an internal check
     ida = identity(f, shape(d.A.dim))
     idv = identity(f, shape(d.V.dim))

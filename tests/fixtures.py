@@ -17,10 +17,22 @@ from xprod import (
     search_fp,
 )
 from xprod.constructions import product_connector
-from xprod.exactla import from_columns, shape
+from xprod.exactla import compose, from_columns, shape, tensor
+from xprod.twosided import TWIST_LEGS
 
 F2 = PrimeField(2)
 Q = RATIONALS
+# (domain legs, codomain legs) of each map, with A, V, C numbered 0, 1, 2
+MAP_LEGS = {**{name: ((x, y), (y, x)) for name, (x, y) in TWIST_LEGS.items()},
+            "E": ((1, 1), (0, 1, 2))}
+
+
+def moved_maps(d, changes):
+    """R1, R2, R3 and E of ``d`` moved by a change of basis of each of A, V
+    and C, given as (g, g^-1) pairs: g_cod o m o g_dom^-1, leg by leg."""
+    return {name: compose(tensor(*(changes[leg][0] for leg in cod)), getattr(d, name),
+                          tensor(*(changes[leg][1] for leg in dom)))
+            for name, (dom, cod) in MAP_LEGS.items()}
 
 
 def algebra_from_table(field, table, unit, validate=True):
@@ -131,7 +143,7 @@ def searched_f2_fixtures():
     """First three all-pass datasets of the frozen-flip exhaustive F2 search."""
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl})
     results = search_fp(spec, d, d.as_pointed(), d)
     return tuple(results[:3])
 

@@ -288,7 +288,7 @@ def test_criterion_7_determinism(tmp_path):
     assert count == 256  # regression value pinned from the search itself
 
     # in-library determinism for the same exhaustive search
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl})
     res1 = search_fp(spec, d2, d2.as_pointed(), d2)
     res2 = search_fp(spec, d2, d2.as_pointed(), d2)
     key = lambda rs: [(r.R1.rows, r.R2.rows, r.R3.rows, r.E.rows) for r in rs]

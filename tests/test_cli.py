@@ -29,7 +29,7 @@ from fixtures import (
 )
 from xprod import PrimeField, search_fp
 from xprod.cli import canonical_json, main, parse_document
-from xprod.constructions import SEARCH_MAP_NAMES
+from xprod.twosided import MAP_NAMES
 
 CORPUS = dict(corpus())
 
@@ -599,7 +599,7 @@ def test_search_report_lists_search_fp_solutions_in_order(tmp_path, name):
     got = search_fp(entry["spec"], entry["A"], entry["V"], entry["C"])
     assert rc == 0 and len(got) == count
     assert rep["outputs"]["solutions"] == [
-        {m: [list(row) for row in getattr(data, m).formatted_rows] for m in SEARCH_MAP_NAMES}
+        {m: [list(row) for row in getattr(data, m).formatted_rows] for m in MAP_NAMES}
         for data in got]
 
 

@@ -13,6 +13,7 @@ from fixtures import (
     corpus,
     dual_numbers,
     group_algebra_z2,
+    moved_maps,
     searched_f2_fixtures,
     truncated_polynomials3,
     upper_triangular2,
@@ -39,10 +40,9 @@ from xprod import (
 )
 from xprod.algebra import associativity_witness
 from xprod.record import replace
-from xprod.twosided import CONDITIONS, Condition
+from xprod.twosided import CONDITIONS, MAP_NAMES, Condition
 from xprod.constructions import (
     _PINNED_LAWS,
-    SEARCH_MAP_NAMES,
     _candidates,
     _compile,
     _fill,
@@ -64,6 +64,7 @@ from xprod.exactla import (
     basis_vector,
     from_columns,
     from_rows,
+    invert,
     permute_factors,
     shape,
     tensor_vec,
@@ -519,7 +520,7 @@ def test_permutation_transport_preserves_associativity_both_ways():
 
 def test_search_all_dims_one_finds_only_trivial():
     one = scalar_alg(F2)
-    res = search_fp(SearchSpec(F2, (1, 1, 1)), one, one.as_pointed(), one)
+    res = search_fp(SearchSpec(), one, one.as_pointed(), one)
     assert len(res) == 1
     d = res[0]
     assert check_twosided(d).all_pass
@@ -533,30 +534,29 @@ def test_search_frozen_flips_e_count_pinned():
 def full_frozen_search():
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl})
     return search_fp(spec, d, d.as_pointed(), d)
 
 
-@pytest.mark.parametrize("spec, error, message", [
+@pytest.mark.parametrize("spec, v_field, error, message", [
     # a misspelt label used to be dropped, so R3 was searched as well (276 results)
-    (SearchSpec(F2, (2, 2, 2), cap=1 << 20, frozen={
-        "R1": flip(F2, 2, 2), "R2": flip(F2, 2, 2), "r3": flip(F2, 2, 2)}),
+    (SearchSpec(cap=1 << 20, frozen={
+        "R1": flip(F2, 2, 2), "R2": flip(F2, 2, 2), "r3": flip(F2, 2, 2)}), F2,
      PreconditionFail, "frozen label 'r3' is not among R1, R2, R3, E"),
     # a negative budget used to draw nothing and report no solutions
-    (SearchSpec(F2, (2, 2, 2), mode="randomized", budget=-1),
+    (SearchSpec(mode="randomized", budget=-1), F2,
      PreconditionFail, "search budget must be nonnegative, got -1"),
     # random.Random(-5) seeds like Random(5), so a negative seed was read as 5
-    (SearchSpec(F2, (2, 2, 2), mode="randomized", seed=-5),
+    (SearchSpec(mode="randomized", seed=-5), F2,
      PreconditionFail, "search seed must be nonnegative, got -5"),
-    (SearchSpec(PrimeField(3), (2, 2, 2)), FieldMismatch, "search algebras over a different field"),
-    (SearchSpec(F2, (2, 2, 1)), ShapeMismatch, "spec dims (2, 2, 1) do not match the algebras"),
-    (SearchSpec(F2, (2, 2, 2), mode="sideways"), PreconditionFail,
+    (SearchSpec(), PrimeField(3), FieldMismatch, "search algebras over a different field"),
+    (SearchSpec(mode="sideways"), F2, PreconditionFail,
      "unknown search mode 'sideways'"),
 ])
-def test_search_refusals_name_the_culprit(spec, error, message):
+def test_search_refusals_name_the_culprit(spec, v_field, error, message):
     d = dual_numbers(F2)
     with pytest.raises(error) as exc:
-        search_fp(spec, d, d.as_pointed(), d)
+        search_fp(spec, d, dual_numbers(v_field).as_pointed(), d)
     assert str(exc.value) == message
 
 
@@ -564,7 +564,7 @@ def test_search_r1_only_count_and_solutions_pinned():
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
     e0 = product_connector(d, d, d)
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl, "R3": fl, "E": e0})
+    spec = SearchSpec(frozen={"R2": fl, "R3": fl, "E": e0})
     res = search_fp(spec, d, d.as_pointed(), d)
     assert len(res) == 3
     got = {r.R1.column(3) for r in res}
@@ -583,14 +583,14 @@ def test_search_results_rebuild_and_agree():
 def test_search_randomized_deterministic_and_worker_independent():
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=48, seed=11,
+    spec = SearchSpec(mode="randomized", budget=48, seed=11,
                       frozen={"R1": fl, "R2": fl, "R3": fl})
     key = lambda res: [(x.R1.rows, x.R2.rows, x.R3.rows, x.E.rows) for x in res]
     a = search_fp(spec, d, d.as_pointed(), d)
     b = search_fp(spec, d, d.as_pointed(), d)
     c = search_fp(spec, d, d.as_pointed(), d)
     assert key(a) == key(b) == key(c)
-    other = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=48, seed=12,
+    other = SearchSpec(mode="randomized", budget=48, seed=12,
                        frozen={"R1": fl, "R2": fl, "R3": fl})
     search_fp(other, d, d.as_pointed(), d)  # different seed still runs fine
 
@@ -600,7 +600,7 @@ def test_search_randomized_over_f7():
     f7 = PrimeField(7)
     d = dual_numbers(f7)
     fl = flip(f7, 2, 2)
-    spec = SearchSpec(f7, (2, 2, 2), mode="randomized", budget=30, seed=5,
+    spec = SearchSpec(mode="randomized", budget=30, seed=5,
                       frozen={"R1": fl, "R2": fl, "R3": fl})
     res = search_fp(spec, d, d.as_pointed(), d)
     assert res  # the frozen-flip family admits solutions over every prime
@@ -612,10 +612,10 @@ def test_search_randomized_over_f7():
 def _search_oracle(spec, a, v, c):
     """Brute force: draw the candidates as the search does, decode each one in
     full, and keep those whose complete check_twosided report passes."""
-    f = spec.field
+    f = a.field
     units = [list(x).index(f.one) for x in (a.unit, v.unit, c.unit)]
     templates = {name: _map_template(f, name, a.dim, v.dim, c.dim, *units)
-                 for name in SEARCH_MAP_NAMES if name not in spec.frozen}
+                 for name in MAP_NAMES if name not in spec.frozen}
     slots = sum(_width(t) for t in templates.values())
     rng = random.Random(spec.seed)
     found = set()
@@ -628,7 +628,7 @@ def _search_oracle(spec, a, v, c):
             pos += _width(template)
         data = TwoSidedData(a, v, c, **maps)
         if check_twosided(data).all_pass:
-            found.add(tuple(getattr(data, m).cols for m in SEARCH_MAP_NAMES))
+            found.add(tuple(getattr(data, m).cols for m in MAP_NAMES))
     return found
 
 
@@ -640,12 +640,12 @@ def test_randomized_search_matches_brute_force_oracle():
         fl = flip(field, 2, 2)
         e0 = product_connector(d, d, d)
         for frozen in ({}, {"R3": fl, "E": e0}, {"R1": fl, "R2": fl}):
-            cases.append((SearchSpec(field, (2, 2, 2), mode="randomized", budget=60,
+            cases.append((SearchSpec(mode="randomized", budget=60,
                                      seed=len(cases), frozen=frozen), d))
     total = 0
     for spec, d in cases:
         got = search_fp(spec, d, d.as_pointed(), d)
-        keys = [tuple(getattr(x, m).cols for m in SEARCH_MAP_NAMES) for x in got]
+        keys = [tuple(getattr(x, m).cols for m in MAP_NAMES) for x in got]
         assert len(set(keys)) == len(keys)
         assert set(keys) == _search_oracle(spec, d, d.as_pointed(), d)
         total += len(keys)
@@ -671,12 +671,12 @@ def test_exhaustive_search_skips_the_e_values_of_a_failed_r_triple(monkeypatch):
     # A = V = k[x]/(x^2), C = k over F2: the unit laws pin R2 and R3 and leave
     # 4 free digits each to R1 and E, so 16 R-triples of 16 candidates each
     d, k = dual_numbers(F2), scalar_alg(F2)
-    spec = SearchSpec(F2, (2, 2, 1))
+    spec = SearchSpec()
     with scanned_conditions(monkeypatch) as calls:
         got = search_fp(spec, d, d.as_pointed(), k)
 
     # brute force: decode every candidate in full and run check_twosided on it
-    templates = {name: _map_template(F2, name, 2, 2, 1, 0, 0, 0) for name in SEARCH_MAP_NAMES}
+    templates = {name: _map_template(F2, name, 2, 2, 1, 0, 0, 0) for name in MAP_NAMES}
     widths = [_width(t) for t in templates.values()]
     assert widths == [4, 0, 0, 4]
     found = set()
@@ -685,8 +685,8 @@ def test_exhaustive_search_skips_the_e_values_of_a_failed_r_triple(monkeypatch):
         data = TwoSidedData(d, d.as_pointed(), k, **{
             name: _fill(F2, t, maps[name]) for name, t in templates.items()})
         if check_twosided(data).all_pass:
-            found.add(tuple(getattr(data, m).cols for m in SEARCH_MAP_NAMES))
-    assert {tuple(getattr(x, m).cols for m in SEARCH_MAP_NAMES) for x in got} == found
+            found.add(tuple(getattr(data, m).cols for m in MAP_NAMES))
+    assert {tuple(getattr(x, m).cols for m in MAP_NAMES) for x in got} == found
 
     # an R-triple's evaluation starts at equiv1, the first condition that reads
     # R1 and is evaluated (R1's template pins unit-R1); those before it read
@@ -711,8 +711,39 @@ def test_frozen_flip_f3_exhaustive_count_pinned():
     # compiled E conditions decide all but the first two of the 3^8 candidates
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
-    spec = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl})
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl})
     assert len(search_fp(spec, d, d.as_pointed(), d)) == 3 ** 8
+
+
+def test_a_library_search_keeps_only_the_rows_the_command_keeps():
+    # search_fp keeps each of the 6,561 frozen-flip F3 solutions as its rows,
+    # as the search command does, and builds an item's two-sided data when it
+    # is read: 1.1 MB held, where a list of each solution's TwoSidedData held
+    # 2.9 MB
+    import tracemalloc
+    d = dual_numbers(F3)
+    fl = flip(F3, 2, 2)
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl})
+    search_fp(spec, d, d.as_pointed(), d)  # warm-up: caches filled before the count
+    tracemalloc.start()
+    try:
+        got = search_fp(spec, d, d.as_pointed(), d)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 3 ** 8
+    assert held < 2 * 2**20, held
+
+
+def test_search_solutions_read_as_a_sequence():
+    got = full_frozen_search()
+    items = list(got)
+    assert len(items) == len(got) == 256
+    assert (got[0], got[-1], got[3:7], got[::50]) == (items[0], items[-1], items[3:7], items[::50])
+    assert random.Random(4).sample(got, 5) == random.Random(4).sample(items, 5)
+    assert items.index(got[100]) == 100 and got[100] in got
+    with pytest.raises(IndexError):
+        got[256]
 
 
 def test_unfrozen_f2_exhaustive_solutions_pinned():
@@ -721,8 +752,8 @@ def test_unfrozen_f2_exhaustive_solutions_pinned():
     # sha of the solutions' rows are regression values taken before the
     # compile read the residuals off the chains
     d = dual_numbers(F2)
-    got = search_fp(SearchSpec(F2, (2, 2, 2), cap=1 << 20), d, d.as_pointed(), d)
-    rows = repr([tuple(getattr(x, m).formatted_rows for m in SEARCH_MAP_NAMES) for x in got])
+    got = search_fp(SearchSpec(cap=1 << 20), d, d.as_pointed(), d)
+    rows = repr([tuple(getattr(x, m).formatted_rows for m in MAP_NAMES) for x in got])
     assert len(got) == 620
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "8fae060d684f966193a65e15dacbe58485e50912ab85c6cb3096f0ac373d5287")
@@ -734,9 +765,9 @@ def test_r2_r3_frozen_f3_exhaustive_solutions_pinned():
     # are regression values taken before each R-triple was decided once
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
-    spec = SearchSpec(F3, (2, 2, 2), cap=1 << 20, frozen={"R2": fl, "R3": fl})
+    spec = SearchSpec(cap=1 << 20, frozen={"R2": fl, "R3": fl})
     got = search_fp(spec, d, d.as_pointed(), d)
-    rows = repr([tuple(getattr(x, m).formatted_rows for m in SEARCH_MAP_NAMES) for x in got])
+    rows = repr([tuple(getattr(x, m).formatted_rows for m in MAP_NAMES) for x in got])
     assert len(got) == 6921
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "f91c40dc43083b73d8903231ee44381f24ff3d07ba31f3901c73abb403a4a5f4")
@@ -750,16 +781,55 @@ def test_search_solutions_equal_the_checked_constructor(field, frozen, count):
     # and each sampled solution passes every two-sided condition
     d = dual_numbers(field)
     fl = flip(field, 2, 2)
-    spec = SearchSpec(field, (2, 2, 2), cap=1 << 20, frozen={m: fl for m in frozen})
+    spec = SearchSpec(cap=1 << 20, frozen={m: fl for m in frozen})
     got = search_fp(spec, d, d.as_pointed(), d)
     assert len(got) == count
     rng = random.Random(11)
     picked = got if field is F2 else rng.sample(got, 200)
     for data in picked:
         assert data == TwoSidedData(d, d.as_pointed(), d,
-                                    *(getattr(data, m) for m in SEARCH_MAP_NAMES))
+                                    *(getattr(data, m) for m in MAP_NAMES))
     for data in rng.sample(picked, 20):
         assert check_twosided(data).all_pass
+
+
+def dual_number_symmetries(field):
+    """G = Aut(A) x Aut(V, 1_V) x Aut(C) for A = V = C = k[x]/(x^2): x -> cx
+    on A and on C, and e1 -> b e0 + c e1 on V, for c != 0.  An element is its
+    three (g, g^-1) pairs, each inverse from ``exactla.invert``."""
+    def pair(rows):
+        rows = tuple(tuple(map(field.from_int, row)) for row in rows)
+        return tuple(from_rows(field, shape(2), shape(2), m) for m in (rows, invert(field, rows)))
+
+    scale = [pair(((1, 0), (0, c))) for c in range(1, field.p)]
+    pointed = [pair(((1, b), (0, c))) for b in range(field.p) for c in range(1, field.p)]
+    return list(product(scale, pointed, scale))
+
+
+@pytest.mark.parametrize("field, frozen, size, orbits",
+                         [(F2, (), 2, 348), (F3, ("R2", "R3"), 24, 156)])
+def test_search_solutions_are_closed_under_the_symmetries_of_the_algebras(
+        field, frozen, size, orbits):
+    # G moves data passing the twelve conditions to data passing them, so an
+    # exhaustive solution set is a union of G-orbits: every image of a listed
+    # solution is listed.  Moved: all 620 unfrozen F2 solutions, and a sample
+    # of 200 of the 6,921 F3 ones with R2 and R3 frozen to flips, which G
+    # keeps, as it conjugates a flip to a flip.  The orbit counts are
+    # regression values; orbits of data are not isomorphism classes of the
+    # built algebras.
+    d = dual_numbers(field)
+    fl = flip(field, 2, 2)
+    got = search_fp(SearchSpec(cap=1 << 20, frozen={m: fl for m in frozen}),
+                    d, d.as_pointed(), d)
+    listed = {tuple(getattr(x, m).cols for m in MAP_NAMES) for x in got}
+    group = dual_number_symmetries(field)
+    assert len(group) == size
+    met = set()
+    for x in got if field is F2 else random.Random(1).sample(got, 200):
+        orbit = frozenset(tuple(m.cols for m in moved_maps(x, g).values()) for g in group)
+        assert orbit <= listed
+        met.add(orbit)
+    assert len(met) == orbits
 
 
 def _unit_bases(field):
@@ -801,7 +871,7 @@ def test_e_degrees_cover_the_conditions_that_mention_e(monkeypatch):
     monkeypatch.setattr(xprod.constructions, "_compile", recorded)
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
-    spec = SearchSpec(F3, (2, 2, 2), frozen={"R2": fl, "R3": fl},
+    spec = SearchSpec(frozen={"R2": fl, "R3": fl},
                       mode="randomized", budget=300, seed=1)
     search_fp(spec, d, d.as_pointed(), d)
     e_labels = {cond.label for cond in CONDITIONS if "E" in cond.maps}
@@ -821,7 +891,7 @@ def test_compiled_e_conditions_equal_the_scans_on_every_e_value():
         v = v.as_pointed()
         p = field.p
         templates = {name: _map_template(field, name, a.dim, v.dim, c.dim, 0, 0, 0)
-                     for name in SEARCH_MAP_NAMES}
+                     for name in MAP_NAMES}
         e_conds = [cond for cond in CONDITIONS if "E" in cond.maps and cond.label != "unit-E"]
         d = _width(templates["E"])
         assert p ** d <= 256
@@ -880,7 +950,7 @@ def test_search_compiles_on_the_second_visit_to_the_e_conditions(monkeypatch):
     # space passes)
     d = dual_numbers(F3)
     fl = flip(F3, 2, 2)
-    frozen = SearchSpec(F3, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl},
+    frozen = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl},
                         mode="randomized", budget=45, seed=1)
     for label in ("equiv4", "equiv6"):
         got, counts = scans_per_r1(monkeypatch, label, frozen, d, d.as_pointed(), d)
@@ -901,7 +971,7 @@ def test_search_compiles_on_the_second_visit_to_the_e_conditions(monkeypatch):
     # every passing triple of an exhaustive search meets all its E values
     d2 = dual_numbers(F2)
     fl2 = flip(F2, 2, 2)
-    exhaustive = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl2, "R3": fl2})
+    exhaustive = SearchSpec(frozen={"R2": fl2, "R3": fl2})
     got, counts = scans_per_r1(monkeypatch, "equiv4", exhaustive, d2, d2.as_pointed(), d2)
     assert len(counts) > 1 and set(counts.values()) == {2} and len(got) > 2 * len(counts)
 
@@ -911,7 +981,7 @@ def test_search_with_an_unfrozen_r_compiles_on_the_second_visit_and_cross_checks
     import xprod.constructions
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R2": fl, "R3": fl},
+    spec = SearchSpec(frozen={"R2": fl, "R3": fl},
                       mode="randomized", budget=1500, seed=5)
     got, counts = scans_per_r1(monkeypatch, "equiv4", spec, d, d.as_pointed(), d)
     # R1's 4 free digits lead each candidate number, above E's 8
@@ -940,7 +1010,7 @@ def test_frozen_e_conditions_are_decided_once_per_unfrozen_maps(monkeypatch):
     # those that mention only frozen maps once in all
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=300, seed=2,
+    spec = SearchSpec(mode="randomized", budget=300, seed=2,
                       frozen={"R2": fl, "R3": fl, "E": product_connector(d, d, d)})
     with scanned_conditions(monkeypatch) as calls:
         got = search_fp(spec, d, d.as_pointed(), d)
@@ -958,17 +1028,17 @@ def test_frozen_e_conditions_are_decided_once_per_unfrozen_maps(monkeypatch):
 
 
 def test_candidate_stream_is_lazy_and_seeded():
-    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=10**12, seed=5)
+    spec = SearchSpec(mode="randomized", budget=10**12, seed=5)
     rng = random.Random(5)
     assert list(islice(_candidates(spec, 2**20), 3)) == [
         rng.randrange(2**20) for _ in range(3)]
-    exhaustive = SearchSpec(F2, (2, 2, 2), cap=10**30)
+    exhaustive = SearchSpec(cap=10**30)
     assert list(islice(_candidates(exhaustive, 10**30), 3)) == [0, 1, 2]
 
 
 def test_frozen_map_of_wrong_shape_is_refused_before_any_candidate():
     d = dual_numbers(F2)
-    spec = SearchSpec(F2, (2, 2, 2), mode="randomized", budget=0,
+    spec = SearchSpec(mode="randomized", budget=0,
                       frozen={"R1": flip(F2, 2, 1)})
     with pytest.raises(ShapeMismatch):
         search_fp(spec, d, d.as_pointed(), d)
@@ -977,7 +1047,7 @@ def test_frozen_map_of_wrong_shape_is_refused_before_any_candidate():
 def test_search_space_cap():
     d = dual_numbers(F2)
     fl = flip(F2, 2, 2)
-    spec = SearchSpec(F2, (2, 2, 2), frozen={"R1": fl, "R2": fl, "R3": fl}, cap=10)
+    spec = SearchSpec(frozen={"R1": fl, "R2": fl, "R3": fl}, cap=10)
     with pytest.raises(SearchSpaceTooLarge):
         search_fp(spec, d, d.as_pointed(), d)
 
@@ -985,9 +1055,9 @@ def test_search_space_cap():
 def test_search_requires_prime_field_and_basis_units():
     d = dual_numbers(Q)
     with pytest.raises(PreconditionFail):
-        search_fp(SearchSpec(Q, (2, 2, 2)), d, d.as_pointed(), d)
+        search_fp(SearchSpec(), d, d.as_pointed(), d)
     from fixtures import upper_triangular2
     u = upper_triangular2(F2)
     d2 = dual_numbers(F2)
     with pytest.raises(PreconditionFail):
-        search_fp(SearchSpec(F2, (3, 2, 3), frozen={}), u, d2.as_pointed(), u)
+        search_fp(SearchSpec(frozen={}), u, d2.as_pointed(), u)

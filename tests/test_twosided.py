@@ -13,6 +13,7 @@ from fixtures import (
     corpus,
     dual_numbers,
     group_algebra_z2,
+    moved_maps,
     truncated_polynomials3,
     twosided_bicocycle,
     twosided_flip_trivial,
@@ -36,12 +37,13 @@ from xprod import (
     ordinary_tensor,
     permute_factors,
     presentations_agree,
+    same_algebra,
     universal_map,
 )
 from xprod.algebra import PointedSpace
-from xprod.constructions import product_connector
+from xprod.constructions import _is_flip, product_connector, transport
 from xprod.record import replace
-from xprod.twosided import CONDITIONS, TWIST_LEGS
+from xprod.twosided import CONDITIONS, MAP_NAMES
 from xprod.errors import (
     AxiomFailure,
     InternalCheckError,
@@ -55,7 +57,6 @@ from xprod.report import Witness
 from xprod.exactla import (
     TensorMap,
     basis_vector,
-    compose,
     from_columns,
     from_rows,
     invert,
@@ -609,10 +610,6 @@ METAMORPHIC = {**CORPUS, **{
         group_algebra_z2(F3), truncated_polynomials3(F3), D3),
     "f3-bicocycle": twosided_bicocycle(F3),
 }}
-# (domain legs, codomain legs) of each map, with A, V, C numbered 0, 1, 2
-MAP_LEGS = {**{name: ((x, y), (y, x)) for name, (x, y) in TWIST_LEGS.items()},
-            "E": ((1, 1), (0, 1, 2))}
-
 
 def basis_permutation(field, n, rng):
     """The map e_j -> e_perm(j) for a seeded permutation, and its inverse."""
@@ -636,23 +633,24 @@ def basis_change(field, n, rng):
         return tuple(from_rows(field, shape(n), shape(n), m) for m in (rows, inverse))
 
 
+def changed(d, changes):
+    """``d`` with A, V and C conjugated by the changes of basis ``changes``,
+    one (g, g^-1) pair a leg, and R1, R2, R3 and E transported to match:
+    g_cod o m o g_dom^-1, leg by leg."""
+    return TwoSidedData(conjugate_algebra(d.A, changes[0][0]),
+                        PointedSpace(d.field, d.V.dim, changes[1][0].apply(d.V.unit)),
+                        conjugate_algebra(d.C, changes[2][0]), **moved_maps(d, changes))
+
+
 def relabelled(d, rng, change=basis_permutation):
-    """``d`` with A, V and C conjugated by seeded changes of basis (``change``)
-    and R1, R2, R3 and E transported to match: g_cod o m o g_dom^-1, leg by
-    leg."""
-    f = d.field
-    perms = [change(f, space.dim, rng) for space in (d.A, d.V, d.C)]
-    maps = {name: compose(tensor(*(perms[leg][0] for leg in cod)), getattr(d, name),
-                          tensor(*(perms[leg][1] for leg in dom)))
-            for name, (dom, cod) in MAP_LEGS.items()}
-    return TwoSidedData(conjugate_algebra(d.A, perms[0][0]),
-                        PointedSpace(f, d.V.dim, perms[1][0].apply(d.V.unit)),
-                        conjugate_algebra(d.C, perms[2][0]), **maps)
+    """``d`` :func:`changed` by a seeded change of basis (``change``) of each
+    of A, V and C."""
+    return changed(d, [change(d.field, space.dim, rng) for space in (d.A, d.V, d.C)])
 
 
 def single_entry_mutant(d, rng):
     """``d`` with one seeded matrix entry of one of R1, R2, R3, E raised by one."""
-    name = rng.choice(tuple(MAP_LEGS))
+    name = rng.choice(MAP_NAMES)
     m = getattr(d, name)
     rows = [list(row) for row in m.rows]
     i, j = rng.randrange(len(rows)), rng.randrange(m.domain.total)
@@ -680,3 +678,29 @@ def test_relabelling_the_bases_keeps_the_failing_conditions(label):
         for change in (basis_permutation, basis_permutation, basis_change):
             assert check_twosided(relabelled(d, rng, change)).failed_names() == want
     assert check_twosided(base).all_pass and failing > 0
+
+
+# a general change of basis makes these two Q datasets' entries grow, so
+# they are moved by a permutation
+PERMUTED_ONLY = ("q-ut2-pointed-line", "q-wide-middle")
+
+
+@pytest.mark.parametrize("label", sorted(METAMORPHIC))
+def test_a_change_of_basis_commutes_with_extract_and_transport(label):
+    """The conjugated product splits into the changed data, and where R1 or
+    R3 is the flip, so is the changed one's, and its transport is the moved
+    product conjugated by g_V ⊗ g_A ⊗ g_C, with the same remarks and an
+    equal report."""
+    rng = random.Random(label)
+    d = METAMORPHIC[label]
+    change = basis_permutation if label in PERMUTED_ONLY else basis_change
+    changes = [change(d.field, space.dim, rng) for space in (d.A, d.V, d.C)]
+    g_a, g_v, g_c = (g for g, _ in changes)
+    new = changed(d, changes)
+    conjugated = conjugate_algebra(build_twosided(d), tensor(g_a, g_v, g_c))
+    assert extract(conjugated, new.A, new.V, new.C) == new
+    if _is_flip(d.R1) or _is_flip(d.R3):
+        moved, data, rep = transport(d)
+        new_moved, new_data, new_rep = transport(new)
+        assert same_algebra(new_moved, conjugate_algebra(moved, tensor(g_v, g_a, g_c)))
+        assert new_data.keys() == data.keys() and new_rep == rep
