@@ -13,12 +13,14 @@ Reports are canonical JSON: sorted keys, normalized scalars, LF endings, no
 timestamps, so output bytes depend only on the input document and seed.
 Exit codes: 0 all conditions pass, 1 axiom failure, 2 input error, 3 internal
 error (two internal routes disagreed, or any other unexpected exception).  A
-refused command line also exits 2, with the usage and the reason on stderr.
+refused command line also exits 2, with the usage and the reason on stderr, and
+so does a report that stdout refuses, with one line on stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -717,8 +719,7 @@ def _parse_argv(argv):
                 if explicit is not None:
                     _refuse(f"argument {name}: ignored explicit argument {explicit!r}")
                 if dest == "help":
-                    sys.stdout.write(_HELP)
-                    raise SystemExit(0)
+                    raise SystemExit(_written(0, lambda: sys.stdout.write(_HELP)))
                 values[dest] = True
                 continue
             if explicit is None:
@@ -766,8 +767,7 @@ def main(argv=None) -> int:
                         "--out", f"cannot write output: {exc.strerror}")))
             else:
                 return code
-        _json_write(obj, sys.stdout.write)
-        return code
+        return _written(code, lambda: _json_write(obj, sys.stdout.write))
 
     try:
         # argparse reads --in=-- as the option given no value: [] where a string is due
@@ -806,6 +806,34 @@ def main(argv=None) -> int:
                 f"{exc}; its witness cannot be written: {refusal}"))
         return finish(dict(report_skeleton, status=_STATUS[code], conditions=[],
                            outputs={}, error=error), code)
+
+
+def _written(code, write):
+    """``code`` once ``write`` has written to stdout and it is flushed, else 2
+    with one line on stderr: an input error, as an unwritable ``--out`` is."""
+    try:
+        write()
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"xprod: error: cannot write report: {exc.strerror}\n")
+        return 2
+    return code
+
+
+def run():
+    """The process entry of ``xprod`` and ``python -m xprod``: :func:`main`,
+    then ``os._exit``, which skips the interpreter's teardown of every module
+    and object.  A flush fails here only where main has reported it."""
+    try:
+        code = main()
+    except SystemExit as exc:  # help, or a refused command line
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 def _error_obj(field, exc):

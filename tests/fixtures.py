@@ -195,6 +195,28 @@ def twosided_doc(data):
     }
 
 
+def search_doc(field=F2, frozen=("R1", "R2", "R3"), **dataset):
+    """A search over the dual numbers with the named maps frozen to the flip;
+    ``dataset`` overrides the randomized mode, budget 40 and seed 3."""
+    d = dual_numbers(field)
+    fl_matrix = [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                 ["0", "1", "0", "0"], ["0", "0", "0", "1"]]
+    flips = {"R1": "flVA", "R2": "flCV", "R3": "flCA"}
+    return {
+        "field": {"kind": "prime", "p": field.p},
+        "algebras": {"A": doc_algebra(field, d), "C": doc_algebra(field, d)},
+        "spaces": {"V": {"dim": 2, "unit": ["1", "0"]}},
+        "maps": {
+            "flVA": {"domain": ["V", "A"], "codomain": ["A", "V"], "matrix": fl_matrix},
+            "flCV": {"domain": ["C", "V"], "codomain": ["V", "C"], "matrix": fl_matrix},
+            "flCA": {"domain": ["C", "A"], "codomain": ["A", "C"], "matrix": fl_matrix},
+        },
+        "datasets": {"s": {"type": "search", "A": "A", "V": "V", "C": "C",
+                           "mode": "randomized", "budget": 40, "seed": 3,
+                           "frozen": {m: flips[m] for m in frozen}, **dataset}},
+    }
+
+
 @lru_cache(maxsize=None)
 def corpus():
     """Named valid fixtures: flip/trivial and graded over Q and F2, mixed

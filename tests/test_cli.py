@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: parsing, reports, determinism, exit codes."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -25,6 +26,7 @@ from fixtures import (
     doc_algebra as fmt_alg,
     doc_map as fmt_map,
     dual_numbers,
+    search_doc,
     twosided_doc as shared_twosided_doc,
 )
 from xprod import PrimeField, search_fp
@@ -439,28 +441,6 @@ def test_transport_with_one_remark(tmp_path, fixture, outputs, names):
     assert rc == 0
     assert rep["outputs"] == outputs
     assert [c["name"] for c in rep["conditions"]] == names
-
-
-def search_doc(field=F2, frozen=("R1", "R2", "R3"), **dataset):
-    """A search over the dual numbers with the named maps frozen to the flip;
-    ``dataset`` overrides the randomized mode, budget 40 and seed 3."""
-    d = dual_numbers(field)
-    fl_matrix = [["1", "0", "0", "0"], ["0", "0", "1", "0"],
-                 ["0", "1", "0", "0"], ["0", "0", "0", "1"]]
-    flips = {"R1": "flVA", "R2": "flCV", "R3": "flCA"}
-    return {
-        "field": {"kind": "prime", "p": field.p},
-        "algebras": {"A": fmt_alg(field, d), "C": fmt_alg(field, d)},
-        "spaces": {"V": {"dim": 2, "unit": ["1", "0"]}},
-        "maps": {
-            "flVA": {"domain": ["V", "A"], "codomain": ["A", "V"], "matrix": fl_matrix},
-            "flCV": {"domain": ["C", "V"], "codomain": ["V", "C"], "matrix": fl_matrix},
-            "flCA": {"domain": ["C", "A"], "codomain": ["A", "C"], "matrix": fl_matrix},
-        },
-        "datasets": {"s": {"type": "search", "A": "A", "V": "V", "C": "C",
-                           "mode": "randomized", "budget": 40, "seed": 3,
-                           "frozen": {m: flips[m] for m in frozen}, **dataset}},
-    }
 
 
 def test_negative_seed_is_refused(tmp_path):
@@ -1433,11 +1413,13 @@ def test_option_left_without_its_value_is_an_input_error(capsys, argv_paths, arg
 
 # -- fixed cost -----------------------------------------------------------------
 
+SRC = Path(xprod.__file__).resolve().parents[1]
+
+
 def child_imports(argv):
     """Run ``python -X importtime -m xprod argv``: its exit code, its stdout and
     the names of the modules it imported beyond a bare interpreter's."""
-    src = str(Path(xprod.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
 
     def imported(args):
         proc = subprocess.run([sys.executable, "-X", "importtime", *args],
@@ -1479,3 +1461,105 @@ def test_fixed_cost_modules_load_only_when_needed(tmp_path, capsys, name, comman
     assert "argparse" not in names
     assert names & {"fractions", "decimal"} == ({"fractions", "decimal"} if loads_fractions
                                                  else set())
+
+
+# -- the process entry ----------------------------------------------------------
+
+# the two launchers: `python -m xprod`, and what the `xprod` console script runs
+LAUNCHERS = {"module": ["-m", "xprod"],
+             "script": ["-c", "import sys; from xprod.cli import run; sys.exit(run())"]}
+
+
+def child_env(**changes):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **changes)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+@pytest.fixture(scope="module")
+def entry_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("entry")
+    return {"DOC": write_doc(tmp, twosided_doc(CORPUS["q-dual-flip-trivial"], Q)),
+            "FAIL": write_doc(tmp, perturbed_doc(), "fail.json"),
+            "F3": write_doc(tmp, search_doc(PrimeField(3), budget=500, seed=41), "f3.json"),
+            "MISSING": str(tmp / "absent.json")}
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--in", "DOC"], 0),
+    (["check", "--in", "FAIL"], 1),
+    (["check", "--in", "MISSING"], 2),
+    (["--help"], 0),
+    (["check", "--in", "DOC", "--seed", "x"], 2),
+    (["search", "--in", "F3"], 0),  # a report larger than a pipe buffer
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_the_process_entry_gives_what_main_gives(capsys, entry_paths, launcher, argv, code):
+    argv = [entry_paths.get(a, a) for a in argv]
+    proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv],
+                          capture_output=True, env=child_env())
+    want = run_argv(capsys, argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+    assert want[0] == code and "Traceback" not in want[2]
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_the_process_entry_writes_out_in_full(tmp_path, entry_paths, launcher):
+    argv = ["search", "--in", entry_paths["F3"], "--out"]
+    proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv, str(tmp_path / "a")],
+                          capture_output=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    script = re.search(r'^\[project\.scripts\]\n(?:[^\[].*\n)*?xprod = "xprod\.cli:(\w+)"$',
+                       (SRC.parent / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    module = (SRC / "xprod" / "__main__.py").read_text(encoding="utf-8")
+    assert script is not None and script.group(1) == "run"
+    assert re.findall(r"^\s*(\w+)\(", module, re.M) == ["run"]
+    assert "from .cli import run\n" in module
+
+
+class Refusing(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` fails as a closed pipe does."""
+
+    def __init__(self, on):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "DOC"], ["check", "--in", "FAIL"], ["check", "--in", "MISSING"],
+    ["--help"]], ids=" ".join)
+def test_a_report_that_stdout_refuses_is_an_input_error(capsys, monkeypatch, entry_paths,
+                                                        argv, on):
+    # one line on stderr and exit 2, as an unwritable --out is: no internal
+    # error, and no second report into the same stream
+    monkeypatch.setattr(sys, "stdout", Refusing(on))
+    code, _, err = run_argv(capsys, [entry_paths.get(a, a) for a in argv])
+    assert (code, err) == (2, "xprod: error: cannot write report: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_a_pipe_closed_early_is_an_input_error(entry_paths, unbuffered):
+    # the report is far larger than a pipe buffer, so the child is still
+    # writing when the reader goes; with and without Python's own buffer
+    proc = subprocess.Popen([sys.executable, "-m", "xprod", "search", "--in", entry_paths["F3"]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env(PYTHONUNBUFFERED=unbuffered))
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"xprod: error: cannot write report: Broken pipe\n")

@@ -34,6 +34,7 @@ from xprod import (
     force_build_twosided,
     identity,
     is_algebra_map,
+    new_algebra,
     ordinary_tensor,
     permute_factors,
     presentations_agree,
@@ -57,6 +58,7 @@ from xprod.report import Witness
 from xprod.exactla import (
     TensorMap,
     basis_vector,
+    compose,
     from_columns,
     from_rows,
     invert,
@@ -678,6 +680,64 @@ def test_relabelling_the_bases_keeps_the_failing_conditions(label):
         for change in (basis_permutation, basis_permutation, basis_change):
             assert check_twosided(relabelled(d, rng, change)).failed_names() == want
     assert check_twosided(base).all_pass and failing > 0
+
+
+# -- metamorphic: the opposite algebra -----------------------------------------
+
+# the twelve labels under the opposite: the twins of A's and C's sides swap
+OPPOSITE_LABEL = {**{x: x for x in CONDITION_LABELS}, **{
+    a: b for pair in (("twR32", "twR33"), ("unit-R1", "unit-R2"), ("equiv1", "equiv2"),
+                      ("equiv4", "equiv5")) for a, b in (pair, pair[::-1])}}
+
+
+def opposite_algebra(alg):
+    """A^op, with x * y = yx; an algebra exactly when A is."""
+    return new_algebra(alg.field, alg.dim, compose(alg.mul, flip(alg.field, alg.dim, alg.dim)),
+                       alg.unit)
+
+
+def reversal(d):
+    """The leg reversal a⊗v⊗c -> c⊗v⊗a of A⊗V⊗C, with its three legs."""
+    return permute_factors(d.field, (d.A.dim, d.V.dim, d.C.dim), (2, 1, 0))
+
+
+def opposite_data(d):
+    """The data on C^op ⊗ V ⊗ A^op whose product is M^op, M the product of
+    ``d``: R1' = τ R2 τ, R2' = τ R1 τ, R3' = τ R3 τ and E'(v⊗v') = rev E(v'⊗v),
+    τ a flip of two legs and rev the leg reversal."""
+    f, (a, v, c) = d.field, (d.A.dim, d.V.dim, d.C.dim)
+    return TwoSidedData(
+        opposite_algebra(d.C), d.V, opposite_algebra(d.A),
+        compose(flip(f, v, c), d.R2, flip(f, v, c)),
+        compose(flip(f, a, v), d.R1, flip(f, a, v)),
+        compose(flip(f, a, c), d.R3, flip(f, a, c)),
+        compose(reversal(d), d.E, flip(f, v, v)))
+
+
+@pytest.mark.parametrize("label", sorted(METAMORPHIC))
+def test_the_opposite_data_fail_the_twin_conditions(label):
+    """Taking opposites maps the verdicts by the involution ``OPPOSITE_LABEL``:
+    each twin condition is checked against the other, though both routes write
+    the two separately.  Where both build, the leg reversal is an isomorphism
+    M^op -> M' of the two products: it carries the structure constants and
+    the unit of one onto the other."""
+    rng = random.Random(label)
+    base = METAMORPHIC[label]
+    built = 0
+    for d in (base, *(single_entry_mutant(base, rng) for _ in range(10))):
+        opp = opposite_data(d)
+        want = check_twosided(d).failed_names()
+        got = check_twosided(opp).failed_names()
+        assert got == tuple(x for x in CONDITION_LABELS if OPPOSITE_LABEL[x] in want)
+        if not want:
+            m, m_opp = build_twosided(d), build_twosided(opp)
+            n = m.dim
+            rev = reversal(d).reshaped(shape(n), shape(n))
+            assert (compose(rev, m.mul, flip(d.field, n, n)).cols
+                    == compose(m_opp.mul, tensor(rev, rev)).cols)
+            assert rev.apply(m.unit) == m_opp.unit
+            built += 1
+    assert built > 0
 
 
 # a general change of basis makes these two Q datasets' entries grow, so
