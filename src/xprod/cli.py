@@ -19,10 +19,12 @@ so does a report that stdout refuses, with one line on stderr.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
 import sys
+from collections import defaultdict
 from collections.abc import Callable
 from itertools import accumulate
 from json.encoder import encode_basestring  # the C encoder where _json is built
@@ -394,17 +396,13 @@ def canonical_json(obj) -> str:
 
     ``json`` takes its pure-Python encoder whenever it indents.  Here each
     string goes through the C ``encode_basestring``, and the text is built
-    once, as the pieces that :func:`_json_write` hands on.  A list or tuple of
-    strings (a matrix row) is one join, and a tuple of strings is kept by
-    (value, indent), since rows recur across search solutions.  A matrix, a
-    tuple of such rows, is kept from its second visit at an indent on, joined
-    from its rows' kept texts: the ``R`` matrices that solutions share
-    are kept, and a distinct ``E`` never is.  A value equal to a kept tuple is
-    built the same way from equal strings, so it writes the same bytes.  Other
-    equal values need not: ``(1,) == (True,)`` and their hashes agree, yet they
-    write ``[1]`` and ``[true]``, so only tuples whose leaves are exactly
-    ``str`` are kept or counted as visited.  A tuple that holds a list or a
-    dict cannot be hashed and is written each time.
+    once, as the pieces that :func:`_json_write` hands on.  Only a row's text
+    is kept: a list or tuple of strings (a row) is one join, kept by (row,
+    indent) when it is a tuple of exactly ``str``, since rows recur across
+    search solutions, and a list or tuple of rows kept at the inner indent (a
+    matrix) is one join of their texts.  A value equal to a row of strings is
+    one, so it writes the same bytes; ``(1,)`` and ``(True,)`` are equal and
+    hash alike, yet write ``[1]`` and ``[true]``, so no other tuple is kept.
     """
     texts = []
     _json_write(obj, texts.append)
@@ -418,7 +416,7 @@ def _json_write(obj, sink):
     """Hand ``canonical_json(obj)`` to ``sink`` as consecutive texts, each the
     join of about ``_BATCH`` pieces, so the whole text never exists at once.
     A key's head and an indent's brackets are one string per call."""
-    pieces, texts, seen = [], {}, set()  # kept texts and visited matrices, by (tuple, indent)
+    pieces, texts = [], defaultdict(dict)  # kept row texts, by indent and row
     marks, heads = {}, {}  # an indent's brackets; a key's head, by (separator, key)
     put = pieces.append
 
@@ -448,16 +446,19 @@ def _json_write(obj, sink):
         if not x:
             put("[]")
             return
-        key = (x, nl) if type(x) is tuple else None
-        try:
-            text = texts.get(key)
-        except TypeError:  # a tuple that holds a list or a dict
-            text = key = None
-        if text is None and all(type(y) is str for y in x):  # a row
-            text = bracket + comma.join(map(encode_basestring, x)) + close_bracket
-            if key is not None:
-                texts[key] = text
-        if text is not None:
+        first = type(x) is not _Solutions and type(x[0])  # solutions are never joined
+        if first is tuple:  # a matrix, if its items are rows kept at the inner indent
+            try:
+                put(bracket + comma.join(map(texts[inner].__getitem__, x)) + close_bracket)
+                return
+            except (KeyError, TypeError):  # an item not kept, or one that cannot be hashed
+                pass
+        elif first is str and all(type(y) is str for y in x):  # a row: one join
+            text = texts[nl].get(x) if type(x) is tuple else None
+            if text is None:
+                text = bracket + comma.join(map(encode_basestring, x)) + close_bracket
+                if type(x) is tuple:
+                    texts[nl][x] = text
             put(text)
             return
         sep = bracket
@@ -466,10 +467,6 @@ def _json_write(obj, sink):
             write(y, inner)
             sep = comma
         put(close_bracket)
-        if key is not None and all(type(y) is tuple and (y, inner) in texts for y in x):
-            if key in seen:  # a matrix's second visit: keep its text from now on
-                texts[key] = bracket + comma.join([texts[y, inner] for y in x]) + close_bracket
-            seen.add(key)
 
     write(obj, "\n")
     put("\n")
@@ -584,8 +581,8 @@ def _run_search(doc, name, kind, entry, args):
 class _Solutions:
     """A search's solutions as its report lists them, each one's dict made from
     its kept rows as the writer reaches it, so at most one exists at a time.
-    An ``E`` is handed on as a list: it is distinct per solution, and the
-    writer marks only a tuple of rows as visited."""
+    Each map is handed on as the tuple of row tuples that the search keeps, so
+    the writer joins it from its rows' kept texts."""
 
     def __init__(self, found):
         self.found = found
@@ -594,8 +591,7 @@ class _Solutions:
         return len(self.found)
 
     def __iter__(self):
-        return (dict(zip(MAP_NAMES, (*rows, list(e_rows))))
-                for rows, e_rows, _ in self.found)
+        return (dict(zip(MAP_NAMES, (*rows, e_rows))) for rows, e_rows, _ in self.found)
 
 
 def _run_transport(doc, name, kind, entry, args):
@@ -619,8 +615,7 @@ def _pick_dataset(doc: Document, wanted):
             raise DocumentError("$.datasets", f"no dataset named {wanted!r}")
         return wanted, doc.datasets[wanted]
     if len(doc.datasets) == 1:
-        name = next(iter(doc.datasets))
-        return name, doc.datasets[name]
+        return next(iter(doc.datasets.items()))
     if not doc.datasets:
         raise DocumentError("$.datasets", "document defines no datasets")
     raise DocumentError("$.datasets",
@@ -659,7 +654,8 @@ options:
 
 
 def _refuse(message):
-    sys.stderr.write(f"{_USAGE}xprod: error: {message}\n")
+    if sys.stderr is not None:  # None when the process started with fd 2 closed
+        sys.stderr.write(f"{_USAGE}xprod: error: {message}\n")
     raise SystemExit(2)
 
 
@@ -810,12 +806,15 @@ def main(argv=None) -> int:
 
 def _written(code, write):
     """``code`` once ``write`` has written to stdout and it is flushed, else 2
-    with one line on stderr: an input error, as an unwritable ``--out`` is."""
+    with one line on stderr, as for an unwritable ``--out`` or a closed stdout (None)."""
     try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         write()
         sys.stdout.flush()
     except OSError as exc:
-        sys.stderr.write(f"xprod: error: cannot write report: {exc.strerror}\n")
+        if sys.stderr is not None:  # None when the process started with fd 2 closed
+            sys.stderr.write(f"xprod: error: cannot write report: {exc.strerror}\n")
         return 2
     return code
 
@@ -829,8 +828,8 @@ def run():
     except SystemExit as exc:  # help, or a refused command line
         code = exc.code
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
+            stream.flush()
     except OSError:
         pass
     os._exit(code)

@@ -514,10 +514,11 @@ def test_search_report_bytes_pinned(tmp_path, monkeypatch, name):
 
 def test_search_report_is_written_without_whole_text_copies(tmp_path):
     # The F3 search keeps 482 solutions, 0.94 MB of report.  The Python
-    # allocations of main peak at about 0.23 MB when the report is streamed in
+    # allocations of main peak at about 0.24 MB when the report is streamed in
     # batches of a few hundred pieces and each solution is kept as its shared
-    # rows, its dict made only as the writer reaches it.  Keeping each
-    # solution's two-sided data and dict peaked at 0.5 MB; with a whole list
+    # rows, its dict made only as the writer reaches it (0.13 MB when each E
+    # was written row by row, in shorter batches).  Keeping each solution's
+    # two-sided data and dict peaked at 0.5 MB; with a whole list
     # of pieces and a copy of every E row the peak was 1.6 MB; a writer that
     # joins each nesting level's texts again, keeps every E's text and writes
     # the whole text at once peaks at 2.9 MB.
@@ -546,7 +547,7 @@ def test_search_report_is_written_without_whole_text_copies(tmp_path):
 def test_search_memory_per_solution(tmp_path):
     # The frozen-flip F3 space: all 6,561 candidates are solutions, 12.6 MB of
     # report.  Each solution is kept as its rows while the report is written,
-    # about 200 bytes, so the Python allocations of main peak at about 1.8 MB
+    # about 200 bytes, so the Python allocations of main peak at about 1.7 MB
     # (stdout and --out share the writer; the 482-solution test above
     # measures both).  Marking each E matrix as visited peaked at 2.7 MB, and
     # keeping each solution's two-sided data, E map and dict as well at
@@ -1165,13 +1166,15 @@ MATRIX = (("a", "b"), ("c", "d"))
 # equal and equally hashed, yet written [1] and [true], [0] and [false]
 @example([(1,), (True,)])
 @example([(0,), (False,)])
-# the same for matrices, which are kept from their second visit on
+# the same one level down, where a matrix of kept rows is one join
 @example([((1,),), ((True,),), ((1,),)])
 @example([((True,),), ((True,),), ((1,),)])
 @example([((0,),), ((False,),), ((0,),)])
 # one matrix of strings at two indents, and a tuple that cannot be hashed
 @example([MATRIX, {"m": [MATRIX]}, MATRIX])
 @example([MATRIX, [MATRIX, MATRIX], MATRIX, MATRIX])  # three visits at one indent, two at another
+# a list and a tuple of kept rows, and a kept row beside a non-row or a list
+@example([[("a",)], [("a",)], (("a",),), [("a",), (True,)], (("a",), ["a"])])
 @example((None, [[None]], {"": None}))
 def test_canonical_json_equals_json_dumps(x):
     assert canonical_json(x) == json_reference(x)
@@ -1563,3 +1566,33 @@ def test_a_pipe_closed_early_is_an_input_error(entry_paths, unbuffered):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (2, b"xprod: error: cannot write report: Broken pipe\n")
+
+
+def closed_child(argv, fd, **streams):
+    """``python -m xprod argv`` in a child started with ``fd`` closed, which
+    Python then sets as None for its ``sys.stdout`` (1) or ``sys.stderr`` (2)."""
+    return subprocess.run([sys.executable, "-m", "xprod", *argv], env=child_env(),
+                          preexec_fn=lambda: os.close(fd), **streams)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "DOC"], ["check", "--in", "FAIL"], ["check", "--in", "MISSING"],
+    ["--help"]], ids=" ".join)
+def test_a_closed_stdout_is_an_input_error(entry_paths, argv):
+    # a stdout that was never open refuses the report or the help text: one
+    # line on stderr and exit 2, with no second report and no traceback
+    proc = closed_child([entry_paths.get(a, a) for a in argv], 1, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"xprod: error: cannot write report: Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--in", "DOC", "--seed", "x"], 2), (["check", "--in", "DOC"], 0)],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_a_closed_stderr_changes_no_exit_code(capsys, entry_paths, argv, code):
+    # a refused command line writes its usage nowhere and still exits 2; a
+    # report goes to stdout as it does with stderr open
+    argv = [entry_paths.get(a, a) for a in argv]
+    proc = closed_child(argv, 2, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout.decode()) == run_argv(capsys, argv)[:2]
+    assert proc.returncode == code

@@ -806,30 +806,61 @@ def dual_number_symmetries(field):
     return list(product(scale, pointed, scale))
 
 
+def closure(listed, group, moved):
+    """The orbits under ``group`` of the solutions ``moved``, and the images
+    in them that ``listed`` does not hold."""
+    keys = {tuple(getattr(x, m).cols for m in MAP_NAMES) for x in listed}
+    orbits = {frozenset(tuple(m.cols for m in moved_maps(x, g).values()) for g in group)
+              for x in moved}
+    return orbits, set().union(*orbits) - keys
+
+
+# the F3 solutions moved: a seeded sample of each space
+F3_SAMPLE = {("R2", "R3"): 200, ("R1", "R2", "R3"): 100}
+
+
 @pytest.mark.parametrize("field, frozen, size, orbits",
-                         [(F2, (), 2, 348), (F3, ("R2", "R3"), 24, 156)])
+                         [(F2, (), 2, 348), (F3, ("R2", "R3"), 24, 156),
+                          (F2, ("R1", "R2", "R3"), 2, 136), (F3, ("R1", "R2", "R3"), 24, 81)])
 def test_search_solutions_are_closed_under_the_symmetries_of_the_algebras(
         field, frozen, size, orbits):
     # G moves data passing the twelve conditions to data passing them, so an
     # exhaustive solution set is a union of G-orbits: every image of a listed
-    # solution is listed.  Moved: all 620 unfrozen F2 solutions, and a sample
-    # of 200 of the 6,921 F3 ones with R2 and R3 frozen to flips, which G
-    # keeps, as it conjugates a flip to a flip.  The orbit counts are
+    # solution is listed.  Moved: all 620 unfrozen F2 solutions and all 256
+    # with R1, R2 and R3 frozen to flips, and a sample of the 6,921 F3 ones
+    # with R2 and R3 frozen and of the 6,561 with all three frozen: G keeps a
+    # frozen flip, as it conjugates a flip to a flip.  The orbit counts are
     # regression values; orbits of data are not isomorphism classes of the
     # built algebras.
     d = dual_numbers(field)
     fl = flip(field, 2, 2)
     got = search_fp(SearchSpec(cap=1 << 20, frozen={m: fl for m in frozen}),
                     d, d.as_pointed(), d)
-    listed = {tuple(getattr(x, m).cols for m in MAP_NAMES) for x in got}
     group = dual_number_symmetries(field)
     assert len(group) == size
-    met = set()
-    for x in got if field is F2 else random.Random(1).sample(got, 200):
-        orbit = frozenset(tuple(m.cols for m in moved_maps(x, g).values()) for g in group)
-        assert orbit <= listed
-        met.add(orbit)
+    moved = got if field is F2 else random.Random(1).sample(got, F3_SAMPLE[frozen])
+    met, missed = closure(got, group, moved)
+    assert not missed, f"{len(missed)} images of listed solutions are not listed"
     assert len(met) == orbits
+
+
+def test_search_closure_catches_a_dropped_solution(monkeypatch):
+    # The negative half: a search mutant that loses one listed solution, whose
+    # orbit has other members, fails the closure test, and the one image it
+    # misses is the dropped solution, which passes the twelve conditions.
+    d = dual_numbers(F2)
+    fl = flip(F2, 2, 2)
+    got = search_fp(SearchSpec(frozen={m: fl for m in MAP_NAMES[:3]}), d, d.as_pointed(), d)
+    group = dual_number_symmetries(F2)
+    k = next(i for i, x in enumerate(got) if len(closure(got, group, [x])[0].pop()) > 1)
+    dropped = got[k]
+    monkeypatch.setitem(globals(), "search_fp", lambda *args: got[:k] + got[k + 1:])
+    with pytest.raises(AssertionError, match="1 images of listed solutions are not listed"):
+        test_search_solutions_are_closed_under_the_symmetries_of_the_algebras(
+            F2, MAP_NAMES[:3], 2, 136)
+    _, missed = closure(got[:k] + got[k + 1:], group, got[:k] + got[k + 1:])
+    assert missed == {tuple(getattr(dropped, m).cols for m in MAP_NAMES)}
+    assert check_twosided(dropped).all_pass
 
 
 def _unit_bases(field):

@@ -20,12 +20,18 @@ from fixtures import (
     twosided_graded,
 )
 from xprod import (
+    BrzData,
     CONDITION_LABELS,
     FinAlgebra,
+    MirrorData,
     PrimeField,
     TwoSidedData,
+    build_brzezinski,
+    build_mirror,
     build_ttp,
     build_twosided,
+    check_brzezinski,
+    check_mirror,
     check_twosided,
     conjugate_algebra,
     derive_maps,
@@ -650,14 +656,18 @@ def relabelled(d, rng, change=basis_permutation):
     return changed(d, [change(d.field, space.dim, rng) for space in (d.A, d.V, d.C)])
 
 
-def single_entry_mutant(d, rng):
-    """``d`` with one seeded matrix entry of one of R1, R2, R3, E raised by one."""
-    name = rng.choice(MAP_NAMES)
-    m = getattr(d, name)
+def raised_entry(m, rng):
+    """``m`` with one seeded matrix entry raised by one."""
     rows = [list(row) for row in m.rows]
     i, j = rng.randrange(len(rows)), rng.randrange(m.domain.total)
     rows[i][j] = m.field.add(rows[i][j], m.field.one)
-    return replace(d, **{name: from_rows(m.field, m.domain, m.codomain, tuple(map(tuple, rows)))})
+    return from_rows(m.field, m.domain, m.codomain, tuple(map(tuple, rows)))
+
+
+def single_entry_mutant(d, rng, names=MAP_NAMES):
+    """``d`` with one seeded matrix entry of one of its maps ``names`` raised by one."""
+    name = rng.choice(names)
+    return replace(d, **{name: raised_entry(getattr(d, name), rng)})
 
 
 @pytest.mark.parametrize("label", sorted(METAMORPHIC))
@@ -740,6 +750,54 @@ def test_the_opposite_data_fail_the_twin_conditions(label):
     assert built > 0
 
 
+# the crossed products: the opposite of Brzeziński data is mirror data, and the
+# five conditions of one are the five of the other, in order
+MIRROR_LABEL = dict(zip(("brz1", "brz2", "brz3", "brz4", "brz5"),
+                        ("mirtwunit", "mircocunit", "mirtwmap", "mir1", "mir2")))
+
+
+def derived_brzezinski(d):
+    """The Brzeziński data (A, V ⊗ C, R, σ) of ``d``, as its presentation
+    A ⊗_{R,σ} (V ⊗ C) takes them."""
+    f, m = d.field, derive_maps(d)
+    vc = PointedSpace(f, d.V.dim * d.C.dim, tensor_vec(f, d.V.unit, d.C.unit))
+    legs = (shape(vc.dim, d.A.dim), shape(d.A.dim, vc.dim), shape(vc.dim, vc.dim))
+    return BrzData(d.A, vc, m.R.reshaped(legs[0], legs[1]), m.sigma.reshaped(legs[2], legs[1]))
+
+
+def opposite_mirror(b):
+    """The mirror data (V, A^op, P, ν) whose product is M^op, M the crossed
+    product of ``b``: P = τ R τ and ν(v⊗v') = τ σ(v'⊗v), τ a flip."""
+    f, na, nv = b.A.field, b.A.dim, b.V.dim
+    tau = flip(f, na, nv)
+    return MirrorData(b.V, opposite_algebra(b.A), compose(tau, b.R, tau),
+                      compose(tau, b.sigma, flip(f, nv, nv)))
+
+
+@pytest.mark.parametrize("label", sorted(METAMORPHIC))
+def test_the_opposite_brzezinski_data_fail_the_twin_mirror_conditions(label):
+    """brz1..brz5 of the derived data and of 5 seeded mutants of their R or σ
+    fail exactly where the twin mirror conditions of the opposite data fail,
+    though each is one transcription of its own.  Where both build, the flip
+    A ⊗ V -> V ⊗ A carries M^op's structure constants and unit onto M′'s."""
+    rng = random.Random(label)
+    base = derived_brzezinski(METAMORPHIC[label])
+    built = 0
+    for b in (base, *(single_entry_mutant(base, rng, ("R", "sigma")) for _ in range(5))):
+        opp = opposite_mirror(b)
+        want = check_brzezinski(b).failed_names()
+        assert check_mirror(opp).failed_names() == tuple(MIRROR_LABEL[x] for x in want)
+        if not want:
+            m, m_opp = build_brzezinski(b), build_mirror(opp)
+            n = m.dim
+            tau = flip(b.A.field, b.A.dim, b.V.dim).reshaped(shape(n), shape(n))
+            assert (compose(tau, m.mul, flip(b.A.field, n, n)).cols
+                    == compose(m_opp.mul, tensor(tau, tau)).cols)
+            assert tau.apply(m.unit) == m_opp.unit
+            built += 1
+    assert built > 0
+
+
 # a general change of basis makes these two Q datasets' entries grow, so
 # they are moved by a permutation
 PERMUTED_ONLY = ("q-ut2-pointed-line", "q-wide-middle")
@@ -764,3 +822,37 @@ def test_a_change_of_basis_commutes_with_extract_and_transport(label):
         new_moved, new_data, new_rep = transport(new)
         assert same_algebra(new_moved, conjugate_algebra(moved, tensor(g_v, g_a, g_c)))
         assert new_data.keys() == data.keys() and new_rep == rep
+
+
+def induced(d, x, maps):
+    """The rows of the map that ``maps`` (f_A, f_V, f_C) induce out of the
+    product of ``d``, or the name of the first premise that fails."""
+    try:
+        return universal_map(d, x, *maps).rows
+    except PremiseFail as exc:
+        return exc.which
+
+
+@pytest.mark.parametrize("label", sorted(METAMORPHIC))
+def test_a_change_of_basis_commutes_with_universal(label):
+    """On the changed data, f_A g_A⁻¹, f_V g_V⁻¹ and f_C g_C⁻¹ induce the old
+    map composed with (g_A ⊗ g_V ⊗ g_C)⁻¹, and where a premise fails, the
+    same premise fails on the changed data: the premises are identities of
+    maps, so no basis decides them.  X is the product, with the canonical
+    embeddings and one seeded single-entry mutant of each."""
+    rng = random.Random(label)
+    d = METAMORPHIC[label]
+    change = basis_permutation if label in PERMUTED_ONLY else basis_change
+    changes = [change(d.field, space.dim, rng) for space in (d.A, d.V, d.C)]
+    new, x = changed(d, changes), build_twosided(d)
+    n = x.dim
+    inverse = tensor(*(g_inv for _, g_inv in changes)).reshaped(shape(n), shape(n))
+    embeddings = canonical_embeddings(d)
+    for k in (None, 0, 1, 2):  # the embeddings, then f_A, f_V or f_C mutated
+        maps = [raised_entry(m, rng) if i == k else m for i, m in enumerate(embeddings)]
+        want = induced(d, x, maps)
+        got = induced(new, x, [compose(m, g_inv) for m, (_, g_inv) in zip(maps, changes)])
+        if isinstance(want, str):
+            assert got == want and k is not None
+        else:
+            assert got == compose(from_rows(d.field, shape(n), shape(n), want), inverse).rows
